@@ -12,7 +12,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import AtCriticality, PoorFit, WindowTouchesCriticality, ZeroGap
-from .models import Walk1D, Walk2D
 from .walk1d import WalkParams
 
 GAP_TOL = 1e-8
@@ -271,5 +270,5 @@ def flip_test(model, beta: float, k_c, alpha_c: float = 0.0,
 
 __all__ = [
     "CurvatureProfile", "ExponentFit", "find_gap_closings", "fit_lorentzian",
-    "sample_peak", "extract_exponents", "flip_test", "Walk1D", "Walk2D",
+    "sample_peak", "extract_exponents", "flip_test",
 ]

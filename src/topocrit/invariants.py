@@ -5,17 +5,25 @@ The 1D winding number integrates the curvature function over dk/(2 pi); the
 d^2k/(4 pi) and is cross-checked against a gauge-invariant plaquette
 (link-variable) computation on the same grid, an independent route free of
 derivative discretization error.
+
+Both 2D routes read one zeta evaluation per call, made on the pi-periodic
+fundamental torus [0, pi)^2 of the zone grid from a memoized momentum trig
+table.  They share that input only: the integral sums phi / |zeta|^3, the
+oracle builds lower-band states from zeta / |zeta| and sums link-variable
+fluxes, and neither uses the other's result.  The memoized tables are
+read-only, so sharing them across calls and threads needs no locking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
 from .walk1d import WalkParams, rotated_curvature_1d, zeta_components_1d
-from .walk2d import curvature_grid_2d, zeta_components_2d
+from .walk2d import _angles, _zeta_phi_2d, trig_table_2d
 
 DEFAULT_N_1D = 4096
 DEFAULT_N_2D = 256
@@ -57,38 +65,68 @@ def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_1D) -> InvariantRes
     return _quantize(raw, n_grid)
 
 
+@lru_cache(maxsize=4)
+def _zone_trig(n_grid: int):
+    """Read-only trig table of the n_grid zone grid, and the torus weight.
+
+    walk2d is pi-periodic in both momenta, so for even n_grid the table
+    covers only the fundamental torus [0, pi)^2 of the zone grid and the
+    weight is 4, the number of its copies in [0, 2 pi)^2.  Odd n_grid does
+    not fold onto a half-period grid and keeps the full zone, weight 1.
+    """
+    k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+    weight = 1
+    if n_grid % 2 == 0:
+        k = k[:n_grid // 2]
+        weight = 4
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    table = trig_table_2d(kx, ky)
+    for term in table:
+        term.setflags(write=False)
+    return table, weight
+
+
+def _zeta_on_torus(p: WalkParams, n_grid: int):
+    """One zeta/phi evaluation on the memoized torus, gap-checked."""
+    table, weight = _zone_trig(n_grid)
+    zx, zy, zz, phi = _zeta_phi_2d(table, *_angles(p))
+    n2 = zx * zx + zy * zy + zz * zz
+    if np.min(n2) < GAP_TOL ** 2:
+        raise ZeroGap("gap closed on the integration grid")
+    return (zx, zy, zz), n2, phi, weight
+
+
 def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_2D) -> InvariantResult:
     """Mapping-degree invariant C = integral F d^2k / (4 pi), with oracle.
 
     The trapezoidal integral of the curvature function must round to the
-    same integer as the plaquette link-variable computation.
+    same integer as the plaquette link-variable computation.  Both read the
+    same zeta evaluation on the fundamental torus.
 
     Raises:
         ZeroGap, QuantizationFailure, OracleMismatch.
     """
-    k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    zx, zy, zz = zeta_components_2d(kx, ky, p)
-    if np.min(zx * zx + zy * zy + zz * zz) < GAP_TOL ** 2:
-        raise ZeroGap("gap closed on the integration grid")
-    f = curvature_grid_2d(kx, ky, p)
-    raw = float(np.sum(f) * (2.0 * np.pi / n_grid) ** 2 / (4.0 * np.pi))
+    zeta, n2, phi, weight = _zeta_on_torus(p, n_grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = phi / n2 ** 1.5
+    raw = float(weight * np.sum(f) * (2.0 * np.pi / n_grid) ** 2 / (4.0 * np.pi))
     result = _quantize(raw, n_grid)
-    oracle = chern_plaquette(p, n_grid)
+    oracle = _quantize(_plaquette_raw(zeta, n2, weight), n_grid)
     if oracle.rounded != result.rounded:
         raise OracleMismatch("integral gives %d but plaquette oracle gives %d"
                              % (result.rounded, oracle.rounded))
     return result
 
-def _lower_band_states(kx, ky, p: WalkParams):
+
+def _lower_band_states(zeta, n2):
     """Lower-band spinors of the axis field on a grid, gauge chosen per point.
 
     Uses the south gauge (axis_x + i axis_y in the lower component) away from
     the north pole and the complementary gauge near it; the plaquette product
     is invariant under the per-point choice.
     """
-    zx, zy, zz = zeta_components_2d(kx, ky, p)
-    zn = np.sqrt(zx * zx + zy * zy + zz * zz)
+    zx, zy, zz = zeta
+    zn = np.sqrt(n2)
     nx, ny, nz = zx / zn, zy / zn, zz / zn
     south = nz < 0.5
     up = np.where(south, nz - 1.0, -(nx - 1j * ny))
@@ -97,20 +135,16 @@ def _lower_band_states(kx, ky, p: WalkParams):
     return up / norm, dn / norm
 
 
-def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_2D) -> InvariantResult:
-    """Plaquette (link-variable) invariant of the lower band.
+def _plaquette_raw(zeta, n2, weight: int) -> float:
+    """Total plaquette flux over 2 pi on a periodic grid of the axis field.
 
     Link products around each plaquette give the lattice field strength; the
     loop holonomy is exp(-i flux), so the flux is minus the argument of the
-    counterclockwise product.  The total over the zone is 2 pi C exactly at
-    any resolution fine enough to keep each plaquette flux within (-pi, pi).
+    counterclockwise product.  The total over a closed torus is 2 pi times
+    an integer at any resolution fine enough to keep each plaquette flux
+    within (-pi, pi); ``weight`` copies of the torus make up the zone.
     """
-    k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    zx, zy, zz = zeta_components_2d(kx, ky, p)
-    if np.min(zx * zx + zy * zy + zz * zz) < GAP_TOL ** 2:
-        raise ZeroGap("gap closed on the plaquette grid")
-    up, dn = _lower_band_states(kx, ky, p)
+    up, dn = _lower_band_states(zeta, n2)
 
     def link(axis):
         u2 = np.roll(up, -1, axis=axis)
@@ -121,8 +155,17 @@ def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_2D) -> InvariantResul
     uy = link(1)
     plaq = ux * np.roll(uy, -1, axis=0) * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy)
     flux = -np.angle(plaq)
-    raw = float(flux.sum() / (2.0 * np.pi))
-    return _quantize(raw, n_grid)
+    return float(weight * flux.sum() / (2.0 * np.pi))
+
+
+def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_2D) -> InvariantResult:
+    """Plaquette (link-variable) invariant of the lower band.
+
+    An independent route to the invariant: it uses the axis field only
+    through link variables, never the curvature function.
+    """
+    zeta, n2, _, weight = _zeta_on_torus(p, n_grid)
+    return _quantize(_plaquette_raw(zeta, n2, weight), n_grid)
 
 
 __all__ = [

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtCriticality, FlatDegenerate, ZeroGap
-from .geometry import RealVec3, Spinor
+from .geometry import GAP_FLOOR, RealVec3, Spinor
 
 ARCCOS_CLAMP = 1e-12
 FLAT_FLOOR = 1e-12
-GAP_FLOOR = 1e-14
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

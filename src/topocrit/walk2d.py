@@ -24,15 +24,15 @@ integer invariant.  Everything is pi-periodic in both momenta, so the
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AtCriticality, ZeroGap
-from .geometry import RealVec3
+from .geometry import GAP_FLOOR, RealVec3
 from .walk1d import Unitary2, WalkParams, coin
 
-GAP_FLOOR = 1e-14
 CRITICAL_FLOOR = 1e-12
 
 PEAK_KX = np.pi / 2.0  # gap-closing momentum on the ky = -kx slice
@@ -86,16 +86,75 @@ def energy_grid_2d(kx, ky, p: WalkParams):
     return np.arccos(np.clip(rho_2d(kx, ky, p), -1.0, 1.0))
 
 
+# The momentum trig terms of the zeta/phi closed forms.  Each keeps the
+# argument expression of the closed form it came from: 2 (kx + ky) and
+# 2 kx + 2 ky round differently, and both are in use.
+TRIG_TERMS_2D = {
+    "cos_x": lambda kx, ky: np.cos(kx),
+    "sin_x": lambda kx, ky: np.sin(kx),
+    "cos_x2y": lambda kx, ky: np.cos(kx + 2.0 * ky),
+    "cos_2x": lambda kx, ky: np.cos(2.0 * kx),
+    "sin_2x": lambda kx, ky: np.sin(2.0 * kx),
+    "sin_2xy": lambda kx, ky: np.sin(2.0 * (kx + ky)),
+    "sin_2y": lambda kx, ky: np.sin(2.0 * ky),
+    "cos_2y": lambda kx, ky: np.cos(2.0 * ky),
+    "cos_2x2y": lambda kx, ky: np.cos(2.0 * kx + 2.0 * ky),
+    "cos_4y": lambda kx, ky: np.cos(4.0 * ky),
+}
+
+
+TrigTable2D = namedtuple("TrigTable2D", TRIG_TERMS_2D)
+
+
+def trig_table_2d(kx, ky) -> TrigTable2D:
+    """Every trig term evaluated once on a momentum grid, for reuse across
+    many parameter points."""
+    return TrigTable2D(*(term(kx, ky) for term in TRIG_TERMS_2D.values()))
+
+
+class _TrigOnRead:
+    """Trig source over broadcastable momentum arrays.
+
+    Each term is computed when it is read and not kept, so evaluating the
+    closed forms on a large grid holds no more arrays at once than writing
+    the trig calls inline would.
+    """
+
+    __slots__ = ("kx", "ky")
+
+    def __init__(self, kx, ky):
+        self.kx = kx
+        self.ky = ky
+
+    def __getattr__(self, name):
+        return TRIG_TERMS_2D[name](self.kx, self.ky)
+
+
+def _zeta_phi_2d(trig, ka, la, kb, lb):
+    """Axis components and curvature numerator from one trig source.
+
+    ``trig`` exposes the terms of ``TRIG_TERMS_2D`` as attributes: a
+    ``_TrigOnRead`` or a ``TrigTable2D``.  The half-angle coefficients
+    broadcast against the momentum terms, so either side may be the grid.
+    Returns (zx, zy, zz, phi) with F = phi / |zeta|^3.
+    """
+    zx = -2.0 * lb * trig.sin_x * (la * lb * trig.cos_x
+                                   - ka * kb * trig.cos_x2y)
+    zy = (la * kb ** 2 - la * lb ** 2 * trig.cos_2x
+          + 2.0 * ka * kb * lb * trig.cos_x * trig.cos_x2y)
+    zz = (la * kb * lb * trig.sin_2x
+          - ka * (kb ** 2 * trig.sin_2xy + lb ** 2 * trig.sin_2y))
+    t1 = 4.0 * ka ** 2 * kb ** 2 * lb * trig.cos_x * trig.cos_x2y
+    t2 = ka * la * kb * (2.0 * kb ** 2 * trig.cos_2y * trig.cos_2x2y
+                         - lb ** 2 * (2.0 * trig.cos_2x + trig.cos_4y + 3.0))
+    t3 = 2.0 * la ** 2 * lb * trig.cos_2y * (lb ** 2 - kb ** 2 * trig.cos_2x)
+    phi = 2.0 * ka * lb * (kb ** 2 + lb ** 2) * (t1 + t2 + t3)
+    return zx, zy, zz, phi
+
+
 def zeta_components_2d(kx, ky, p: WalkParams):
     """Unnormalized-axis components on broadcastable momentum arrays."""
-    ka, la, kb, lb = _angles(p)
-    zx = -2.0 * lb * np.sin(kx) * (la * lb * np.cos(kx)
-                                   - ka * kb * np.cos(kx + 2.0 * ky))
-    zy = (la * kb ** 2 - la * lb ** 2 * np.cos(2.0 * kx)
-          + 2.0 * ka * kb * lb * np.cos(kx) * np.cos(kx + 2.0 * ky))
-    zz = (la * kb * lb * np.sin(2.0 * kx)
-          - ka * (kb ** 2 * np.sin(2.0 * (kx + ky)) + lb ** 2 * np.sin(2.0 * ky)))
-    return zx, zy, zz
+    return _zeta_phi_2d(_TrigOnRead(kx, ky), *_angles(p))[:3]
 
 
 def zeta_2d(q: Momentum2, p: WalkParams) -> RealVec3:
@@ -104,59 +163,35 @@ def zeta_2d(q: Momentum2, p: WalkParams) -> RealVec3:
     return RealVec3(float(zx), float(zy), float(zz))
 
 
-def bloch_axis_2d(kx: float, ky: float, p: WalkParams) -> RealVec3:
-    """Unit axis n = zeta/|zeta|; raises ZeroGap at band touchings."""
-    z = zeta_2d(Momentum2(kx, ky), p)
-    n = z.norm()
-    if n < GAP_FLOOR:
-        raise ZeroGap("gap closed at (%.6f, %.6f)" % (kx, ky))
-    return RealVec3(z.x / n, z.y / n, z.z / n)
-
-
 def phi_2d(kx, ky, p: WalkParams):
     """Numerator of the curvature function; array-capable."""
-    ka, la, kb, lb = _angles(p)
-    t1 = 4.0 * ka ** 2 * kb ** 2 * lb * np.cos(kx) * np.cos(kx + 2.0 * ky)
-    t2 = ka * la * kb * (2.0 * kb ** 2 * np.cos(2.0 * ky) * np.cos(2.0 * kx + 2.0 * ky)
-                         - lb ** 2 * (2.0 * np.cos(2.0 * kx) + np.cos(4.0 * ky) + 3.0))
-    t3 = 2.0 * la ** 2 * lb * np.cos(2.0 * ky) * (lb ** 2 - kb ** 2 * np.cos(2.0 * kx))
-    return 2.0 * ka * lb * (kb ** 2 + lb ** 2) * (t1 + t2 + t3)
+    return _zeta_phi_2d(_TrigOnRead(kx, ky), *_angles(p))[3]
 
 
 def curvature_2d(q: Momentum2, p: WalkParams) -> float:
     """Curvature function F = (d_kx n x d_ky n) . n = phi / |zeta|^3."""
-    zx, zy, zz = zeta_components_2d(q.kx, q.ky, p)
+    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(q.kx, q.ky), *_angles(p))
     n3 = (zx * zx + zy * zy + zz * zz) ** 1.5
     if n3 < GAP_FLOOR ** 3:
         raise ZeroGap("gap closed at (%.6f, %.6f)" % (q.kx, q.ky))
-    return float(phi_2d(q.kx, q.ky, p) / n3)
+    return float(phi / n3)
 
 
 def curvature_grid_2d(kx, ky, p: WalkParams, validate: bool = True):
     """Curvature function on momentum arrays."""
-    zx, zy, zz = zeta_components_2d(kx, ky, p)
+    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), *_angles(p))
     n2 = zx * zx + zy * zy + zz * zz
     if validate and np.min(n2) < GAP_FLOOR ** 2:
         raise ZeroGap("gap closed on the requested grid")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return phi_2d(kx, ky, p) / n2 ** 1.5
+        return phi / n2 ** 1.5
 
 
 def _curvature_raw_2d(kx, ky, alpha, beta):
     """Unvalidated curvature on broadcastable (k, alpha, beta) arrays."""
     ka, la = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
     kb, lb = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    zx = -2.0 * lb * np.sin(kx) * (la * lb * np.cos(kx)
-                                   - ka * kb * np.cos(kx + 2.0 * ky))
-    zy = (la * kb ** 2 - la * lb ** 2 * np.cos(2.0 * kx)
-          + 2.0 * ka * kb * lb * np.cos(kx) * np.cos(kx + 2.0 * ky))
-    zz = (la * kb * lb * np.sin(2.0 * kx)
-          - ka * (kb ** 2 * np.sin(2.0 * (kx + ky)) + lb ** 2 * np.sin(2.0 * ky)))
-    t1 = 4.0 * ka ** 2 * kb ** 2 * lb * np.cos(kx) * np.cos(kx + 2.0 * ky)
-    t2 = ka * la * kb * (2.0 * kb ** 2 * np.cos(2.0 * ky) * np.cos(2.0 * kx + 2.0 * ky)
-                         - lb ** 2 * (2.0 * np.cos(2.0 * kx) + np.cos(4.0 * ky) + 3.0))
-    t3 = 2.0 * la ** 2 * lb * np.cos(2.0 * ky) * (lb ** 2 - kb ** 2 * np.cos(2.0 * kx))
-    phi = 2.0 * ka * lb * (kb ** 2 + lb ** 2) * (t1 + t2 + t3)
+    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), ka, la, kb, lb)
     with np.errstate(divide="ignore", invalid="ignore"):
         return phi / (zx * zx + zy * zy + zz * zz) ** 1.5
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from topocrit import WalkParams, ZeroGap
-from topocrit.errors import QuantizationFailure
-from topocrit.invariants import (chern_number_2d, chern_plaquette,
+from topocrit.errors import OracleMismatch, QuantizationFailure
+from topocrit.invariants import (GAP_TOL, _quantize, _zone_trig,
+                                 chern_number_2d, chern_plaquette,
                                  winding_number_1d)
 from topocrit.geometry import manifold_area_2d, manifold_length_1d
 from topocrit.walk1d import rotated_curvature_1d
-from topocrit.walk2d import curvature_grid_2d
+from topocrit.walk2d import (_curvature_raw_2d, curvature_grid_2d,
+                             zeta_components_2d)
 
 
 # --- 1D winding ---
@@ -88,6 +90,94 @@ def test_chern_grid_doubling_stable():
 def test_chern_zero_gap():
     with pytest.raises(ZeroGap):
         chern_number_2d(WalkParams(0.0, np.pi / 2))
+
+
+# --- fused torus path against a full-zone reference ---
+
+def full_zone_reference(p, n):
+    """Curvature integral and plaquette total on the whole [0, 2 pi)^2 grid,
+    each over its own zeta evaluation, as (integral, plaquette)."""
+    k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    zx, zy, zz = zeta_components_2d(kx, ky, p)
+    if np.min(zx * zx + zy * zy + zz * zz) < GAP_TOL ** 2:
+        raise ZeroGap("gap closed on the reference grid")
+    integral = np.sum(curvature_grid_2d(kx, ky, p)) * (2 * np.pi / n) ** 2 / (4 * np.pi)
+    zn = np.sqrt(zx * zx + zy * zy + zz * zz)
+    nx, ny, nz = zx / zn, zy / zn, zz / zn
+    south = nz < 0.5
+    up = np.where(south, nz - 1.0, -(nx - 1j * ny))
+    dn = np.where(south, nx + 1j * ny, 1.0 + nz)
+    norm = np.sqrt(np.abs(up) ** 2 + np.abs(dn) ** 2)
+    up, dn = up / norm, dn / norm
+    ux = np.conj(up) * np.roll(up, -1, 0) + np.conj(dn) * np.roll(dn, -1, 0)
+    uy = np.conj(up) * np.roll(up, -1, 1) + np.conj(dn) * np.roll(dn, -1, 1)
+    plaq = ux * np.roll(uy, -1, 0) * np.conj(np.roll(ux, -1, 1)) * np.conj(uy)
+    return float(integral), float(-np.angle(plaq).sum() / (2 * np.pi))
+
+
+def reference_chern(p, n):
+    """chern_number_2d's checks, in its order, on the full-zone reference."""
+    integral, plaquette = full_zone_reference(p, n)
+    result = _quantize(integral, n)
+    if _quantize(plaquette, n).rounded != result.rounded:
+        raise OracleMismatch("reference integral and plaquette disagree")
+    return result
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args).rounded
+    except (ZeroGap, QuantizationFailure, OracleMismatch) as exc:
+        return type(exc)
+
+
+GAPPED_POINTS = [(np.pi / 2, np.pi / 2), (0.3, np.pi / 2), (-0.3, np.pi / 2),
+                 (1.0, 0.3), (0.5, 1.0), (-1.1, 0.4)]
+
+
+@pytest.mark.parametrize("n", [96, 128, 97])
+def test_torus_invariants_match_full_zone(n):
+    for a, b in GAPPED_POINTS:
+        p = WalkParams(a, b)
+        integral, plaquette = full_zone_reference(p, n)
+        assert abs(chern_number_2d(p, n).raw - integral) < 1e-12
+        assert abs(chern_plaquette(p, n).raw - plaquette) < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.0, np.pi / 2),                                # gap closes on the grid
+    (-2.945243112740431, -1.5707963267948966),       # gapped, min gap 0.073
+])
+def test_torus_outcome_matches_full_zone(a, b):
+    p = WalkParams(a, b)
+    assert outcome(chern_number_2d, p, 96) == outcome(reference_chern, p, 96)
+
+
+def test_zone_trig_memo_is_read_only():
+    for n in (96, 97):
+        table, _ = _zone_trig(n)
+        for term in table:
+            assert not term.flags.writeable
+            with pytest.raises(ValueError):
+                term[0, 0] = 0.0
+
+
+def test_curvature_raw_matches_grid_pointwise():
+    # The CRG layout: one momentum, a grid of angles.  numpy evaluates
+    # x ** 2 and x ** 1.5 on a float64 scalar through libm and on an array
+    # through its SIMD loop, which differ in the last bits, so the scalar
+    # reference agrees to a few ulps rather than bitwise.
+    axis = np.linspace(-3.0, 3.0, 41)
+    alpha, beta = np.meshgrid(axis, axis, indexing="ij")
+    for kx, ky in [(0.0, 0.0), (np.pi / 2, np.pi / 2), (np.pi / 2, 0.0), (0.3, -1.1)]:
+        with np.errstate(all="ignore"):
+            raw = _curvature_raw_2d(kx, ky, alpha, beta)
+        ref = np.array([[curvature_grid_2d(kx, ky, WalkParams(a, b), validate=False)
+                         for b in axis] for a in axis])
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(raw), finite)
+        np.testing.assert_allclose(raw[finite], ref[finite], rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_plaquette_trivial_axis_field():
