@@ -8,16 +8,19 @@
     topocrit phase-diagram  invariant over an (alpha, beta) grid
 
 Outputs are deterministic: fixed row ordering, 17-significant-digit floats,
-and a header comment echoing the full configuration.  Grid points where the
-gap closes are emitted as NaN with a warning and exit code 2 unless
---strict, which aborts instead.
+and a header comment echoing the full configuration.  Rows whose value is
+undefined are written as NaN with a warning that counts them by cause (e.g.
+"51 ZeroGap, 4 QuantizationFailure") and exit code 2; --strict writes no
+file instead.  Invalid options, from flags or --config, exit with code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,9 @@ EXIT_USAGE = 1
 EXIT_ZEROGAP = 2
 
 WALKS = {"walk1d": WALK_1D, "walk2d": WALK_2D}
+CURVATURE_MODELS = ("walk1d", "walk2d", "dirac1d", "dirac2d")
+# smallest accepted value of each integer option
+MINIMA = {"grid": 1, "inner-grid": 1, "points": 1, "rmax": 0}
 
 
 def _fail(msg: str) -> int:
@@ -76,10 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with defaults; flags override")
         p.add_argument("--strict", action="store_true", default=None,
-                       help="abort on gap-closing grid points")
+                       help="write no file if any row is NaN")
 
     p = sub.add_parser("curvature", help="curvature profile CSV")
-    common(p, models=("walk1d", "walk2d", "dirac1d", "dirac2d"))
+    common(p, models=CURVATURE_MODELS)
     p.add_argument("--mass", type=float, default=None,
                    help="Dirac mass (dirac models; default 1.0)")
     p.add_argument("--kmax", type=float, default=None,
@@ -142,13 +148,22 @@ def _defaults(merged: dict, command: str) -> dict:
         "strict": bool(merged.get("strict", False)),
         "out": merged.get("out", "topocrit_%s" % command),
     }
+    if model not in (CURVATURE_MODELS if command == "curvature" else WALKS):
+        raise ValueError("model %r is not available for %s" % (model, command))
     if isinstance(out["alpha"], (int, float)):
         out["alpha"] = [float(out["alpha"])]
+    if not isinstance(out["alpha"], list) or not out["alpha"]:
+        raise ValueError("alpha must be a non-empty list of angles, got %r"
+                         % (out["alpha"],))
     passthrough = ("grid", "window", "points", "kc", "rmax", "threshold",
                    "mass", "kmax", "inner-grid")
     for key in passthrough:
         if key in merged:
             out[key] = merged[key]
+    for key, lo in MINIMA.items():
+        if key in out and int(out[key]) < lo:
+            raise ValueError("%s must be at least %d, got %r"
+                             % (key, lo, out[key]))
     return out
 
 
@@ -167,88 +182,99 @@ def _outpath(base: str, suffix: str, tag: str = "") -> str:
     return str(p.with_name(stem + tag + suffix))
 
 
-def cmd_curvature(cfg: dict) -> int:
+def _per_alpha(cfg: dict):
+    """Yield (alpha, CSV path, config echo) per --alpha value; a sweep of
+    several values writes one file each, tagged _a0, _a1, ..."""
+    alphas = cfg["alpha"]
+    for idx, alpha in enumerate(alphas):
+        tag = "" if len(alphas) == 1 else "_a%d" % idx
+        yield (alpha, _outpath(cfg["out"], ".csv", tag),
+               _config_echo({**cfg, "alpha": alpha}))
+
+
+def _write_table(cfg: dict, path: str, echo: dict, columns: dict,
+                 failures: Counter) -> int:
+    """The NaN policy and the one CSV write path of every command.
+
+    ``failures`` counts the NaN rows of ``columns`` by the name of their
+    cause.  With NaN rows the exit code is 2, and --strict writes no file.
+    """
+    if failures:
+        causes = ", ".join("%d %s" % (n, name)
+                           for name, n in failures.most_common())
+        if cfg["strict"]:
+            print("error: NaN rows (%s); no file written (strict)" % causes,
+                  file=sys.stderr)
+            return EXIT_ZEROGAP
+    write_csv(path, __version__, echo, columns)
+    print(path)
+    if failures:
+        print("warning: NaN rows written (%s)" % causes, file=sys.stderr)
+        return EXIT_ZEROGAP
+    return EXIT_OK
+
+
+def _dirac_curvature(fn, k, *args):
+    """fn(k_i, *args) at each momentum; NaN where the gap closes."""
+    f = np.empty(len(k))
+    for i, kk in enumerate(k.tolist()):
+        try:
+            f[i] = fn(kk, *args)
+        except ZeroGap:
+            f[i] = np.nan
+    return f
+
+
+def _curvature_columns(cfg: dict, alpha: float) -> dict:
     model = cfg["model"]
     n = int(cfg.get("grid", 1024))
-    alphas = cfg["alpha"]
     beta = float(cfg["beta"])
     mass = float(cfg.get("mass", 1.0))
     kmax = float(cfg.get("kmax", 10.0))
+    if model == "walk1d":
+        k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        with np.errstate(all="ignore"):
+            f = walk1d._curvature_raw_1d(k, alpha, beta)
+        return {"k": k, "F": f,
+                "E_upper": walk1d.energy_1d(k, WalkParams(alpha, beta))}
+    if model == "walk2d":
+        kx = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        with np.errstate(all="ignore"):
+            f = walk2d._curvature_raw_2d(kx, -kx, alpha, beta)
+        return {"kx": kx, "ky": -kx, "F": f,
+                "E_upper": walk2d.energy_grid_2d(kx, -kx,
+                                                 WalkParams(alpha, beta))}
+    k = np.linspace(-kmax, kmax, n)
+    if model == "dirac1d":
+        return {"k": k,
+                "F": _dirac_curvature(geometry.berry_connection_1d, k, mass),
+                "E_upper": np.hypot(mass, k)}
+    return {"kx": k, "ky": np.zeros(n),
+            "F": _dirac_curvature(geometry.berry_curvature_2d_dirac, k, 0.0,
+                                  mass),
+            "E_upper": np.sqrt(mass * mass + k * k)}
+
+
+def cmd_curvature(cfg: dict) -> int:
     status = EXIT_OK
-    for idx, alpha in enumerate(alphas):
-        tag = "" if len(alphas) == 1 else "_a%d" % idx
-        path = _outpath(cfg["out"], ".csv", tag)
-        echo = _config_echo({**cfg, "alpha": alpha})
-        rows = []
-        had_nan = False
-        if model == "walk1d":
-            p = WalkParams(alpha, beta)
-            k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-            e = walk1d.energy_1d(k, p)
-            with np.errstate(all="ignore"):
-                f = walk1d._curvature_raw_1d(k, alpha, beta)
-            f = np.where(np.isfinite(f), f, np.nan)
-            had_nan = bool(np.isnan(f).any())
-            rows = [(float(k[i]), float(f[i]), float(e[i])) for i in range(n)]
-            cols = ("k", "F", "E_upper")
-        elif model == "walk2d":
-            p = WalkParams(alpha, beta)
-            kx = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-            ky = -kx
-            e = walk2d.energy_grid_2d(kx, ky, p)
-            with np.errstate(all="ignore"):
-                f = walk2d._curvature_raw_2d(kx, ky, alpha, beta)
-            f = np.where(np.isfinite(f), f, np.nan)
-            had_nan = bool(np.isnan(f).any())
-            rows = [(float(kx[i]), float(ky[i]), float(f[i]), float(e[i]))
-                    for i in range(n)]
-            cols = ("kx", "ky", "F", "E_upper")
-        elif model == "dirac1d":
-            k = np.linspace(-kmax, kmax, n)
-            f = np.empty(n)
-            e = np.empty(n)
-            for i, kk in enumerate(k):
-                try:
-                    f[i] = geometry.berry_connection_1d(float(kk), mass)
-                except ZeroGap:
-                    f[i] = np.nan
-                    had_nan = True
-                e[i] = np.hypot(mass, kk)
-            rows = [(float(k[i]), float(f[i]), float(e[i])) for i in range(n)]
-            cols = ("k", "F", "E_upper")
-        elif model == "dirac2d":
-            k = np.linspace(-kmax, kmax, n)
-            f = np.empty(n)
-            e = np.empty(n)
-            for i, kk in enumerate(k):
-                try:
-                    f[i] = geometry.berry_curvature_2d_dirac(float(kk), 0.0, mass)
-                except ZeroGap:
-                    f[i] = np.nan
-                    had_nan = True
-                e[i] = np.sqrt(mass * mass + kk * kk)
-            rows = [(float(k[i]), 0.0, float(f[i]), float(e[i])) for i in range(n)]
-            cols = ("kx", "ky", "F", "E_upper")
-        else:
-            return _fail("unknown model %r" % model)
-        if had_nan:
-            if cfg["strict"]:
-                print("error: gap closes inside the requested grid (strict)",
-                      file=sys.stderr)
-                return EXIT_ZEROGAP
-            print("warning: gap closes inside the grid; NaN rows emitted",
-                  file=sys.stderr)
-            status = EXIT_ZEROGAP
-        write_csv(path, __version__, echo, cols, rows)
-        print(path)
+    for alpha, path, echo in _per_alpha(cfg):
+        columns = _curvature_columns(cfg, alpha)
+        undefined = ~np.isfinite(columns["F"])
+        columns["F"][undefined] = np.nan
+        # unary + drops a zero count
+        failures = +Counter(ZeroGap=int(undefined.sum()))
+        status = max(status, _write_table(cfg, path, echo, columns,
+                                          failures))
+        if status and cfg["strict"]:
+            break
     return status
 
 
 def cmd_exponents(cfg: dict) -> int:
-    window = tuple(cfg.get("window", (1e-3, 1e-1)))
+    window = tuple(cfg.get("window", criticality.DEFAULT_WINDOW))
     if window[0] >= window[1] or window[0] <= 0:
         return _fail("malformed window: need 0 < lo < hi, got %r" % (window,))
-    n_points = int(cfg.get("points", 20))
+    n_points = int(cfg.get("points", criticality.DEFAULT_POINTS))
     model_name = cfg["model"]
     model = WALKS[model_name]
     beta = float(cfg["beta"])
@@ -274,26 +300,19 @@ def cmd_exponents(cfg: dict) -> int:
 
 
 def cmd_correlation(cfg: dict) -> int:
-    model_name = cfg["model"]
     beta = float(cfg["beta"])
     r_max = int(cfg.get("rmax", 40))
-    status = EXIT_OK
-    for idx, alpha in enumerate(cfg["alpha"]):
-        tag = "" if len(cfg["alpha"]) == 1 else "_a%d" % idx
-        p = WalkParams(alpha, beta)
-        if model_name == "walk1d":
-            n = int(cfg.get("grid", correlation.DEFAULT_N_1D))
-            series = correlation.wannier_correlation_1d(p, r_max, n)
-        else:
-            n = int(cfg.get("grid", correlation.DEFAULT_N_2D))
-            series = correlation.wannier_correlation_2d(p, r_max, n)
-        rows = [(int(r), float(v)) for r, v in
-                zip(series.displacements, series.values)]
-        path = _outpath(cfg["out"], ".csv", tag)
-        write_csv(path, __version__, _config_echo({**cfg, "alpha": alpha}),
-                  ("R", "F_tilde"), rows)
-        print(path)
-    return status
+    if cfg["model"] == "walk1d":
+        n = int(cfg.get("grid", correlation.DEFAULT_N_CORR_1D))
+        transform = correlation.wannier_correlation_1d
+    else:
+        n = int(cfg.get("grid", correlation.DEFAULT_N_CORR_2D))
+        transform = correlation.wannier_correlation_2d
+    for alpha, path, echo in _per_alpha(cfg):
+        series = transform(WalkParams(alpha, beta), r_max, n)
+        _write_table(cfg, path, echo, {"R": series.displacements,
+                                       "F_tilde": series.values}, Counter())
+    return EXIT_OK
 
 
 def cmd_crg(cfg: dict) -> int:
@@ -303,21 +322,17 @@ def cmd_crg(cfg: dict) -> int:
     field = crg.flow_field(model, grid=grid)
     base = cfg["out"]
     echo = _config_echo(cfg)
+    alphas = np.repeat(field.alphas, grid)
+    betas = np.tile(field.betas, grid)
     for idx, hsp in enumerate(field.hsps):
         key = crg._hsp_key(hsp)
-        rows = []
-        for i in range(grid):
-            for j in range(grid):
-                rows.append((float(field.alphas[i]), float(field.betas[j]),
-                             float(field.dalpha[key][i, j]),
-                             float(field.dbeta[key][i, j]),
-                             float(field.log_rate[key][i, j]),
-                             bool(field.diverged[key][i, j])))
-        path = _outpath(base, ".csv", "_hsp%d" % idx)
-        write_csv(path, __version__, {**echo, "hsp": list(key)},
-                  ("alpha", "beta", "dalpha_dl", "dbeta_dl", "log_rate",
-                   "diverged"), rows)
-        print(path)
+        columns = {"alpha": alphas, "beta": betas,
+                   "dalpha_dl": field.dalpha[key].ravel(),
+                   "dbeta_dl": field.dbeta[key].ravel(),
+                   "log_rate": field.log_rate[key].ravel(),
+                   "diverged": field.diverged[key].ravel()}
+        _write_table(cfg, _outpath(base, ".csv", "_hsp%d" % idx),
+                     {**echo, "hsp": list(key)}, columns, Counter())
     lines = crg.detect_critical_lines(field, rate_threshold=threshold)
     payload = {"critical_lines": [
         {"hsp": list(line.hsp),
@@ -335,10 +350,10 @@ def cmd_invariant(cfg: dict) -> int:
     alpha = cfg["alpha"][0]
     p = WalkParams(alpha, beta)
     if model_name == "walk1d":
-        n = int(cfg.get("grid", invariants.DEFAULT_N_1D))
+        n = int(cfg.get("grid", invariants.DEFAULT_N_WINDING))
         res = invariants.winding_number_1d(p, n)
     else:
-        n = int(cfg.get("grid", invariants.DEFAULT_N_2D))
+        n = int(cfg.get("grid", invariants.DEFAULT_N_CHERN))
         res = invariants.chern_number_2d(p, n)
     payload = {"raw": res.raw, "rounded": res.rounded,
                "defect": res.defect, "N": res.grid}
@@ -349,39 +364,28 @@ def cmd_invariant(cfg: dict) -> int:
 
 
 def cmd_phase_diagram(cfg: dict) -> int:
-    model_name = cfg["model"]
     grid = int(cfg.get("grid", 33))
-    if model_name == "walk1d":
+    if cfg["model"] == "walk1d":
         inner = int(cfg.get("inner-grid", 512))
+        invariant = invariants.winding_number_1d
     else:
         inner = int(cfg.get("inner-grid", 96))
+        invariant = invariants.chern_number_2d
     axes = np.linspace(-np.pi, np.pi, grid)
-    rows = []
-    had_nan = False
-    for a in axes:
-        for b in axes:
-            p = WalkParams(float(a), float(b))
-            try:
-                if model_name == "walk1d":
-                    res = invariants.winding_number_1d(p, inner)
-                else:
-                    res = invariants.chern_number_2d(p, inner)
-                rows.append((float(a), float(b), res.raw, res.rounded))
-            except TopocritError:
-                had_nan = True
-                rows.append((float(a), float(b), float("nan"), float("nan")))
-    if had_nan and cfg["strict"]:
-        print("error: invariant undefined at some grid points (strict)",
-              file=sys.stderr)
-        return EXIT_ZEROGAP
-    path = _outpath(cfg["out"], ".csv")
-    write_csv(path, __version__, _config_echo(cfg),
-              ("alpha", "beta", "raw", "rounded"), rows)
-    print(path)
-    if had_nan:
-        print("warning: NaN rows at gap-closing parameters", file=sys.stderr)
-        return EXIT_ZEROGAP
-    return EXIT_OK
+    raw = np.full(grid * grid, np.nan)
+    rounded = np.full(grid * grid, np.nan)
+    failures = Counter()
+    for i, (a, b) in enumerate(itertools.product(axes.tolist(), repeat=2)):
+        try:
+            res = invariant(WalkParams(a, b), inner)
+        except TopocritError as exc:
+            failures[type(exc).__name__] += 1
+            continue
+        raw[i], rounded[i] = res.raw, res.rounded
+    columns = {"alpha": np.repeat(axes, grid), "beta": np.tile(axes, grid),
+               "raw": raw, "rounded": rounded}
+    return _write_table(cfg, _outpath(cfg["out"], ".csv"), _config_echo(cfg),
+                        columns, failures)
 
 
 COMMANDS = {

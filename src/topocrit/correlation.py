@@ -18,8 +18,8 @@ from .models import Walk1D, Walk2D
 from .walk1d import WalkParams, rotated_curvature_1d
 from .walk2d import curvature_grid_2d
 
-DEFAULT_N_1D = 4096
-DEFAULT_N_2D = 512
+DEFAULT_N_CORR_1D = 4096
+DEFAULT_N_CORR_2D = 512
 CRITICAL_GUARD = 1e-3
 USABLE_FLOOR = 1e-13
 IMAG_TOL = 1e-10
@@ -62,7 +62,7 @@ def fourier_series_1d(values: np.ndarray, r_max: int) -> np.ndarray:
 
 
 def wannier_correlation_1d(p: WalkParams, r_max: int,
-                           n_grid: int = DEFAULT_N_1D) -> CorrelationSeries:
+                           n_grid: int = DEFAULT_N_CORR_1D) -> CorrelationSeries:
     """Fourier transform of the 1D curvature function.
 
     F~(R) = integral dk/(2 pi) F(k) exp(i k R) for R = 0 .. r_max, by a
@@ -89,7 +89,7 @@ def wannier_correlation_1d(p: WalkParams, r_max: int,
 
 
 def wannier_correlation_2d(p: WalkParams, r_max: int,
-                           n_grid: int = DEFAULT_N_2D) -> CorrelationSeries:
+                           n_grid: int = DEFAULT_N_CORR_2D) -> CorrelationSeries:
     """Fourier transform of the 2D curvature function on the diagonal slice.
 
     F~(R) = integral d^2k/(2 pi)^2 F(k) exp(i k . R) with R = (R, -R),

@@ -22,11 +22,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
-from .walk1d import WalkParams, rotated_curvature_1d, zeta_components_1d
-from .walk2d import _angles, _zeta_phi_2d, trig_table_2d
+from .walk1d import (WalkParams, _half_angles, rotated_curvature_1d,
+                     zeta_components_1d)
+from .walk2d import _zeta_phi_2d, trig_table_2d
 
-DEFAULT_N_1D = 4096
-DEFAULT_N_2D = 256
+DEFAULT_N_WINDING = 4096
+DEFAULT_N_CHERN = 256
 GAP_TOL = 1e-10
 DEFECT_LIMIT = 1e-3
 
@@ -50,7 +51,7 @@ def _quantize(raw: float, grid: int) -> InvariantResult:
     return InvariantResult(float(raw), rounded, float(defect), grid)
 
 
-def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_1D) -> InvariantResult:
+def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> InvariantResult:
     """Winding number C = integral F(k) dk / (2 pi) on a uniform grid.
 
     Raises:
@@ -89,14 +90,14 @@ def _zone_trig(n_grid: int):
 def _zeta_on_torus(p: WalkParams, n_grid: int):
     """One zeta/phi evaluation on the memoized torus, gap-checked."""
     table, weight = _zone_trig(n_grid)
-    zx, zy, zz, phi = _zeta_phi_2d(table, *_angles(p))
+    zx, zy, zz, phi = _zeta_phi_2d(table, *_half_angles(p))
     n2 = zx * zx + zy * zy + zz * zz
     if np.min(n2) < GAP_TOL ** 2:
         raise ZeroGap("gap closed on the integration grid")
     return (zx, zy, zz), n2, phi, weight
 
 
-def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_2D) -> InvariantResult:
+def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantResult:
     """Mapping-degree invariant C = integral F d^2k / (4 pi), with oracle.
 
     The trapezoidal integral of the curvature function must round to the
@@ -158,7 +159,7 @@ def _plaquette_raw(zeta, n2, weight: int) -> float:
     return float(weight * flux.sum() / (2.0 * np.pi))
 
 
-def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_2D) -> InvariantResult:
+def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantResult:
     """Plaquette (link-variable) invariant of the lower band.
 
     An independent route to the invariant: it uses the axis field only

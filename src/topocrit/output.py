@@ -1,8 +1,12 @@
 """Deterministic CSV/JSON writers.
 
-Floats are rendered with 17 significant digits so identical configurations
-reproduce byte-identical files; every file opens with a comment line echoing
-the tool version and the full configuration.
+Every file opens with a comment line echoing the tool version and the full
+configuration, so identical configurations reproduce byte-identical files.
+
+A CSV table is passed column-wise: an ordered mapping from column name to a
+1-D array, all of one length.  Every value is rendered with ``FLOAT_FMT``
+(17 significant digits), which writes a float in full precision, NaN as
+``nan``, an integer as its digits and a bool as ``1``/``0``.
 """
 
 from __future__ import annotations
@@ -11,17 +15,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 FLOAT_FMT = "%.17g"
-
-
-def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return FLOAT_FMT % v
-    return str(v)
 
 
 def header_comment(version: str, config: dict) -> str:
@@ -29,12 +25,15 @@ def header_comment(version: str, config: dict) -> str:
     return "# topocrit %s config=%s" % (version, echo)
 
 
-def write_csv(path, version: str, config: dict, colnames, rows) -> None:
-    """Write rows (iterable of tuples) as comma-separated UTF-8 with LF."""
-    lines = [header_comment(version, config), ",".join(colnames)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_csv(path, version: str, config: dict, columns) -> None:
+    """Write ``columns`` (name -> 1-D array) as comma-separated UTF-8 with LF,
+    one row per array index."""
+    row_fmt = ",".join([FLOAT_FMT] * len(columns)) + "\n"
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header_comment(version, config) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row_fmt % row for row in zip(*values))
 
 
 def _jsonify(obj):

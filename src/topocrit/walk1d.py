@@ -197,38 +197,27 @@ def _validate_gap(k, p: WalkParams):
         raise ZeroGap("gap closed on the requested momenta")
 
 
-def curvature_1d(k, p: WalkParams):
-    """Curvature function F(k) = (n x d_k n) . A; array-capable.
-
-    Closed form:
-        F = (-cos k sin(alpha) kap_b - 2 kap_a^2 lam_b)
-            / (2 sin^2 k kap_a^2 + 2 (cos k kap_a lam_b + lam_a kap_b)^2).
-    """
-    _validate_gap(k, p)
-    ka, la, kb, lb = _half_angles(p)
-    num = -np.cos(k) * np.sin(p.alpha) * kb - 2.0 * ka ** 2 * lb
-    den = (2.0 * np.sin(k) ** 2 * ka ** 2
-           + 2.0 * (np.cos(k) * ka * lb + la * kb) ** 2)
-    return num / den
-
-
 def rotated_curvature_1d(k, p: WalkParams):
-    """Curvature function as the doubled rotated-frame Berry connection.
+    """Curvature function F(k) = (n x d_k n) . A, the doubled rotated-frame
+    Berry connection; array-capable.
 
-    Algebraically identical to :func:`curvature_1d`; kept as the second route
-    for cross-checks.
+    Raises:
+        ZeroGap: the gap closes on the requested momenta.
     """
     _validate_gap(k, p)
-    ka, la, kb, lb = _half_angles(p)
-    num = -ka ** 2 * lb - la * ka * kb * np.cos(k)
-    den = (ka ** 2 * np.sin(k) ** 2 + la ** 2 * kb ** 2
-           + 2.0 * ka * kb * la * lb * np.cos(k)
-           + ka ** 2 * lb ** 2 * np.cos(k) ** 2)
-    return num / den
+    return _curvature_raw_1d(k, p.alpha, p.beta)
+
+
+curvature_1d = rotated_curvature_1d
 
 
 def _curvature_raw_1d(k, alpha, beta):
-    """Unvalidated curvature on broadcastable (k, alpha, beta) arrays."""
+    """Unvalidated curvature on broadcastable (k, alpha, beta) arrays; the
+    one copy of the closed form
+
+        F = -(kap_a^2 lam_b + lam_a kap_a kap_b cos k)
+            / (kap_a^2 sin^2 k + (lam_a kap_b + kap_a lam_b cos k)^2).
+    """
     ka, la = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
     kb, lb = np.cos(beta / 2.0), np.sin(beta / 2.0)
     num = -ka ** 2 * lb - la * ka * kb * np.cos(k)

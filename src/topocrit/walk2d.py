@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import AtCriticality, ZeroGap
 from .geometry import GAP_FLOOR, RealVec3
-from .walk1d import Unitary2, WalkParams, coin
+from .walk1d import Unitary2, WalkParams, _half_angles, coin
 
 CRITICAL_FLOOR = 1e-12
 
@@ -62,14 +62,9 @@ def unitary_2d(q: Momentum2, p: WalkParams) -> Unitary2:
     return Unitary2(m)
 
 
-def _angles(p: WalkParams):
-    return (np.cos(p.alpha / 2.0), np.sin(p.alpha / 2.0),
-            np.cos(p.beta / 2.0), np.sin(p.beta / 2.0))
-
-
 def rho_2d(kx, ky, p: WalkParams):
     """cos E on broadcastable momentum arrays."""
-    ka, la, _, _ = _angles(p)
+    ka, la, _, _ = _half_angles(p)
     return (ka * np.cos(p.beta) * np.cos(kx) * np.cos(kx + 2.0 * ky)
             - ka * np.sin(kx) * np.sin(kx + 2.0 * ky)
             - la * np.sin(p.beta) * np.cos(kx) ** 2)
@@ -154,7 +149,7 @@ def _zeta_phi_2d(trig, ka, la, kb, lb):
 
 def zeta_components_2d(kx, ky, p: WalkParams):
     """Unnormalized-axis components on broadcastable momentum arrays."""
-    return _zeta_phi_2d(_TrigOnRead(kx, ky), *_angles(p))[:3]
+    return _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))[:3]
 
 
 def zeta_2d(q: Momentum2, p: WalkParams) -> RealVec3:
@@ -165,12 +160,12 @@ def zeta_2d(q: Momentum2, p: WalkParams) -> RealVec3:
 
 def phi_2d(kx, ky, p: WalkParams):
     """Numerator of the curvature function; array-capable."""
-    return _zeta_phi_2d(_TrigOnRead(kx, ky), *_angles(p))[3]
+    return _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))[3]
 
 
 def curvature_2d(q: Momentum2, p: WalkParams) -> float:
     """Curvature function F = (d_kx n x d_ky n) . n = phi / |zeta|^3."""
-    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(q.kx, q.ky), *_angles(p))
+    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(q.kx, q.ky), *_half_angles(p))
     n3 = (zx * zx + zy * zy + zz * zz) ** 1.5
     if n3 < GAP_FLOOR ** 3:
         raise ZeroGap("gap closed at (%.6f, %.6f)" % (q.kx, q.ky))
@@ -179,7 +174,7 @@ def curvature_2d(q: Momentum2, p: WalkParams) -> float:
 
 def curvature_grid_2d(kx, ky, p: WalkParams, validate: bool = True):
     """Curvature function on momentum arrays."""
-    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), *_angles(p))
+    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))
     n2 = zx * zx + zy * zy + zz * zz
     if validate and np.min(n2) < GAP_FLOOR ** 2:
         raise ZeroGap("gap closed on the requested grid")

@@ -1,8 +1,13 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
+from topocrit import correlation, crg, invariants, walk1d
 from topocrit.cli import main
+from topocrit.errors import TopocritError
+from topocrit.models import WALK_1D
 from topocrit.walk1d import WalkParams
 from topocrit.walk2d import peak_asymptotics_2d
 
@@ -238,3 +243,146 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     rc = main(["invariant", "--config", str(cfg), "--grid", "1024",
                "--out", str(out)])
     assert json.loads(out.read_text())["N"] == 1024
+
+
+# --- NaN policy: causes ---
+
+def test_phase_diagram_nan_rows_counted_by_cause(tmp_path, capsys):
+    rc = main(["phase-diagram", "--model", "walk2d", "--grid", "19",
+               "--out", str(tmp_path / "pd.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "51 ZeroGap" in err
+    assert "4 QuantizationFailure" in err
+    assert "OracleMismatch" not in err
+
+
+def test_curvature_nan_rows_name_zero_gap(tmp_path, capsys):
+    rc = main(["curvature", "--model", "walk1d", "--alpha", "0", "--beta",
+               "0", "--grid", "64", "--out", str(tmp_path / "crit.csv")])
+    assert rc == 2
+    assert "ZeroGap" in capsys.readouterr().err
+
+
+def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "pd.csv"
+    rc = main(["phase-diagram", "--model", "walk1d", "--grid", "9",
+               "--out", str(out), "--strict"])
+    assert rc == 2
+    assert not out.exists()
+    assert "ZeroGap" in capsys.readouterr().err
+
+
+# --- input validation ---
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["invariant", "--model", "walk1d", "--alpha="], None, "alpha"),
+    (["invariant"], {"alpha": []}, "alpha"),
+    (["curvature", "--grid", "0"], None, "grid"),
+    (["phase-diagram", "--grid", "0"], None, "grid"),
+    (["invariant", "--grid", "0"], None, "grid"),
+    (["crg"], {"grid": 0}, "grid"),
+    (["phase-diagram", "--inner-grid", "0"], None, "inner-grid"),
+    (["exponents", "--points", "0"], None, "points"),
+    (["correlation", "--rmax=-1"], None, "rmax"),
+    (["correlation"], {"rmax": -1}, "rmax"),
+])
+def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
+                                              config, key):
+    argv = argv + ["--out", str(tmp_path / "x")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s " % key)
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["cfg.json"] if config is not None else [])
+
+
+# --- CSV byte format ---
+
+def _reference_table(colnames, rows) -> bytes:
+    """Column line and rows rendered value by value: bool as 1/0, float
+    with 17 significant digits, NaN as nan, int as its digits."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, float):
+            return "nan" if math.isnan(v) else "%.17g" % v
+        return str(v)
+
+    lines = [",".join(colnames)]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _table_bytes(path) -> bytes:
+    """A CSV file's bytes after its config comment line."""
+    return path.read_bytes().split(b"\n", 1)[1]
+
+
+def test_csv_bytes_crg_bool_column(tmp_path):
+    grid = 64
+    main(["crg", "--model", "walk1d", "--grid", str(grid),
+          "--out", str(tmp_path / "flow.csv")])
+    field = crg.flow_field(WALK_1D, grid=grid)
+    for idx, hsp in enumerate(field.hsps):
+        key = crg._hsp_key(hsp)
+        rows = [(float(field.alphas[i]), float(field.betas[j]),
+                 float(field.dalpha[key][i, j]),
+                 float(field.dbeta[key][i, j]),
+                 float(field.log_rate[key][i, j]),
+                 bool(field.diverged[key][i, j]))
+                for i in range(grid) for j in range(grid)]
+        assert {row[5] for row in rows} == {False, True}
+        expected = _reference_table(
+            ("alpha", "beta", "dalpha_dl", "dbeta_dl", "log_rate",
+             "diverged"), rows)
+        assert _table_bytes(tmp_path / ("flow_hsp%d.csv" % idx)) == expected
+
+
+def test_csv_bytes_correlation_int_column(tmp_path):
+    out = tmp_path / "corr.csv"
+    main(["correlation", "--model", "walk1d", "--alpha", "0.2", "--beta",
+          "0", "--rmax", "12", "--out", str(out)])
+    series = correlation.wannier_correlation_1d(
+        WalkParams(0.2, 0.0), 12, correlation.DEFAULT_N_CORR_1D)
+    rows = [(int(r), float(v))
+            for r, v in zip(series.displacements, series.values)]
+    assert _table_bytes(out) == _reference_table(("R", "F_tilde"), rows)
+
+
+def test_csv_bytes_phase_diagram_int_and_nan_column(tmp_path):
+    out = tmp_path / "pd.csv"
+    main(["phase-diagram", "--model", "walk1d", "--grid", "9",
+          "--out", str(out)])
+    axes = np.linspace(-np.pi, np.pi, 9)
+    rows = []
+    for a in axes:
+        for b in axes:
+            try:
+                res = invariants.winding_number_1d(
+                    WalkParams(float(a), float(b)), 512)
+                rows.append((float(a), float(b), res.raw, res.rounded))
+            except TopocritError:
+                rows.append((float(a), float(b), float("nan"), float("nan")))
+    assert {type(row[3]) for row in rows} == {int, float}
+    assert _table_bytes(out) == _reference_table(
+        ("alpha", "beta", "raw", "rounded"), rows)
+
+
+def test_csv_bytes_curvature_nan_rows(tmp_path):
+    out = tmp_path / "crit.csv"
+    main(["curvature", "--model", "walk1d", "--alpha", "0", "--beta", "0",
+          "--grid", "64", "--out", str(out)])
+    k = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    with np.errstate(all="ignore"):
+        f = walk1d._curvature_raw_1d(k, 0.0, 0.0)
+    f = np.where(np.isfinite(f), f, np.nan)
+    e = walk1d.energy_1d(k, WalkParams(0.0, 0.0))
+    rows = [(float(k[i]), float(f[i]), float(e[i])) for i in range(64)]
+    assert any(math.isnan(row[1]) for row in rows)
+    assert _table_bytes(out) == _reference_table(("k", "F", "E_upper"), rows)
