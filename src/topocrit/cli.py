@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -138,6 +139,42 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and (isinstance(value, int)
+                                  or math.isfinite(value))
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int)
+                                  or value.is_integer())
+
+
+def _is_string(value) -> bool:
+    return isinstance(value, str)
+
+
+# what each option must hold, from a flag or from --config alike
+KINDS = {
+    "model": (_is_string, "a string"),
+    "out": (_is_string, "a string"),
+    "strict": (lambda v: isinstance(v, bool), "true or false"),
+    "alpha": (lambda v: isinstance(v, list) and v != []
+              and all(map(_is_finite, v)), "a non-empty list of finite angles"),
+    "window": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+               and all(map(_is_finite, v)), "a pair of finite numbers"),
+    **{key: (_is_finite, "a finite number")
+       for key in ("beta", "kc", "threshold", "mass", "kmax")},
+    **{key: (_is_integer, "an integer") for key in MINIMA},
+}
+# options taken from the flags and --config only when given
+PASSTHROUGH = ("grid", "window", "points", "kc", "rmax", "threshold",
+               "mass", "kmax", "inner-grid")
+
+
 def _defaults(merged: dict, command: str) -> dict:
     model = merged.get("model", "walk1d")
     beta_default = np.pi / 2.0 if model == "walk2d" else 0.0
@@ -145,25 +182,21 @@ def _defaults(merged: dict, command: str) -> dict:
         "model": model,
         "alpha": merged.get("alpha", [0.3]),
         "beta": merged.get("beta", beta_default),
-        "strict": bool(merged.get("strict", False)),
+        "strict": merged.get("strict", False),
         "out": merged.get("out", "topocrit_%s" % command),
     }
+    out.update((key, merged[key]) for key in PASSTHROUGH if key in merged)
+    if _is_number(out["alpha"]):
+        out["alpha"] = [float(out["alpha"])]
+    for key, value in out.items():
+        accepts, what = KINDS[key]
+        if not accepts(value):
+            raise ValueError("%s must be %s, got %r" % (key, what, value))
+        if key in MINIMA and value < MINIMA[key]:
+            raise ValueError("%s must be at least %d, got %r"
+                             % (key, MINIMA[key], value))
     if model not in (CURVATURE_MODELS if command == "curvature" else WALKS):
         raise ValueError("model %r is not available for %s" % (model, command))
-    if isinstance(out["alpha"], (int, float)):
-        out["alpha"] = [float(out["alpha"])]
-    if not isinstance(out["alpha"], list) or not out["alpha"]:
-        raise ValueError("alpha must be a non-empty list of angles, got %r"
-                         % (out["alpha"],))
-    passthrough = ("grid", "window", "points", "kc", "rmax", "threshold",
-                   "mass", "kmax", "inner-grid")
-    for key in passthrough:
-        if key in merged:
-            out[key] = merged[key]
-    for key, lo in MINIMA.items():
-        if key in out and int(out[key]) < lo:
-            raise ValueError("%s must be at least %d, got %r"
-                             % (key, lo, out[key]))
     return out
 
 

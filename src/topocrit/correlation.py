@@ -1,10 +1,11 @@
 """Correlation of localized (Wannier-type) states from curvature functions.
 
 The correlation series is the Brillouin-zone Fourier transform of the
-curvature function, evaluated by a trapezoidal sum on a uniform grid (the
-displacements are few and, in 2D, live on the diagonal slice, so an FFT
-layout buys nothing).  Decay lengths are extracted from the envelope of the
-series.
+curvature function.  Its trapezoidal sum on a uniform N-point zone grid is
+exactly the inverse DFT of the sampled curvature, so one FFT gives every
+displacement: ``ifft(F)[R mod N]`` in 1D and, on the diagonal displacement
+(R, -R), ``ifft2(F)[R mod N, -R mod N]`` in 2D.  Decay lengths are extracted
+from the envelope of the series.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDecade, UndersampledPeak, ZeroGap
-from .models import Walk1D, Walk2D
+from .models import WALK_1D, WALK_2D
 from .walk1d import WalkParams, rotated_curvature_1d
 from .walk2d import curvature_grid_2d
 
@@ -49,16 +50,41 @@ def _check_near_critical(distance: float, xi_estimate: float, n_grid: int):
             % (n_grid, xi_estimate))
 
 
+def _zone_transform(values, r, direction) -> np.ndarray:
+    """Trapezoidal zone sum N^-d sum_k f(k) exp(i k . R) at R = r u, for f
+    sampled on the uniform [0, 2 pi)^d grid and the integer direction u: the
+    inverse DFT read at R modulo the grid, so R >= N wraps periodically."""
+    values = np.asarray(values)
+    index = np.outer(direction, r) % np.reshape(values.shape, (-1, 1))
+    return np.fft.ifftn(values)[tuple(index)]
+
+
 def fourier_series_1d(values: np.ndarray, r_max: int) -> np.ndarray:
     """Trapezoidal Fourier coefficients integral dk/(2 pi) f(k) e^{i k R}.
 
-    ``values`` samples f on a uniform [0, 2 pi) grid (endpoint excluded).
+    ``values`` samples f on a uniform [0, 2 pi) grid (endpoint excluded);
+    R = 0 .. r_max, all from one inverse FFT.
     """
-    values = np.asarray(values)
-    n = len(values)
-    k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return _zone_transform(values, np.arange(r_max + 1), (1,))
+
+
+def _correlation_series(model, p: WalkParams, r_max: int, n_grid: int,
+                        width_scale: float, sample, direction,
+                        slice_mode: str = "") -> CorrelationSeries:
+    """The series along ``direction`` of the curvature ``sample(k)`` on the
+    zone grid of axis ``k``; width_scale / distance estimates the peak width
+    for the near-critical guard."""
+    dist = model.criticality_distance(p)
+    if dist == 0.0:
+        raise ZeroGap("gap closed at these parameters")
+    _check_near_critical(dist, width_scale / max(dist, 1e-300), n_grid)
+    k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     r = np.arange(r_max + 1)
-    return np.exp(1j * np.outer(r, k)) @ values / n
+    series = _zone_transform(sample(k), r, direction)
+    if np.abs(series.imag).max() > IMAG_TOL:
+        raise RuntimeError("correlation series has imaginary residue %.2e"
+                           % np.abs(series.imag).max())
+    return CorrelationSeries(r, series.real, model.name, p, slice_mode)
 
 
 def wannier_correlation_1d(p: WalkParams, r_max: int,
@@ -73,19 +99,9 @@ def wannier_correlation_1d(p: WalkParams, r_max: int,
         ZeroGap: parameters on a gap-closing line.
         UndersampledPeak: peak too narrow for the requested grid.
     """
-    model = Walk1D()
-    dist = model.criticality_distance(p)
-    if dist == 0.0:
-        raise ZeroGap("gap closed at these parameters")
-    _check_near_critical(dist, 2.0 / max(dist, 1e-300), n_grid)
-    k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    f = rotated_curvature_1d(k, p)
-    r = np.arange(r_max + 1)
-    series = fourier_series_1d(f, r_max)
-    if np.abs(series.imag).max() > IMAG_TOL:
-        raise RuntimeError("correlation series has imaginary residue %.2e"
-                           % np.abs(series.imag).max())
-    return CorrelationSeries(r, series.real, "walk1d", p)
+    return _correlation_series(
+        WALK_1D, p, r_max, n_grid, 2.0,
+        lambda k: rotated_curvature_1d(k, p), (1,))
 
 
 def wannier_correlation_2d(p: WalkParams, r_max: int,
@@ -98,23 +114,10 @@ def wannier_correlation_2d(p: WalkParams, r_max: int,
     Raises:
         ZeroGap / UndersampledPeak: as in the 1D case.
     """
-    model = Walk2D()
-    dist = model.criticality_distance(p)
-    if dist == 0.0:
-        raise ZeroGap("gap closed at these parameters")
-    _check_near_critical(dist, 2.0 * np.sqrt(6.0) / max(dist, 1e-300), n_grid)
-    k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    f = curvature_grid_2d(kx, ky, p)
-    diag_phase = kx - ky  # k . (R, -R) = (kx - ky) R
-    r = np.arange(r_max + 1)
-    series = np.empty(r_max + 1, dtype=complex)
-    for i, rr in enumerate(r):
-        series[i] = np.sum(f * np.exp(1j * diag_phase * rr)) / n_grid ** 2
-    if np.abs(series.imag).max() > IMAG_TOL:
-        raise RuntimeError("correlation series has imaginary residue %.2e"
-                           % np.abs(series.imag).max())
-    return CorrelationSeries(r, series.real, "walk2d", p, slice_mode="Ry=-Rx")
+    return _correlation_series(
+        WALK_2D, p, r_max, n_grid, 2.0 * np.sqrt(6.0),
+        lambda k: curvature_grid_2d(*np.meshgrid(k, k, indexing="ij"), p),
+        (1, -1), slice_mode="Ry=-Rx")
 
 
 def envelope_indices(values: np.ndarray) -> np.ndarray:

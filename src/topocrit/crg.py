@@ -34,6 +34,13 @@ MIN_COMPONENT_CELLS = 4
 PEAK_SINGULAR = 1e8  # |F(k0)| beyond any regular cell: gap closed at k0
 
 
+def _shifted_momentum(k0, ks, dk: float) -> np.ndarray:
+    """k0 + dk ks/|ks|, shaped like k0 (a scalar in 1D, a pair in 2D)."""
+    ks = np.asarray(ks, dtype=float)
+    return np.asarray(k0, dtype=float) + np.reshape(
+        dk * (ks / np.linalg.norm(ks)), np.shape(k0))
+
+
 def rg_step(curvature, k0, ks, M, dk: float = DEFAULT_DK,
             dM: float = DEFAULT_DM, axis: int = 0) -> float:
     """One scaling-flow component dM_axis/dl at parameter point M.
@@ -41,7 +48,8 @@ def rg_step(curvature, k0, ks, M, dk: float = DEFAULT_DK,
     Args:
         curvature: callback F(k, M) -> float; raises ZeroGap at closings.
         k0: high-symmetry momentum (scalar in 1D, pair in 2D).
-        ks: scaling direction (+-1 in 1D, unit 2-vector in 2D).
+        ks: scaling direction (+-1 in 1D, a 2-vector in 2D); it is
+            normalized, so only its direction counts.
         M: parameter pair (alpha, beta).
         dk: momentum step away from k0 along ks.
         dM: parameter step along the chosen axis.
@@ -53,12 +61,7 @@ def rg_step(curvature, k0, ks, M, dk: float = DEFAULT_DK,
         (curvature independent of that parameter), 0.0 when the scaling
         response vanishes (local fixed point).
     """
-    if np.ndim(k0) == 0:
-        k_shifted = float(k0) + dk * float(ks)
-    else:
-        ksv = np.asarray(ks, dtype=float)
-        ksv = ksv / np.linalg.norm(ksv)
-        k_shifted = (float(k0[0]) + dk * ksv[0], float(k0[1]) + dk * ksv[1])
+    k_shifted = _shifted_momentum(k0, ks, dk)
     m_shifted = list(M)
     m_shifted[axis] = m_shifted[axis] + dM
     f0 = curvature(k0, tuple(M))
@@ -127,9 +130,9 @@ def flow_field(model, grid: int = 128, hsps=None, ks=None,
                rate_threshold: float = DEFAULT_RATE_THRESHOLD) -> FlowField:
     """Evaluate the RG flow on a uniform (alpha, beta) grid over [-pi, pi)^2.
 
-    The scaling direction defaults to +k in 1D and +kx in 2D.  Cells where
-    the gap closes at the HSP carry non-finite entries and are flagged
-    diverged; no exception is raised per cell.
+    The scaling direction defaults to the first momentum axis, +k in 1D and
+    +kx in 2D.  Cells where the gap closes at the HSP carry non-finite
+    entries and are flagged diverged; no exception is raised per cell.
     """
     if grid < 64:
         raise ValueError("grid must be at least 64x64")
@@ -137,16 +140,11 @@ def flow_field(model, grid: int = 128, hsps=None, ks=None,
     if hsps is None:
         hsps = model.hsps()
     if ks is None:
-        ks = 1.0 if model.dimension == 1 else (1.0, 0.0)
+        ks = np.eye(model.dimension)[0]
     out = FlowField(axes, axes.copy(), list(hsps), ks, dk, dM, rate_threshold)
     A, B = np.meshgrid(axes, axes, indexing="ij")
     for hsp in hsps:
-        if model.dimension == 1:
-            k_shift = float(hsp) + dk * float(ks)
-        else:
-            ksv = np.asarray(ks, dtype=float)
-            ksv = ksv / np.linalg.norm(ksv)
-            k_shift = (hsp[0] + dk * ksv[0], hsp[1] + dk * ksv[1])
+        k_shift = _shifted_momentum(hsp, ks, dk)
         with np.errstate(all="ignore"):
             f0 = model.curvature_raw(hsp, A, B)
             num = model.curvature_raw(k_shift, A, B) - f0
@@ -276,11 +274,7 @@ def walk_curvature_callback(model):
 
     def fn(k, M):
         p = WalkParams(M[0], M[1])
-        if model.dimension == 1:
-            return float(model.curvature(np.asarray([k], dtype=float), p)[0])
-        kx, ky = k
-        return float(model.curvature(np.asarray([kx], dtype=float),
-                                      np.asarray([ky], dtype=float), p)[0])
+        return float(model.curvature(*np.reshape(k, (-1, 1)), p)[0])
 
     return fn
 

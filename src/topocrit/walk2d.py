@@ -72,8 +72,7 @@ def rho_2d(kx, ky, p: WalkParams):
 
 def energy_2d(q: Momentum2, p: WalkParams) -> float:
     """Upper quasienergy band E = arccos(rho) at one momentum."""
-    arg = np.clip(rho_2d(q.kx, q.ky, p), -1.0, 1.0)
-    return float(np.arccos(arg))
+    return float(energy_grid_2d(q.kx, q.ky, p))
 
 
 def energy_grid_2d(kx, ky, p: WalkParams):
@@ -165,11 +164,7 @@ def phi_2d(kx, ky, p: WalkParams):
 
 def curvature_2d(q: Momentum2, p: WalkParams) -> float:
     """Curvature function F = (d_kx n x d_ky n) . n = phi / |zeta|^3."""
-    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(q.kx, q.ky), *_half_angles(p))
-    n3 = (zx * zx + zy * zy + zz * zz) ** 1.5
-    if n3 < GAP_FLOOR ** 3:
-        raise ZeroGap("gap closed at (%.6f, %.6f)" % (q.kx, q.ky))
-    return float(phi / n3)
+    return float(curvature_grid_2d(q.kx, q.ky, p))
 
 
 def curvature_grid_2d(kx, ky, p: WalkParams, validate: bool = True):

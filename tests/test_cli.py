@@ -286,6 +286,20 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["exponents", "--points", "0"], None, "points"),
     (["correlation", "--rmax=-1"], None, "rmax"),
     (["correlation"], {"rmax": -1}, "rmax"),
+    (["invariant"], {"grid": None}, "grid"),
+    (["invariant"], {"grid": 2.7}, "grid"),
+    (["invariant"], {"grid": True}, "grid"),
+    (["invariant"], {"alpha": ["x"]}, "alpha"),
+    (["invariant"], {"alpha": [0.3, True]}, "alpha"),
+    (["invariant"], {"alpha": [float("nan")]}, "alpha"),
+    (["invariant"], {"beta": "x"}, "beta"),
+    (["crg"], {"threshold": False}, "threshold"),
+    (["crg", "--threshold", "nan"], None, "threshold"),
+    (["curvature", "--model", "dirac1d", "--mass", "inf"], None, "mass"),
+    (["exponents"], {"window": [0.1]}, "window"),
+    (["exponents"], {"window": ["a", 1]}, "window"),
+    (["invariant"], {"model": ["walk1d"]}, "model"),
+    (["invariant"], {"strict": "no"}, "strict"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):

@@ -8,8 +8,8 @@ from topocrit.correlation import (envelope_indices, fit_decay,
 from topocrit.criticality import _linearized_fit
 from topocrit.errors import InsufficientDecade, UndersampledPeak
 from topocrit.invariants import winding_number_1d
-from topocrit.walk1d import peak_asymptotics_1d
-from topocrit.walk2d import axis_slice_curvature
+from topocrit.walk1d import peak_asymptotics_1d, rotated_curvature_1d
+from topocrit.walk2d import axis_slice_curvature, curvature_grid_2d
 
 
 def _series(values):
@@ -24,6 +24,40 @@ def test_fourier_of_constant():
     out = fourier_series_1d(np.full(512, 3.7), 8)
     assert abs(out[0] - 3.7) < 1e-12
     assert np.abs(out[1:]).max() < 1e-12
+
+
+# --- FFT transform against the direct trapezoidal sum ---
+
+@pytest.mark.parametrize("model, p, n, r_max", [
+    ("walk1d", WalkParams(0.8, 0.3), 32, 12),
+    ("walk1d", WalkParams(0.6, 0.0), 32, 75),  # R wraps past N
+    ("walk2d", WalkParams(1.2, np.pi / 2), 32, 12),
+    ("walk2d", WalkParams(0.8, 0.3), 48, 100),  # R wraps past N
+])
+def test_series_matches_direct_trapezoidal_sum(model, p, n, r_max):
+    k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    r = np.arange(r_max + 1)
+    if model == "walk1d":
+        f = rotated_curvature_1d(k, p)
+        direct = np.exp(1j * np.outer(r, k)) @ f / n
+        series = wannier_correlation_1d(p, r_max, n)
+    else:
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        f = curvature_grid_2d(kx, ky, p)
+        direct = np.array([np.sum(f * np.exp(1j * (kx - ky) * rr))
+                           for rr in r]) / n ** 2
+        series = wannier_correlation_2d(p, r_max, n)
+    np.testing.assert_array_equal(series.displacements, r)
+    assert np.abs(direct.imag).max() < 1e-12
+    assert np.abs(series.values - direct.real).max() < 1e-12
+
+
+def test_fourier_series_1d_matches_direct_sum_past_the_grid():
+    values = np.random.default_rng(3).normal(size=16)
+    k = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    r = np.arange(40)
+    direct = np.exp(1j * np.outer(r, k)) @ values / 16
+    assert np.abs(fourier_series_1d(values, 39) - direct).max() < 1e-12
 
 
 # --- 1D series ---

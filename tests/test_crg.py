@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from topocrit import WalkParams
-from topocrit.crg import (FlowField, detect_critical_lines, flow_field,
-                          rg_step, walk_curvature_callback)
+from topocrit.crg import (FlowField, _hsp_key, detect_critical_lines,
+                          flow_field, rg_step, walk_curvature_callback)
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import rotated_curvature_1d
 
@@ -108,6 +108,26 @@ def test_flow_field_families_split_by_hsp():
             assert np.abs(wrap(a + b)).max() <= field.cell + 1e-12
         else:
             assert np.abs(wrap(a - b)).max() <= field.cell + 1e-12
+
+
+@pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
+def test_rg_step_is_the_oracle_of_flow_field(model):
+    # the scalar rg_step on the curvature callback recomputes finite,
+    # non-diverged cells of the array flow field; the strided set starts
+    # past the gapless (-pi, -pi) corner, where the callback raises ZeroGap
+    field = flow_field(model, grid=64)
+    f = walk_curvature_callback(model)
+    for hsp in field.hsps:
+        key = _hsp_key(hsp)
+        cells = np.argwhere(~field.diverged[key])
+        assert len(cells) > 100
+        stride = len(cells) // 12
+        for i, j in cells[stride // 2::stride]:
+            M = (field.alphas[i], field.betas[j])
+            for axis, flow in enumerate((field.dalpha, field.dbeta)):
+                step = rg_step(f, hsp, field.ks, M, field.dk, field.dM,
+                               axis=axis)
+                assert abs(step - flow[key][i, j]) <= 1e-9 * abs(step)
 
 
 def test_flow_direction_reverses_across_line():
