@@ -30,7 +30,7 @@ from . import __version__, correlation, criticality, crg, invariants
 from . import geometry, walk1d, walk2d
 from .errors import TopocritError, ZeroGap
 from .models import WALK_1D, WALK_2D
-from .output import write_csv, write_json
+from .output import FLOAT_FMT, write_csv, write_json
 from .walk1d import WalkParams
 
 EXIT_OK = 0
@@ -247,6 +247,16 @@ def _write_table(cfg: dict, path: str, echo: dict, columns: dict,
     return EXIT_OK
 
 
+def _grid_columns(alphas, betas) -> dict:
+    """The row-major ``alpha``/``beta`` columns of an (alpha, beta) grid, as
+    strings: each axis value is formatted once, not once per row, and every
+    row refers to that one string object."""
+    alphas = np.array([FLOAT_FMT % a for a in alphas.tolist()], dtype=object)
+    betas = np.array([FLOAT_FMT % b for b in betas.tolist()], dtype=object)
+    return {"alpha": np.repeat(alphas, len(betas)),
+            "beta": np.tile(betas, len(alphas))}
+
+
 def _dirac_curvature(fn, k, *args):
     """fn(k_i, *args) at each momentum; NaN where the gap closes."""
     f = np.empty(len(k))
@@ -355,11 +365,10 @@ def cmd_crg(cfg: dict) -> int:
     field = crg.flow_field(model, grid=grid)
     base = cfg["out"]
     echo = _config_echo(cfg)
-    alphas = np.repeat(field.alphas, grid)
-    betas = np.tile(field.betas, grid)
+    coords = _grid_columns(field.alphas, field.betas)
     for idx, hsp in enumerate(field.hsps):
         key = crg._hsp_key(hsp)
-        columns = {"alpha": alphas, "beta": betas,
+        columns = {**coords,
                    "dalpha_dl": field.dalpha[key].ravel(),
                    "dbeta_dl": field.dbeta[key].ravel(),
                    "log_rate": field.log_rate[key].ravel(),
@@ -415,8 +424,7 @@ def cmd_phase_diagram(cfg: dict) -> int:
             failures[type(exc).__name__] += 1
             continue
         raw[i], rounded[i] = res.raw, res.rounded
-    columns = {"alpha": np.repeat(axes, grid), "beta": np.tile(axes, grid),
-               "raw": raw, "rounded": rounded}
+    columns = {**_grid_columns(axes, axes), "raw": raw, "rounded": rounded}
     return _write_table(cfg, _outpath(cfg["out"], ".csv"), _config_echo(cfg),
                         columns, failures)
 

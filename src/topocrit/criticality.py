@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import AtCriticality, PoorFit, WindowTouchesCriticality, ZeroGap
 from .walk1d import WalkParams
@@ -58,6 +57,8 @@ def _local_minima_1d(values: np.ndarray) -> np.ndarray:
 
 
 def _refine_1d(gap_fn, k0: float, h: float) -> float:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(gap_fn, bracket=None, bounds=(k0 - h, k0 + h),
                           method="bounded", options={"xatol": REFINE_TOL})
     return float(res.x)

@@ -4,9 +4,15 @@ Every file opens with a comment line echoing the tool version and the full
 configuration, so identical configurations reproduce byte-identical files.
 
 A CSV table is passed column-wise: an ordered mapping from column name to a
-1-D array, all of one length.  Every value is rendered with ``FLOAT_FMT``
-(17 significant digits), which writes a float in full precision, NaN as
-``nan``, an integer as its digits and a bool as ``1``/``0``.
+1-D array, all of one length.  The dtype of a column picks its conversion: a
+float column is rendered with ``FLOAT_FMT`` (17 significant digits: full
+precision, NaN as ``nan``, negative zero as ``-0``), a bool or integer column
+with ``%d`` (``1``/``0`` and plain digits), and an object column of ``str``
+is written as it is.  Such a column holds values already formatted with
+``FLOAT_FMT``, such as the grid coordinates of a parameter scan, where each
+distinct axis value is formatted once instead of once per row and the rows
+share its string; it writes the same bytes as the float column it stands
+for.
 """
 
 from __future__ import annotations
@@ -25,11 +31,21 @@ def header_comment(version: str, config: dict) -> str:
     return "# topocrit %s config=%s" % (version, echo)
 
 
+def _conversion(column: np.ndarray) -> str:
+    """The %-conversion of one CSV column, picked by its dtype."""
+    if column.dtype.kind in "biu":
+        return "%d"
+    if column.dtype.kind == "O":
+        return "%s"
+    return FLOAT_FMT
+
+
 def write_csv(path, version: str, config: dict, columns) -> None:
     """Write ``columns`` (name -> 1-D array) as comma-separated UTF-8 with LF,
     one row per array index."""
-    row_fmt = ",".join([FLOAT_FMT] * len(columns)) + "\n"
-    values = [np.asarray(col).tolist() for col in columns.values()]
+    arrays = [np.asarray(col) for col in columns.values()]
+    row_fmt = ",".join(map(_conversion, arrays)) + "\n"
+    values = [col.tolist() for col in arrays]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header_comment(version, config) + "\n")
         fh.write(",".join(columns) + "\n")

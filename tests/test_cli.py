@@ -1,13 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topocrit
 from topocrit import correlation, crg, invariants, walk1d
-from topocrit.cli import main
+from topocrit.cli import _grid_columns, main
 from topocrit.errors import TopocritError
 from topocrit.models import WALK_1D
+from topocrit.output import write_csv
 from topocrit.walk1d import WalkParams
 from topocrit.walk2d import peak_asymptotics_2d
 
@@ -400,3 +406,78 @@ def test_csv_bytes_curvature_nan_rows(tmp_path):
     rows = [(float(k[i]), float(f[i]), float(e[i])) for i in range(64)]
     assert any(math.isnan(row[1]) for row in rows)
     assert _table_bytes(out) == _reference_table(("k", "F", "E_upper"), rows)
+
+
+def test_write_csv_grid_string_columns_match_numeric(tmp_path):
+    alphas = np.linspace(-np.pi, np.pi, 7)
+    betas = np.array([-0.0, 0.1, 1e-300, np.nan, 2.5])
+    values = np.arange(35) / 3.0
+    numeric = {"alpha": np.repeat(alphas, 5), "beta": np.tile(betas, 7),
+               "v": values}
+    formatted = {**_grid_columns(alphas, betas), "v": values}
+    assert isinstance(formatted["alpha"][0], str)
+    write_csv(tmp_path / "numeric.csv", "0", {}, numeric)
+    write_csv(tmp_path / "formatted.csv", "0", {}, formatted)
+    assert ((tmp_path / "formatted.csv").read_bytes()
+            == (tmp_path / "numeric.csv").read_bytes())
+
+
+def test_write_csv_conversion_per_dtype(tmp_path):
+    out = tmp_path / "t.csv"
+    write_csv(out, "0", {}, {"flag": np.array([True, False, True]),
+                             "n": np.array([0, -7, 10 ** 17]),
+                             "x": np.array([np.nan, -0.0, 0.1])})
+    assert "%.17g" % -0.0 == "-0" and "%.17g" % np.nan == "nan"
+    assert _table_bytes(out) == (b"flag,n,x\n"
+                                 b"1,0,nan\n"
+                                 b"0,-7,-0\n"
+                                 b"1,100000000000000000,0.10000000000000001\n")
+
+
+# --- what a command imports ---
+
+_IMPORT_PROBE = """
+import json, sys
+import topocrit.cli
+codes = [topocrit.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def _run_and_list_scipy(tmp_path, commands):
+    """Exit codes of ``commands`` run in a fresh interpreter, and the scipy
+    modules it has loaded afterwards."""
+    src = str(Path(topocrit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120)
+    result = json.loads(done.stdout.splitlines()[-1])
+    return result["codes"], set(result["scipy"])
+
+
+def test_cli_commands_other_than_crg_load_no_scipy(tmp_path):
+    codes, loaded = _run_and_list_scipy(tmp_path, [
+        ["curvature", "--model", "walk1d", "--grid", "64"],
+        ["curvature", "--model", "dirac2d", "--grid", "64"],
+        ["exponents", "--model", "walk1d", "--beta", "0", "--points", "10"],
+        ["exponents", "--model", "walk2d", "--points", "10"],
+        ["correlation", "--model", "walk1d", "--rmax", "5", "--grid", "64"],
+        ["invariant", "--model", "walk1d"],
+        ["phase-diagram", "--model", "walk1d", "--grid", "3",
+         "--inner-grid", "64"],
+    ])
+    # the 3 x 3 phase diagram has gapless cells, written as NaN (exit 2)
+    assert codes == [0, 0, 0, 0, 0, 0, 2]
+    assert loaded == set()
+
+
+def test_crg_loads_only_scipy_ndimage(tmp_path):
+    codes, loaded = _run_and_list_scipy(
+        tmp_path, [["crg", "--model", "walk2d", "--grid", "64"]])
+    assert codes == [0]
+    assert "scipy.ndimage" in loaded
+    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
+                   for m in loaded)
