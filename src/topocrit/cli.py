@@ -40,7 +40,8 @@ EXIT_ZEROGAP = 2
 WALKS = {"walk1d": WALK_1D, "walk2d": WALK_2D}
 CURVATURE_MODELS = ("walk1d", "walk2d", "dirac1d", "dirac2d")
 # smallest accepted value of each integer option
-MINIMA = {"grid": 1, "inner-grid": 1, "points": 1, "rmax": 0}
+MINIMA = {"grid": 1, "inner-grid": 1, "points": criticality.MIN_POINTS,
+          "rmax": 0}
 
 
 def _fail(msg: str) -> int:
@@ -407,23 +408,32 @@ def cmd_invariant(cfg: dict) -> int:
 
 def cmd_phase_diagram(cfg: dict) -> int:
     grid = int(cfg.get("grid", 33))
-    if cfg["model"] == "walk1d":
-        inner = int(cfg.get("inner-grid", 512))
-        invariant = invariants.winding_number_1d
-    else:
-        inner = int(cfg.get("inner-grid", 96))
-        invariant = invariants.chern_number_2d
     axes = np.linspace(-np.pi, np.pi, grid)
+    angles = axes.tolist()
     raw = np.full(grid * grid, np.nan)
     rounded = np.full(grid * grid, np.nan)
     failures = Counter()
-    for i, (a, b) in enumerate(itertools.product(axes.tolist(), repeat=2)):
-        try:
-            res = invariant(WalkParams(a, b), inner)
-        except TopocritError as exc:
-            failures[type(exc).__name__] += 1
-            continue
-        raw[i], rounded[i] = res.raw, res.rounded
+    if cfg["model"] == "walk1d":
+        inner = int(cfg.get("inner-grid", 512))
+        # one kernel call per alpha row
+        cells = itertools.chain.from_iterable(
+            invariants.winding_numbers_1d([WalkParams(a, b) for b in angles],
+                                          inner)
+            for a in angles)
+        for i, res in enumerate(cells):
+            if isinstance(res, TopocritError):
+                failures[type(res).__name__] += 1
+                continue
+            raw[i], rounded[i] = res.raw, res.rounded
+    else:
+        inner = int(cfg.get("inner-grid", 96))
+        for i, (a, b) in enumerate(itertools.product(angles, repeat=2)):
+            try:
+                res = invariants.chern_number_2d(WalkParams(a, b), inner)
+            except TopocritError as exc:
+                failures[type(exc).__name__] += 1
+                continue
+            raw[i], rounded[i] = res.raw, res.rounded
     columns = {**_grid_columns(axes, axes), "raw": raw, "rounded": rounded}
     return _write_table(cfg, _outpath(cfg["out"], ".csv"), _config_echo(cfg),
                         columns, failures)

@@ -18,6 +18,7 @@ REFINE_TOL = 1e-10
 FIT_MIN_R2 = 0.99
 DEFAULT_WINDOW = (1e-3, 1e-1)
 DEFAULT_POINTS = 20
+MIN_POINTS = 10
 PEAK_SAMPLES = 31
 
 
@@ -221,8 +222,8 @@ def extract_exponents(model, beta: float, k_c, dimension: int | None = None,
     lo, hi = window
     if not (0.0 < lo < hi):
         raise WindowTouchesCriticality("window must satisfy 0 < lo < hi")
-    if n_points < 10:
-        raise ValueError("need at least 10 window points")
+    if n_points < MIN_POINTS:
+        raise ValueError("need at least %d window points" % MIN_POINTS)
     if dimension is None:
         dimension = model.dimension
     eps = np.logspace(np.log10(lo), np.log10(hi), n_points)

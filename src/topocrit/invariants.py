@@ -1,8 +1,14 @@
 """Topological invariants by Brillouin-zone integration.
 
-The 1D winding number integrates the curvature function over dk/(2 pi); the
-2D invariant integrates the mapping-degree density of the Bloch axis over
-d^2k/(4 pi) and is cross-checked against a gauge-invariant plaquette
+The 1D winding number integrates the curvature function over dk/(2 pi).
+Many walks are evaluated at once, as one array expression per block of
+cells (an alpha row of a phase diagram), against a memoized table of the
+momentum trig terms; a single cell is a block of one.  The parameter
+coefficients are still evaluated per cell, as numpy scalars, so every raw
+integral keeps the bits of the one-cell closed-form route.
+
+The 2D invariant integrates the mapping-degree density of the Bloch axis
+over d^2k/(4 pi) and is cross-checked against a gauge-invariant plaquette
 (link-variable) computation on the same grid, an independent route free of
 derivative discretization error.
 
@@ -10,8 +16,9 @@ Both 2D routes read one zeta evaluation per call, made on the pi-periodic
 fundamental torus [0, pi)^2 of the zone grid from a memoized momentum trig
 table.  They share that input only: the integral sums phi / |zeta|^3, the
 oracle builds lower-band states from zeta / |zeta| and sums link-variable
-fluxes, and neither uses the other's result.  The memoized tables are
-read-only, so sharing them across calls and threads needs no locking.
+fluxes, and neither uses the other's result.  The memoized tables of both
+invariants are read-only, so sharing them across calls and threads needs no
+locking.
 """
 
 from __future__ import annotations
@@ -21,15 +28,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OracleMismatch, QuantizationFailure, ZeroGap
-from .walk1d import (WalkParams, _half_angles, rotated_curvature_1d,
-                     zeta_components_1d)
+from .errors import OracleMismatch, QuantizationFailure, TopocritError, ZeroGap
+from .geometry import GAP_FLOOR
+from .walk1d import (WalkParams, _curvature_coeffs_1d, _curvature_terms_1d,
+                     _half_angles, _zeta_terms_1d)
 from .walk2d import _zeta_phi_2d, trig_table_2d
 
 DEFAULT_N_WINDING = 4096
 DEFAULT_N_CHERN = 256
 GAP_TOL = 1e-10
 DEFECT_LIMIT = 1e-3
+# largest number of (cell, momentum) points in one winding_numbers_1d block;
+# a block's temporaries then stay within a core's L2 cache
+WINDING_BLOCK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -54,16 +65,72 @@ def _quantize(raw: float, grid: int) -> InvariantResult:
 def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> InvariantResult:
     """Winding number C = integral F(k) dk / (2 pi) on a uniform grid.
 
+    The one-cell case of ``winding_numbers_1d``.
+
     Raises:
         ZeroGap: the spectrum closes somewhere on the grid.
         QuantizationFailure: the integral does not round cleanly.
     """
+    result, = winding_numbers_1d([p], n_grid)
+    if isinstance(result, TopocritError):
+        raise result
+    return result
+
+
+@lru_cache(maxsize=4)
+def _circle_trig(n_grid: int):
+    """Read-only (sin k, cos k, sin^2 k, cos^2 k) on the n_grid zone grid."""
     k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    zx, zy, zz = zeta_components_1d(k, p)
-    if np.min(zx * zx + zy * zy + zz * zz) < GAP_TOL ** 2:
-        raise ZeroGap("gap closed on the integration grid")
-    raw = float(np.sum(rotated_curvature_1d(k, p)) / n_grid)
-    return _quantize(raw, n_grid)
+    sin_k, cos_k = np.sin(k), np.cos(k)
+    table = (sin_k, cos_k, sin_k ** 2, cos_k ** 2)
+    for term in table:
+        term.setflags(write=False)
+    return table
+
+
+def winding_numbers_1d(params, n_grid: int = DEFAULT_N_WINDING) -> list:
+    """``winding_number_1d`` of each walk in ``params``, evaluated together.
+
+    Returns one entry per walk: its InvariantResult, or the ZeroGap or
+    QuantizationFailure that ``winding_number_1d`` raises for it.  The cells
+    are evaluated in blocks of at most WINDING_BLOCK_POINTS (cell, momentum)
+    points, so memory does not grow with the number of cells.
+    """
+    params = list(params)
+    step = max(1, WINDING_BLOCK_POINTS // n_grid)
+    results = []
+    for start in range(0, len(params), step):
+        results += _winding_block(params[start:start + step], n_grid)
+    return results
+
+
+def _winding_block(params, n_grid: int) -> list:
+    sin_k, cos_k, sin2_k, cos2_k = _circle_trig(n_grid)
+    halves = [_half_angles(p) for p in params]
+    # per-cell scalar coefficients keep the bits of the one-cell route
+    coeffs = np.array([_curvature_coeffs_1d(h) for h in halves]).T[:, :, None]
+    h = np.array(halves).T[:, :, None]
+    zx, zy, zz, rx = _zeta_terms_1d(h, sin_k, cos_k)
+    zy2 = zy * zy
+    closed = np.min(zx * zx + zy2 + zz * zz, axis=1) < GAP_TOL ** 2
+    # the rotated-frame norm, as rotated_curvature_1d validates it
+    closed_rot = np.min(rx * rx + zy2, axis=1) < GAP_FLOOR ** 2
+    gapped = ~(closed | closed_rot)
+    f = _curvature_terms_1d(coeffs[:, gapped], cos_k, sin2_k, cos2_k)
+    raws = iter((np.sum(f, axis=1) / n_grid).tolist())
+    results = []
+    for zeta_closed, rot_closed in zip(closed.tolist(), closed_rot.tolist()):
+        if zeta_closed:
+            results.append(ZeroGap("gap closed on the integration grid"))
+        elif rot_closed:
+            results.append(ZeroGap("gap closed on the requested momenta"))
+        else:
+            try:
+                results.append(_quantize(next(raws), n_grid))
+            except QuantizationFailure as exc:
+                # a kept traceback would hold this block's arrays alive
+                results.append(exc.with_traceback(None))
+    return results
 
 
 @lru_cache(maxsize=4)
@@ -170,6 +237,6 @@ def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
 
 
 __all__ = [
-    "InvariantResult", "winding_number_1d", "chern_number_2d",
-    "chern_plaquette",
+    "InvariantResult", "winding_number_1d", "winding_numbers_1d",
+    "chern_number_2d", "chern_plaquette",
 ]

@@ -138,13 +138,21 @@ def energy_1d(k, p: WalkParams):
     return np.arccos(arg)
 
 
+def _zeta_terms_1d(h, sin_k, cos_k):
+    """(zeta_x, zeta_y, zeta_z, zeta'_x) from the half angles
+    h = (kap_a, lam_a, kap_b, lam_b) and the momentum terms sin k, cos k; the
+    one copy of the zeta algebra.  zeta'_x = kap_a sin k is the planar x
+    component of the rotated axis (zeta'_x, zeta_y, 0).  The half angles may
+    be columns of per-cell values, broadcast against a row of momenta.
+    """
+    ka, la, kb, lb = h
+    return (ka * lb * sin_k, la * kb + ka * lb * cos_k, -ka * kb * sin_k,
+            ka * sin_k)
+
+
 def zeta_components_1d(k, p: WalkParams):
     """Unnormalized-axis components (zeta_x, zeta_y, zeta_z); array-capable."""
-    ka, la, kb, lb = _half_angles(p)
-    zx = ka * lb * np.sin(k)
-    zy = la * kb + ka * lb * np.cos(k)
-    zz = -ka * kb * np.sin(k)
-    return zx, zy, zz
+    return _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))[:3]
 
 
 def zeta_1d(k: float, p: WalkParams) -> RealVec3:
@@ -167,9 +175,7 @@ def gauge_rotation_matrix(p: WalkParams) -> np.ndarray:
 
 def rotated_zeta_1d(k, p: WalkParams):
     """Planar components of the rotated axis: (kap_a sin k, zeta_y, 0)."""
-    ka, la, kb, lb = _half_angles(p)
-    zx = ka * np.sin(k)
-    zy = la * kb + ka * lb * np.cos(k)
+    _, zy, _, zx = _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))
     return zx, zy
 
 
@@ -218,12 +224,32 @@ def _curvature_raw_1d(k, alpha, beta):
         F = -(kap_a^2 lam_b + lam_a kap_a kap_b cos k)
             / (kap_a^2 sin^2 k + (lam_a kap_b + kap_a lam_b cos k)^2).
     """
-    ka, la = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
-    kb, lb = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    num = -ka ** 2 * lb - la * ka * kb * np.cos(k)
-    den = (ka ** 2 * np.sin(k) ** 2 + la ** 2 * kb ** 2
-           + 2.0 * ka * kb * la * lb * np.cos(k)
-           + ka ** 2 * lb ** 2 * np.cos(k) ** 2)
+    h = (np.cos(alpha / 2.0), np.sin(alpha / 2.0),
+         np.cos(beta / 2.0), np.sin(beta / 2.0))
+    cos_k = np.cos(k)
+    return _curvature_terms_1d(_curvature_coeffs_1d(h), cos_k,
+                               np.sin(k) ** 2, cos_k ** 2)
+
+
+def _curvature_coeffs_1d(h):
+    """The parameter coefficients of the closed form, from the half angles.
+
+    ``x ** 2`` on a float64 scalar goes through libm pow and on an array
+    through a squaring loop, which may differ in the last bit; a caller that
+    needs the bits of the one-cell route evaluates these per cell.
+    """
+    ka, la, kb, lb = h
+    return (-ka ** 2 * lb, la * ka * kb,
+            ka ** 2, la ** 2 * kb ** 2, 2.0 * ka * kb * la * lb,
+            ka ** 2 * lb ** 2)
+
+
+def _curvature_terms_1d(c, cos_k, sin2_k, cos2_k):
+    """The closed form from its coefficients ``c`` and the momentum terms,
+    in the operation order of the expanded numerator and denominator."""
+    n0, n1, d_s2, d0, d_c, d_c2 = c
+    num = n0 - n1 * cos_k
+    den = d_s2 * sin2_k + d0 + d_c * cos_k + d_c2 * cos2_k
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / den
 

@@ -306,6 +306,7 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["exponents"], {"window": ["a", 1]}, "window"),
     (["invariant"], {"model": ["walk1d"]}, "model"),
     (["invariant"], {"strict": "no"}, "strict"),
+    (["exponents", "--points", "9"], None, "points"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):
@@ -375,17 +376,30 @@ def test_csv_bytes_correlation_int_column(tmp_path):
     assert _table_bytes(out) == _reference_table(("R", "F_tilde"), rows)
 
 
-def test_csv_bytes_phase_diagram_int_and_nan_column(tmp_path):
+# In the 40 x 40 grid a squared half angle differs in the last bit between
+# numpy's scalar pow and its array square; with inner grid 8 that changes
+# the raw integral of 19 cells if the coefficients are taken over an array.
+# winding_number_1d shares the row kernel, so each raw is also pinned to the
+# sum of the one-cell scalar route, rotated_curvature_1d.
+@pytest.mark.parametrize("flags, grid, inner", [
+    (["--grid", "9"], 9, 512),
+    (["--grid", "40", "--inner-grid", "8"], 40, 8),
+], ids=["grid9", "grid40-inner8"])
+def test_csv_bytes_phase_diagram_int_and_nan_column(tmp_path, flags, grid,
+                                                    inner):
     out = tmp_path / "pd.csv"
-    main(["phase-diagram", "--model", "walk1d", "--grid", "9",
-          "--out", str(out)])
-    axes = np.linspace(-np.pi, np.pi, 9)
+    main(["phase-diagram", "--model", "walk1d", *flags, "--out", str(out)])
+    axes = np.linspace(-np.pi, np.pi, grid)
+    k = np.linspace(0.0, 2.0 * np.pi, inner, endpoint=False)
     rows = []
     for a in axes:
         for b in axes:
+            p = WalkParams(float(a), float(b))
             try:
-                res = invariants.winding_number_1d(
-                    WalkParams(float(a), float(b)), 512)
+                res = invariants.winding_number_1d(p, inner)
+                scalar = float(np.sum(walk1d.rotated_curvature_1d(k, p))
+                               / inner)
+                assert res.raw == scalar
                 rows.append((float(a), float(b), res.raw, res.rounded))
             except TopocritError:
                 rows.append((float(a), float(b), float("nan"), float("nan")))

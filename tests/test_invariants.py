@@ -3,9 +3,10 @@ import pytest
 
 from topocrit import WalkParams, ZeroGap
 from topocrit.errors import OracleMismatch, QuantizationFailure
-from topocrit.invariants import (GAP_TOL, _quantize, _zone_trig,
+from topocrit.invariants import (GAP_TOL, WINDING_BLOCK_POINTS,
+                                 _circle_trig, _quantize, _zone_trig,
                                  chern_number_2d, chern_plaquette,
-                                 winding_number_1d)
+                                 winding_number_1d, winding_numbers_1d)
 from topocrit.geometry import manifold_area_2d, manifold_length_1d
 from topocrit.walk1d import rotated_curvature_1d
 from topocrit.walk2d import (_curvature_raw_2d, curvature_grid_2d,
@@ -59,6 +60,47 @@ def test_winding_zero_gap():
 def test_winding_quantization_failure_on_coarse_grid():
     with pytest.raises(QuantizationFailure):
         winding_number_1d(WalkParams(1.0 + 1e-4, 1.0), n_grid=64)
+
+
+def _one_cell(p, n):
+    try:
+        return winding_number_1d(p, n)
+    except (ZeroGap, QuantizationFailure) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("n, want", [
+    (8, {"InvariantResult", "ZeroGap", "QuantizationFailure"}),
+    (600, {"InvariantResult", "ZeroGap"}),
+    (4096, {"InvariantResult", "ZeroGap"}),
+])
+def test_winding_row_matches_one_cell_calls(n, want):
+    # an alpha row of the 40 x 40 phase diagram: alpha = +-beta cells close
+    # the gap on the grid and inner grid 8 is too coarse to quantize; at
+    # the larger inner grids the row spans several blocks, at 600 with a
+    # partial last block
+    axes = np.linspace(-np.pi, np.pi, 40).tolist()
+    row = [WalkParams(axes[25], b) for b in axes]
+    if n > 8:
+        assert len(row) * n > 2 * WINDING_BLOCK_POINTS
+    got = winding_numbers_1d(row, n)
+    assert len(got) == len(row)
+    assert {type(r).__name__ for r in got} == want
+    for p, res in zip(row, got):
+        ref = _one_cell(p, n)
+        assert type(res) is type(ref)
+        if not isinstance(ref, Exception):
+            assert res.raw == ref.raw
+            assert (res.rounded, res.defect, res.grid) == (
+                ref.rounded, ref.defect, ref.grid)
+
+
+def test_circle_trig_memo_is_read_only():
+    for n in (8, 97):
+        for term in _circle_trig(n):
+            assert not term.flags.writeable
+            with pytest.raises(ValueError):
+                term[0] = 0.0
 
 
 # --- 2D invariant ---
