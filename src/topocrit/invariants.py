@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OracleMismatch, QuantizationFailure, TopocritError, ZeroGap
+from .errors import OracleMismatch, QuantizationFailure, ZeroGap
 from .geometry import GAP_FLOOR
 from .walk1d import (WalkParams, _curvature_coeffs_1d, _curvature_terms_1d,
                      _half_angles, _zeta_terms_1d)
@@ -72,9 +72,14 @@ def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> Invaria
         QuantizationFailure: the integral does not round cleanly.
     """
     result, = winding_numbers_1d([p], n_grid)
-    if isinstance(result, TopocritError):
+    if isinstance(result, InvariantResult):
+        return result
+    try:
         raise result
-    return result
+    finally:
+        # the traceback holds this frame; dropping the local breaks the
+        # exception -> frame -> exception cycle
+        del result
 
 
 @lru_cache(maxsize=4)

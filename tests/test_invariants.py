@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,21 @@ def test_winding_row_matches_one_cell_calls(n, want):
             assert res.raw == ref.raw
             assert (res.rounded, res.defect, res.grid) == (
                 ref.rounded, ref.defect, ref.grid)
+
+
+def test_winding_failures_leave_no_reference_cycles():
+    # a raised exception whose traceback frame still holds it is garbage
+    # only the cyclic collector can free
+    gc.collect()
+    gc.disable()
+    try:
+        for p, n in ((WalkParams(0.0, 0.0), 64),
+                     (WalkParams(1.0 + 1e-4, 1.0), 64)):
+            with pytest.raises((ZeroGap, QuantizationFailure)):
+                winding_number_1d(p, n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_circle_trig_memo_is_read_only():
