@@ -415,25 +415,18 @@ def cmd_phase_diagram(cfg: dict) -> int:
     failures = Counter()
     if cfg["model"] == "walk1d":
         inner = int(cfg.get("inner-grid", 512))
-        # one kernel call per alpha row
-        cells = itertools.chain.from_iterable(
-            invariants.winding_numbers_1d([WalkParams(a, b) for b in angles],
-                                          inner)
-            for a in angles)
-        for i, res in enumerate(cells):
-            if isinstance(res, TopocritError):
-                failures[type(res).__name__] += 1
-                continue
-            raw[i], rounded[i] = res.raw, res.rounded
+        kernel = invariants.winding_numbers_1d
     else:
         inner = int(cfg.get("inner-grid", 96))
-        for i, (a, b) in enumerate(itertools.product(angles, repeat=2)):
-            try:
-                res = invariants.chern_number_2d(WalkParams(a, b), inner)
-            except TopocritError as exc:
-                failures[type(exc).__name__] += 1
-                continue
-            raw[i], rounded[i] = res.raw, res.rounded
+        kernel = invariants.chern_numbers_2d
+    # one kernel call per alpha row
+    cells = itertools.chain.from_iterable(
+        kernel([WalkParams(a, b) for b in angles], inner) for a in angles)
+    for i, res in enumerate(cells):
+        if isinstance(res, TopocritError):
+            failures[type(res).__name__] += 1
+            continue
+        raw[i], rounded[i] = res.raw, res.rounded
     columns = {**_grid_columns(axes, axes), "raw": raw, "rounded": rounded}
     return _write_table(cfg, _outpath(cfg["out"], ".csv"), _config_echo(cfg),
                         columns, failures)

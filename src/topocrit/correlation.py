@@ -116,7 +116,7 @@ def wannier_correlation_2d(p: WalkParams, r_max: int,
     """
     return _correlation_series(
         WALK_2D, p, r_max, n_grid, 2.0 * np.sqrt(6.0),
-        lambda k: curvature_grid_2d(*np.meshgrid(k, k, indexing="ij"), p),
+        lambda k: curvature_grid_2d(k[:, None], k[None, :], p),
         (1, -1), slice_mode="Ry=-Rx")
 
 

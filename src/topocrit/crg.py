@@ -142,7 +142,9 @@ def flow_field(model, grid: int = 128, hsps=None, ks=None,
     if ks is None:
         ks = np.eye(model.dimension)[0]
     out = FlowField(axes, axes.copy(), list(hsps), ks, dk, dM, rate_threshold)
-    A, B = np.meshgrid(axes, axes, indexing="ij")
+    # broadcast axes: each model term is evaluated at the length its
+    # angle dependence needs, and every field comes out (grid, grid)
+    A, B = axes[:, None], axes[None, :]
     for hsp in hsps:
         k_shift = _shifted_momentum(hsp, ks, dk)
         with np.errstate(all="ignore"):

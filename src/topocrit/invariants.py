@@ -12,13 +12,18 @@ over d^2k/(4 pi) and is cross-checked against a gauge-invariant plaquette
 (link-variable) computation on the same grid, an independent route free of
 derivative discretization error.
 
-Both 2D routes read one zeta evaluation per call, made on the pi-periodic
+Both 2D routes read one zeta evaluation per cell, made on the pi-periodic
 fundamental torus [0, pi)^2 of the zone grid from a memoized momentum trig
-table.  They share that input only: the integral sums phi / |zeta|^3, the
-oracle builds lower-band states from zeta / |zeta| and sums link-variable
-fluxes, and neither uses the other's result.  The memoized tables of both
-invariants are read-only, so sharing them across calls and threads needs no
-locking.
+table.  They share that input and |zeta|^2 only: the integral sums
+phi / |zeta|^3, the oracle builds lower-band states from zeta scaled by
+|zeta| and sums link-variable fluxes, and neither uses the other's result.
+Many walks (an alpha row of a phase diagram) are evaluated per call, cell by
+cell, into one set of torus-shaped work arrays that each cell overwrites in
+place; a single cell is a call of one.
+
+The memoized tables of both invariants are read-only, and the 2D work
+arrays belong to the call that allocated them, so calls from several
+threads need no locking.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
-from .geometry import GAP_FLOOR
 from .walk1d import (WalkParams, _curvature_coeffs_1d, _curvature_terms_1d,
                      _half_angles, _zeta_terms_1d)
 from .walk2d import _zeta_phi_2d, trig_table_2d
@@ -71,14 +75,21 @@ def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> Invaria
         ZeroGap: the spectrum closes somewhere on the grid.
         QuantizationFailure: the integral does not round cleanly.
     """
-    result, = winding_numbers_1d([p], n_grid)
+    return _one_cell(winding_numbers_1d([p], n_grid))
+
+
+def _one_cell(results) -> InvariantResult:
+    """The one entry of a kernel's ``results``: returned if it is an
+    InvariantResult, raised if it is an exception."""
+    result, = results
+    # a raised result's traceback holds this frame; dropping both locals
+    # that refer to it breaks the exception -> frame -> exception cycle
+    del results
     if isinstance(result, InvariantResult):
         return result
     try:
         raise result
     finally:
-        # the traceback holds this frame; dropping the local breaks the
-        # exception -> frame -> exception cycle
         del result
 
 
@@ -115,20 +126,17 @@ def _winding_block(params, n_grid: int) -> list:
     # per-cell scalar coefficients keep the bits of the one-cell route
     coeffs = np.array([_curvature_coeffs_1d(h) for h in halves]).T[:, :, None]
     h = np.array(halves).T[:, :, None]
-    zx, zy, zz, rx = _zeta_terms_1d(h, sin_k, cos_k)
-    zy2 = zy * zy
-    closed = np.min(zx * zx + zy2 + zz * zz, axis=1) < GAP_TOL ** 2
-    # the rotated-frame norm, as rotated_curvature_1d validates it
-    closed_rot = np.min(rx * rx + zy2, axis=1) < GAP_FLOOR ** 2
-    gapped = ~(closed | closed_rot)
-    f = _curvature_terms_1d(coeffs[:, gapped], cos_k, sin2_k, cos2_k)
+    zx, zy, zz, _ = _zeta_terms_1d(h, sin_k, cos_k)
+    # rotated_curvature_1d's rotated-frame norm, kap_a^2 sin^2 k + zeta_y^2,
+    # equals |zeta|^2 (kap_b^2 + lam_b^2 = 1), so this check also covers its
+    # GAP_FLOOR^2 bound
+    closed = np.min(zx * zx + zy * zy + zz * zz, axis=1) < GAP_TOL ** 2
+    f = _curvature_terms_1d(coeffs[:, ~closed], cos_k, sin2_k, cos2_k)
     raws = iter((np.sum(f, axis=1) / n_grid).tolist())
     results = []
-    for zeta_closed, rot_closed in zip(closed.tolist(), closed_rot.tolist()):
+    for zeta_closed in closed.tolist():
         if zeta_closed:
             results.append(ZeroGap("gap closed on the integration grid"))
-        elif rot_closed:
-            results.append(ZeroGap("gap closed on the requested momenta"))
         else:
             try:
                 results.append(_quantize(next(raws), n_grid))
@@ -159,14 +167,149 @@ def _zone_trig(n_grid: int):
     return table, weight
 
 
-def _zeta_on_torus(p: WalkParams, n_grid: int):
-    """One zeta/phi evaluation on the memoized torus, gap-checked."""
-    table, weight = _zone_trig(n_grid)
-    zx, zy, zz, phi = _zeta_phi_2d(table, *_half_angles(p))
-    n2 = zx * zx + zy * zy + zz * zz
-    if np.min(n2) < GAP_TOL ** 2:
-        raise ZeroGap("gap closed on the integration grid")
-    return (zx, zy, zz), n2, phi, weight
+def _roll_into(out, a, axis: int):
+    """out = np.roll(a, -1, axis) on a 2D grid, into an existing array."""
+    if axis == 0:
+        out[:-1] = a[1:]
+        out[-1] = a[0]
+    else:
+        out[:, :-1] = a[:, 1:]
+        out[:, -1] = a[:, 0]
+
+
+class _TorusWork:
+    """The work arrays of the 2D invariants on the fundamental torus.
+
+    One instance serves many cells: each array is written in place with
+    ufunc ``out=``, so a cell allocates no torus-sized array outside the
+    zeta/phi kernel.  An instance is not shared between calls.
+    """
+
+    def __init__(self, n_grid: int):
+        self.n_grid = n_grid
+        self.table, self.weight = _zone_trig(n_grid)
+        shape = self.table.cos_x.shape
+        self.n2, self.zn, self.tmp = (np.empty(shape) for _ in range(3))
+        self.south = np.empty(shape, bool)
+        (self.up, self.dn, self.cup, self.cdn, self.shifted, self.ux,
+         self.uy) = (np.empty(shape, complex) for _ in range(7))
+
+    def zeta(self, p: WalkParams):
+        """One zeta/phi evaluation, gap-checked; returns (zeta, phi)."""
+        zx, zy, zz, phi = _zeta_phi_2d(self.table, *_half_angles(p))
+        zeta = (zx, zy, zz)
+        if self.norm2(zeta) < GAP_TOL ** 2:
+            raise ZeroGap("gap closed on the integration grid")
+        return zeta, phi
+
+    def norm2(self, zeta) -> float:
+        """|zeta|^2 into ``n2``, in the order of zx * zx + zy * zy + zz * zz
+        so that the integral keeps the bits of that expression; returns its
+        minimum."""
+        zx, zy, zz = zeta
+        n2, tmp = self.n2, self.tmp
+        np.multiply(zx, zx, out=n2)
+        np.multiply(zy, zy, out=tmp)
+        np.add(n2, tmp, out=n2)
+        np.multiply(zz, zz, out=tmp)
+        np.add(n2, tmp, out=n2)
+        return np.min(n2)
+
+    def integral(self, phi) -> float:
+        """Trapezoidal integral of F = phi / |zeta|^3 over d^2k / (4 pi)."""
+        f = self.tmp
+        np.power(self.n2, 1.5, out=f)
+        np.divide(phi, f, out=f)
+        return float(self.weight * np.sum(f) * (2.0 * np.pi / self.n_grid) ** 2
+                     / (4.0 * np.pi))
+
+    def plaquette(self, zeta) -> float:
+        """Total plaquette flux over 2 pi of the axis field ``zeta``, whose
+        |zeta|^2 ``norm2`` has written.
+
+        The lower-band spinor is taken in the south gauge, |zeta| (n_z - 1,
+        n_x + i n_y) = (zeta_z - |zeta|, zeta_x + i zeta_y), away from the
+        north pole and in the north gauge, (-zeta_x + i zeta_y, zeta_z +
+        |zeta|), near it.  Each is the normalized state times a positive
+        factor, and neither a per-point gauge choice nor a positive factor
+        changes a plaquette phase.
+
+        Link products around each plaquette give the lattice field strength;
+        the loop holonomy is exp(-i flux), so the flux is minus the argument
+        of the counterclockwise product.  The total over a closed torus is
+        2 pi times an integer at any resolution fine enough to keep each
+        plaquette flux within (-pi, pi); ``weight`` copies of the torus make
+        up the zone.
+        """
+        zx, zy, zz = zeta
+        up, dn, south, zn = self.up, self.dn, self.south, self.zn
+        np.sqrt(self.n2, out=zn)
+        np.multiply(zn, 0.5, out=self.tmp)
+        np.less(zz, self.tmp, out=south)
+        # the north gauge everywhere, then the south gauge where it applies
+        np.negative(zx, out=up.real)
+        np.subtract(zz, zn, out=up.real, where=south)
+        np.copyto(up.imag, zy)
+        np.copyto(up.imag, 0.0, where=south)
+        np.add(zz, zn, out=dn.real)
+        np.copyto(dn.real, zx, where=south)
+        np.copyto(dn.imag, 0.0)
+        np.copyto(dn.imag, zy, where=south)
+        np.conjugate(up, out=self.cup)
+        np.conjugate(dn, out=self.cdn)
+        ux, uy, s = self.ux, self.uy, self.shifted
+        self._link(0, ux)
+        self._link(1, uy)
+        # ux roll(uy, -1, 0) conj(roll(ux, -1, 1)) conj(uy), into up
+        plaq = up
+        _roll_into(s, uy, 0)
+        np.multiply(ux, s, out=plaq)
+        _roll_into(s, ux, 1)
+        np.conjugate(s, out=s)
+        np.multiply(plaq, s, out=plaq)
+        np.conjugate(uy, out=s)
+        np.multiply(plaq, s, out=plaq)
+        phase = self.tmp
+        np.arctan2(plaq.imag, plaq.real, out=phase)
+        return float(self.weight * -np.sum(phase) / (2.0 * np.pi))
+
+    def _link(self, axis: int, out):
+        """out = conj(up) roll(up, -1, axis) + conj(dn) roll(dn, -1, axis)."""
+        s = self.shifted
+        _roll_into(s, self.up, axis)
+        np.multiply(self.cup, s, out=out)
+        _roll_into(s, self.dn, axis)
+        np.multiply(self.cdn, s, out=s)
+        np.add(out, s, out=out)
+
+    def chern(self, p: WalkParams) -> InvariantResult:
+        """``chern_number_2d`` of one walk on these work arrays."""
+        zeta, phi = self.zeta(p)
+        result = _quantize(self.integral(phi), self.n_grid)
+        oracle = _quantize(self.plaquette(zeta), self.n_grid)
+        if oracle.rounded != result.rounded:
+            raise OracleMismatch("integral gives %d but plaquette oracle "
+                                 "gives %d" % (result.rounded, oracle.rounded))
+        return result
+
+
+def chern_numbers_2d(params, n_grid: int = DEFAULT_N_CHERN) -> list:
+    """``chern_number_2d`` of each walk in ``params``, on one set of work
+    arrays.
+
+    Returns one entry per walk: its InvariantResult, or the ZeroGap,
+    QuantizationFailure or OracleMismatch that ``chern_number_2d`` raises
+    for it.
+    """
+    work = _TorusWork(n_grid)
+    results = []
+    for p in params:
+        try:
+            results.append(work.chern(p))
+        except (ZeroGap, QuantizationFailure, OracleMismatch) as exc:
+            # a kept traceback would hold the work arrays alive
+            results.append(exc.with_traceback(None))
+    return results
 
 
 def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantResult:
@@ -174,61 +317,13 @@ def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
 
     The trapezoidal integral of the curvature function must round to the
     same integer as the plaquette link-variable computation.  Both read the
-    same zeta evaluation on the fundamental torus.
+    same zeta evaluation on the fundamental torus.  The one-cell case of
+    ``chern_numbers_2d``.
 
     Raises:
         ZeroGap, QuantizationFailure, OracleMismatch.
     """
-    zeta, n2, phi, weight = _zeta_on_torus(p, n_grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = phi / n2 ** 1.5
-    raw = float(weight * np.sum(f) * (2.0 * np.pi / n_grid) ** 2 / (4.0 * np.pi))
-    result = _quantize(raw, n_grid)
-    oracle = _quantize(_plaquette_raw(zeta, n2, weight), n_grid)
-    if oracle.rounded != result.rounded:
-        raise OracleMismatch("integral gives %d but plaquette oracle gives %d"
-                             % (result.rounded, oracle.rounded))
-    return result
-
-
-def _lower_band_states(zeta, n2):
-    """Lower-band spinors of the axis field on a grid, gauge chosen per point.
-
-    Uses the south gauge (axis_x + i axis_y in the lower component) away from
-    the north pole and the complementary gauge near it; the plaquette product
-    is invariant under the per-point choice.
-    """
-    zx, zy, zz = zeta
-    zn = np.sqrt(n2)
-    nx, ny, nz = zx / zn, zy / zn, zz / zn
-    south = nz < 0.5
-    up = np.where(south, nz - 1.0, -(nx - 1j * ny))
-    dn = np.where(south, nx + 1j * ny, 1.0 + nz)
-    norm = np.sqrt(np.abs(up) ** 2 + np.abs(dn) ** 2)
-    return up / norm, dn / norm
-
-
-def _plaquette_raw(zeta, n2, weight: int) -> float:
-    """Total plaquette flux over 2 pi on a periodic grid of the axis field.
-
-    Link products around each plaquette give the lattice field strength; the
-    loop holonomy is exp(-i flux), so the flux is minus the argument of the
-    counterclockwise product.  The total over a closed torus is 2 pi times
-    an integer at any resolution fine enough to keep each plaquette flux
-    within (-pi, pi); ``weight`` copies of the torus make up the zone.
-    """
-    up, dn = _lower_band_states(zeta, n2)
-
-    def link(axis):
-        u2 = np.roll(up, -1, axis=axis)
-        d2 = np.roll(dn, -1, axis=axis)
-        return np.conj(up) * u2 + np.conj(dn) * d2
-
-    ux = link(0)
-    uy = link(1)
-    plaq = ux * np.roll(uy, -1, axis=0) * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy)
-    flux = -np.angle(plaq)
-    return float(weight * flux.sum() / (2.0 * np.pi))
+    return _one_cell(chern_numbers_2d([p], n_grid))
 
 
 def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantResult:
@@ -237,11 +332,12 @@ def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
     An independent route to the invariant: it uses the axis field only
     through link variables, never the curvature function.
     """
-    zeta, n2, _, weight = _zeta_on_torus(p, n_grid)
-    return _quantize(_plaquette_raw(zeta, n2, weight), n_grid)
+    work = _TorusWork(n_grid)
+    zeta, _ = work.zeta(p)
+    return _quantize(work.plaquette(zeta), n_grid)
 
 
 __all__ = [
     "InvariantResult", "winding_number_1d", "winding_numbers_1d",
-    "chern_number_2d", "chern_plaquette",
+    "chern_number_2d", "chern_numbers_2d", "chern_plaquette",
 ]

@@ -110,6 +110,37 @@ def test_flow_field_families_split_by_hsp():
             assert np.abs(wrap(a - b)).max() <= field.cell + 1e-12
 
 
+class _OnMeshgrid:
+    """A model whose curvature_raw is called on full (grid, grid) angle
+    arrays, as a meshgrid evaluation of the flow field calls it."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def curvature_raw(self, k, alpha, beta):
+        alpha, beta = np.broadcast_arrays(alpha, beta)
+        return self.model.curvature_raw(k, alpha.copy(), beta.copy())
+
+
+@pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
+def test_flow_field_bit_equal_to_meshgrid_evaluation(model):
+    # the flow field evaluates on broadcast angle axes; every elementwise
+    # value goes through the same operations as on full meshgrid arrays
+    field = flow_field(model, grid=64)
+    ref = flow_field(_OnMeshgrid(model), grid=64)
+    for name in ("dalpha", "dbeta", "rate", "log_rate", "diverged",
+                 "peak_height", "scaling_response"):
+        got, want = getattr(field, name), getattr(ref, name)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].shape == want[key].shape == (64, 64)
+            assert got[key].dtype == want[key].dtype
+            assert got[key].tobytes() == want[key].tobytes()
+
+
 @pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
 def test_rg_step_is_the_oracle_of_flow_field(model):
     # the scalar rg_step on the curvature callback recomputes finite,

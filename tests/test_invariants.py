@@ -6,13 +6,14 @@ import pytest
 from topocrit import WalkParams, ZeroGap
 from topocrit.errors import OracleMismatch, QuantizationFailure
 from topocrit.invariants import (GAP_TOL, WINDING_BLOCK_POINTS,
-                                 _circle_trig, _quantize, _zone_trig,
-                                 chern_number_2d, chern_plaquette,
+                                 InvariantResult, _TorusWork, _circle_trig,
+                                 _quantize, _zone_trig, chern_number_2d,
+                                 chern_numbers_2d, chern_plaquette,
                                  winding_number_1d, winding_numbers_1d)
-from topocrit.geometry import manifold_area_2d, manifold_length_1d
-from topocrit.walk1d import rotated_curvature_1d
-from topocrit.walk2d import (_curvature_raw_2d, curvature_grid_2d,
-                             zeta_components_2d)
+from topocrit.geometry import GAP_FLOOR, manifold_area_2d, manifold_length_1d
+from topocrit.walk1d import _half_angles, _zeta_terms_1d, rotated_curvature_1d
+from topocrit.walk2d import (_curvature_raw_2d, _zeta_phi_2d,
+                             curvature_grid_2d, zeta_components_2d)
 
 
 # --- 1D winding ---
@@ -112,6 +113,24 @@ def test_winding_failures_leave_no_reference_cycles():
         gc.enable()
 
 
+def test_rotated_norm_is_the_zeta_norm():
+    # rotated_curvature_1d validates kap_a^2 sin^2 k + zeta_y^2 against
+    # GAP_FLOOR^2; on the walk1d phase diagram's cells its minimum is the
+    # minimum of |zeta|^2, so a cell that passes the GAP_TOL^2 check on
+    # |zeta|^2 always passes it too
+    axes = np.linspace(-np.pi, np.pi, 65)
+    sin_k, cos_k, _, _ = _circle_trig(512)
+    h = np.array([_half_angles(WalkParams(a, b))
+                  for a in axes for b in axes]).T[:, :, None]
+    zx, zy, zz, rx = _zeta_terms_1d(h, sin_k, cos_k)
+    n2 = np.min(zx * zx + zy * zy + zz * zz, axis=1)
+    r2 = np.min(rx * rx + zy * zy, axis=1)
+    closed = n2 == 0.0
+    assert np.array_equal(r2[closed], n2[closed])
+    assert np.all(np.abs(r2 - n2)[~closed] <= 1e-15 * n2[~closed])
+    assert GAP_TOL ** 2 * (1.0 - 1e-15) > GAP_FLOOR ** 2
+
+
 def test_circle_trig_memo_is_read_only():
     for n in (8, 97):
         for term in _circle_trig(n):
@@ -153,15 +172,11 @@ def test_chern_zero_gap():
 
 # --- fused torus path against a full-zone reference ---
 
-def full_zone_reference(p, n):
-    """Curvature integral and plaquette total on the whole [0, 2 pi)^2 grid,
-    each over its own zeta evaluation, as (integral, plaquette)."""
-    k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    zx, zy, zz = zeta_components_2d(kx, ky, p)
-    if np.min(zx * zx + zy * zy + zz * zz) < GAP_TOL ** 2:
-        raise ZeroGap("gap closed on the reference grid")
-    integral = np.sum(curvature_grid_2d(kx, ky, p)) * (2 * np.pi / n) ** 2 / (4 * np.pi)
+def normalized_state_plaquette(zeta):
+    """Plaquette total over 2 pi of an axis field on a periodic grid, from
+    normalized lower-band states, np.roll and np.angle: the oracle's formula
+    before it used scaled states and work arrays."""
+    zx, zy, zz = zeta
     zn = np.sqrt(zx * zx + zy * zy + zz * zz)
     nx, ny, nz = zx / zn, zy / zn, zz / zn
     south = nz < 0.5
@@ -172,12 +187,37 @@ def full_zone_reference(p, n):
     ux = np.conj(up) * np.roll(up, -1, 0) + np.conj(dn) * np.roll(dn, -1, 0)
     uy = np.conj(up) * np.roll(up, -1, 1) + np.conj(dn) * np.roll(dn, -1, 1)
     plaq = ux * np.roll(uy, -1, 0) * np.conj(np.roll(ux, -1, 1)) * np.conj(uy)
-    return float(integral), float(-np.angle(plaq).sum() / (2 * np.pi))
+    return float(-np.angle(plaq).sum() / (2 * np.pi))
 
 
-def reference_chern(p, n):
-    """chern_number_2d's checks, in its order, on the full-zone reference."""
-    integral, plaquette = full_zone_reference(p, n)
+def full_zone_reference(p, n):
+    """Curvature integral and plaquette total on the whole [0, 2 pi)^2 grid,
+    each over its own zeta evaluation, as (integral, plaquette)."""
+    k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    zx, zy, zz = zeta_components_2d(kx, ky, p)
+    if np.min(zx * zx + zy * zy + zz * zz) < GAP_TOL ** 2:
+        raise ZeroGap("gap closed on the reference grid")
+    integral = np.sum(curvature_grid_2d(kx, ky, p)) * (2 * np.pi / n) ** 2 / (4 * np.pi)
+    return float(integral), normalized_state_plaquette((zx, zy, zz))
+
+
+def torus_reference(p, n):
+    """(integral, plaquette) of one walk on the memoized torus, each as one
+    array expression: the one-cell route the row kernel replaced."""
+    table, weight = _zone_trig(n)
+    zx, zy, zz, phi = _zeta_phi_2d(table, *_half_angles(p))
+    n2 = zx * zx + zy * zy + zz * zz
+    if np.min(n2) < GAP_TOL ** 2:
+        raise ZeroGap("gap closed on the reference torus")
+    integral = float(weight * np.sum(phi / n2 ** 1.5) * (2.0 * np.pi / n) ** 2
+                     / (4.0 * np.pi))
+    return integral, weight * normalized_state_plaquette((zx, zy, zz))
+
+
+def reference_chern(p, n, reference=full_zone_reference):
+    """chern_number_2d's checks, in its order, on a reference route."""
+    integral, plaquette = reference(p, n)
     result = _quantize(integral, n)
     if _quantize(plaquette, n).rounded != result.rounded:
         raise OracleMismatch("reference integral and plaquette disagree")
@@ -189,6 +229,13 @@ def outcome(fn, *args):
         return fn(*args).rounded
     except (ZeroGap, QuantizationFailure, OracleMismatch) as exc:
         return type(exc)
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroGap, QuantizationFailure, OracleMismatch) as exc:
+        return exc
 
 
 GAPPED_POINTS = [(np.pi / 2, np.pi / 2), (0.3, np.pi / 2), (-0.3, np.pi / 2),
@@ -211,6 +258,56 @@ def test_torus_invariants_match_full_zone(n):
 def test_torus_outcome_matches_full_zone(a, b):
     p = WalkParams(a, b)
     assert outcome(chern_number_2d, p, 96) == outcome(reference_chern, p, 96)
+
+
+@pytest.mark.parametrize("n", [96, 97])
+def test_chern_row_matches_one_cell_calls(n):
+    # two alpha rows of the 33 x 33 phase diagram: at inner grid 96 the
+    # first has ZeroGap cells and the second QuantizationFailure cells; at
+    # the odd full zone 97 the first row has both
+    axes = np.linspace(-np.pi, np.pi, 33).tolist()
+    kinds = set()
+    for a in (axes[12], axes[13]):
+        row = [WalkParams(a, b) for b in axes]
+        got = chern_numbers_2d(row, n)
+        assert len(got) == len(row)
+        for p, res in zip(row, got):
+            kinds.add(type(res).__name__)
+            one = result_or_error(chern_number_2d, p, n)
+            ref = result_or_error(reference_chern, p, n, torus_reference)
+            assert type(res) is type(one) is type(ref)
+            if isinstance(ref, InvariantResult):
+                assert res == one == ref  # raw bit-equal
+            if isinstance(ref, ZeroGap):
+                continue
+            # the oracle's scaled states against normalized ones
+            want = torus_reference(p, n)[1]
+            plaquette = result_or_error(chern_plaquette, p, n)
+            if isinstance(plaquette, QuantizationFailure):
+                with pytest.raises(QuantizationFailure):
+                    _quantize(want, n)
+            else:
+                assert abs(plaquette.raw - want) < 1e-12
+                assert plaquette.rounded == _quantize(want, n).rounded
+    assert kinds == {"InvariantResult", "ZeroGap", "QuantizationFailure"}
+
+
+def test_chern_failures_leave_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        row = [WalkParams(0.0, 0.5), WalkParams(0.05, 0.5)]
+        got = chern_numbers_2d(row, 96)
+        assert [type(r) for r in got] == [ZeroGap, QuantizationFailure]
+        del got
+        for p in row:
+            with pytest.raises((ZeroGap, QuantizationFailure)):
+                chern_number_2d(p, 96)
+        with pytest.raises(ZeroGap):
+            chern_plaquette(row[0], 96)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_zone_trig_memo_is_read_only():
@@ -240,17 +337,25 @@ def test_curvature_raw_matches_grid_pointwise():
 
 
 def test_plaquette_trivial_axis_field():
-    # constant spinor field: all link products are 1, zero total flux
-    up = np.zeros((16, 16), dtype=complex)
-    dn = np.ones((16, 16), dtype=complex)
-
-    def link(axis):
-        return (np.conj(up) * np.roll(up, -1, axis=axis)
-                + np.conj(dn) * np.roll(dn, -1, axis=axis))
-
-    ux, uy = link(0), link(1)
-    plaq = ux * np.roll(uy, -1, axis=0) * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy)
-    assert abs(np.angle(plaq).sum()) < 1e-14
+    # the library oracle on fields of known mapping degree, on the odd grid
+    # 33 (one torus copy, weight 1): a constant field has zero total flux in
+    # either gauge, and the Qi-Wu-Zhang field (sin kx, sin ky, m + cos kx +
+    # cos ky) has degree -sgn(m) for 0 < |m| < 2 and 0 for |m| > 2, also
+    # with its components cycled, which moves the north-gauge region
+    work = _TorusWork(33)
+    shape = work.table.cos_x.shape
+    assert work.weight == 1 and shape == (33, 33)
+    for const in ((0.3, -0.2, 0.9), (0.3, -0.2, -0.9), (1.0, 1.0, 0.0)):
+        zeta = tuple(np.full(shape, c) for c in const)
+        work.norm2(zeta)
+        assert abs(work.plaquette(zeta)) < 1e-14
+    k = np.linspace(0.0, 2.0 * np.pi, 33, endpoint=False)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    for m, degree in ((1.0, -1), (-1.0, 1), (0.5, -1), (3.0, 0)):
+        zeta = (np.sin(kx), np.sin(ky), m + np.cos(kx) + np.cos(ky))
+        for cycled in (zeta, zeta[2:] + zeta[:2]):
+            work.norm2(cycled)
+            assert abs(work.plaquette(cycled) - degree) < 1e-12
 
 
 # --- consistency with manifold geometry ---
