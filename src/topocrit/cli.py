@@ -17,7 +17,6 @@ file instead.  Invalid options, from flags or --config, exit with code 1.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -196,6 +195,9 @@ def _defaults(merged: dict, command: str) -> dict:
         if key in MINIMA and value < MINIMA[key]:
             raise ValueError("%s must be at least %d, got %r"
                              % (key, MINIMA[key], value))
+    if command == "invariant" and len(out["alpha"]) > 1:
+        raise ValueError("alpha must be a single angle for invariant, got %r"
+                         % (out["alpha"],))
     if model not in (CURVATURE_MODELS if command == "curvature" else WALKS):
         raise ValueError("model %r is not available for %s" % (model, command))
     return out
@@ -419,9 +421,7 @@ def cmd_phase_diagram(cfg: dict) -> int:
     else:
         inner = int(cfg.get("inner-grid", 96))
         kernel = invariants.chern_numbers_2d
-    # one kernel call per alpha row
-    cells = itertools.chain.from_iterable(
-        kernel([WalkParams(a, b) for b in angles], inner) for a in angles)
+    cells = kernel([WalkParams(a, b) for a in angles for b in angles], inner)
     for i, res in enumerate(cells):
         if isinstance(res, TopocritError):
             failures[type(res).__name__] += 1

@@ -1,9 +1,9 @@
 """Topological invariants by Brillouin-zone integration.
 
 The 1D winding number integrates the curvature function over dk/(2 pi).
-Many walks are evaluated at once, as one array expression per block of
-cells (an alpha row of a phase diagram), against a memoized table of the
-momentum trig terms; a single cell is a block of one.  The parameter
+Many walks (a phase diagram) are evaluated per call, as one array
+expression per block of cells, against a memoized table of the momentum
+trig terms; a single cell is a block of one.  The parameter
 coefficients are still evaluated per cell, as numpy scalars, so every raw
 integral keeps the bits of the one-cell closed-form route.
 
@@ -17,9 +17,11 @@ fundamental torus [0, pi)^2 of the zone grid from a memoized momentum trig
 table.  They share that input and |zeta|^2 only: the integral sums
 phi / |zeta|^3, the oracle builds lower-band states from zeta scaled by
 |zeta| and sums link-variable fluxes, and neither uses the other's result.
-Many walks (an alpha row of a phase diagram) are evaluated per call, cell by
-cell, into one set of torus-shaped work arrays that each cell overwrites in
-place; a single cell is a call of one.
+Many walks (a phase diagram) are evaluated per call, cell by cell, into one
+set of torus-shaped work arrays that each cell overwrites in place; a single
+cell is a call of one.  The walks are grouped by beta, and the products of
+the zeta/phi closed forms that depend only on beta and momentum are
+evaluated once per group, so a cell evaluates only the rest.
 
 The memoized tables of both invariants are read-only, and the 2D work
 arrays belong to the call that allocated them, so calls from several
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
 from .walk1d import (WalkParams, _curvature_coeffs_1d, _curvature_terms_1d,
                      _half_angles, _zeta_terms_1d)
-from .walk2d import _zeta_phi_2d, trig_table_2d
+from .walk2d import _zeta_phi_2d, beta_table_2d, trig_table_2d
 
 DEFAULT_N_WINDING = 4096
 DEFAULT_N_CHERN = 256
@@ -194,9 +196,17 @@ class _TorusWork:
         (self.up, self.dn, self.cup, self.cdn, self.shifted, self.ux,
          self.uy) = (np.empty(shape, complex) for _ in range(7))
 
-    def zeta(self, p: WalkParams):
-        """One zeta/phi evaluation, gap-checked; returns (zeta, phi)."""
-        zx, zy, zz, phi = _zeta_phi_2d(self.table, *_half_angles(p))
+    def beta_stage(self, p: WalkParams):
+        """The beta-only products of ``p``'s beta on the torus table."""
+        _, _, kb, lb = _half_angles(p)
+        return beta_table_2d(self.table, kb, lb)
+
+    def zeta(self, p: WalkParams, beta):
+        """One zeta/phi evaluation, gap-checked; returns (zeta, phi).
+
+        ``beta`` is ``beta_stage`` of a walk with the bits of ``p.beta``.
+        """
+        zx, zy, zz, phi = _zeta_phi_2d(self.table, *_half_angles(p), beta)
         zeta = (zx, zy, zz)
         if self.norm2(zeta) < GAP_TOL ** 2:
             raise ZeroGap("gap closed on the integration grid")
@@ -213,19 +223,27 @@ class _TorusWork:
         np.add(n2, tmp, out=n2)
         np.multiply(zz, zz, out=tmp)
         np.add(n2, tmp, out=n2)
-        return np.min(n2)
+        return n2.min()
 
     def integral(self, phi) -> float:
         """Trapezoidal integral of F = phi / |zeta|^3 over d^2k / (4 pi)."""
         f = self.tmp
         np.power(self.n2, 1.5, out=f)
         np.divide(phi, f, out=f)
-        return float(self.weight * np.sum(f) * (2.0 * np.pi / self.n_grid) ** 2
+        return float(self.weight * f.sum() * (2.0 * np.pi / self.n_grid) ** 2
                      / (4.0 * np.pi))
 
     def plaquette(self, zeta) -> float:
         """Total plaquette flux over 2 pi of the axis field ``zeta``, whose
-        |zeta|^2 ``norm2`` has written.
+        |zeta|^2 ``norm2`` has written: the sum of the fluxes that
+        ``plaquette_phases`` gives, over ``weight`` copies of the torus."""
+        return float(self.weight * -self.plaquette_phases(zeta).sum()
+                     / (2.0 * np.pi))
+
+    def plaquette_phases(self, zeta):
+        """The argument of the counterclockwise link product around each
+        plaquette of the torus, the negative of its flux, in a work array
+        that the next call overwrites.  ``norm2`` must have written |zeta|^2.
 
         The lower-band spinor is taken in the south gauge, |zeta| (n_z - 1,
         n_x + i n_y) = (zeta_z - |zeta|, zeta_x + i zeta_y), away from the
@@ -271,7 +289,7 @@ class _TorusWork:
         np.multiply(plaq, s, out=plaq)
         phase = self.tmp
         np.arctan2(plaq.imag, plaq.real, out=phase)
-        return float(self.weight * -np.sum(phase) / (2.0 * np.pi))
+        return phase
 
     def _link(self, axis: int, out):
         """out = conj(up) roll(up, -1, axis) + conj(dn) roll(dn, -1, axis)."""
@@ -282,9 +300,10 @@ class _TorusWork:
         np.multiply(self.cdn, s, out=s)
         np.add(out, s, out=out)
 
-    def chern(self, p: WalkParams) -> InvariantResult:
-        """``chern_number_2d`` of one walk on these work arrays."""
-        zeta, phi = self.zeta(p)
+    def chern(self, p: WalkParams, beta) -> InvariantResult:
+        """``chern_number_2d`` of one walk on these work arrays, with the
+        ``beta_stage`` of its beta."""
+        zeta, phi = self.zeta(p, beta)
         result = _quantize(self.integral(phi), self.n_grid)
         oracle = _quantize(self.plaquette(zeta), self.n_grid)
         if oracle.rounded != result.rounded:
@@ -297,18 +316,26 @@ def chern_numbers_2d(params, n_grid: int = DEFAULT_N_CHERN) -> list:
     """``chern_number_2d`` of each walk in ``params``, on one set of work
     arrays.
 
-    Returns one entry per walk: its InvariantResult, or the ZeroGap,
-    QuantizationFailure or OracleMismatch that ``chern_number_2d`` raises
-    for it.
+    The walks are grouped by the bits of beta (0.0 and -0.0 apart), and the
+    beta-only products of the closed forms are evaluated once per group.
+    Returns one entry per walk, in the order of ``params``: its
+    InvariantResult, or the ZeroGap, QuantizationFailure or OracleMismatch
+    that ``chern_number_2d`` raises for it.
     """
+    params = list(params)
+    groups = {}
+    for i, p in enumerate(params):
+        groups.setdefault(float(p.beta).hex(), []).append(i)
     work = _TorusWork(n_grid)
-    results = []
-    for p in params:
-        try:
-            results.append(work.chern(p))
-        except (ZeroGap, QuantizationFailure, OracleMismatch) as exc:
-            # a kept traceback would hold the work arrays alive
-            results.append(exc.with_traceback(None))
+    results = [None] * len(params)
+    for cells in groups.values():
+        beta = work.beta_stage(params[cells[0]])
+        for i in cells:
+            try:
+                results[i] = work.chern(params[i], beta)
+            except (ZeroGap, QuantizationFailure, OracleMismatch) as exc:
+                # a kept traceback would hold the work arrays alive
+                results[i] = exc.with_traceback(None)
     return results
 
 
@@ -333,7 +360,7 @@ def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
     through link variables, never the curvature function.
     """
     work = _TorusWork(n_grid)
-    zeta, _ = work.zeta(p)
+    zeta, _ = work.zeta(p, work.beta_stage(p))
     return _quantize(work.plaquette(zeta), n_grid)
 
 

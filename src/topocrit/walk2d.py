@@ -93,7 +93,8 @@ TRIG_TERMS_2D = {
     "sin_2y": lambda kx, ky: np.sin(2.0 * ky),
     "cos_2y": lambda kx, ky: np.cos(2.0 * ky),
     "cos_2x2y": lambda kx, ky: np.cos(2.0 * kx + 2.0 * ky),
-    "cos_4y": lambda kx, ky: np.cos(4.0 * ky),
+    # the momentum-only factor 2 cos 2kx + cos 4ky + 3 of phi's lam_b^2 term
+    "sum_2x4y": lambda kx, ky: 2.0 * np.cos(2.0 * kx) + np.cos(4.0 * ky) + 3.0,
 }
 
 
@@ -124,24 +125,63 @@ class _TrigOnRead:
         return TRIG_TERMS_2D[name](self.kx, self.ky)
 
 
-def _zeta_phi_2d(trig, ka, la, kb, lb):
+# The beta-only partial products of the zeta/phi closed forms, over a trig
+# source and the beta half-angle coefficients.  Each is the leading part of
+# its closed form, in that form's operation order, so a cell stage that
+# reads it computes the bits of the single expression.
+BETA_TERMS_2D = {
+    "zx": lambda trig, kb, lb: -2.0 * lb * trig.sin_x,
+    "zz": lambda trig, kb, lb: kb ** 2 * trig.sin_2xy + lb ** 2 * trig.sin_2y,
+    "t2": lambda trig, kb, lb: (2.0 * kb ** 2 * trig.cos_2y * trig.cos_2x2y
+                                - lb ** 2 * trig.sum_2x4y),
+    "t3": lambda trig, kb, lb: lb ** 2 - kb ** 2 * trig.cos_2x,
+}
+
+
+BetaTable2D = namedtuple("BetaTable2D", BETA_TERMS_2D)
+
+
+def beta_table_2d(trig, kb, lb) -> BetaTable2D:
+    """Every beta-only product evaluated once, for reuse across the walks
+    that share beta."""
+    return BetaTable2D(*(term(trig, kb, lb) for term in BETA_TERMS_2D.values()))
+
+
+class _BetaOnRead:
+    """Beta-stage source that computes each product when it is read, like
+    ``_TrigOnRead``, so a one-off evaluation holds no product before the
+    closed form that uses it."""
+
+    __slots__ = ("trig", "kb", "lb")
+
+    def __init__(self, trig, kb, lb):
+        self.trig = trig
+        self.kb = kb
+        self.lb = lb
+
+    def __getattr__(self, name):
+        return BETA_TERMS_2D[name](self.trig, self.kb, self.lb)
+
+
+def _zeta_phi_2d(trig, ka, la, kb, lb, beta=None):
     """Axis components and curvature numerator from one trig source.
 
     ``trig`` exposes the terms of ``TRIG_TERMS_2D`` as attributes: a
-    ``_TrigOnRead`` or a ``TrigTable2D``.  The half-angle coefficients
-    broadcast against the momentum terms, so either side may be the grid.
-    Returns (zx, zy, zz, phi) with F = phi / |zeta|^3.
+    ``_TrigOnRead`` or a ``TrigTable2D``.  ``beta`` exposes the products of
+    ``BETA_TERMS_2D`` over the same trig source and (kb, lb): a
+    ``BetaTable2D``, or None to compute each where it is read.  The
+    half-angle coefficients broadcast against the momentum terms, so either
+    side may be the grid.  Returns (zx, zy, zz, phi) with F = phi / |zeta|^3.
     """
-    zx = -2.0 * lb * trig.sin_x * (la * lb * trig.cos_x
-                                   - ka * kb * trig.cos_x2y)
+    if beta is None:
+        beta = _BetaOnRead(trig, kb, lb)
+    zx = beta.zx * (la * lb * trig.cos_x - ka * kb * trig.cos_x2y)
     zy = (la * kb ** 2 - la * lb ** 2 * trig.cos_2x
           + 2.0 * ka * kb * lb * trig.cos_x * trig.cos_x2y)
-    zz = (la * kb * lb * trig.sin_2x
-          - ka * (kb ** 2 * trig.sin_2xy + lb ** 2 * trig.sin_2y))
+    zz = la * kb * lb * trig.sin_2x - ka * beta.zz
     t1 = 4.0 * ka ** 2 * kb ** 2 * lb * trig.cos_x * trig.cos_x2y
-    t2 = ka * la * kb * (2.0 * kb ** 2 * trig.cos_2y * trig.cos_2x2y
-                         - lb ** 2 * (2.0 * trig.cos_2x + trig.cos_4y + 3.0))
-    t3 = 2.0 * la ** 2 * lb * trig.cos_2y * (lb ** 2 - kb ** 2 * trig.cos_2x)
+    t2 = ka * la * kb * beta.t2
+    t3 = 2.0 * la ** 2 * lb * trig.cos_2y * beta.t3
     phi = 2.0 * ka * lb * (kb ** 2 + lb ** 2) * (t1 + t2 + t3)
     return zx, zy, zz, phi
 

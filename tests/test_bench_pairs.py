@@ -1,0 +1,52 @@
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _record(wall, ok_frac=1.0, hashes=None, correct=True):
+    values = {"wall_s": wall, "setup_s": 0.1, "peak_rss_mb": 30.0,
+              "ok_frac": ok_frac}
+    return {"metrics": {k: {"value": v} for k, v in values.items()},
+            "checks": {"sha256": hashes or {"out.csv": "ab"}},
+            "correct": correct}
+
+
+def test_summarize_counts_wins_quartiles_and_hash_matches():
+    pairs = [{"seed": 5 + i, "first": ("parent", "change")[i % 2],
+              "parent": _record(p), "change": _record(c)}
+             for i, (p, c) in enumerate([(0.40, 0.30), (0.42, 0.31),
+                                         (0.30, 0.35), (0.41, 0.33)])]
+    pairs[2]["change"]["checks"]["sha256"] = {"out.csv": "cd"}
+    got = bench_pairs.summarize(pairs, SPEC)
+    assert got["pairs"] == 4 and got["seed_range"] == [5, 8]
+    assert got["all_checks_passed"]
+    assert not got["all_outputs_identical"]
+    assert [d["outputs_identical"] for d in got["pair_runs"]] == [
+        True, True, False, True]
+    assert [d["first"] for d in got["pair_runs"]] == [
+        "parent", "change", "parent", "change"]
+    wall = got["metrics"]["wall_s"]
+    assert wall["change_better_pairs"] == 3
+    assert wall["parent"] == {"median": 0.405, "q1": 0.375, "q3": 0.4125}
+    assert wall["change"]["median"] == 0.32
+    # equal values win no pair, whichever way is better
+    assert got["metrics"]["ok_frac"]["change_better_pairs"] == 0
+    assert sorted(got["metrics"]) == sorted(m["name"]
+                                            for m in SPEC["end_to_end"])
+
+
+def test_summarize_one_pair_and_failed_check():
+    pairs = [{"seed": 1, "first": "parent", "parent": _record(0.4),
+              "change": _record(0.3, correct=False)}]
+    got = bench_pairs.summarize(pairs, SPEC)
+    assert not got["all_checks_passed"]
+    assert got["metrics"]["wall_s"]["change"] == {"median": 0.3, "q1": 0.3,
+                                                  "q3": 0.3}

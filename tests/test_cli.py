@@ -307,6 +307,7 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["invariant"], {"model": ["walk1d"]}, "model"),
     (["invariant"], {"strict": "no"}, "strict"),
     (["exponents", "--points", "9"], None, "points"),
+    (["invariant", "--model", "walk1d", "--alpha=0.3,0.9"], None, "alpha"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):

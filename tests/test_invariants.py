@@ -13,7 +13,7 @@ from topocrit.invariants import (GAP_TOL, WINDING_BLOCK_POINTS,
 from topocrit.geometry import GAP_FLOOR, manifold_area_2d, manifold_length_1d
 from topocrit.walk1d import _half_angles, _zeta_terms_1d, rotated_curvature_1d
 from topocrit.walk2d import (_curvature_raw_2d, _zeta_phi_2d,
-                             curvature_grid_2d, zeta_components_2d)
+                             curvature_grid_2d, phi_2d, zeta_components_2d)
 
 
 # --- 1D winding ---
@@ -172,10 +172,42 @@ def test_chern_zero_gap():
 
 # --- fused torus path against a full-zone reference ---
 
-def normalized_state_plaquette(zeta):
-    """Plaquette total over 2 pi of an axis field on a periodic grid, from
-    normalized lower-band states, np.roll and np.angle: the oracle's formula
-    before it used scaled states and work arrays."""
+def single_expression_zeta_phi(kx, ky, ka, la, kb, lb):
+    """The zeta/phi closed forms with each component written as one
+    expression over inline trig calls.  Kept apart from the package kernel,
+    which splits them into a beta stage and a cell stage, so that a change
+    of operation order there shows as a changed bit here."""
+    zx = -2.0 * lb * np.sin(kx) * (la * lb * np.cos(kx)
+                                   - ka * kb * np.cos(kx + 2.0 * ky))
+    zy = (la * kb ** 2 - la * lb ** 2 * np.cos(2.0 * kx)
+          + 2.0 * ka * kb * lb * np.cos(kx) * np.cos(kx + 2.0 * ky))
+    zz = (la * kb * lb * np.sin(2.0 * kx)
+          - ka * (kb ** 2 * np.sin(2.0 * (kx + ky)) + lb ** 2 * np.sin(2.0 * ky)))
+    t1 = 4.0 * ka ** 2 * kb ** 2 * lb * np.cos(kx) * np.cos(kx + 2.0 * ky)
+    t2 = ka * la * kb * (2.0 * kb ** 2 * np.cos(2.0 * ky)
+                         * np.cos(2.0 * kx + 2.0 * ky)
+                         - lb ** 2 * (2.0 * np.cos(2.0 * kx)
+                                      + np.cos(4.0 * ky) + 3.0))
+    t3 = (2.0 * la ** 2 * lb * np.cos(2.0 * ky)
+          * (lb ** 2 - kb ** 2 * np.cos(2.0 * kx)))
+    phi = 2.0 * ka * lb * (kb ** 2 + lb ** 2) * (t1 + t2 + t3)
+    return zx, zy, zz, phi
+
+
+def torus_momenta(n):
+    """The (kx, ky) grid of the memoized torus table: [0, pi)^2 of the zone
+    grid for even n, the whole zone for odd n."""
+    k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    if n % 2 == 0:
+        k = k[:n // 2]
+    return np.meshgrid(k, k, indexing="ij")
+
+
+def normalized_state_phases(zeta):
+    """Argument of the counterclockwise link product around each plaquette
+    of an axis field on a periodic grid, from normalized lower-band states,
+    np.roll and np.angle: the oracle's formula before it used scaled states
+    and work arrays."""
     zx, zy, zz = zeta
     zn = np.sqrt(zx * zx + zy * zy + zz * zz)
     nx, ny, nz = zx / zn, zy / zn, zz / zn
@@ -187,7 +219,12 @@ def normalized_state_plaquette(zeta):
     ux = np.conj(up) * np.roll(up, -1, 0) + np.conj(dn) * np.roll(dn, -1, 0)
     uy = np.conj(up) * np.roll(up, -1, 1) + np.conj(dn) * np.roll(dn, -1, 1)
     plaq = ux * np.roll(uy, -1, 0) * np.conj(np.roll(ux, -1, 1)) * np.conj(uy)
-    return float(-np.angle(plaq).sum() / (2 * np.pi))
+    return np.angle(plaq)
+
+
+def normalized_state_plaquette(zeta):
+    """Plaquette total over 2 pi of ``normalized_state_phases``."""
+    return float(-normalized_state_phases(zeta).sum() / (2 * np.pi))
 
 
 def full_zone_reference(p, n):
@@ -203,10 +240,12 @@ def full_zone_reference(p, n):
 
 
 def torus_reference(p, n):
-    """(integral, plaquette) of one walk on the memoized torus, each as one
-    array expression: the one-cell route the row kernel replaced."""
-    table, weight = _zone_trig(n)
-    zx, zy, zz, phi = _zeta_phi_2d(table, *_half_angles(p))
+    """(integral, plaquette) of one walk on the torus grid, each as one
+    array expression over ``single_expression_zeta_phi``, with neither work
+    arrays nor a beta stage."""
+    _, weight = _zone_trig(n)
+    zx, zy, zz, phi = single_expression_zeta_phi(*torus_momenta(n),
+                                                 *_half_angles(p))
     n2 = zx * zx + zy * zy + zz * zz
     if np.min(n2) < GAP_TOL ** 2:
         raise ZeroGap("gap closed on the reference torus")
@@ -308,6 +347,84 @@ def test_chern_failures_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+PD33_AXES = np.linspace(-np.pi, np.pi, 33).tolist()
+# generic cells with the betas interleaved, so that a reordered operation
+# changes some raw integral, then a repeated cell, beta = 0.0 next to
+# beta = -0.0, a cell whose gap closes at inner grid 96 (and fails to
+# quantize at 97) and one that fails to quantize at 96
+GROUPED_CELLS = [(a, b) for a in (0.3, -1.1, 2.2, 0.9)
+                 for b in (0.37, 2.1, -1.9, 1.0, -0.8)] + [
+    (0.3, np.pi / 2), (0.7, 0.0), (0.7, -0.0), (-1.1, 1.0), (1.2, -0.0),
+    (PD33_AXES[13], PD33_AXES[2]), (-0.5, 0.0), (0.3, np.pi / 2), (0.0, 1.0),
+    (PD33_AXES[13], PD33_AXES[20]), (-0.3, np.pi / 2), (1.2, 0.0),
+    (PD33_AXES[12], PD33_AXES[8]), (-0.7, -0.0),
+]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n, kinds", [
+    (96, {"InvariantResult", "ZeroGap", "QuantizationFailure"}),
+    (97, {"InvariantResult", "QuantizationFailure"}),
+])
+def test_chern_beta_groups_keep_the_bits(n, kinds, monkeypatch):
+    cells = [WalkParams(a, b) for a, b in GROUPED_CELLS]
+    staged = []
+    beta_stage = _TorusWork.beta_stage
+
+    def spy(self, p):
+        staged.append(float(p.beta).hex())
+        return beta_stage(self, p)
+
+    monkeypatch.setattr(_TorusWork, "beta_stage", spy)
+    got = chern_numbers_2d(cells, n)
+    # one beta stage per bit pattern of beta, with 0.0 and -0.0 apart
+    betas = {float(p.beta).hex() for p in cells}
+    assert {"0x0.0p+0", "-0x0.0p+0"} <= betas
+    assert sorted(staged) == sorted(betas)
+    assert len(got) == len(cells)
+    assert {type(res).__name__ for res in got} == kinds
+    for p, res in zip(cells, got):
+        ref = result_or_error(reference_chern, p, n, torus_reference)
+        assert type(res) is type(ref)
+        if isinstance(ref, InvariantResult):
+            assert _bits(res.raw) == _bits(ref.raw)  # the sign of zero too
+            assert res == ref
+
+
+@pytest.mark.parametrize("n", [96, 97])
+def test_zeta_phi_bits_match_single_expressions(n):
+    # the torus path (beta table) and the on-read path against one
+    # expression per component, every bit of every point, signed zeros too
+    work = _TorusWork(n)
+    kx, ky = torus_momenta(n)
+    for a, b in GROUPED_CELLS:
+        p = WalkParams(a, b)
+        want = single_expression_zeta_phi(kx, ky, *_half_angles(p))
+        staged = _zeta_phi_2d(work.table, *_half_angles(p),
+                              work.beta_stage(p))
+        on_read = (*zeta_components_2d(kx, ky, p), phi_2d(kx, ky, p))
+        for w, s, r in zip(want, staged, on_read):
+            assert np.array_equal(_bits(s), _bits(w))
+            assert np.array_equal(_bits(r), _bits(w))
+
+
+@pytest.mark.parametrize("n", [96, 97])
+def test_oracle_plaquette_phases_match_normalized_states(n):
+    # plaquette by plaquette, not only the total: the wrapped fluxes of any
+    # smooth U(1) link field on a torus sum to 2 pi times an integer, so a
+    # smoothly corrupted link can leave the total unchanged
+    work = _TorusWork(n)
+    for a, b in GAPPED_POINTS:
+        p = WalkParams(a, b)
+        zeta, _ = work.zeta(p, work.beta_stage(p))
+        want = normalized_state_phases(zeta)
+        np.testing.assert_allclose(work.plaquette_phases(zeta), want,
+                                   rtol=0, atol=1e-12)
 
 
 def test_zone_trig_memo_is_read_only():
