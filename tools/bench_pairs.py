@@ -1,12 +1,12 @@
 """Run the benchmark in alternating parent/change pairs and summarize them.
 
     python3 tools/bench_pairs.py --out BENCH_<n>.json --change TEXT
-        [--base REV] [--workload W ...] [--pairs 10] [--seed S]
-        [--seconds 35] [--smoke]
+        [--base REV] [--pairs 10] [--seed S] [--seconds 35] [--smoke]
 
 The two sides are fresh `git archive` copies made in a temporary directory:
 the parent is the commit --base (default HEAD), and the change is the working
-tree, with every file that git does not ignore, staged or not.  Pair i runs
+tree, with every file that git does not ignore, staged or not.  For every
+workload W of BENCHMARK.json, pair i runs
 
     python3 bench/run.py --workload W --seed S+i --seconds T --trace 0
 
@@ -129,8 +129,6 @@ def _parse_args(argv):
     ap.add_argument("--change", required=True,
                     help="one line saying what the change does")
     ap.add_argument("--base", default="HEAD", help="parent commit")
-    ap.add_argument("--workload", action="append",
-                    help="workload to run (repeatable; default: all)")
     ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=1, help="seed of pair 0")
     ap.add_argument("--seconds", type=float, default=35.0)
@@ -145,7 +143,6 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     if args.pairs < MIN_PAIRS:
         print("note: %d pairs are fewer than the %d a claimed gain needs"
               % (args.pairs, MIN_PAIRS), file=sys.stderr)
@@ -168,7 +165,7 @@ def main(argv=None) -> int:
         copies = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         archive(base, copies["parent"])
         archive(change_tree, copies["change"])
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed + i
