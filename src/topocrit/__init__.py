@@ -14,7 +14,7 @@ from .errors import (AtCriticality, EmptyGrid, FlatDegenerate,
                      GaugeSingularity, InsufficientDecade, OracleMismatch,
                      PoorFit, QuantizationFailure, TopocritError,
                      UndersampledPeak, WindowTouchesCriticality, ZeroGap)
-from .geometry import (QGT, DiracParams, RealVec3, Spinor,
+from .geometry import (QGT, RealVec3, Spinor,
                        berry_connection_1d, berry_connection_fd,
                        berry_curvature_2d_dirac, berry_curvature_fd,
                        dhat_derivative, dirac_d_1d, dirac_d_2d, dirac_qgt_2d,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, correlation, criticality, crg, invariants
 from . import geometry, walk1d, walk2d
-from .errors import TopocritError, ZeroGap
+from .errors import TopocritError
 from .models import WALK_1D, WALK_2D
 from .output import FLOAT_FMT, write_csv, write_json
 from .walk1d import WalkParams
@@ -173,6 +173,9 @@ KINDS = {
 # options taken from the flags and --config only when given
 PASSTHROUGH = ("grid", "window", "points", "kc", "rmax", "threshold",
                "mass", "kmax", "inner-grid")
+# angles a command does not read: giving one is an error, not a no-op
+UNREAD = {"exponents": ("alpha",), "crg": ("alpha", "beta"),
+          "phase-diagram": ("alpha", "beta")}
 
 
 def _defaults(merged: dict, command: str) -> dict:
@@ -198,6 +201,10 @@ def _defaults(merged: dict, command: str) -> dict:
     if command == "invariant" and len(out["alpha"]) > 1:
         raise ValueError("alpha must be a single angle for invariant, got %r"
                          % (out["alpha"],))
+    for key in UNREAD.get(command, ()):
+        if key in merged:
+            raise ValueError("%s is not read by %s, got %r"
+                             % (key, command, merged[key]))
     if model not in (CURVATURE_MODELS if command == "curvature" else WALKS):
         raise ValueError("model %r is not available for %s" % (model, command))
     return out
@@ -260,17 +267,6 @@ def _grid_columns(alphas, betas) -> dict:
             "beta": np.tile(betas, len(alphas))}
 
 
-def _dirac_curvature(fn, k, *args):
-    """fn(k_i, *args) at each momentum; NaN where the gap closes."""
-    f = np.empty(len(k))
-    for i, kk in enumerate(k.tolist()):
-        try:
-            f[i] = fn(kk, *args)
-        except ZeroGap:
-            f[i] = np.nan
-    return f
-
-
 def _curvature_columns(cfg: dict, alpha: float) -> dict:
     model = cfg["model"]
     n = int(cfg.get("grid", 1024))
@@ -292,12 +288,10 @@ def _curvature_columns(cfg: dict, alpha: float) -> dict:
                                                  WalkParams(alpha, beta))}
     k = np.linspace(-kmax, kmax, n)
     if model == "dirac1d":
-        return {"k": k,
-                "F": _dirac_curvature(geometry.berry_connection_1d, k, mass),
+        return {"k": k, "F": geometry.berry_connection_1d(k, mass),
                 "E_upper": np.hypot(mass, k)}
     return {"kx": k, "ky": np.zeros(n),
-            "F": _dirac_curvature(geometry.berry_curvature_2d_dirac, k, 0.0,
-                                  mass),
+            "F": geometry.berry_curvature_2d_dirac(k, 0.0, mass),
             "E_upper": np.sqrt(mass * mass + k * k)}
 
 

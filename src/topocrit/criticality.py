@@ -6,6 +6,7 @@ critical exponents, and the sign flip of the peak across a transition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +52,6 @@ class ExponentFit:
         self.scaling_law_residual = abs(self.gamma - self.dimension * self.nu)
 
 
-def _local_minima_1d(values: np.ndarray) -> np.ndarray:
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
-    return np.nonzero((values <= left) & (values <= right))[0]
-
-
 def _refine_1d(gap_fn, k0: float, h: float) -> float:
     from scipy.optimize import minimize_scalar
 
@@ -65,72 +60,60 @@ def _refine_1d(gap_fn, k0: float, h: float) -> float:
     return float(res.x)
 
 
-def _golden_descent_2d(gap_fn, kx0: float, ky0: float, h: float, sweeps: int = 12):
-    """Coordinate-wise golden-section refinement of a 2D minimum."""
-    kx, ky = kx0, ky0
+def _coordinate_descent(gap_fn, k0, h: float):
+    """Coordinate-wise golden-section refinement of a gap minimum.
+
+    Each sweep minimizes along one momentum axis after the other within
+    +-width and then halves the width, 12 sweeps in all.  A single axis has
+    nothing to alternate with, so it takes one sweep.
+    """
+    k = list(k0)
     width = h
-    for _ in range(sweeps):
-        kx = _refine_1d(lambda t: gap_fn(t, ky), kx, width)
-        ky = _refine_1d(lambda t: gap_fn(kx, t), ky, width)
+    for _ in range(12 if len(k) > 1 else 1):
+        for axis in range(len(k)):
+            k[axis] = _refine_1d(
+                lambda t: gap_fn(k[:axis] + [t] + k[axis + 1:]), k[axis],
+                width)
         width = max(width * 0.5, 10 * REFINE_TOL)
-    return kx, ky
+    return k
 
 
 def find_gap_closings(model, p: WalkParams, grid: int = 128):
     """Locate all gap closings of a walk at fixed parameters.
 
-    Scans min(E, pi - E) on a uniform grid, refines every local minimum, and
-    keeps those below 1e-8.  Returns a list of (k_c, zone) where zone is 0 or
-    pi according to which quasienergy the bands touch at; the list is empty
-    for gapped parameters.
+    Scans min(E, pi - E) on a uniform grid over every momentum axis, refines
+    every local minimum (no larger than any of its 3^d - 1 neighbours), and
+    keeps those below 1e-8.  Returns a list of (k_c, zone) where k_c is a
+    float in 1D and a pair in 2D, and zone is 0 or pi according to which
+    quasienergy the bands touch at; the list is empty for gapped parameters.
     """
     if grid < 64:
         raise ValueError("grid must be at least 64 points per axis")
-    if model.dimension == 1:
-        k = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-        gap = np.asarray(model.gap(k, p))
-        h = 2.0 * np.pi / grid
-
-        def gap_fn(t):
-            return float(model.gap(np.array([t]), p)[0])
-
-        out = []
-        for i in _local_minima_1d(gap):
-            kc = _refine_1d(gap_fn, float(k[i]), h)
-            if gap_fn(kc) < GAP_TOL:
-                kc = float(np.mod(kc, 2.0 * np.pi))
-                e = float(model.energy(np.array([kc]), p)[0])
-                zone = 0.0 if e < np.pi / 2.0 else np.pi
-                if not any(_close_mod(kc, q[0]) and zone == q[1] for q in out):
-                    out.append((kc, zone))
-        return out
-
+    dim = model.dimension
     k = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    gap = np.asarray(model.gap(kx, ky, p))
+    gap = np.asarray(model.gap(*np.meshgrid(*[k] * dim, indexing="ij"), p))
     h = 2.0 * np.pi / grid
     is_min = np.ones_like(gap, dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            is_min &= gap <= np.roll(np.roll(gap, dx, axis=0), dy, axis=1)
+    for shift in itertools.product((-1, 0, 1), repeat=dim):
+        if any(shift):
+            is_min &= gap <= np.roll(gap, shift, axis=tuple(range(dim)))
 
-    def gap_fn(x, y):
-        return float(model.gap(np.array([x]), np.array([y]), p)[0])
+    def at(fn, q):
+        return float(fn(*(np.array([c]) for c in q), p)[0])
+
+    def gap_fn(q):
+        return at(model.gap, q)
 
     out = []
-    for i, j in zip(*np.nonzero(is_min)):
-        x, y = _golden_descent_2d(gap_fn, float(k[i]), float(k[j]), h)
-        if gap_fn(x, y) < GAP_TOL:
-            x = float(np.mod(x, 2.0 * np.pi))
-            y = float(np.mod(y, 2.0 * np.pi))
-            e = float(model.energy(np.array([x]), np.array([y]), p)[0])
-            zone = 0.0 if e < np.pi / 2.0 else np.pi
-            if not any(_close_mod(x, q[0][0]) and _close_mod(y, q[0][1])
-                       and zone == q[1] for q in out):
-                out.append(((x, y), zone))
-    return out
+    for idx in zip(*np.nonzero(is_min)):
+        q = _coordinate_descent(gap_fn, [float(k[i]) for i in idx], h)
+        if gap_fn(q) < GAP_TOL:
+            q = [float(np.mod(c, 2.0 * np.pi)) for c in q]
+            zone = 0.0 if at(model.energy, q) < np.pi / 2.0 else np.pi
+            if not any(zone == z and all(map(_close_mod, q, kc))
+                       for kc, z in out):
+                out.append((q, zone))
+    return [(q[0] if dim == 1 else tuple(q), zone) for q, zone in out]
 
 
 def _close_mod(a: float, b: float, tol: float = 1e-5) -> bool:

@@ -17,6 +17,8 @@ from .errors import EmptyGrid, GaugeSingularity, ZeroGap
 
 GAP_FLOOR = 1e-14
 FD_STEP = 1e-5  # central-difference step for order-1 dimensionless momenta
+# d3/|d| from which the lower band state is taken in the north gauge
+GAUGE_SWITCH = 0.5
 
 
 @dataclass(frozen=True)
@@ -85,24 +87,6 @@ class QGT:
     def berry_curvature(self) -> float:
         return float(-2.0 * self.tensor[0, 1].imag)
 
-    def metric_det(self) -> float:
-        g = self.metric()
-        return float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-
-
-@dataclass(frozen=True)
-class DiracParams:
-    """Mass and dimensionality of a Dirac model."""
-
-    mass: float
-    dimension: int = 1
-
-    def __post_init__(self):
-        if not np.isfinite(self.mass):
-            raise ValueError("mass must be finite")
-        if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
-
 
 def dirac_d_1d(k: float, M: float) -> RealVec3:
     """d-vector of the 1D two-component Dirac model: d = (M, k, 0)."""
@@ -153,27 +137,38 @@ def eigenstate_lower_north(d: RealVec3) -> Spinor:
     return Spinor(-(d.x - 1j * d.y) / norm, (dn + d.z) / norm)
 
 
-def lower_band_state(d: RealVec3, switch_at: float = 0.5):
+def lower_band_state(d: RealVec3):
     """Lower eigenstate in whichever gauge is regular at this point.
 
-    Switches to the complementary gauge once d3/|d| exceeds ``switch_at`` to
-    avoid the 1/sqrt(d - d3) cancellation.  Returns (Spinor, gauge) where
+    Switches to the complementary gauge once d3/|d| reaches ``GAUGE_SWITCH``
+    to avoid the 1/sqrt(d - d3) cancellation.  Returns (Spinor, gauge) where
     gauge is "south" (d1 + i d2 in the lower component) or "north".
     """
     dn = d.norm()
     if dn < GAP_FLOOR:
         raise ZeroGap("gap closed: |d| = %.3e" % dn)
-    if d.z / dn < switch_at:
+    if d.z / dn < GAUGE_SWITCH:
         return eigenstate_lower(d), "south"
     return eigenstate_lower_north(d), "north"
 
 
-def berry_connection_1d(k: float, M: float) -> float:
-    """Berry connection <psi_-| i d_k |psi_-> = -M / (2 (M^2 + k^2))."""
-    d2 = M * M + k * k
-    if d2 < GAP_FLOOR ** 2:
-        raise ZeroGap("Dirac point at M = k = 0")
-    return -M / (2.0 * d2)
+def _off_dirac_point(d2, form):
+    """``form(d2)`` where |d|^2 = ``d2`` clears the gap floor and NaN where
+    it does not; a scalar ``d2`` below the floor raises ZeroGap instead."""
+    if np.ndim(d2) == 0:
+        if d2 < GAP_FLOOR ** 2:
+            raise ZeroGap("Dirac point at M = k = 0")
+        return float(form(d2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d2 < GAP_FLOOR ** 2, np.nan, form(d2))
+
+
+def berry_connection_1d(k, M):
+    """Berry connection <psi_-| i d_k |psi_-> = -M / (2 (M^2 + k^2)).
+
+    Array-capable; NaN at the Dirac point of an array, ZeroGap at a scalar.
+    """
+    return _off_dirac_point(M * M + k * k, lambda d2: -M / (2.0 * d2))
 
 
 def metric_1d(dk_dhat: RealVec3) -> float:
@@ -231,12 +226,16 @@ def dirac_qgt_2d(kx: float, ky: float, M: float) -> QGT:
     return QGT([[txx, txy], [np.conj(txy), tyy]])
 
 
-def berry_curvature_2d_dirac(kx: float, ky: float, M: float) -> float:
-    """Lower-band Berry curvature Omega_xy = M / (2 (M^2 + k^2)^{3/2})."""
-    d2 = M * M + kx * kx + ky * ky
-    if d2 < GAP_FLOOR ** 2:
-        raise ZeroGap("Dirac point at M = k = 0")
-    return M / (2.0 * d2 ** 1.5)
+def berry_curvature_2d_dirac(kx, ky, M):
+    """Lower-band Berry curvature Omega_xy = M / (2 (M^2 + k^2)^{3/2}).
+
+    Array-capable; NaN at the Dirac point of an array, ZeroGap at a scalar.
+    ``float_power`` gives every point the bits of a scalar ``d2 ** 1.5``;
+    an array ``** 1.5`` goes through numpy's SIMD pow, which can differ in
+    the last bit.
+    """
+    return _off_dirac_point(M * M + kx * kx + ky * ky,
+                            lambda d2: M / (2.0 * np.float_power(d2, 1.5)))
 
 
 def fidelity_susceptibility_1d_dirac(k: float, M: float) -> float:

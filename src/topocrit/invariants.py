@@ -36,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
+from .geometry import GAUGE_SWITCH
 from .walk1d import (WalkParams, _curvature_coeffs_1d, _curvature_terms_1d,
                      _half_angles, _zeta_terms_1d)
 from .walk2d import _zeta_phi_2d, beta_table_2d, trig_table_2d
@@ -248,9 +249,10 @@ class _TorusWork:
         The lower-band spinor is taken in the south gauge, |zeta| (n_z - 1,
         n_x + i n_y) = (zeta_z - |zeta|, zeta_x + i zeta_y), away from the
         north pole and in the north gauge, (-zeta_x + i zeta_y, zeta_z +
-        |zeta|), near it.  Each is the normalized state times a positive
-        factor, and neither a per-point gauge choice nor a positive factor
-        changes a plaquette phase.
+        |zeta|), from zeta_z = GAUGE_SWITCH |zeta| on, as in
+        ``geometry.lower_band_state``.  Each is the normalized state times a
+        positive factor, and neither a per-point gauge choice nor a positive
+        factor changes a plaquette phase.
 
         Link products around each plaquette give the lattice field strength;
         the loop holonomy is exp(-i flux), so the flux is minus the argument
@@ -262,7 +264,7 @@ class _TorusWork:
         zx, zy, zz = zeta
         up, dn, south, zn = self.up, self.dn, self.south, self.zn
         np.sqrt(self.n2, out=zn)
-        np.multiply(zn, 0.5, out=self.tmp)
+        np.multiply(zn, GAUGE_SWITCH, out=self.tmp)
         np.less(zz, self.tmp, out=south)
         # the north gauge everywhere, then the south gauge where it applies
         np.negative(zx, out=up.real)

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import AtCriticality, FlatDegenerate, ZeroGap
 from .geometry import GAP_FLOOR, RealVec3, Spinor
 
-ARCCOS_CLAMP = 1e-12
 FLAT_FLOOR = 1e-12
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -207,11 +207,11 @@ def curvature_2d(q: Momentum2, p: WalkParams) -> float:
     return float(curvature_grid_2d(q.kx, q.ky, p))
 
 
-def curvature_grid_2d(kx, ky, p: WalkParams, validate: bool = True):
+def curvature_grid_2d(kx, ky, p: WalkParams):
     """Curvature function on momentum arrays."""
     zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))
     n2 = zx * zx + zy * zy + zz * zz
-    if validate and np.min(n2) < GAP_FLOOR ** 2:
+    if np.min(n2) < GAP_FLOOR ** 2:
         raise ZeroGap("gap closed on the requested grid")
     with np.errstate(divide="ignore", invalid="ignore"):
         return phi / n2 ** 1.5
@@ -224,27 +224,6 @@ def _curvature_raw_2d(kx, ky, alpha, beta):
     zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), ka, la, kb, lb)
     with np.errstate(divide="ignore", invalid="ignore"):
         return phi / (zx * zx + zy * zy + zz * zz) ** 1.5
-
-
-def diagonal_slice_curvature(delta, p: WalkParams):
-    """Curvature along the ky = -kx slice, offset delta from the peak.
-
-    Samples F(pi/2 + delta, -pi/2 - delta); array-capable.
-    """
-    kx = PEAK_KX + np.asarray(delta, dtype=float)
-    ky = -PEAK_KX - np.asarray(delta, dtype=float)
-    out = curvature_grid_2d(kx, ky, p)
-    return out
-
-
-def axis_slice_curvature(delta, p: WalkParams, axis: str = "x"):
-    """Curvature along a single momentum axis through the slice peak."""
-    delta = np.asarray(delta, dtype=float)
-    if axis == "x":
-        return curvature_grid_2d(PEAK_KX + delta, -PEAK_KX + 0.0 * delta, p)
-    if axis == "y":
-        return curvature_grid_2d(PEAK_KX + 0.0 * delta, -PEAK_KX + delta, p)
-    raise ValueError("axis must be 'x' or 'y'")
 
 
 def peak_asymptotics_2d(p: WalkParams):

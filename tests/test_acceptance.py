@@ -34,8 +34,7 @@ from topocrit.invariants import (chern_number_2d, chern_plaquette,
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import (peak_asymptotics_1d, rotated_curvature_1d,
                              rotated_eigenstate_lower, rotated_zeta_1d)
-from topocrit.walk2d import (axis_slice_curvature, curvature_grid_2d,
-                             diagonal_slice_curvature, energy_grid_2d,
+from topocrit.walk2d import (PEAK_KX, curvature_grid_2d, energy_grid_2d,
                              zeta_components_2d)
 
 RNG = np.random.default_rng(2024)
@@ -330,12 +329,15 @@ def test_criterion_8_correlation_decay_1d():
 
 
 def _fit_axis_width(p, axis):
+    # along one momentum axis through the slice peak
+    ux, uy = (1.0, 0.0) if axis == "x" else (0.0, 1.0)
     rad = 0.1
     xi = 1.0
     for _ in range(2):
         d = np.linspace(-rad, rad, 31)
         d = d[np.abs(d) > 1e-12]
-        _, xi2, _ = _linearized_fit(d, axis_slice_curvature(d, p, axis=axis), 0.0)
+        f = curvature_grid_2d(PEAK_KX + ux * d, -PEAK_KX + uy * d, p)
+        _, xi2, _ = _linearized_fit(d, f, 0.0)
         xi = np.sqrt(abs(xi2))
         rad = min(0.5 / max(xi, 1e-12), 0.1)
     return xi
@@ -347,7 +349,8 @@ def _slice_width(p):
     for _ in range(2):
         d = np.linspace(-rad, rad, 31)
         d = d[np.abs(d) > 1e-12]
-        _, xi2, _ = _linearized_fit(d, diagonal_slice_curvature(d, p), 0.0)
+        f = WALK_2D.peak_profile(WALK_2D.slice_peak(), d, p)
+        _, xi2, _ = _linearized_fit(d, f, 0.0)
         xi = np.sqrt(abs(xi2))
         rad = min(0.5 / max(xi, 1e-12), 0.1)
     return xi

@@ -308,6 +308,13 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["invariant"], {"strict": "no"}, "strict"),
     (["exponents", "--points", "9"], None, "points"),
     (["invariant", "--model", "walk1d", "--alpha=0.3,0.9"], None, "alpha"),
+    (["phase-diagram", "--model", "walk1d", "--alpha=0.3,0.9"], None, "alpha"),
+    (["phase-diagram", "--beta", "0.5"], None, "beta"),
+    (["phase-diagram"], {"beta": 0.0}, "beta"),
+    (["crg", "--alpha", "0.3"], None, "alpha"),
+    (["crg"], {"beta": 1.0}, "beta"),
+    (["exponents", "--alpha", "0.3"], None, "alpha"),
+    (["exponents"], {"alpha": [0.3]}, "alpha"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):

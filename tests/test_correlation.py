@@ -9,7 +9,8 @@ from topocrit.criticality import _linearized_fit
 from topocrit.errors import InsufficientDecade, UndersampledPeak
 from topocrit.invariants import winding_number_1d
 from topocrit.walk1d import peak_asymptotics_1d, rotated_curvature_1d
-from topocrit.walk2d import axis_slice_curvature, curvature_grid_2d
+from topocrit.models import WALK_2D
+from topocrit.walk2d import PEAK_KX, curvature_grid_2d
 
 
 def _series(values):
@@ -104,11 +105,14 @@ def test_series_1d_decay_grows_toward_criticality():
 # --- 2D series ---
 
 def _axis_width(p, axis):
+    # along one momentum axis through the slice peak
+    ux, uy = (1.0, 0.0) if axis == "x" else (0.0, 1.0)
     rad = 0.1
     for _ in range(2):
         d = np.linspace(-rad, rad, 31)
         d = d[np.abs(d) > 1e-12]
-        _, xi2, _ = _linearized_fit(d, axis_slice_curvature(d, p, axis=axis), 0.0)
+        f = curvature_grid_2d(PEAK_KX + ux * d, -PEAK_KX + uy * d, p)
+        _, xi2, _ = _linearized_fit(d, f, 0.0)
         xi = np.sqrt(abs(xi2))
         rad = min(0.5 / max(xi, 1e-12), 0.1)
     return xi
@@ -134,8 +138,8 @@ def test_series_2d_envelope_decay_tracks_axis_widths():
     rad = min(0.5 / xi_x, 0.1)
     d = np.linspace(-rad, rad, 31)
     d = d[np.abs(d) > 1e-12]
-    from topocrit.walk2d import diagonal_slice_curvature
-    _, xi2_s, _ = _linearized_fit(d, diagonal_slice_curvature(d, p), 0.0)
+    f = WALK_2D.peak_profile(WALK_2D.slice_peak(), d, p)
+    _, xi2_s, _ = _linearized_fit(d, f, 0.0)
     xi_cross2 = (xi_x ** 2 + xi_y ** 2 - abs(xi2_s)) / 2.0
     det = xi_x ** 2 * xi_y ** 2 - xi_cross2 ** 2
     dual = (xi_x ** 2 + 2.0 * xi_cross2 + xi_y ** 2) / det

@@ -49,11 +49,19 @@ def test_gap_closings_1d_gapped():
 
 
 def test_gap_closings_2d_contains_slice_point():
+    # the full set at beta = pi/2, alpha = 0: the bands touch at kx in
+    # {pi/2, 3pi/2} for every ky in {0, pi/2, pi, 3pi/2}, at quasienergy 0
+    # for ky = pi/2, 3pi/2 (the slice point (pi/2, -pi/2) among them) and
+    # pi otherwise
     out = find_gap_closings(WALK_2D, WalkParams(0.0, np.pi / 2), grid=96)
-    found = any(abs(k[0] - np.pi / 2) < 1e-4
-                and abs(k[1] - 3 * np.pi / 2) < 1e-4 and z == 0.0
-                for k, z in out)
-    assert found
+    want = [((a * np.pi / 2, b * np.pi / 2), 0.0 if b % 2 else np.pi)
+            for a in (1, 3) for b in range(4)]
+    assert len(out) == len(want)
+    for (kx, ky), zone in want:
+        # modulo 2 pi: one closing comes out at ky = 2 pi - 1e-9
+        assert sum(zone == z and all(abs(np.angle(np.exp(1j * (c - w)))) < 1e-6
+                                     for c, w in zip(k, (kx, ky)))
+                   for k, z in out) == 1
 
 
 def test_gap_closings_requires_grid():

@@ -10,6 +10,7 @@ from topocrit import (
     metric_det_2d, qgt_2d, qgt_finite_difference,
 )
 from topocrit.errors import EmptyGrid
+from topocrit.geometry import GAP_FLOOR
 from topocrit.walk1d import WalkParams, rotated_curvature_1d
 
 RNG = np.random.default_rng(42)
@@ -34,16 +35,6 @@ def test_dirac_d_1d_components():
 def test_realvec3_normalized_unit():
     v = RealVec3(3.0, 4.0, 12.0).normalized()
     assert abs(v.norm() - 1.0) < 1e-12
-
-
-def test_dirac_params_validation():
-    from topocrit import DiracParams
-    p = DiracParams(0.5, dimension=2)
-    assert p.mass == 0.5
-    with pytest.raises(ValueError):
-        DiracParams(float("inf"))
-    with pytest.raises(ValueError):
-        DiracParams(1.0, dimension=3)
 
 
 def test_spinor_norm_contract():
@@ -184,6 +175,45 @@ def test_berry_curvature_2d_dirac_values():
     assert abs(berry_curvature_2d_dirac(0.0, 0.0, 1.0) - 0.5) < 1e-15
     assert abs(berry_curvature_2d_dirac(0.0, 0.0, -1.0) + 0.5) < 1e-15
     assert berry_curvature_2d_dirac(3.0, 4.0, 0.0) == 0.0
+
+
+def dirac_reference(k, M, dimension):
+    """The 1D Dirac connection or the 2D Dirac curvature at ky = 0, one
+    Python-float expression per momentum, NaN where |d|^2 is below the gap
+    floor."""
+    out = []
+    for kk in k.tolist():
+        d2 = M * M + kk * kk
+        if d2 < GAP_FLOOR ** 2:
+            out.append(float("nan"))
+        elif dimension == 1:
+            out.append(-M / (2.0 * d2))
+        else:
+            out.append(M / (2.0 * d2 ** 1.5))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("M", [1.0, 0.3, -0.7, 0.0, 1e-15, 2.5e-3])
+def test_dirac_arrays_match_per_point_reference(M):
+    # bit for bit: an array ** 1.5 through numpy's SIMD pow differs from
+    # the scalar pow in the last bit at some of these points
+    for k in (np.linspace(-10.0, 10.0, 4097), np.linspace(-0.5, 0.5, 64)):
+        np.testing.assert_array_equal(berry_connection_1d(k, M),
+                                      dirac_reference(k, M, 1))
+        np.testing.assert_array_equal(berry_curvature_2d_dirac(k, 0.0, M),
+                                      dirac_reference(k, M, 2))
+
+
+def test_dirac_point_nan_in_arrays_zero_gap_at_scalars():
+    k = np.array([-1.0, 0.0, 1.0])
+    assert np.isnan(berry_connection_1d(k, 0.0)).tolist() == [False, True, False]
+    om = berry_curvature_2d_dirac(k, np.zeros(3), 0.0)
+    assert np.isnan(om).tolist() == [False, True, False]
+    with pytest.raises(ZeroGap):
+        berry_connection_1d(0.0, 0.0)
+    with pytest.raises(ZeroGap):
+        berry_curvature_2d_dirac(0.0, 0.0, 1e-15)
+    assert isinstance(berry_curvature_2d_dirac(0.3, 0.2, 1.0), float)
 
 
 def test_metric_det_equals_quarter_curvature_squared():

@@ -8,8 +8,9 @@ from topocrit import (
 )
 from topocrit.geometry import berry_curvature_fd
 from topocrit.walk1d import reconstruct_unitary
-from topocrit.walk2d import (axis_slice_curvature, diagonal_slice_curvature,
-                             min_gap_2d, rho_2d, zeta_components_2d)
+from topocrit.models import WALK_2D
+from topocrit.walk2d import (PEAK_KX, curvature_grid_2d, min_gap_2d, rho_2d,
+                             zeta_components_2d)
 
 RNG = np.random.default_rng(11)
 
@@ -129,8 +130,8 @@ def test_curvature_sign_flip_across_critical_alpha():
 def test_curvature_even_along_slice():
     p = WalkParams(0.4, np.pi / 2)
     for d in (0.05, 0.2, 0.6):
-        fp = diagonal_slice_curvature(np.array([+d]), p)[0]
-        fm = diagonal_slice_curvature(np.array([-d]), p)[0]
+        fp = WALK_2D.peak_profile(WALK_2D.slice_peak(), np.array([+d]), p)[0]
+        fm = WALK_2D.peak_profile(WALK_2D.slice_peak(), np.array([-d]), p)[0]
         assert abs(fp - fm) < 1e-10
 
 
@@ -195,10 +196,15 @@ def test_axis_slice_profiles_share_peak_value():
     # same center value along either axis; the widths differ (the peak is an
     # anisotropic, tilted Lorentzian), with the y width the larger one
     p = WalkParams(0.3, np.pi / 2)
-    fx0 = axis_slice_curvature(np.array([0.0]), p, axis="x")[0]
-    fy0 = axis_slice_curvature(np.array([0.0]), p, axis="y")[0]
+
+    def along(ux, uy, d):
+        d = np.array([d])
+        return curvature_grid_2d(PEAK_KX + ux * d, -PEAK_KX + uy * d, p)[0]
+
+    fx0 = along(1.0, 0.0, 0.0)
+    fy0 = along(0.0, 1.0, 0.0)
     assert abs(fx0 - fy0) < 1e-12
     d = 0.02
-    wing_x = axis_slice_curvature(np.array([d]), p, axis="x")[0]
-    wing_y = axis_slice_curvature(np.array([d]), p, axis="y")[0]
+    wing_x = along(1.0, 0.0, d)
+    wing_y = along(0.0, 1.0, d)
     assert abs(wing_y) < abs(wing_x) < abs(fx0)
