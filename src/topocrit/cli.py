@@ -170,12 +170,21 @@ KINDS = {
        for key in ("beta", "kc", "threshold", "mass", "kmax")},
     **{key: (_is_integer, "an integer") for key in MINIMA},
 }
-# options taken from the flags and --config only when given
-PASSTHROUGH = ("grid", "window", "points", "kc", "rmax", "threshold",
-               "mass", "kmax", "inner-grid")
-# angles a command does not read: giving one is an error, not a no-op
-UNREAD = {"exponents": ("alpha",), "crg": ("alpha", "beta"),
-          "phase-diagram": ("alpha", "beta")}
+# the options each command reads besides model, out and strict; giving any
+# other option, by flag or by --config, is an error, not a no-op
+READS = {
+    "curvature": ("alpha", "beta", "grid", "mass", "kmax"),
+    "exponents": ("beta", "window", "points", "kc"),
+    "correlation": ("alpha", "beta", "grid", "rmax"),
+    "crg": ("grid", "threshold"),
+    "invariant": ("alpha", "beta", "grid"),
+    "phase-diagram": ("grid", "inner-grid"),
+}
+# options that a model does not read, whatever the command
+UNREAD_BY_MODEL = {"walk1d": ("mass", "kmax"),
+                   "walk2d": ("mass", "kmax", "kc"),
+                   "dirac1d": ("alpha", "beta"),
+                   "dirac2d": ("alpha", "beta")}
 
 
 def _defaults(merged: dict, command: str) -> dict:
@@ -188,7 +197,9 @@ def _defaults(merged: dict, command: str) -> dict:
         "strict": merged.get("strict", False),
         "out": merged.get("out", "topocrit_%s" % command),
     }
-    out.update((key, merged[key]) for key in PASSTHROUGH if key in merged)
+    # the other options a command reads are taken only when given
+    out.update((key, merged[key]) for key in READS[command]
+               if key in merged and key not in out)
     if _is_number(out["alpha"]):
         out["alpha"] = [float(out["alpha"])]
     for key, value in out.items():
@@ -201,12 +212,15 @@ def _defaults(merged: dict, command: str) -> dict:
     if command == "invariant" and len(out["alpha"]) > 1:
         raise ValueError("alpha must be a single angle for invariant, got %r"
                          % (out["alpha"],))
-    for key in UNREAD.get(command, ()):
-        if key in merged:
-            raise ValueError("%s is not read by %s, got %r"
-                             % (key, command, merged[key]))
     if model not in (CURVATURE_MODELS if command == "curvature" else WALKS):
         raise ValueError("model %r is not available for %s" % (model, command))
+    for key, value in merged.items():
+        if key not in ("model", "out", "strict") + READS[command]:
+            raise ValueError("%s is not read by %s, got %r"
+                             % (key, command, value))
+        if key in UNREAD_BY_MODEL[model]:
+            raise ValueError("%s is not read by %s --model %s, got %r"
+                             % (key, command, model, value))
     return out
 
 
@@ -359,20 +373,24 @@ def cmd_crg(cfg: dict) -> int:
     model = WALKS[cfg["model"]]
     grid = int(cfg.get("grid", 128))
     threshold = float(cfg.get("threshold", crg.DETECT_RATE_THRESHOLD))
-    field = crg.flow_field(model, grid=grid)
     base = cfg["out"]
     echo = _config_echo(cfg)
-    coords = _grid_columns(field.alphas, field.betas)
-    for idx, hsp in enumerate(field.hsps):
+    lines = []
+    # one high-symmetry point at a time: its field is written, searched
+    # for lines and dropped before the next one is evaluated
+    for idx, hsp in enumerate(model.hsps()):
+        field = crg.flow_field(model, grid=grid, hsps=[hsp])
         key = crg._hsp_key(hsp)
-        columns = {**coords,
+        columns = {**_grid_columns(field.alphas, field.betas),
                    "dalpha_dl": field.dalpha[key].ravel(),
                    "dbeta_dl": field.dbeta[key].ravel(),
                    "log_rate": field.log_rate[key].ravel(),
                    "diverged": field.diverged[key].ravel()}
         _write_table(cfg, _outpath(base, ".csv", "_hsp%d" % idx),
                      {**echo, "hsp": list(key)}, columns, Counter())
-    lines = crg.detect_critical_lines(field, rate_threshold=threshold)
+        del columns
+        lines += crg.detect_critical_lines(field, rate_threshold=threshold)
+        del field
     payload = {"critical_lines": [
         {"hsp": list(line.hsp),
          "vertices": [[float(a), float(b)] for a, b in line.vertices]}

@@ -224,9 +224,14 @@ def detect_critical_lines(field: FlowField,
     cell per column (or row, for near-vertical lines) at the maximum of the
     curvature magnitude, which increases monotonically toward the boundary.
 
+    Each component is visited through its bounding box, so a grid pass is
+    made per HSP, not per component.
+
     Returns:
         list of CriticalLine, one per surviving component per HSP.
     """
+    from scipy import ndimage
+
     lines = []
     for hsp in field.hsps:
         key = _hsp_key(hsp)
@@ -246,25 +251,28 @@ def detect_critical_lines(field: FlowField,
             continue
         lab = _periodic_label(cand)
         height = np.where(np.isfinite(f0), f0, np.inf)
-        for lb in np.unique(lab):
-            if lb == 0:
+        sizes = np.bincount(lab.ravel())
+        # labels in ascending order; a label that no cell kept has no box
+        for lb, box in enumerate(ndimage.find_objects(lab), start=1):
+            if box is None or sizes[lb] < MIN_COMPONENT_CELLS:
                 continue
-            mask = lab == lb
-            if mask.sum() < MIN_COMPONENT_CELLS:
-                continue
-            rows = np.unique(np.nonzero(mask)[0])
-            cols = np.unique(np.nonzero(mask)[1])
+            mask = lab[box] == lb
+            box_height = height[box]
+            alphas = field.alphas[box[0]]
+            betas = field.betas[box[1]]
+            rows = np.flatnonzero(mask.any(axis=1))
+            cols = np.flatnonzero(mask.any(axis=0))
             verts = []
             if len(cols) >= len(rows):
                 for j in cols:
-                    ii = np.nonzero(mask[:, j])[0]
-                    i = ii[np.argmax(height[ii, j])]
-                    verts.append((field.alphas[i], field.betas[j]))
+                    ii = np.flatnonzero(mask[:, j])
+                    i = ii[np.argmax(box_height[ii, j])]
+                    verts.append((alphas[i], betas[j]))
             else:
                 for i in rows:
-                    jj = np.nonzero(mask[i, :])[0]
-                    j = jj[np.argmax(height[i, jj])]
-                    verts.append((field.alphas[i], field.betas[j]))
+                    jj = np.flatnonzero(mask[i, :])
+                    j = jj[np.argmax(box_height[i, jj])]
+                    verts.append((alphas[i], betas[j]))
             lines.append(CriticalLine(key, np.array(verts)))
     return lines
 

@@ -81,17 +81,21 @@ def _coordinate_descent(gap_fn, k0, h: float):
 def find_gap_closings(model, p: WalkParams, grid: int = 128):
     """Locate all gap closings of a walk at fixed parameters.
 
-    Scans min(E, pi - E) on a uniform grid over every momentum axis, refines
+    Scans |zeta| = sin E on a uniform grid over every momentum axis, refines
     every local minimum (no larger than any of its 3^d - 1 neighbours), and
-    keeps those below 1e-8.  Returns a list of (k_c, zone) where k_c is a
-    float in 1D and a pair in 2D, and zone is 0 or pi according to which
-    quasienergy the bands touch at; the list is empty for gapped parameters.
+    keeps those below ``GAP_TOL``.  |zeta| is sin of the gap min(E, pi - E),
+    so it has the same minima; unlike the arccos quasienergy, which rounds a
+    closed gap to about 1.5e-8, it resolves a closing down to rounding.
+    Returns a list of (k_c, zone) where k_c is a float in 1D and a pair in
+    2D, and zone is 0 or pi according to which quasienergy the bands touch
+    at; the list is empty for gapped parameters.
     """
     if grid < 64:
         raise ValueError("grid must be at least 64 points per axis")
     dim = model.dimension
     k = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    gap = np.asarray(model.gap(*np.meshgrid(*[k] * dim, indexing="ij"), p))
+    gap = np.asarray(model.zeta_norm(*np.meshgrid(*[k] * dim, indexing="ij"),
+                                     p))
     h = 2.0 * np.pi / grid
     is_min = np.ones_like(gap, dtype=bool)
     for shift in itertools.product((-1, 0, 1), repeat=dim):
@@ -102,7 +106,7 @@ def find_gap_closings(model, p: WalkParams, grid: int = 128):
         return float(fn(*(np.array([c]) for c in q), p)[0])
 
     def gap_fn(q):
-        return at(model.gap, q)
+        return at(model.zeta_norm, q)
 
     out = []
     for idx in zip(*np.nonzero(is_min)):

@@ -29,9 +29,10 @@ class Walk1D:
         return walk1d.energy_1d(k, p)
 
     @staticmethod
-    def gap(k, p: WalkParams):
-        e = walk1d.energy_1d(k, p)
-        return np.minimum(e, np.pi - e)
+    def zeta_norm(k, p: WalkParams):
+        """|zeta| = sin E, from the axis components; see ``Walk2D``."""
+        zx, zy, zz = walk1d.zeta_components_1d(k, p)
+        return np.sqrt(zx * zx + zy * zy + zz * zz)
 
     @staticmethod
     def curvature(k, p: WalkParams):
@@ -75,9 +76,15 @@ class Walk2D:
         return walk2d.energy_grid_2d(kx, ky, p)
 
     @staticmethod
-    def gap(kx, ky, p: WalkParams):
-        e = walk2d.energy_grid_2d(kx, ky, p)
-        return np.minimum(e, np.pi - e)
+    def zeta_norm(kx, ky, p: WalkParams):
+        """|zeta| = sin E, from the axis components.
+
+        It vanishes where the bands touch at quasienergy 0 or pi and
+        resolves a closing down to rounding, while the arccos of the
+        quasienergy resolves the gap min(E, pi - E) only to about 1.5e-8.
+        """
+        zx, zy, zz = walk2d.zeta_components_2d(kx, ky, p)
+        return np.sqrt(zx * zx + zy * zy + zz * zz)
 
     @staticmethod
     def curvature(kx, ky, p: WalkParams):

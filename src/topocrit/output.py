@@ -13,6 +13,11 @@ is written as it is.  Such a column holds values already formatted with
 distinct axis value is formatted once instead of once per row and the rows
 share its string; it writes the same bytes as the float column it stands
 for.
+
+Rows are formatted one slice of ``CSV_CHUNK_ROWS`` rows at a time: only that
+slice of each column is converted to Python values (``.tolist()``), so the
+memory a write takes beyond its columns does not grow with the row count.
+The bytes are those of formatting every row at once.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FMT = "%.17g"
+# rows converted and formatted per slice of the columns
+CSV_CHUNK_ROWS = 1 << 14
 
 
 def header_comment(version: str, config: dict) -> str:
@@ -45,11 +52,14 @@ def write_csv(path, version: str, config: dict, columns) -> None:
     one row per array index."""
     arrays = [np.asarray(col) for col in columns.values()]
     row_fmt = ",".join(map(_conversion, arrays)) + "\n"
-    values = [col.tolist() for col in arrays]
+    n_rows = min((len(col) for col in arrays), default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header_comment(version, config) + "\n")
         fh.write(",".join(columns) + "\n")
-        fh.writelines(row_fmt % row for row in zip(*values))
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            values = [col[start:start + CSV_CHUNK_ROWS].tolist()
+                      for col in arrays]
+            fh.writelines(row_fmt % row for row in zip(*values))
 
 
 def _jsonify(obj):

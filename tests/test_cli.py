@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -10,10 +11,11 @@ import pytest
 
 import topocrit
 from topocrit import correlation, crg, invariants, walk1d
-from topocrit.cli import _grid_columns, main
+from topocrit.cli import (WALKS, _config_echo, _defaults, _grid_columns,
+                          _merge_config, build_parser, main)
 from topocrit.errors import TopocritError
 from topocrit.models import WALK_1D
-from topocrit.output import write_csv
+from topocrit.output import write_csv, write_json
 from topocrit.walk1d import WalkParams
 from topocrit.walk2d import peak_asymptotics_2d
 
@@ -93,8 +95,8 @@ def test_curvature_alpha_sweep_one_file_each(tmp_path):
 def test_curvature_dirac_models(tmp_path):
     for model in ("dirac1d", "dirac2d"):
         out = tmp_path / ("%s.csv" % model)
-        rc = main(["curvature", "--model", model, "--alpha", "0", "--grid",
-                   "64", "--out", str(out)])
+        rc = main(["curvature", "--model", model, "--grid", "64",
+                   "--out", str(out)])
         assert rc == 0
         assert len(read_lines(out)) == 2 + 64
 
@@ -315,6 +317,19 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["crg"], {"beta": 1.0}, "beta"),
     (["exponents", "--alpha", "0.3"], None, "alpha"),
     (["exponents"], {"alpha": [0.3]}, "alpha"),
+    (["curvature", "--model", "dirac1d", "--alpha", "0.3"], None, "alpha"),
+    (["curvature", "--model", "dirac2d"], {"beta": 0.5}, "beta"),
+    (["curvature", "--model", "walk1d", "--mass", "2"], None, "mass"),
+    (["curvature", "--model", "walk2d", "--kmax", "5"], None, "kmax"),
+    (["exponents", "--model", "walk2d", "--kc", "0"], None, "kc"),
+    (["exponents", "--grid", "64"], None, "grid"),
+    (["correlation"], {"inner-grid": 8}, "inner-grid"),
+    (["crg"], {"rmax": 3}, "rmax"),
+    (["phase-diagram"], {"threshold": 3.0}, "threshold"),
+    (["invariant", "--model", "walk1d"],
+     {"threshold": 5, "kc": 3.0, "mass": 2.0}, "threshold"),
+    (["invariant"], {"points": 12}, "points"),
+    (["invariant"], {"colour": "red"}, "colour"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):
@@ -329,6 +344,20 @@ def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         ["cfg.json"] if config is not None else [])
+
+
+def test_benchmark_commands_are_valid(monkeypatch):
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for workload in run.WORKLOADS.values():
+        for smoke in (False, True):
+            for argv in workload(8803, smoke):
+                args = build_parser().parse_args(argv)
+                _defaults(_merge_config(args), args.command)
 
 
 # --- CSV byte format ---
@@ -371,6 +400,44 @@ def test_csv_bytes_crg_bool_column(tmp_path):
             ("alpha", "beta", "dalpha_dl", "dbeta_dl", "log_rate",
              "diverged"), rows)
         assert _table_bytes(tmp_path / ("flow_hsp%d.csv" % idx)) == expected
+
+
+@pytest.mark.parametrize("model", ["walk1d", "walk2d"])
+def test_crg_files_match_the_field_of_every_hsp_at_once(tmp_path, model):
+    # crg evaluates, writes and searches one high-symmetry point at a time;
+    # its files are those of one field holding every HSP
+    grid = 64
+    argv = ["crg", "--model", model, "--grid", str(grid),
+            "--out", str(tmp_path / "run" / "flow")]
+    (tmp_path / "run").mkdir()
+    assert main(argv) == 0
+    echo = _config_echo(_defaults(_merge_config(build_parser().parse_args(
+        argv)), "crg"))
+    field = crg.flow_field(WALKS[model], grid=grid)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for idx, hsp in enumerate(field.hsps):
+        key = crg._hsp_key(hsp)
+        write_csv(ref / ("flow_hsp%d.csv" % idx), topocrit.__version__,
+                  {**echo, "hsp": list(key)},
+                  {**_grid_columns(field.alphas, field.betas),
+                   "dalpha_dl": field.dalpha[key].ravel(),
+                   "dbeta_dl": field.dbeta[key].ravel(),
+                   "log_rate": field.log_rate[key].ravel(),
+                   "diverged": field.diverged[key].ravel()})
+    lines = crg.detect_critical_lines(field)
+    assert lines
+    write_json(ref / "flow.json", topocrit.__version__, echo,
+               {"critical_lines": [
+                   {"hsp": list(line.hsp),
+                    "vertices": [[float(a), float(b)]
+                                 for a, b in line.vertices]}
+                   for line in lines]})
+    names = sorted(p.name for p in ref.iterdir())
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "run" / name).read_bytes() == (
+            ref / name).read_bytes(), name
 
 
 def test_csv_bytes_correlation_int_column(tmp_path):

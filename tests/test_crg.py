@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from topocrit import WalkParams
-from topocrit.crg import (FlowField, _hsp_key, detect_critical_lines,
+from topocrit.crg import (MIN_COMPONENT_CELLS, NUMERATOR_FLOOR,
+                          PEAK_SINGULAR, FlowField, _hsp_key,
+                          _periodic_label, detect_critical_lines,
                           flow_field, rg_step, walk_curvature_callback)
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import rotated_curvature_1d
@@ -242,3 +244,58 @@ def test_detect_threshold_robustness():
     cell = field.cell
     for key in shared:
         assert abs(lo_map[key] - hi_map[key]) <= cell + 1e-12
+
+
+def _full_grid_lines(field, rate_threshold):
+    """Reference detection: one full-grid mask per component label."""
+    out = []
+    for hsp in field.hsps:
+        key = _hsp_key(hsp)
+        f0 = field.peak_height[key]
+        with np.errstate(invalid="ignore"):
+            min_rate = np.minimum(np.abs(field.dalpha[key]),
+                                  np.abs(field.dbeta[key]))
+        cand = (~np.isfinite(f0) | (f0 > PEAK_SINGULAR)
+                | (np.isfinite(min_rate) & (min_rate >= rate_threshold)
+                   & (field.scaling_response[key] >= NUMERATOR_FLOOR)))
+        if not cand.any():
+            continue
+        lab = _periodic_label(cand)
+        height = np.where(np.isfinite(f0), f0, np.inf)
+        for lb in np.unique(lab):
+            mask = lab == lb
+            if lb == 0 or mask.sum() < MIN_COMPONENT_CELLS:
+                continue
+            rows, cols = (np.unique(ix) for ix in np.nonzero(mask))
+            verts = []
+            if len(cols) >= len(rows):
+                for j in cols:
+                    ii = np.nonzero(mask[:, j])[0]
+                    verts.append((field.alphas[ii[np.argmax(height[ii, j])]],
+                                  field.betas[j]))
+            else:
+                for i in rows:
+                    jj = np.nonzero(mask[i, :])[0]
+                    verts.append((field.alphas[i],
+                                  field.betas[jj[np.argmax(height[i, jj])]]))
+            out.append((key, np.array(verts)))
+    return out
+
+
+@pytest.mark.parametrize("make_field, threshold", [
+    (lambda: flow_field(WALK_1D, grid=128), 30.0),
+    (lambda: flow_field(WALK_1D, grid=64), 3.0),
+    (lambda: flow_field(WALK_2D, grid=96), 30.0),
+    (lambda: flow_field(WALK_2D, grid=64), 300.0),
+    (_synthetic_field, 50.0),
+], ids=["walk1d-128", "walk1d-64-t3", "walk2d-96", "walk2d-64-t300",
+        "synthetic"])
+def test_detect_bounding_boxes_match_full_grid_masks(make_field, threshold):
+    # same components in the same order, and bit-identical vertices
+    field = make_field()
+    lines = detect_critical_lines(field, rate_threshold=threshold)
+    want = _full_grid_lines(field, threshold)
+    assert lines
+    assert [line.hsp for line in lines] == [key for key, _ in want]
+    for line, (_, verts) in zip(lines, want):
+        assert line.vertices.tobytes() == verts.tobytes()

@@ -6,7 +6,7 @@ from topocrit.criticality import (extract_exponents, find_gap_closings,
                                   fit_lorentzian, flip_test, sample_peak)
 from topocrit.errors import PoorFit, WindowTouchesCriticality
 from topocrit.models import WALK_1D, WALK_2D
-from topocrit.walk1d import peak_asymptotics_1d
+from topocrit.walk1d import gap_distances, peak_asymptotics_1d
 
 RNG = np.random.default_rng(3)
 
@@ -42,6 +42,21 @@ def test_gap_closings_1d_both_zones():
     zones = {(round(k, 6), z) for k, z in out}
     assert (0.0, 0.0) in zones
     assert (round(np.pi, 6), np.pi) in zones
+
+
+@pytest.mark.parametrize("alpha, beta, k_c", [
+    (0.3, -0.3, 0.0), (0.3, 0.3, np.pi), (-1.1, 1.1, 0.0),
+])
+def test_gap_closings_1d_where_arccos_rounds_the_gap_away(alpha, beta, k_c):
+    # at (0.3, +-0.3) the arccos quasienergy gives a gap of 1.49e-8, above
+    # GAP_TOL, at the closing; |zeta| resolves it
+    p = WalkParams(alpha, beta)
+    assert min(gap_distances(p)) == 0.0
+    out = find_gap_closings(WALK_1D, p)
+    assert len(out) == 1
+    k, zone = out[0]
+    assert abs(np.angle(np.exp(1j * (k - k_c)))) < 1e-9
+    assert zone == k_c
 
 
 def test_gap_closings_1d_gapped():
