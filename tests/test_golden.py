@@ -1,0 +1,148 @@
+"""Golden-output gate: the SHA-256 of every file each command writes for a
+fixed set of small configurations.
+
+Of the two ways to pin such hashes, exact bytes on a pinned numpy build or
+values rounded to a stated precision, this test takes the first: it hashes
+the files byte for byte, as the CLI writes them, and runs only on the numpy
+release the hashes were recorded with (``RECORDED_NUMPY``).  Other numpy
+releases may round the kernels' last bits differently; there the test is
+skipped, and the output encoder's byte contract is still checked by
+``tests/test_output.py`` against Python's own formatting.
+
+When an output changes on purpose, record the new hashes in the same change
+and say in CHANGES.md which files changed and why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from topocrit.cli import main
+
+RECORDED_NUMPY = "2.4."
+
+# (case id, argv without --out, exit code); every case writes its files
+# under the output name "out"
+CASES = [
+    ("curvature-walk1d", ["curvature", "--model", "walk1d", "--alpha=0.3,0",
+                          "--beta", "0", "--grid", "64"], 2),
+    ("curvature-walk2d", ["curvature", "--model", "walk2d", "--alpha", "0.3",
+                          "--grid", "64"], 0),
+    ("curvature-dirac1d", ["curvature", "--model", "dirac1d", "--grid",
+                           "64"], 0),
+    ("curvature-dirac2d", ["curvature", "--model", "dirac2d", "--grid",
+                           "64"], 0),
+    ("exponents-walk1d-b0", ["exponents", "--model", "walk1d", "--beta",
+                             "0"], 0),
+    ("exponents-walk1d-b0.3", ["exponents", "--model", "walk1d", "--beta",
+                               "0.3"], 0),
+    ("exponents-walk2d", ["exponents", "--model", "walk2d"], 0),
+    ("correlation-walk1d", ["correlation", "--model", "walk1d", "--alpha",
+                            "0.2", "--beta", "0", "--rmax", "8", "--grid",
+                            "256"], 0),
+    ("correlation-walk2d", ["correlation", "--model", "walk2d", "--alpha",
+                            "0.2", "--rmax", "4", "--grid", "256"], 0),
+    ("invariant-walk1d", ["invariant", "--model", "walk1d", "--alpha", "0.3",
+                          "--beta", "1.0"], 0),
+    ("invariant-walk2d", ["invariant", "--model", "walk2d", "--alpha",
+                          "0.3"], 0),
+    ("crg-walk1d", ["crg", "--model", "walk1d", "--grid", "64"], 0),
+    ("crg-walk2d", ["crg", "--model", "walk2d", "--grid", "64"], 0),
+    # both diagrams hold NaN rows: ZeroGap, and QuantizationFailure in 2D
+    ("phase-diagram-walk1d", ["phase-diagram", "--model", "walk1d", "--grid",
+                              "9", "--inner-grid", "64"], 2),
+    ("phase-diagram-walk2d", ["phase-diagram", "--model", "walk2d", "--grid",
+                              "9", "--inner-grid", "32"], 2),
+]
+
+HASHES = {
+    "curvature-walk1d": {
+        "out_a0.csv":
+            "c2c6feaa118afaf3f91ada4bd7674e164f1c5ef0af33f4d5c43361ad6336ba85",
+        "out_a1.csv":
+            "243cfb082b020f5397999199019ff90f201eaea34a01bc663c516729c4b1e5cf",
+    },
+    "curvature-walk2d": {
+        "out.csv":
+            "c652ba6a6144a7b47af95adf633799ebf79f8a63f6b1976e6acff1d34ee96d1d",
+    },
+    "curvature-dirac1d": {
+        "out.csv":
+            "86e5725cf87981e14e7ff35e7b36d405dcc42f65207731b99ddf1b6f604880ba",
+    },
+    "curvature-dirac2d": {
+        "out.csv":
+            "0908debf9eeddf422dfe7b6d8d0ac810e610fc402e582f3dae8e85d5dd900b9f",
+    },
+    "exponents-walk1d-b0": {
+        "out.json":
+            "96d92d61619bdef2c7e8df71b788c7b4bb3a1dd818e4a28714d5a4f9b4781dc5",
+    },
+    "exponents-walk1d-b0.3": {
+        "out.json":
+            "db3e0e8f77e57e77a7162591758e8e801b5e55493771238d5827ef35acb3d57b",
+    },
+    "exponents-walk2d": {
+        "out.json":
+            "81a271b691089ec07e2f69274459cfeee674ff2836246f29d76c370bf57eceaf",
+    },
+    "correlation-walk1d": {
+        "out.csv":
+            "5c6a7d11e462b68ef5247680798043e87530090b7820f93f49df5711ddf6c327",
+    },
+    "correlation-walk2d": {
+        "out.csv":
+            "376e4a6e40b824ee4a0e39dc51178b21bd126f43170bad40ab7ae016656cef32",
+    },
+    "invariant-walk1d": {
+        "out.json":
+            "bdbf4d5d7964e814df60ee1bbe4ede6e79401c49c84b2992a03683ee8669d486",
+    },
+    "invariant-walk2d": {
+        "out.json":
+            "8c2e53634864650aeec2e16fb805e658ef6a52378807b1bf04d3f46fa4297ee2",
+    },
+    "crg-walk1d": {
+        "out.json":
+            "faf1b1ee8b1656bc9ae1506f55495b048bcf700e54abc5eb580870d887204fb0",
+        "out_hsp0.csv":
+            "2720193cc7d79148edac7da45fcc92f60e2ef1893eff7ceea95165b08e996bb6",
+        "out_hsp1.csv":
+            "4acb1e568aa8778f90b6817eb0fb200bf1d0804ef512254d1ebc7b5db64f1a17",
+    },
+    "crg-walk2d": {
+        "out.json":
+            "8ad8cfc5b91fed1840f84cc4b08332fcc974a14a7a2be4f948cf82f2917bb64a",
+        "out_hsp0.csv":
+            "0426e427c4f28ef465347977036cbc46d1f18a62259ab5b047e4c36ed42b46fb",
+        "out_hsp1.csv":
+            "51962dab43df7603073d62ddb34f5606485b2379fd85b9052b8984add8c467be",
+        "out_hsp2.csv":
+            "7fdc53893b0bdec901ba20e8506b5a68aed542d40f4cda4b86ec64c3fc6a8d27",
+        "out_hsp3.csv":
+            "d84cbd50ef5c8fd5369244f696c4752776c93dd54e355250b290e63ad606f848",
+    },
+    "phase-diagram-walk1d": {
+        "out.csv":
+            "cab69fa659591ef8cfebac84dda85a14379fd4682c8220c5be3f00665cb8cd54",
+    },
+    "phase-diagram-walk2d": {
+        "out.csv":
+            "e82470dd28b29b7fbe164fc6797f9b5085fca856129d5eb58c9eaff3ea2990f6",
+    },
+}
+
+
+@pytest.mark.skipif(not np.__version__.startswith(RECORDED_NUMPY),
+                    reason="golden hashes were recorded with numpy %s*"
+                    % RECORDED_NUMPY)
+@pytest.mark.parametrize("argv, code", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys, argv,
+                                     code, request):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out"]) == code
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == HASHES[request.node.callspec.id]
