@@ -29,7 +29,7 @@ from . import __version__, correlation, criticality, crg, invariants
 from . import geometry, walk1d, walk2d
 from .errors import TopocritError
 from .models import WALK_1D, WALK_2D
-from .output import FLOAT_FMT, write_csv, write_json
+from .output import Indexed, write_csv, write_json
 from .walk1d import WalkParams
 
 EXIT_OK = 0
@@ -273,12 +273,11 @@ def _write_table(cfg: dict, path: str, echo: dict, columns: dict,
 
 def _grid_columns(alphas, betas) -> dict:
     """The row-major ``alpha``/``beta`` columns of an (alpha, beta) grid, as
-    strings: each axis value is formatted once, not once per row, and every
-    row refers to that one string object."""
-    alphas = np.array([FLOAT_FMT % a for a in alphas.tolist()], dtype=object)
-    betas = np.array([FLOAT_FMT % b for b in betas.tolist()], dtype=object)
-    return {"alpha": np.repeat(alphas, len(betas)),
-            "beta": np.tile(betas, len(alphas))}
+    ``Indexed`` columns of the axis values: each value is encoded once per
+    file, not once per row."""
+    rows, cols = len(alphas), len(betas)
+    return {"alpha": Indexed(alphas, np.repeat(np.arange(rows), cols)),
+            "beta": Indexed(betas, np.tile(np.arange(cols), rows))}
 
 
 def _curvature_columns(cfg: dict, alpha: float) -> dict:

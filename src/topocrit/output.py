@@ -4,24 +4,46 @@ Every file opens with a comment line echoing the tool version and the full
 configuration, so identical configurations reproduce byte-identical files.
 
 A CSV table is passed column-wise: an ordered mapping from column name to a
-1-D array, all of one length.  The dtype of a column picks its conversion: a
-float column is rendered with ``FLOAT_FMT`` (17 significant digits: full
-precision, NaN as ``nan``, negative zero as ``-0``), a bool or integer column
-with ``%d`` (``1``/``0`` and plain digits), and an object column of ``str``
-is written as it is.  Such a column holds values already formatted with
-``FLOAT_FMT``, such as the grid coordinates of a parameter scan, where each
-distinct axis value is formatted once instead of once per row and the rows
-share its string; it writes the same bytes as the float column it stands
-for.
+1-D array, all of one length, or to an ``Indexed`` column.  The dtype of a
+column picks its conversion: a float column is written as Python's
+``FLOAT_FMT`` (``'%.17g'``: 17 significant digits, ``nan``, ``inf``,
+``-inf``, negative zero as ``-0``) writes it, a bool or integer column as
+``'%d'`` writes it (``1``/``0`` and plain digits).  An ``Indexed`` column
+holds the distinct values of a column and each row's index into them, such
+as the grid coordinates of a parameter scan: each distinct value is encoded
+once and the rows gather its bytes.
 
-Rows are formatted one slice of ``CSV_CHUNK_ROWS`` rows at a time: only that
-slice of each column is converted to Python values (``.tolist()``), so the
-memory a write takes beyond its columns does not grow with the row count.
-The bytes are those of formatting every row at once.
+The bytes are those of Python's formatting, made in numpy, one column and
+one chunk of ``CSV_CHUNK_ROWS`` rows at a time.  For a float x the encoder
+finds the 17 digits D and the decimal exponent E of ``'%.16e' % x``:
+
+- E is ``floor(log10|x|)``; |x|*10**(16 - E) is formed as a double-double
+  product (a Dekker two-product with a hi/lo table of the powers of ten,
+  built once from exact integer arithmetic), and E is corrected by one
+  where that product falls outside the decade [1e16, 1e17);
+- D is the product rounded half to even.  Where the power of ten is a
+  double (10**0 to 10**22) the product is exact and so is the rounding;
+  elsewhere the product is within 1e-14 of |x|*10**(16 - E), and a row
+  whose fraction lies within ``HALFWAY_MARGIN`` of one half takes D and E
+  from Python's ``'%.16e' % x`` instead, as does any |x| outside
+  [``ENCODE_MIN``, ``ENCODE_MAX``), subnormals included.  These fallback
+  rows are Python's own formatting, so they are right by construction;
+  random doubles almost never need one, and exact values (integers, powers
+  of ten) never do.
+
+D becomes ASCII through a table of all 4-digit groups, and each row is laid
+out as ``'%g'`` lays it out (fixed notation for -4 <= E < 17, otherwise
+``d.ddde+XX``, trailing zeros dropped) by gathering from its digits into a
+fixed-width canvas with a mask of the bytes to keep.  The canvases of a
+chunk's columns and the separators form one uint8 block per chunk, and one
+``np.compress`` over its mask gives the chunk's bytes.  The memory a write
+takes beyond its columns is that of one chunk, about 200 bytes per float
+cell, and does not grow with the row count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -29,8 +51,32 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FMT = "%.17g"
-# rows converted and formatted per slice of the columns
-CSV_CHUNK_ROWS = 1 << 14
+# rows encoded per chunk of the columns
+CSV_CHUNK_ROWS = 1 << 12
+# |x| outside [ENCODE_MIN, ENCODE_MAX) is formatted by Python: there the
+# Dekker splits of x or of the power of ten could under- or overflow
+ENCODE_MIN = 1e-280
+ENCODE_MAX = 1e300
+# an inexact product whose fraction is this near one half is formatted by
+# Python; the product's error is below 1e-14
+HALFWAY_MARGIN = 1e-9
+# the powers of ten 10**p of the table, P_MIN <= p <= P_MAX
+P_MIN, P_MAX = 16 - 300, 16 + 281
+# the decimal exponents of the exponent table, |E| <= E_MAX (subnormals
+# reach -324)
+E_MAX = 330
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+# The canvas of a float cell: the sign, '0.' and three zeros (fixed
+# notation below 0.1), the 17 digits of D each followed by a slot for the
+# decimal point, then 'e', the exponent's sign and three digits.  Every
+# cell has every slot; its layout is the mask of the slots it keeps.
+_TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"e+000"
+_FLOAT_WIDTH = len(_TEMPLATE)
+_LEAD, _DIGITS, _EXP = 1, 6, 39  # first slot of '0.000', of D, of 'e+000'
+_NEVER = 99  # a keep threshold no digit index reaches
+# layout classes: fixed notation for E = -4..16, exponent notation with
+# two and with three exponent digits, nan, inf and zero
+_SCI2, _SCI3, _NAN, _INF, _ZERO = 21, 22, 23, 24, 25
 
 
 def header_comment(version: str, config: dict) -> str:
@@ -38,28 +84,304 @@ def header_comment(version: str, config: dict) -> str:
     return "# topocrit %s config=%s" % (version, echo)
 
 
-def _conversion(column: np.ndarray) -> str:
-    """The %-conversion of one CSV column, picked by its dtype."""
-    if column.dtype.kind in "biu":
-        return "%d"
-    if column.dtype.kind == "O":
-        return "%s"
-    return FLOAT_FMT
+class Indexed:
+    """A CSV column whose row i holds ``values[index[i]]``.
+
+    Each distinct value is encoded once per write, and every row gathers
+    its bytes: the grid coordinates of a parameter scan repeat a few
+    hundred axis values over every row."""
+
+    def __init__(self, values, index):
+        self.values = np.asarray(values)
+        self.index = np.asarray(index, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999, with leading zeros, as one
+    uint32 per group (its bytes in memory order)."""
+    n = np.arange(10000)
+    digits = n[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+@functools.cache
+def _power_table() -> np.ndarray:
+    """Rows hi, lo, hi_upper, hi_lower over p = P_MIN..P_MAX: 10**p = hi +
+    lo to about 2**-106 relative, and hi split in Dekker's halves."""
+    table = np.empty((4, P_MAX - P_MIN + 1))
+    for i, p in enumerate(range(P_MIN, P_MAX + 1)):
+        n = 10 ** abs(p)
+        if p >= 0:
+            hi = float(n)
+            lo = float(n - int(hi))
+        else:
+            # int / int rounds correctly, and hi = num / den exactly
+            hi = 1 / n
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * n) / (den * n)
+        table[:2, i] = hi, lo
+    table[2], table[3] = _split(table[0])
+    return table
+
+
+@functools.cache
+def _exponent_table():
+    """Per decimal exponent E = -E_MAX..E_MAX: its layout class, and the
+    four bytes of its sign and three digits as one uint32."""
+    e = np.arange(-E_MAX, E_MAX + 1)
+    cls = np.where(np.abs(e) < 100, _SCI2, _SCI3)
+    cls[E_MAX - 4:E_MAX + 17] = np.arange(21)
+    text = _digit_table()[np.abs(e)].view(np.uint8).reshape(-1, 4).copy()
+    text[:, 0] = np.where(e < 0, ord("-"), ord("+"))
+    return cls, text.view(np.uint32).ravel()
+
+
+@functools.cache
+def _float_layouts() -> np.ndarray:
+    """Per layout class, the keep threshold of each canvas slot: a slot is
+    kept when the index of D's last nonzero digit reaches it (0: always,
+    _NEVER: never).  The sign slot is the caller's."""
+    need = np.full((26, _FLOAT_WIDTH), _NEVER, dtype=np.uint8)
+    need[:, 0] = 0
+    digit = np.arange(_DIGITS, _EXP, 2)  # the slot of D's digit k
+    # a digit is kept up to D's last nonzero one; the point after digit k
+    # when D has a digit after it
+    fraction = np.arange(17, dtype=np.uint8)
+    for e in range(17):
+        row = need[e + 4]
+        row[digit] = fraction
+        row[digit[:e + 1]] = 0
+        if e < 16:
+            row[digit[e] + 1] = e + 1
+    for e in range(-4, 0):
+        row = need[e + 4]
+        row[_LEAD:_LEAD + 1 - e] = 0
+        row[digit] = fraction
+    for cls, exp_digits in ((_SCI2, 2), (_SCI3, 3)):
+        row = need[cls]
+        row[digit] = fraction
+        row[digit[0] + 1] = 1
+        row[_EXP:_EXP + 2] = 0
+        row[_FLOAT_WIDTH - exp_digits:] = 0
+    need[_NAN, digit[:3]] = 0
+    need[_INF, digit[:3]] = 0
+    need[_ZERO, digit[0]] = 0
+    return need
+
+
+def _split(a):
+    """Dekker's split of a into two halves of 26 bits: a = upper + lower."""
+    c = a * _SPLIT
+    upper = c - (c - a)
+    return upper, a - upper
+
+
+def _scaled(a, e):
+    """|x| * 10**(16 - e) as a double-double (hi, lo), for a = |x| inside
+    [ENCODE_MIN, ENCODE_MAX), and whether it is exact."""
+    p_hi, p_lo, p_upper, p_lower = _power_table().take(16 - P_MIN - e, axis=1)
+    a_upper, a_lower = _split(a)
+    th = a * p_hi
+    tl = (((a_upper * p_upper - th) + a_upper * p_lower + a_lower * p_upper)
+          + a_lower * p_lower)
+    c = tl + a * p_lo
+    hi = th + c
+    return hi, c - (hi - th), p_lo == 0.0
+
+
+def _digits(v) -> np.ndarray:
+    """The 20 ASCII digits, with leading zeros, of non-negative int64
+    values: an (n, 20) uint8 array."""
+    groups = np.empty((len(v), 5), dtype=np.int64)
+    for i in range(4, 0, -1):
+        v, groups[:, i] = np.divmod(v, 10000)
+    groups[:, 0] = v
+    return _digit_table().take(groups).view(np.uint8)
+
+
+def _float_digits(x):
+    """D and E of ``'%.16e' % x`` for finite nonzero x (any int64 pair for
+    other x), and the indices of the nan, inf and zero entries."""
+    size = np.abs(x)
+    inside = (size >= ENCODE_MIN) & (size < ENCODE_MAX)
+    a = np.where(inside, size, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo, exact = _scaled(a, e)
+    # a product outside [1e16, 1e17) moves E by one; where it is within the
+    # error of a decade bound, either side gives the same digits
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    moved = np.flatnonzero(low | high)
+    if moved.size:
+        e[moved] += high[moved].astype(np.int64) - low[moved]
+        hi[moved], lo[moved], exact[moved] = _scaled(a[moved], e[moved])
+    r = np.rint(lo)
+    d = hi.astype(np.int64) + r.astype(np.int64)
+    undecided = (~exact & (np.abs(np.abs(lo - r) - 0.5) < HALFWAY_MARGIN)
+                 | (d < 10 ** 16) | (d > 10 ** 17))
+    top = np.flatnonzero(d == 10 ** 17)
+    d[top] = 10 ** 16
+    e[top] += 1
+    outside = np.flatnonzero(~inside)
+    special = x[outside]
+    nan = outside[np.isnan(special)]
+    inf = outside[np.isinf(special)]
+    zero = outside[special == 0.0]
+    undecided[outside] = np.isfinite(special) & (special != 0.0)
+    fallback = np.flatnonzero(undecided)
+    d[fallback], e[fallback] = _python_digits(size[fallback])
+    return d, e, nan, inf, zero
+
+
+def _python_digits(values):
+    """D and E of ``'%.16e' % v``, formatted by Python, for each v of a
+    float64 array: the encoder's fallback."""
+    texts = ["%.16e" % v for v in values.tolist()]
+    return ([int(t[0] + t[2:18]) for t in texts],
+            [int(t[19:]) for t in texts])
+
+
+def _encode_float(x, canvas, keep) -> None:
+    """Write the '%.17g' cells of a float64 array into ``canvas`` (n, 44)
+    and the mask of the bytes to keep into ``keep``."""
+    n = len(x)
+    d, e, nan, inf, zero = _float_digits(x)
+    digits = _digits(d)[:, 3:]
+    digits[nan, :3] = np.frombuffer(b"nan", dtype=np.uint8)
+    digits[inf, :3] = np.frombuffer(b"inf", dtype=np.uint8)
+    digits[zero, 0] = ord("0")
+    exp_class, exp_text = _exponent_table()
+    cls = exp_class.take(e + E_MAX)
+    cls[nan] = _NAN
+    cls[inf] = _INF
+    cls[zero] = _ZERO
+    canvas[:] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
+    canvas[:, _DIGITS:_EXP:2] = digits
+    canvas[:, _EXP + 1:] = exp_text.take(e + E_MAX).view(np.uint8).reshape(
+        n, 4)
+    # the index of D's last nonzero digit
+    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    np.less_equal(_float_layouts().take(cls, axis=0),
+                  last.astype(np.uint8)[:, None], out=keep)
+    keep[:, 0] = np.signbit(x)
+    keep[nan, 0] = False
+
+
+def _int_width(column) -> int:
+    """The digits of the longest '%d' of an integer column."""
+    if not len(column):
+        return 1
+    return max(len("%d" % abs(int(column.min()))),
+               len("%d" % int(column.max())))
+
+
+def _encode_int(v, canvas, keep) -> None:
+    """Write the '%d' cells of an integer array into ``canvas``, a sign
+    slot and as many digit slots as the longest value has, and the mask of
+    the bytes to keep into ``keep``."""
+    width = canvas.shape[1] - 1
+    unsigned = v.dtype.kind == "u"
+    v = v.astype(np.int64)
+    neg = v < 0
+    # the int64 minimum, and a uint64 from 2**63 up, has no int64 |v|:
+    # Python formats those rows
+    fallback = np.flatnonzero(neg if unsigned
+                              else v == np.iinfo(np.int64).min)
+    a = np.abs(v)
+    a[fallback] = 0
+    digits = _digits(a)
+    significant = digits != ord("0")
+    # the first digit written; a zero writes its last one
+    first = np.where(significant.any(axis=1),
+                     np.argmax(significant, axis=1), 19)
+    canvas[:, 0] = ord("-")
+    canvas[:, 1:] = digits[:, 20 - width:]
+    keep[:, 0] = neg
+    np.greater_equal(np.arange(20 - width, 20), first[:, None],
+                     out=keep[:, 1:])
+    for i, value in zip(fallback.tolist(), v[fallback].tolist()):
+        text = ("%d" % (value + 2 ** 64 if unsigned else value)).encode()
+        canvas[i, -len(text):] = np.frombuffer(text, dtype=np.uint8)
+        keep[i] = np.arange(width + 1) >= width + 1 - len(text)
+
+
+def _cells(column):
+    """(width, encode) of one column's cells, by its dtype: the canvas
+    width of a cell, and the function that writes a slice of the column
+    into a canvas and keep mask of that width."""
+    kind = column.dtype.kind
+    if kind == "b":
+        return 1, _encode_bool
+    if kind in "iu":
+        return 1 + _int_width(column), _encode_int
+    if kind == "f":
+        return _FLOAT_WIDTH, lambda x, canvas, keep: _encode_float(
+            x.astype(np.float64), canvas, keep)
+    raise TypeError("no CSV conversion for a column of dtype %s"
+                    % column.dtype)
+
+
+def _encode_bool(v, canvas, keep) -> None:
+    np.add(v.view(np.uint8), ord("0"), out=canvas[:, 0])
+    keep[:] = True
+
+
+def _encoded(values):
+    """The canvas and keep mask of every entry of ``values``."""
+    width, encode = _cells(values)
+    canvas = np.empty((len(values), width), dtype=np.uint8)
+    keep = np.empty(canvas.shape, dtype=bool)
+    encode(values, canvas, keep)
+    return canvas, keep
+
+
+def _rows(columns, start: int, stop: int) -> np.ndarray:
+    """The bytes of rows start..stop-1 of ``columns``: each is an array or
+    an (index, canvas, keep) triple of pre-encoded values."""
+    cells = []
+    for col in columns:
+        if isinstance(col, tuple):
+            cells.append((col[1].shape[1], None, col))
+        else:
+            piece = col[start:stop]
+            cells.append(_cells(piece) + (piece,))
+    block = np.empty((stop - start, sum(w + 1 for w, _, _ in cells)),
+                     dtype=np.uint8)
+    keep = np.empty(block.shape, dtype=bool)
+    at = 0
+    for w, encode, piece in cells:
+        if encode is None:
+            index, canvas, mask = piece
+            index = index[start:stop]
+            block[:, at:at + w] = canvas.take(index, axis=0)
+            keep[:, at:at + w] = mask.take(index, axis=0)
+        else:
+            encode(piece, block[:, at:at + w], keep[:, at:at + w])
+        block[:, at + w] = ord(",")
+        keep[:, at + w] = True
+        at += w + 1
+    block[:, -1] = ord("\n")
+    return np.compress(keep.ravel(), block.ravel())
 
 
 def write_csv(path, version: str, config: dict, columns) -> None:
-    """Write ``columns`` (name -> 1-D array) as comma-separated UTF-8 with LF,
-    one row per array index."""
-    arrays = [np.asarray(col) for col in columns.values()]
-    row_fmt = ",".join(map(_conversion, arrays)) + "\n"
-    n_rows = min((len(col) for col in arrays), default=0)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header_comment(version, config) + "\n")
-        fh.write(",".join(columns) + "\n")
+    """Write ``columns`` (name -> 1-D array or ``Indexed``) as
+    comma-separated UTF-8 with LF, one row per array index."""
+    sources = [(col.index, *_encoded(col.values))
+               if isinstance(col, Indexed) else np.asarray(col)
+               for col in columns.values()]
+    n_rows = min((len(col) if isinstance(col, np.ndarray) else len(col[0])
+                  for col in sources), default=0)
+    with open(path, "wb") as fh:
+        fh.write((header_comment(version, config) + "\n"
+                  + ",".join(columns) + "\n").encode("utf-8"))
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            values = [col[start:start + CSV_CHUNK_ROWS].tolist()
-                      for col in arrays]
-            fh.writelines(row_fmt % row for row in zip(*values))
+            fh.write(_rows(sources, start, min(start + CSV_CHUNK_ROWS,
+                                               n_rows)))
 
 
 def _jsonify(obj):

@@ -15,7 +15,7 @@ from topocrit.cli import (WALKS, _config_echo, _defaults, _grid_columns,
                           _merge_config, build_parser, main)
 from topocrit.errors import TopocritError
 from topocrit.models import WALK_1D
-from topocrit.output import write_csv, write_json
+from topocrit.output import Indexed, write_csv, write_json
 from topocrit.walk1d import WalkParams
 from topocrit.walk2d import peak_asymptotics_2d
 
@@ -497,14 +497,14 @@ def test_csv_bytes_curvature_nan_rows(tmp_path):
     assert _table_bytes(out) == _reference_table(("k", "F", "E_upper"), rows)
 
 
-def test_write_csv_grid_string_columns_match_numeric(tmp_path):
+def test_write_csv_grid_columns_match_numeric(tmp_path):
     alphas = np.linspace(-np.pi, np.pi, 7)
     betas = np.array([-0.0, 0.1, 1e-300, np.nan, 2.5])
     values = np.arange(35) / 3.0
     numeric = {"alpha": np.repeat(alphas, 5), "beta": np.tile(betas, 7),
                "v": values}
     formatted = {**_grid_columns(alphas, betas), "v": values}
-    assert isinstance(formatted["alpha"][0], str)
+    assert isinstance(formatted["alpha"], Indexed)
     write_csv(tmp_path / "numeric.csv", "0", {}, numeric)
     write_csv(tmp_path / "formatted.csv", "0", {}, formatted)
     assert ((tmp_path / "formatted.csv").read_bytes()
