@@ -68,11 +68,12 @@ E_MAX = 330
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 # The canvas of a float cell: the sign, '0.' and three zeros (fixed
 # notation below 0.1), the 17 digits of D each followed by a slot for the
-# decimal point, then 'e', the exponent's sign and three digits.  Every
+# decimal point, 'e', the exponent's sign and three digits, and the
+# separator that ends every cell of a row (',' or, last, LF).  Every
 # cell has every slot; its layout is the mask of the slots it keeps.
-_TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"e+000"
-_FLOAT_WIDTH = len(_TEMPLATE)
-_LEAD, _DIGITS, _EXP = 1, 6, 39  # first slot of '0.000', of D, of 'e+000'
+_TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"e+000,"
+# the first slot of '0.000', of D and of 'e+000', and the separator slot
+_LEAD, _DIGITS, _EXP, _SEPARATOR = 1, 6, 39, 44
 _NEVER = 99  # a keep threshold no digit index reaches
 # layout classes: fixed notation for E = -4..16, exponent notation with
 # two and with three exponent digits, nan, inf and zero
@@ -103,9 +104,13 @@ class Indexed:
 def _digit_table() -> np.ndarray:
     """The four ASCII digits of each of 0..9999, with leading zeros, as one
     uint32 per group (its bytes in memory order)."""
-    n = np.arange(10000)
-    digits = n[:, None] // np.array([1000, 100, 10, 1]) % 10
-    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits[..., 0] = ten[:, None, None, None]
+    digits[..., 1] = ten[:, None, None]
+    digits[..., 2] = ten[:, None]
+    digits[..., 3] = ten
+    return digits.view(np.uint32).reshape(10000)
 
 
 @functools.cache
@@ -132,12 +137,11 @@ def _power_table() -> np.ndarray:
 def _exponent_table():
     """Per decimal exponent E = -E_MAX..E_MAX: its layout class, and the
     four bytes of its sign and three digits as one uint32."""
-    e = np.arange(-E_MAX, E_MAX + 1)
-    cls = np.where(np.abs(e) < 100, _SCI2, _SCI3)
-    cls[E_MAX - 4:E_MAX + 17] = np.arange(21)
-    text = _digit_table()[np.abs(e)].view(np.uint8).reshape(-1, 4).copy()
-    text[:, 0] = np.where(e < 0, ord("-"), ord("+"))
-    return cls, text.view(np.uint32).ravel()
+    exponents = range(-E_MAX, E_MAX + 1)
+    cls = [e + 4 if -4 <= e < 17 else _SCI2 if abs(e) < 100 else _SCI3
+           for e in exponents]
+    text = b"".join(b"%+04d" % e for e in exponents)
+    return np.array(cls), np.frombuffer(text, dtype=np.uint32)
 
 
 @functools.cache
@@ -145,8 +149,9 @@ def _float_layouts() -> np.ndarray:
     """Per layout class, the keep threshold of each canvas slot: a slot is
     kept when the index of D's last nonzero digit reaches it (0: always,
     _NEVER: never).  The sign slot is the caller's."""
-    need = np.full((26, _FLOAT_WIDTH), _NEVER, dtype=np.uint8)
+    need = np.full((26, len(_TEMPLATE)), _NEVER, dtype=np.uint8)
     need[:, 0] = 0
+    need[:, _SEPARATOR] = 0
     digit = np.arange(_DIGITS, _EXP, 2)  # the slot of D's digit k
     # a digit is kept up to D's last nonzero one; the point after digit k
     # when D has a digit after it
@@ -166,7 +171,7 @@ def _float_layouts() -> np.ndarray:
         row[digit] = fraction
         row[digit[0] + 1] = 1
         row[_EXP:_EXP + 2] = 0
-        row[_FLOAT_WIDTH - exp_digits:] = 0
+        row[_SEPARATOR - exp_digits:_SEPARATOR] = 0
     need[_NAN, digit[:3]] = 0
     need[_INF, digit[:3]] = 0
     need[_ZERO, digit[0]] = 0
@@ -245,9 +250,9 @@ def _python_digits(values):
             [int(t[19:]) for t in texts])
 
 
-def _encode_float(x, canvas, keep) -> None:
-    """Write the '%.17g' cells of a float64 array into ``canvas`` (n, 44)
-    and the mask of the bytes to keep into ``keep``."""
+def _encode_float(x):
+    """The '%.17g' cells of a float64 array: an (n, 45) canvas of the
+    slots of ``_TEMPLATE``, and the mask of the bytes to keep."""
     n = len(x)
     d, e, nan, inf, zero = _float_digits(x)
     digits = _digits(d)[:, 3:]
@@ -259,31 +264,22 @@ def _encode_float(x, canvas, keep) -> None:
     cls[nan] = _NAN
     cls[inf] = _INF
     cls[zero] = _ZERO
+    canvas = np.empty((n, len(_TEMPLATE)), dtype=np.uint8)
     canvas[:] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
     canvas[:, _DIGITS:_EXP:2] = digits
-    canvas[:, _EXP + 1:] = exp_text.take(e + E_MAX).view(np.uint8).reshape(
-        n, 4)
+    canvas[:, _EXP + 1:_SEPARATOR] = exp_text.take(e + E_MAX).view(
+        np.uint8).reshape(n, 4)
     # the index of D's last nonzero digit
     last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    np.less_equal(_float_layouts().take(cls, axis=0),
-                  last.astype(np.uint8)[:, None], out=keep)
+    keep = _float_layouts().take(cls, axis=0) <= last.astype(np.uint8)[:, None]
     keep[:, 0] = np.signbit(x)
     keep[nan, 0] = False
+    return canvas, keep
 
 
-def _int_width(column) -> int:
-    """The digits of the longest '%d' of an integer column."""
-    if not len(column):
-        return 1
-    return max(len("%d" % abs(int(column.min()))),
-               len("%d" % int(column.max())))
-
-
-def _encode_int(v, canvas, keep) -> None:
-    """Write the '%d' cells of an integer array into ``canvas``, a sign
-    slot and as many digit slots as the longest value has, and the mask of
-    the bytes to keep into ``keep``."""
-    width = canvas.shape[1] - 1
+def _encode_int(v):
+    """The '%d' cells of an integer array: an (n, 22) canvas of a sign, 20
+    digits and a separator, and the mask of the bytes to keep."""
     unsigned = v.dtype.kind == "u"
     v = v.astype(np.int64)
     neg = v < 0
@@ -293,85 +289,70 @@ def _encode_int(v, canvas, keep) -> None:
                               else v == np.iinfo(np.int64).min)
     a = np.abs(v)
     a[fallback] = 0
-    digits = _digits(a)
-    significant = digits != ord("0")
+    canvas = np.empty((len(v), 22), dtype=np.uint8)
+    canvas[:, 0] = ord("-")
+    canvas[:, 1:21] = _digits(a)
+    canvas[:, 21] = ord(",")
+    significant = canvas[:, 1:21] != ord("0")
     # the first digit written; a zero writes its last one
     first = np.where(significant.any(axis=1),
                      np.argmax(significant, axis=1), 19)
-    canvas[:, 0] = ord("-")
-    canvas[:, 1:] = digits[:, 20 - width:]
+    keep = np.empty(canvas.shape, dtype=bool)
     keep[:, 0] = neg
-    np.greater_equal(np.arange(20 - width, 20), first[:, None],
-                     out=keep[:, 1:])
+    np.greater_equal(np.arange(20), first[:, None], out=keep[:, 1:21])
+    keep[:, 21] = True
     for i, value in zip(fallback.tolist(), v[fallback].tolist()):
         text = ("%d" % (value + 2 ** 64 if unsigned else value)).encode()
-        canvas[i, -len(text):] = np.frombuffer(text, dtype=np.uint8)
-        keep[i] = np.arange(width + 1) >= width + 1 - len(text)
-
-
-def _cells(column):
-    """(width, encode) of one column's cells, by its dtype: the canvas
-    width of a cell, and the function that writes a slice of the column
-    into a canvas and keep mask of that width."""
-    kind = column.dtype.kind
-    if kind == "b":
-        return 1, _encode_bool
-    if kind in "iu":
-        return 1 + _int_width(column), _encode_int
-    if kind == "f":
-        return _FLOAT_WIDTH, lambda x, canvas, keep: _encode_float(
-            x.astype(np.float64), canvas, keep)
-    raise TypeError("no CSV conversion for a column of dtype %s"
-                    % column.dtype)
-
-
-def _encode_bool(v, canvas, keep) -> None:
-    np.add(v.view(np.uint8), ord("0"), out=canvas[:, 0])
-    keep[:] = True
-
-
-def _encoded(values):
-    """The canvas and keep mask of every entry of ``values``."""
-    width, encode = _cells(values)
-    canvas = np.empty((len(values), width), dtype=np.uint8)
-    keep = np.empty(canvas.shape, dtype=bool)
-    encode(values, canvas, keep)
+        canvas[i, 21 - len(text):21] = np.frombuffer(text, dtype=np.uint8)
+        keep[i, :21] = np.arange(21) >= 21 - len(text)
     return canvas, keep
 
 
+def _encode(column):
+    """The cells of one column, by its dtype: a canvas of one row per
+    entry, ending in a separator slot, and the mask of the bytes to keep.
+    Slots that no entry keeps are left out."""
+    kind = column.dtype.kind
+    if kind == "b":
+        canvas = np.empty((len(column), 2), dtype=np.uint8)
+        np.add(column.view(np.uint8), ord("0"), out=canvas[:, 0])
+        canvas[:, 1] = ord(",")
+        return canvas, np.ones(canvas.shape, dtype=bool)
+    if kind in "iu":
+        canvas, keep = _encode_int(column)
+    elif kind == "f":
+        canvas, keep = _encode_float(column.astype(np.float64))
+    else:
+        raise TypeError("no CSV conversion for a column of dtype %s"
+                        % column.dtype)
+    used = keep.any(axis=0)
+    if used.all():
+        return canvas, keep
+    return canvas[:, used], keep[:, used]
+
+
 def _rows(columns, start: int, stop: int) -> np.ndarray:
-    """The bytes of rows start..stop-1 of ``columns``: each is an array or
-    an (index, canvas, keep) triple of pre-encoded values."""
-    cells = []
+    """The bytes of rows start..stop-1 of ``columns``: each an array, or
+    the (index, canvas, keep) of an ``Indexed`` column's encoded values."""
+    canvases, masks = [], []
     for col in columns:
         if isinstance(col, tuple):
-            cells.append((col[1].shape[1], None, col))
-        else:
-            piece = col[start:stop]
-            cells.append(_cells(piece) + (piece,))
-    block = np.empty((stop - start, sum(w + 1 for w, _, _ in cells)),
-                     dtype=np.uint8)
-    keep = np.empty(block.shape, dtype=bool)
-    at = 0
-    for w, encode, piece in cells:
-        if encode is None:
-            index, canvas, mask = piece
+            index, canvas, keep = col
             index = index[start:stop]
-            block[:, at:at + w] = canvas.take(index, axis=0)
-            keep[:, at:at + w] = mask.take(index, axis=0)
+            canvas, keep = canvas.take(index, axis=0), keep.take(index, axis=0)
         else:
-            encode(piece, block[:, at:at + w], keep[:, at:at + w])
-        block[:, at + w] = ord(",")
-        keep[:, at + w] = True
-        at += w + 1
+            canvas, keep = _encode(col[start:stop])
+        canvases.append(canvas)
+        masks.append(keep)
+    block = np.concatenate(canvases, axis=1)
     block[:, -1] = ord("\n")
-    return np.compress(keep.ravel(), block.ravel())
+    return block.ravel()[np.concatenate(masks, axis=1).ravel()]
 
 
 def write_csv(path, version: str, config: dict, columns) -> None:
     """Write ``columns`` (name -> 1-D array or ``Indexed``) as
     comma-separated UTF-8 with LF, one row per array index."""
-    sources = [(col.index, *_encoded(col.values))
+    sources = [(col.index, *_encode(col.values))
                if isinstance(col, Indexed) else np.asarray(col)
                for col in columns.values()]
     n_rows = min((len(col) if isinstance(col, np.ndarray) else len(col[0])
