@@ -233,9 +233,15 @@ def _config_echo(cfg: dict) -> dict:
     return echo
 
 
+# the file suffixes that --out may carry; any other dot belongs to the name
+OUT_SUFFIXES = (".csv", ".json")
+
+
 def _outpath(base: str, suffix: str, tag: str = "") -> str:
+    """The path of one output file: ``base`` without a known suffix, then
+    ``tag`` and ``suffix`` (``run_b0.3`` -> ``run_b0.3_hsp0.csv``)."""
     p = Path(base)
-    stem = p.stem if p.suffix else p.name
+    stem = p.stem if p.suffix in OUT_SUFFIXES else p.name
     return str(p.with_name(stem + tag + suffix))
 
 

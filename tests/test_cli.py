@@ -238,6 +238,22 @@ def test_phase_diagram_regions_constant(tmp_path):
 
 # --- config file ---
 
+def test_out_names_with_a_dot_keep_the_dot(tmp_path, capsys):
+    # only a .csv or .json suffix is replaced: the rest of a dotted name
+    # stays, so runs named after a parameter value do not collide
+    assert main(["exponents", "--model", "walk1d", "--beta", "0",
+                 "--points", "10", "--out", str(tmp_path / "ex_0.3")]) == 0
+    for beta in ("0.1", "0.5"):
+        assert main(["curvature", "--model", "walk1d", "--beta", beta,
+                     "--grid", "16",
+                     "--out", str(tmp_path / ("run_b" + beta))]) == 0
+    assert main(["correlation", "--model", "walk1d", "--rmax", "3",
+                 "--out", str(tmp_path / "corr.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corr.csv", "ex_0.3.json", "run_b0.1.csv", "run_b0.5.csv"]
+    assert "beta\":0.5" in read_lines(tmp_path / "run_b0.5.csv")[0]
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "walk1d", "alpha": [0.8],
