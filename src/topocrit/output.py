@@ -187,8 +187,10 @@ def _split(a):
 
 def _scaled(a, e):
     """|x| * 10**(16 - e) as a double-double (hi, lo), for a = |x| inside
-    [ENCODE_MIN, ENCODE_MAX), and whether it is exact."""
-    p_hi, p_lo, p_upper, p_lower = _power_table().take(16 - P_MIN - e, axis=1)
+    [ENCODE_MIN, ENCODE_MAX) and an integer-valued float64 e, and whether
+    it is exact."""
+    row = ((16 - P_MIN) - e).astype(np.int64)
+    p_hi, p_lo, p_upper, p_lower = _power_table().take(row, axis=1)
     a_upper, a_lower = _split(a)
     th = a * p_hi
     tl = (((a_upper * p_upper - th) + a_upper * p_lower + a_lower * p_upper)
@@ -203,7 +205,9 @@ def _digits(v) -> np.ndarray:
     values: an (n, 20) uint8 array."""
     groups = np.empty((len(v), 5), dtype=np.int64)
     for i in range(4, 0, -1):
-        v, groups[:, i] = np.divmod(v, 10000)
+        q = v // 10000
+        groups[:, i] = v - q * 10000
+        v = q
     groups[:, 0] = v
     return _digit_table().take(groups).view(np.uint8)
 
@@ -214,23 +218,26 @@ def _float_digits(x):
     size = np.abs(x)
     inside = (size >= ENCODE_MIN) & (size < ENCODE_MAX)
     a = np.where(inside, size, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
+    e = np.floor(np.log10(a))
     hi, lo, exact = _scaled(a, e)
-    # a product outside [1e16, 1e17) moves E by one; where it is within the
-    # error of a decade bound, either side gives the same digits
+    # log10 is off by one near a power of ten: a product outside [1e16,
+    # 1e17) moves E by one.  Where it is within the product's error of a
+    # decade bound, either side gives the same D and E, and after the move
+    # D = hi + rint(lo) lies in [1e16, 1e17].
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
     high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
     moved = np.flatnonzero(low | high)
     if moved.size:
-        e[moved] += high[moved].astype(np.int64) - low[moved]
+        e[moved] += np.where(high[moved], 1.0, -1.0)
         hi[moved], lo[moved], exact[moved] = _scaled(a[moved], e[moved])
     r = np.rint(lo)
+    undecided = ~exact & (np.abs(np.abs(lo - r) - 0.5) < HALFWAY_MARGIN)
+    # D = 1e17 is 1e16 of the next decade; hi is a multiple of 16 there
+    top = (hi == 1e17) & (r == 0.0)
+    hi[top] = 1e16
+    e[top] += 1.0
     d = hi.astype(np.int64) + r.astype(np.int64)
-    undecided = (~exact & (np.abs(np.abs(lo - r) - 0.5) < HALFWAY_MARGIN)
-                 | (d < 10 ** 16) | (d > 10 ** 17))
-    top = np.flatnonzero(d == 10 ** 17)
-    d[top] = 10 ** 16
-    e[top] += 1
+    e = e.astype(np.int64)
     outside = np.flatnonzero(~inside)
     special = x[outside]
     nan = outside[np.isnan(special)]
@@ -252,7 +259,7 @@ def _python_digits(values):
 
 def _encode_float(x):
     """The '%.17g' cells of a float64 array: an (n, 45) canvas of the
-    slots of ``_TEMPLATE``, and the mask of the bytes to keep."""
+    slots of ``_TEMPLATE``, NUL in each slot a cell does not keep."""
     n = len(x)
     d, e, nan, inf, zero = _float_digits(x)
     digits = _digits(d)[:, 3:]
@@ -274,12 +281,13 @@ def _encode_float(x):
     keep = _float_layouts().take(cls, axis=0) <= last.astype(np.uint8)[:, None]
     keep[:, 0] = np.signbit(x)
     keep[nan, 0] = False
-    return canvas, keep
+    canvas *= keep
+    return canvas
 
 
 def _encode_int(v):
     """The '%d' cells of an integer array: an (n, 22) canvas of a sign, 20
-    digits and a separator, and the mask of the bytes to keep."""
+    digits and a separator, NUL in each slot a cell does not keep."""
     unsigned = v.dtype.kind == "u"
     v = v.astype(np.int64)
     neg = v < 0
@@ -301,58 +309,54 @@ def _encode_int(v):
     keep[:, 0] = neg
     np.greater_equal(np.arange(20), first[:, None], out=keep[:, 1:21])
     keep[:, 21] = True
+    canvas *= keep
     for i, value in zip(fallback.tolist(), v[fallback].tolist()):
         text = ("%d" % (value + 2 ** 64 if unsigned else value)).encode()
+        canvas[i, :21] = 0
         canvas[i, 21 - len(text):21] = np.frombuffer(text, dtype=np.uint8)
-        keep[i, :21] = np.arange(21) >= 21 - len(text)
-    return canvas, keep
+    return canvas
 
 
 def _encode(column):
-    """The cells of one column, by its dtype: a canvas of one row per
-    entry, ending in a separator slot, and the mask of the bytes to keep.
-    Slots that no entry keeps are left out."""
+    """The cells of one column, by its dtype: a uint8 canvas of one row per
+    entry, ending in a separator slot, with NUL in each slot a cell does
+    not keep."""
     kind = column.dtype.kind
     if kind == "b":
         canvas = np.empty((len(column), 2), dtype=np.uint8)
         np.add(column.view(np.uint8), ord("0"), out=canvas[:, 0])
         canvas[:, 1] = ord(",")
-        return canvas, np.ones(canvas.shape, dtype=bool)
+        return canvas
     if kind in "iu":
-        canvas, keep = _encode_int(column)
-    elif kind == "f":
-        canvas, keep = _encode_float(column.astype(np.float64))
-    else:
-        raise TypeError("no CSV conversion for a column of dtype %s"
-                        % column.dtype)
-    used = keep.any(axis=0)
-    if used.all():
-        return canvas, keep
-    return canvas[:, used], keep[:, used]
+        return _encode_int(column)
+    if kind == "f":
+        return _encode_float(column.astype(np.float64))
+    raise TypeError("no CSV conversion for a column of dtype %s"
+                    % column.dtype)
 
 
-def _rows(columns, start: int, stop: int) -> np.ndarray:
+def _encode_once(values):
+    """The canvas of an ``Indexed`` column's values, less the slots no
+    value keeps: every row gathers its bytes from it."""
+    canvas = _encode(values)
+    return canvas[:, canvas.any(axis=0)]
+
+
+def _rows(columns, start: int, stop: int) -> bytes:
     """The bytes of rows start..stop-1 of ``columns``: each an array, or
-    the (index, canvas, keep) of an ``Indexed`` column's encoded values."""
-    canvases, masks = [], []
-    for col in columns:
-        if isinstance(col, tuple):
-            index, canvas, keep = col
-            index = index[start:stop]
-            canvas, keep = canvas.take(index, axis=0), keep.take(index, axis=0)
-        else:
-            canvas, keep = _encode(col[start:stop])
-        canvases.append(canvas)
-        masks.append(keep)
-    block = np.concatenate(canvases, axis=1)
+    the (index, canvas) of an ``Indexed`` column's encoded values."""
+    cells = [col[1].take(col[0][start:stop], axis=0)
+             if isinstance(col, tuple) else _encode(col[start:stop])
+             for col in columns]
+    block = np.concatenate(cells, axis=1)
     block[:, -1] = ord("\n")
-    return block.ravel()[np.concatenate(masks, axis=1).ravel()]
+    return block.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, version: str, config: dict, columns) -> None:
     """Write ``columns`` (name -> 1-D array or ``Indexed``) as
     comma-separated UTF-8 with LF, one row per array index."""
-    sources = [(col.index, *_encode(col.values))
+    sources = [(col.index, _encode_once(col.values))
                if isinstance(col, Indexed) else np.asarray(col)
                for col in columns.values()]
     n_rows = min((len(col) if isinstance(col, np.ndarray) else len(col[0])
