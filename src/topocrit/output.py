@@ -5,40 +5,47 @@ configuration, so identical configurations reproduce byte-identical files.
 
 A CSV table is passed column-wise: an ordered mapping from column name to a
 1-D array, all of one length, or to an ``Indexed`` column.  The dtype of a
-column picks its conversion: a float column is written as Python's
-``FLOAT_FMT`` (``'%.17g'``: 17 significant digits, ``nan``, ``inf``,
-``-inf``, negative zero as ``-0``) writes it, a bool or integer column as
-``'%d'`` writes it (``1``/``0`` and plain digits).  An ``Indexed`` column
+column picks its conversion: a float column is written as Python writes
+``FLOAT_FMT % x`` (``'%.17g'``: 17 significant digits, ``nan``, ``inf``,
+``-inf``, negative zero as ``-0``), a bool or integer column as Python
+writes ``'%d' % v`` (``1``/``0`` and plain digits).  An ``Indexed`` column
 holds the distinct values of a column and each row's index into them, such
 as the grid coordinates of a parameter scan: each distinct value is encoded
-once and the rows gather its bytes.
+once per file and every row gathers its bytes.
 
-The bytes are those of Python's formatting, made in numpy, one column and
-one chunk of ``CSV_CHUNK_ROWS`` rows at a time.  For a float x the encoder
+The bytes are made in numpy, one chunk of ``CSV_CHUNK_ROWS`` rows at a
+time, with no per-value Python formatting.  For a float x the encoder
 finds the 17 digits D and the decimal exponent E of ``'%.16e' % x``:
 
-- E is ``floor(log10|x|)``; |x|*10**(16 - E) is formed as a double-double
-  product (a Dekker two-product with a hi/lo table of the powers of ten,
-  built once from exact integer arithmetic), and E is corrected by one
-  where that product falls outside the decade [1e16, 1e17);
-- D is the product rounded half to even.  Where the power of ten is a
-  double (10**0 to 10**22) the product is exact and so is the rounding;
-  elsewhere the product is within 1e-14 of |x|*10**(16 - E), and a row
-  whose fraction lies within ``HALFWAY_MARGIN`` of one half takes D and E
-  from Python's ``'%.16e' % x`` instead, as does any |x| outside
-  [``ENCODE_MIN``, ``ENCODE_MAX``), subnormals included.  These fallback
-  rows are Python's own formatting, so they are right by construction;
-  random doubles almost never need one, and exact values (integers, powers
-  of ten) never do.
+- E starts as ``floor(log10|x|)``.  |x| * 10**(16 - E) is formed as a
+  double-double: a Dekker two-product of |x| with a hi/lo pair for
+  10**(16 - E), from a table built once with exact integer arithmetic.
+  log10 may be one off near a power of ten, so E moves by one where the
+  product falls outside [1e16, 1e17).
+- D is the product rounded half to even.  For 10**0 to 10**22 the power
+  of ten is a double, the product is exact and so is the rounding, ties
+  included: integers and powers of ten are always encoded here.  Elsewhere
+  the product is within 1e-14 of |x| * 10**(16 - E) (at most 2e-15 was
+  seen), so its rounding is decided unless its fraction lies within
+  ``HALFWAY_MARGIN`` of one half.
+- Such undecided rows, and every |x| outside [``ENCODE_MIN``,
+  ``ENCODE_MAX``) (subnormals included, where the Dekker splits could
+  under- or overflow), take D and E from Python's own ``'%.16e' % x``.
+  This fallback is the reference itself; a random double needs it with
+  odds of about 2e-9 inside that range.
 
-D becomes ASCII through a table of all 4-digit groups, and each row is laid
-out as ``'%g'`` lays it out (fixed notation for -4 <= E < 17, otherwise
-``d.ddde+XX``, trailing zeros dropped) by gathering from its digits into a
-fixed-width canvas with a mask of the bytes to keep.  The canvases of a
-chunk's columns and the separators form one uint8 block per chunk, and one
-``np.compress`` over its mask gives the chunk's bytes.  The memory a write
-takes beyond its columns is that of one chunk, about 200 bytes per float
-cell, and does not grow with the row count.
+D becomes ASCII through a table of all 4-digit groups.  Each float cell is
+a 45-byte canvas: the sign, '0.000', the 17 digits each followed by a slot
+for the decimal point, 'e', the exponent's sign and digits, and the
+separator.  Its ``'%g'`` layout (fixed notation for -4 <= E < 17, otherwise
+``d.ddde+XX``, trailing zeros dropped) is the set of slots it keeps; the
+others hold NUL.  An integer cell is a sign, 20 digits and the separator.
+The canvases of a chunk's columns are joined into one uint8 block, and one
+``bytes.translate`` deleting NUL gives the chunk's bytes.
+
+A write holds its columns, the encoded values of its ``Indexed`` columns
+and one chunk: about 700 bytes per row for the six columns of a ``crg``
+file, under 3 MB per 4096-row chunk, whatever the row count.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FMT = "%.17g"
-# rows encoded per chunk of the columns
+# rows encoded per chunk: 8192 was no faster and holds twice the memory
 CSV_CHUNK_ROWS = 1 << 12
 # |x| outside [ENCODE_MIN, ENCODE_MAX) is formatted by Python: there the
 # Dekker splits of x or of the power of ten could under- or overflow
@@ -60,17 +67,17 @@ ENCODE_MAX = 1e300
 # an inexact product whose fraction is this near one half is formatted by
 # Python; the product's error is below 1e-14
 HALFWAY_MARGIN = 1e-9
-# the powers of ten 10**p of the table, P_MIN <= p <= P_MAX
+# the powers of ten 10**p of the table, P_MIN <= p <= P_MAX: p = 16 - E for
+# every first guess of E that an |x| inside the range above can give
 P_MIN, P_MAX = 16 - 300, 16 + 281
 # the decimal exponents of the exponent table, |E| <= E_MAX (subnormals
 # reach -324)
 E_MAX = 330
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
-# The canvas of a float cell: the sign, '0.' and three zeros (fixed
-# notation below 0.1), the 17 digits of D each followed by a slot for the
-# decimal point, 'e', the exponent's sign and three digits, and the
-# separator that ends every cell of a row (',' or, last, LF).  Every
-# cell has every slot; its layout is the mask of the slots it keeps.
+# the slots of a float cell: the sign, '0.' and three zeros (fixed notation
+# below 0.1), D's digits each followed by a slot for the decimal point, 'e',
+# the exponent's sign and three digits, and the separator that ends every
+# cell of a row (the last one's becomes LF)
 _TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"e+000,"
 # the first slot of '0.000', of D and of 'e+000', and the separator slot
 _LEAD, _DIGITS, _EXP, _SEPARATOR = 1, 6, 39, 44
@@ -232,7 +239,8 @@ def _float_digits(x):
         hi[moved], lo[moved], exact[moved] = _scaled(a[moved], e[moved])
     r = np.rint(lo)
     undecided = ~exact & (np.abs(np.abs(lo - r) - 0.5) < HALFWAY_MARGIN)
-    # D = 1e17 is 1e16 of the next decade; hi is a multiple of 16 there
+    # D = 1e17 is 1e16 of the next decade.  hi is a multiple of 16 near
+    # 1e17 and |r| <= 8, so D = 1e17 only where hi = 1e17 and r = 0.
     top = (hi == 1e17) & (r == 0.0)
     hi[top] = 1e16
     e[top] += 1.0
@@ -278,7 +286,8 @@ def _encode_float(x):
         np.uint8).reshape(n, 4)
     # the index of D's last nonzero digit
     last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    keep = _float_layouts().take(cls, axis=0) <= last.astype(np.uint8)[:, None]
+    keep = (_float_layouts().take(cls, axis=0)
+            <= last.astype(np.uint8)[:, None])
     keep[:, 0] = np.signbit(x)
     keep[nan, 0] = False
     canvas *= keep
