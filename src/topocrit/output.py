@@ -311,9 +311,8 @@ def _encode_int(v):
     canvas[:, 1:21] = _digits(a)
     canvas[:, 21] = ord(",")
     significant = canvas[:, 1:21] != ord("0")
-    # the first digit written; a zero writes its last one
-    first = np.where(significant.any(axis=1),
-                     np.argmax(significant, axis=1), 19)
+    significant[:, -1] = True  # a zero writes its last digit
+    first = np.argmax(significant, axis=1)
     keep = np.empty(canvas.shape, dtype=bool)
     keep[:, 0] = neg
     np.greater_equal(np.arange(20), first[:, None], out=keep[:, 1:21])
@@ -368,8 +367,7 @@ def write_csv(path, version: str, config: dict, columns) -> None:
     sources = [(col.index, _encode_once(col.values))
                if isinstance(col, Indexed) else np.asarray(col)
                for col in columns.values()]
-    n_rows = min((len(col) if isinstance(col, np.ndarray) else len(col[0])
-                  for col in sources), default=0)
+    n_rows = min(map(len, columns.values()), default=0)
     with open(path, "wb") as fh:
         fh.write((header_comment(version, config) + "\n"
                   + ",".join(columns) + "\n").encode("utf-8"))
