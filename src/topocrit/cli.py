@@ -465,7 +465,7 @@ def main(argv=None) -> int:
         merged = _merge_config(args)
         cfg = _defaults(merged, args.command)
         return COMMANDS[args.command](cfg)
-    except (TopocritError, FileNotFoundError, ValueError) as exc:
+    except (TopocritError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
 

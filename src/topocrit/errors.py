@@ -17,10 +17,6 @@ class FlatDegenerate(TopocritError):
     """Quasienergy at a band touching; the rotation axis is undefined."""
 
 
-class EmptyGrid(TopocritError):
-    """An integration grid with no samples was supplied."""
-
-
 class PoorFit(TopocritError):
     """A least-squares fit failed its quality threshold."""
 

@@ -249,8 +249,8 @@ class _TorusWork:
         The lower-band spinor is taken in the south gauge, |zeta| (n_z - 1,
         n_x + i n_y) = (zeta_z - |zeta|, zeta_x + i zeta_y), away from the
         north pole and in the north gauge, (-zeta_x + i zeta_y, zeta_z +
-        |zeta|), from zeta_z = GAUGE_SWITCH |zeta| on, as in
-        ``geometry.lower_band_state``.  Each is the normalized state times a
+        |zeta|), from zeta_z = GAUGE_SWITCH |zeta| on: the two gauges of
+        ``geometry.lower_band_states``.  Each is the normalized state times a
         positive factor, and neither a per-point gauge choice nor a positive
         factor changes a plaquette phase.
 

@@ -105,7 +105,7 @@ class Walk2D:
     @staticmethod
     def peak_curvature(k_c, p: WalkParams) -> float:
         kx0, ky0 = k_c
-        return walk2d.curvature_2d(walk2d.Momentum2(kx0, ky0), p)
+        return float(walk2d.curvature_grid_2d(kx0, ky0, p))
 
     @staticmethod
     def peak_asymptotics(p: WalkParams, k_c=None):

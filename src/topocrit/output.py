@@ -378,9 +378,7 @@ def write_csv(path, version: str, config: dict, columns) -> None:
 
 def _jsonify(obj):
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
-        return float(FLOAT_FMT % obj)
+        return None if math.isnan(obj) else obj
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtCriticality, FlatDegenerate, ZeroGap
-from .geometry import GAP_FLOOR, RealVec3, Spinor
+from .geometry import GAP_FLOOR
 
 FLAT_FLOOR = 1e-12
 
@@ -74,10 +74,10 @@ class Unitary2:
 
 @dataclass(frozen=True)
 class EffectiveHamiltonianSample:
-    """Upper-band quasienergy and rotation axis at one momentum."""
+    """Upper-band quasienergy and axis n, shape (3,), at one momentum."""
 
     quasienergy: float
-    axis: RealVec3
+    axis: np.ndarray
 
 
 def coin(theta: float) -> np.ndarray:
@@ -110,14 +110,14 @@ def effective_hamiltonian(U: Unitary2) -> EffectiveHamiltonianSample:
         raise FlatDegenerate("band touching: quasienergy %.3e from 0 or pi" % min(e, np.pi - e))
     n = np.array([(1j * np.trace(s @ m) / 2.0).real for s in (_SX, _SY, _SZ)])
     n /= sin_e
-    return EffectiveHamiltonianSample(e, RealVec3(*n))
+    return EffectiveHamiltonianSample(e, n)
 
 
 def reconstruct_unitary(sample: EffectiveHamiltonianSample) -> Unitary2:
     """Rebuild U = cos(E) I - i sin(E) n.sigma from a decomposition."""
     e = sample.quasienergy
-    n = sample.axis
-    nsig = n.x * _SX + n.y * _SY + n.z * _SZ
+    nx, ny, nz = sample.axis
+    nsig = nx * _SX + ny * _SY + nz * _SZ
     return Unitary2(np.cos(e) * np.eye(2) - 1j * np.sin(e) * nsig)
 
 
@@ -154,16 +154,10 @@ def zeta_components_1d(k, p: WalkParams):
     return _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))[:3]
 
 
-def zeta_1d(k: float, p: WalkParams) -> RealVec3:
-    """zeta-vector at one momentum; |zeta| = sin E and n = zeta/|zeta|."""
-    zx, zy, zz = zeta_components_1d(float(k), p)
-    return RealVec3(float(zx), float(zy), float(zz))
-
-
-def chiral_axis(p: WalkParams) -> RealVec3:
+def chiral_axis(p: WalkParams) -> np.ndarray:
     """Axis A = (kap_b, 0, lam_b) perpendicular to the walk's n-vector."""
     _, _, kb, lb = _half_angles(p)
-    return RealVec3(kb, 0.0, lb)
+    return np.array([kb, 0.0, lb])
 
 
 def gauge_rotation_matrix(p: WalkParams) -> np.ndarray:
@@ -183,19 +177,6 @@ def _rotated_norm2(k, p: WalkParams):
     return zx * zx + zy * zy
 
 
-def rotated_eigenstate_lower(k: float, p: WalkParams) -> Spinor:
-    """Lower eigenstate in the rotated frame, in the gauge whose doubled
-    Berry connection equals the curvature function:
-
-        |psi'_-> = (-|zeta'|, zeta'_x - i zeta'_y) / (sqrt(2) |zeta'|).
-    """
-    zx, zy = rotated_zeta_1d(float(k), p)
-    zn = np.hypot(zx, zy)
-    if zn < GAP_FLOOR:
-        raise ZeroGap("gap closed at k = %.6f" % k)
-    return Spinor(-1.0 / np.sqrt(2.0), (zx - 1j * zy) / (np.sqrt(2.0) * zn))
-
-
 def _validate_gap(k, p: WalkParams):
     n2 = np.min(_rotated_norm2(k, p))
     if n2 < GAP_FLOOR ** 2:
@@ -211,9 +192,6 @@ def rotated_curvature_1d(k, p: WalkParams):
     """
     _validate_gap(k, p)
     return _curvature_raw_1d(k, p.alpha, p.beta)
-
-
-curvature_1d = rotated_curvature_1d
 
 
 def _curvature_raw_1d(k, alpha, beta):

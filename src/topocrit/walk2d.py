@@ -25,12 +25,11 @@ integer invariant.  Everything is pi-periodic in both momenta, so the
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AtCriticality, ZeroGap
-from .geometry import GAP_FLOOR, RealVec3
+from .geometry import GAP_FLOOR
 from .walk1d import Unitary2, WalkParams, _half_angles, coin
 
 CRITICAL_FLOOR = 1e-12
@@ -38,25 +37,12 @@ CRITICAL_FLOOR = 1e-12
 PEAK_KX = np.pi / 2.0  # gap-closing momentum on the ky = -kx slice
 
 
-@dataclass(frozen=True)
-class Momentum2:
-    """A 2D momentum, stored reduced to [0, 2 pi)."""
-
-    kx: float
-    ky: float
-
-    def reduced(self) -> "Momentum2":
-        return Momentum2(float(np.mod(self.kx, 2.0 * np.pi)),
-                         float(np.mod(self.ky, 2.0 * np.pi)))
-
-
 def _shift(phase: float) -> np.ndarray:
     return np.diag([np.exp(1j * phase), np.exp(-1j * phase)])
 
 
-def unitary_2d(q: Momentum2, p: WalkParams) -> Unitary2:
+def unitary_2d(kx: float, ky: float, p: WalkParams) -> Unitary2:
     """One-period walk unitary at momentum (kx, ky)."""
-    kx, ky = q.kx, q.ky
     m = (_shift(kx) @ coin(p.beta) @ _shift(ky) @ coin(p.alpha)
          @ _shift(kx + ky) @ coin(p.beta))
     return Unitary2(m)
@@ -68,11 +54,6 @@ def rho_2d(kx, ky, p: WalkParams):
     return (ka * np.cos(p.beta) * np.cos(kx) * np.cos(kx + 2.0 * ky)
             - ka * np.sin(kx) * np.sin(kx + 2.0 * ky)
             - la * np.sin(p.beta) * np.cos(kx) ** 2)
-
-
-def energy_2d(q: Momentum2, p: WalkParams) -> float:
-    """Upper quasienergy band E = arccos(rho) at one momentum."""
-    return float(energy_grid_2d(q.kx, q.ky, p))
 
 
 def energy_grid_2d(kx, ky, p: WalkParams):
@@ -191,24 +172,14 @@ def zeta_components_2d(kx, ky, p: WalkParams):
     return _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))[:3]
 
 
-def zeta_2d(q: Momentum2, p: WalkParams) -> RealVec3:
-    """zeta-vector at one momentum; |zeta| = sin E and n = zeta/|zeta|."""
-    zx, zy, zz = zeta_components_2d(float(q.kx), float(q.ky), p)
-    return RealVec3(float(zx), float(zy), float(zz))
-
-
 def phi_2d(kx, ky, p: WalkParams):
     """Numerator of the curvature function; array-capable."""
     return _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))[3]
 
 
-def curvature_2d(q: Momentum2, p: WalkParams) -> float:
-    """Curvature function F = (d_kx n x d_ky n) . n = phi / |zeta|^3."""
-    return float(curvature_grid_2d(q.kx, q.ky, p))
-
-
 def curvature_grid_2d(kx, ky, p: WalkParams):
-    """Curvature function on momentum arrays."""
+    """Curvature function F = (d_kx n x d_ky n) . n = phi / |zeta|^3 on
+    momentum arrays."""
     zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))
     n2 = zx * zx + zy * zy + zz * zz
     if np.min(n2) < GAP_FLOOR ** 2:

@@ -28,12 +28,12 @@ from topocrit.crg import (detect_critical_lines, flow_field, rg_step,
                           walk_curvature_callback)
 from topocrit.errors import TopocritError
 from topocrit.geometry import (berry_connection_fd, berry_curvature_fd,
-                               dirac_d_1d, eigenstate_lower)
+                               lower_band_states)
 from topocrit.invariants import (chern_number_2d, chern_plaquette,
                                  winding_number_1d)
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import (peak_asymptotics_1d, rotated_curvature_1d,
-                             rotated_eigenstate_lower, rotated_zeta_1d)
+                             rotated_zeta_1d)
 from topocrit.walk2d import (PEAK_KX, curvature_grid_2d, energy_grid_2d,
                              zeta_components_2d)
 
@@ -82,16 +82,18 @@ def test_criterion_2_exponents_2d():
 # ---------------------------------------------------------------- criterion 3
 
 def _dirac_states_1d(k, M):
-    d = np.sqrt(M ** 2 + k ** 2)
-    up = np.full_like(d, -1.0 / np.sqrt(2.0), dtype=complex)
-    dn = (M + 1j * k) / (np.sqrt(2.0) * d)
-    return np.stack([up, dn])
+    return lower_band_states((M, k, 0.0), True)
 
 
 def _dirac_states_2d(kx, ky, M):
-    d = np.sqrt(kx ** 2 + ky ** 2 + M ** 2)
-    norm = np.sqrt(2.0 * d * (d - M))
-    return np.stack([(M - d) / norm, (kx + 1j * ky) / norm])
+    return lower_band_states((kx, ky, M), True)
+
+
+def _rotated_state(k, p):
+    """Rotated-frame lower state (-|zeta'|, zeta'_x - i zeta'_y) / (sqrt(2)
+    |zeta'|), whose doubled Berry connection is the curvature function."""
+    zx, zy = rotated_zeta_1d(k, p)
+    return lower_band_states((zx, -zy, 0.0), True)
 
 
 def test_criterion_3_metric_curvature_identities():
@@ -161,9 +163,9 @@ def test_criterion_4_fidelity_expansion():
     # 1D Dirac: chi_F = M^2 / (4 (M^2 + k^2)^2)
     for _ in range(20):
         k, m = RNG.uniform(-1.5, 1.5), RNG.uniform(0.3, 1.5)
-        a = eigenstate_lower(dirac_d_1d(k - dk / 2, m))
-        b = eigenstate_lower(dirac_d_1d(k + dk / 2, m))
-        chi_fd = (1.0 - abs(a.overlap(b))) / (dk ** 2 / 2.0)
+        a = _dirac_states_1d(k - dk / 2, m)
+        b = _dirac_states_1d(k + dk / 2, m)
+        chi_fd = (1.0 - abs(np.vdot(a, b))) / (dk ** 2 / 2.0)
         chi = m ** 2 / (4.0 * (m ** 2 + k ** 2) ** 2)
         worst = max(worst, abs(chi_fd / chi - 1.0))
 
@@ -177,21 +179,14 @@ def test_criterion_4_fidelity_expansion():
         if np.hypot(zx, zy) < 0.3 or abs(f) < 0.2:
             continue
         count += 1
-        sa = rotated_eigenstate_lower(k - dk / 2, p)
-        sb = rotated_eigenstate_lower(k + dk / 2, p)
-        chi_fd = (1.0 - abs(sa.overlap(sb))) / (dk ** 2 / 2.0)
+        sa = _rotated_state(k - dk / 2, p)
+        sb = _rotated_state(k + dk / 2, p)
+        chi_fd = (1.0 - abs(np.vdot(sa, sb))) / (dk ** 2 / 2.0)
         worst = max(worst, abs(chi_fd / (f ** 2 / 4.0) - 1.0))
 
     # 2D walk states: chi_F = det g = F^2 / 16
     def state2(kx, ky, p, south):
-        zx, zy, zz = zeta_components_2d(kx, ky, p)
-        zn = np.sqrt(zx * zx + zy * zy + zz * zz)
-        nx, ny, nz = zx / zn, zy / zn, zz / zn
-        if south:
-            v = np.array([nz - 1.0, nx + 1j * ny])
-        else:
-            v = np.array([-(nx - 1j * ny), 1.0 + nz])
-        return v / np.linalg.norm(v)
+        return lower_band_states(zeta_components_2d(kx, ky, p), south)
 
     count = 0
     while count < 20:
@@ -235,7 +230,7 @@ def test_criterion_5_connection_curvature_fd():
         zx, zy = rotated_zeta_1d(float(k), p)
         if np.hypot(zx, zy) < 1e-3:
             continue
-        state = lambda t: rotated_eigenstate_lower(t, p).as_array()
+        state = lambda t: _rotated_state(t, p)
         a_fd = berry_connection_fd(state, float(k))
         worst_1d = max(worst_1d, abs(2.0 * a_fd - rotated_curvature_1d(float(k), p)))
 
@@ -252,14 +247,7 @@ def test_criterion_5_connection_curvature_fd():
             south = (zz / zn) < 0.5
 
             def state(x, y):
-                ax, ay, az = zeta_components_2d(x, y, p2)
-                an = np.sqrt(ax * ax + ay * ay + az * az)
-                nx, ny, nz = ax / an, ay / an, az / an
-                if south:
-                    v = np.array([nz - 1.0, nx + 1j * ny])
-                else:
-                    v = np.array([-(nx - 1j * ny), 1.0 + nz])
-                return v / np.linalg.norm(v)
+                return lower_band_states(zeta_components_2d(x, y, p2), south)
 
             om = berry_curvature_fd(state, float(kx), float(ky))
             f = curvature_grid_2d(np.array([kx]), np.array([ky]), p2)[0]

@@ -362,6 +362,23 @@ def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
         ["cfg.json"] if config is not None else [])
 
 
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_directory_in_place_of_a_file_exits_1(tmp_path, capsys, flag):
+    # a directory where the config file or the output file should be
+    (tmp_path / "x.json").mkdir()
+    argv = ["invariant", "--model", "walk1d", "--grid", "64"]
+    if flag == "--config":
+        argv += ["--config", str(tmp_path / "x.json"),
+                 "--out", str(tmp_path / "y")]
+    else:
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" in err
+    assert "Traceback" not in err
+
+
 def test_benchmark_commands_are_valid(monkeypatch):
     bench = Path(__file__).resolve().parent.parent / "bench"
     monkeypatch.syspath_prepend(str(bench))

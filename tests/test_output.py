@@ -141,3 +141,19 @@ def test_int_encoder_matches_percent_d(tmp_path):
         write_csv(path, "1.0", CONFIG, {name: column})
         expected = "".join("%d\n" % v for v in column.tolist()).encode()
         assert _table_bytes(path) == expected, name
+
+
+def test_write_json_float_bytes(tmp_path):
+    # floats go to json.dumps as they are (17 significant digits round-trip
+    # a double, so no reformatting is needed); only NaN becomes null
+    values = [np.float64(2.0) / 3.0, -0.0, math.inf, -math.inf, 5e-324,
+              -2.5e-310, 1e300, 0.1 + 0.2, 1 / 3, math.nan]
+    path = tmp_path / "t.json"
+    output.write_json(path, "1.0", CONFIG, {"values": values})
+    assert path.read_bytes() == (
+        b'{\n  "tool": "topocrit",\n  "version": "1.0",\n'
+        b'  "config": {\n    "grid": 3,\n    "model": "walk1d"\n  },\n'
+        b'  "values": [\n    0.6666666666666666,\n    -0.0,\n    Infinity,\n'
+        b'    -Infinity,\n    5e-324,\n    -2.5e-310,\n    1e+300,\n'
+        b'    0.30000000000000004,\n    0.3333333333333333,\n    null\n'
+        b'  ]\n}\n')

@@ -3,15 +3,24 @@ import pytest
 
 from topocrit import (
     AtCriticality, FlatDegenerate, WalkParams,
-    curvature_1d, effective_hamiltonian, energy_1d, peak_asymptotics_1d,
-    rotated_curvature_1d, rotated_eigenstate_lower, unitary_1d, zeta_1d,
+    effective_hamiltonian, energy_1d, peak_asymptotics_1d,
+    rotated_curvature_1d, unitary_1d,
 )
-from topocrit.geometry import berry_connection_fd
+from topocrit.geometry import (berry_connection_fd, lower_band_states,
+                               quantum_geometric_tensor)
 from topocrit.walk1d import (Unitary2, chiral_axis, gauge_rotation_matrix,
                              reconstruct_unitary, rotated_zeta_1d,
                              zeta_components_1d)
 
 RNG = np.random.default_rng(7)
+
+
+def rotated_state(k, p):
+    """Rotated-frame lower state in the gauge whose doubled Berry connection
+    is the curvature function: (-|zeta'|, zeta'_x - i zeta'_y) / (sqrt(2)
+    |zeta'|), the south gauge of d = (zeta'_x, -zeta'_y, 0)."""
+    zx, zy = rotated_zeta_1d(k, p)
+    return lower_band_states((zx, -zy, 0.0), True)
 
 
 # --- protocol unitary ---
@@ -64,7 +73,7 @@ def test_effective_hamiltonian_single_rotation():
     u = Unitary2(np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * sy)
     s = effective_hamiltonian(u)
     assert abs(s.quasienergy - np.pi / 4) < 1e-12
-    np.testing.assert_allclose(s.axis.as_array(), [0, 1, 0], atol=1e-12)
+    np.testing.assert_allclose(s.axis, [0, 1, 0], atol=1e-12)
 
 
 def test_effective_hamiltonian_round_trip():
@@ -76,7 +85,7 @@ def test_effective_hamiltonian_round_trip():
         except FlatDegenerate:
             continue
         assert 0.0 <= s.quasienergy <= np.pi
-        assert abs(s.axis.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(s.axis) - 1.0) < 1e-10
         np.testing.assert_allclose(reconstruct_unitary(s).matrix, u.matrix,
                                    atol=1e-10)
 
@@ -90,13 +99,11 @@ def test_energy_values():
 
 
 def test_zeta_values():
-    z = zeta_1d(0.0, WalkParams(1.1, 0.0))
-    np.testing.assert_allclose(z.as_array(), [0.0, np.sin(0.55), 0.0],
-                               atol=1e-14)
+    z = zeta_components_1d(0.0, WalkParams(1.1, 0.0))
+    np.testing.assert_allclose(z, [0.0, np.sin(0.55), 0.0], atol=1e-14)
     # kappa_alpha = 0 at alpha = pi kills x and z components
-    z = zeta_1d(0.8, WalkParams(np.pi, 0.6))
-    np.testing.assert_allclose(z.as_array(), [0.0, np.cos(0.3), 0.0],
-                               atol=1e-14)
+    z = zeta_components_1d(0.8, WalkParams(np.pi, 0.6))
+    np.testing.assert_allclose(z, [0.0, np.cos(0.3), 0.0], atol=1e-14)
 
 
 def test_zeta_norm_is_sin_energy():
@@ -113,40 +120,48 @@ def test_zeta_parallel_to_axis():
     for _ in range(20):
         k, a, b = RNG.uniform(-np.pi, np.pi, 3)
         p = WalkParams(a, b)
-        z = zeta_1d(k, p).as_array()
+        z = np.array(zeta_components_1d(k, p))
         if np.linalg.norm(z) < 1e-3:
             continue
         s = effective_hamiltonian(unitary_1d(k, p))
-        np.testing.assert_allclose(z / np.linalg.norm(z), s.axis.as_array(),
-                                   atol=1e-8)
+        np.testing.assert_allclose(z / np.linalg.norm(z), s.axis, atol=1e-8)
 
 
 # --- curvature function ---
 
 def test_curvature_value_at_example_point():
-    assert abs(curvature_1d(0.0, WalkParams(np.pi / 2, 0.0)) + 1.0) < 1e-12
+    f = rotated_curvature_1d(0.0, WalkParams(np.pi / 2, 0.0))
+    assert abs(f + 1.0) < 1e-12
 
 
 def test_curvature_zero_when_alpha_pi():
     # kappa_alpha = 0 zeroes the numerator
-    assert abs(curvature_1d(np.pi / 2, WalkParams(np.pi, 0.4))) < 1e-14
+    assert abs(rotated_curvature_1d(np.pi / 2, WalkParams(np.pi, 0.4))) < 1e-14
 
 
 def test_curvature_even_about_hsps():
     p = WalkParams(0.9, 0.3)
     for kc in (0.0, np.pi):
         for d in (0.1, 0.3, 0.7):
-            assert abs(curvature_1d(kc + d, p) - curvature_1d(kc - d, p)) < 1e-12
+            assert abs(rotated_curvature_1d(kc + d, p)
+                       - rotated_curvature_1d(kc - d, p)) < 1e-12
 
 
 def test_curvature_equals_rotated_form():
+    # the defining form F = (n x d_k n) . A = (zeta x d_k zeta) . A / |zeta|^2
+    # with d_k zeta = kap_a (lam_b cos k, -lam_b sin k, -kap_b cos k)
     for _ in range(100):
         k, a, b = RNG.uniform(-np.pi, np.pi, 3) * 1.3
         p = WalkParams(a, b)
         zx, zy = rotated_zeta_1d(k, p)
         if np.hypot(zx, zy) < 1e-6:
             continue
-        assert abs(curvature_1d(k, p) - rotated_curvature_1d(k, p)) < 1e-12
+        ka, kb, lb = np.cos(a / 2), np.cos(b / 2), np.sin(b / 2)
+        z = np.array(zeta_components_1d(k, p))
+        dz = ka * np.array([lb * np.cos(k), -lb * np.sin(k), -kb * np.cos(k)])
+        f = np.cross(z, dz) @ chiral_axis(p) / (z @ z)
+        f_rot = rotated_curvature_1d(k, p)
+        assert abs(f - f_rot) < 1e-12 * max(1.0, abs(f_rot))
 
 
 def test_rotated_curvature_at_pi():
@@ -159,29 +174,45 @@ def test_gauge_rotation_kills_z():
         k, a, b = RNG.uniform(-np.pi, np.pi, 3)
         p = WalkParams(a, b)
         rot = gauge_rotation_matrix(p)
-        z_rot = rot @ zeta_1d(k, p).as_array()
+        z_rot = rot @ zeta_components_1d(k, p)
         assert abs(z_rot[2]) < 1e-14
         zx, zy = rotated_zeta_1d(k, p)
         np.testing.assert_allclose(z_rot[:2], [zx, zy], atol=1e-12)
-        a_rot = rot @ chiral_axis(p).as_array()
+        a_rot = rot @ chiral_axis(p)
         np.testing.assert_allclose(a_rot, [0, 0, 1], atol=1e-12)
 
 
 def test_curvature_is_doubled_berry_connection():
     p = WalkParams(1.1, 0.4)
     for k in np.linspace(0, 2 * np.pi, 17):
-        state = lambda t: rotated_eigenstate_lower(t, p).as_array()
+        state = lambda t: rotated_state(t, p)
         a_fd = berry_connection_fd(state, float(k))
         assert abs(2 * a_fd - rotated_curvature_1d(float(k), p)) < 1e-6
+
+
+def test_metric_is_quarter_curvature_squared():
+    # the axis stays on the great circle normal to A, so the quantum metric
+    # of the axis field is g_kk = F^2 / 4; d_k zeta by central differences
+    rng = np.random.default_rng(2000)
+    h = 1e-5
+    for _ in range(10):
+        p = WalkParams(*rng.uniform(-np.pi, np.pi, 2))
+        k = rng.uniform(-np.pi, np.pi, 200)
+        k = k[np.hypot(*rotated_zeta_1d(k, p)) > 0.05]
+        dz = [(u - v) / (2 * h) for u, v in zip(zeta_components_1d(k + h, p),
+                                                zeta_components_1d(k - h, p))]
+        g = quantum_geometric_tensor(zeta_components_1d(k, p), dz, dz).real
+        f = rotated_curvature_1d(k, p)
+        np.testing.assert_allclose(g, f ** 2 / 4, rtol=1e-6)
 
 
 def test_flat_band_never_silent_nan():
     # alpha = pi gives a flat band; curvature must be finite there
     for k in np.linspace(0, 2 * np.pi, 7):
-        f = curvature_1d(float(k), WalkParams(np.pi, 0.7))
+        f = rotated_curvature_1d(float(k), WalkParams(np.pi, 0.7))
         assert np.isfinite(f)
     for k in (0.3, 2.2):
-        f = curvature_1d(k, WalkParams(0.9, np.pi))
+        f = rotated_curvature_1d(k, WalkParams(0.9, np.pi))
         assert np.isfinite(f)
 
 
@@ -202,7 +233,8 @@ def test_peak_matches_curvature_at_kc():
                 fp, _ = peak_asymptotics_1d(p, kc)
             except AtCriticality:
                 continue
-            assert abs(fp - curvature_1d(kc, p)) < 1e-12 * max(1, abs(fp))
+            f = rotated_curvature_1d(kc, p)
+            assert abs(fp - f) < 1e-12 * max(1, abs(fp))
 
 
 def test_peak_scaling_exponents():
@@ -222,8 +254,8 @@ def test_peak_at_criticality_raises():
 
 def test_critical_flip_ratio():
     eps = 1e-3
-    r = (curvature_1d(0.0, WalkParams(-eps, 0.0))
-         / curvature_1d(0.0, WalkParams(+eps, 0.0)))
+    r = (rotated_curvature_1d(0.0, WalkParams(-eps, 0.0))
+         / rotated_curvature_1d(0.0, WalkParams(+eps, 0.0)))
     assert abs(r + 1.0) < 0.01
 
 

@@ -2,28 +2,17 @@ import numpy as np
 import pytest
 
 from topocrit import (
-    AtCriticality, Momentum2, WalkParams, ZeroGap,
-    curvature_2d, effective_hamiltonian, energy_2d, peak_asymptotics_2d,
-    unitary_2d, zeta_2d,
+    AtCriticality, WalkParams, ZeroGap,
+    effective_hamiltonian, peak_asymptotics_2d, unitary_2d,
 )
-from topocrit.geometry import berry_curvature_fd
+from topocrit.geometry import (berry_curvature_fd, lower_band_states,
+                               quantum_geometric_tensor)
 from topocrit.walk1d import reconstruct_unitary
 from topocrit.models import WALK_2D
-from topocrit.walk2d import (PEAK_KX, curvature_grid_2d, min_gap_2d, rho_2d,
-                             zeta_components_2d)
+from topocrit.walk2d import (PEAK_KX, curvature_grid_2d, energy_grid_2d,
+                             min_gap_2d, rho_2d, zeta_components_2d)
 
 RNG = np.random.default_rng(11)
-
-
-def lower_state(kx, ky, p, south):
-    """Lower-band spinor of the axis field in a fixed gauge."""
-    z = zeta_2d(Momentum2(kx, ky), p).as_array()
-    n = z / np.linalg.norm(z)
-    if south:
-        v = np.array([n[2] - 1.0, n[0] + 1j * n[1]])
-    else:
-        v = np.array([-(n[0] - 1j * n[1]), 1.0 + n[2]])
-    return v / np.linalg.norm(v)
 
 
 # --- protocol unitary ---
@@ -32,7 +21,7 @@ def test_unitary_pure_shift_limit():
     sz = np.diag([1.0, -1.0])
     for _ in range(10):
         kx, ky = RNG.uniform(-np.pi, np.pi, 2)
-        u = unitary_2d(Momentum2(kx, ky), WalkParams(0.0, 0.0)).matrix
+        u = unitary_2d(kx, ky, WalkParams(0.0, 0.0)).matrix
         expect = np.diag(np.exp(1j * np.diag(2 * (kx + ky) * sz)))
         np.testing.assert_allclose(u, expect, atol=1e-13)
 
@@ -40,7 +29,7 @@ def test_unitary_pure_shift_limit():
 def test_unitary_trace_identity():
     for _ in range(60):
         kx, ky, a, b = RNG.uniform(-2 * np.pi, 2 * np.pi, 4)
-        u = unitary_2d(Momentum2(kx, ky), WalkParams(a, b)).matrix
+        u = unitary_2d(kx, ky, WalkParams(a, b)).matrix
         assert abs((np.trace(u) / 2).real - rho_2d(kx, ky, WalkParams(a, b))) < 1e-12
 
 
@@ -48,10 +37,10 @@ def test_unitarity_and_periodicity():
     for _ in range(30):
         kx, ky, a, b = RNG.uniform(-5, 5, 4)
         p = WalkParams(a, b)
-        u = unitary_2d(Momentum2(kx, ky), p).matrix
+        u = unitary_2d(kx, ky, p).matrix
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
-        u2 = unitary_2d(Momentum2(kx + 2 * np.pi, ky), p).matrix
-        u3 = unitary_2d(Momentum2(kx, ky + 2 * np.pi), p).matrix
+        u2 = unitary_2d(kx + 2 * np.pi, ky, p).matrix
+        u3 = unitary_2d(kx, ky + 2 * np.pi, p).matrix
         assert np.abs(u - u2).max() < 1e-12
         assert np.abs(u - u3).max() < 1e-12
 
@@ -60,26 +49,25 @@ def test_effective_hamiltonian_round_trip():
     for _ in range(30):
         kx, ky, a, b = RNG.uniform(-np.pi, np.pi, 4)
         p = WalkParams(a, b)
-        u = unitary_2d(Momentum2(kx, ky), p)
-        z = zeta_2d(Momentum2(kx, ky), p)
-        if z.norm() < 1e-3:
+        u = unitary_2d(kx, ky, p)
+        z = np.array(zeta_components_2d(kx, ky, p))
+        if np.linalg.norm(z) < 1e-3:
             continue
         s = effective_hamiltonian(u)
         np.testing.assert_allclose(reconstruct_unitary(s).matrix, u.matrix,
                                    atol=1e-10)
-        np.testing.assert_allclose(z.as_array() / z.norm(),
-                                   s.axis.as_array(), atol=1e-8)
+        np.testing.assert_allclose(z / np.linalg.norm(z), s.axis, atol=1e-8)
 
 
 # --- bands and axis ---
 
 def test_energy_gap_closes_on_slice():
-    e = energy_2d(Momentum2(np.pi / 2, -np.pi / 2), WalkParams(0.0, np.pi / 2))
+    e = energy_grid_2d(np.pi / 2, -np.pi / 2, WalkParams(0.0, np.pi / 2))
     assert e < 1e-12
 
 
 def test_energy_trivial_point():
-    assert energy_2d(Momentum2(0.0, 0.0), WalkParams(0.0, 0.0)) < 1e-12
+    assert energy_grid_2d(0.0, 0.0, WalkParams(0.0, 0.0)) < 1e-12
 
 
 def test_zeta_norm_matches_rho():
@@ -94,11 +82,11 @@ def test_zeta_norm_matches_rho():
 def test_zeta_special_limits():
     for _ in range(10):
         kx, ky = RNG.uniform(-np.pi, np.pi, 2)
-        z = zeta_2d(Momentum2(kx, ky), WalkParams(0.0, 0.0))
+        z = zeta_components_2d(kx, ky, WalkParams(0.0, 0.0))
         np.testing.assert_allclose(
-            z.as_array(), [0.0, 0.0, -np.sin(2 * (kx + ky))], atol=1e-14)
-        z = zeta_2d(Momentum2(0.0, ky), WalkParams(0.7, 1.2))
-        assert abs(z.x) < 1e-14
+            z, [0.0, 0.0, -np.sin(2 * (kx + ky))], atol=1e-14)
+        zx, _, _ = zeta_components_2d(0.0, ky, WalkParams(0.7, 1.2))
+        assert abs(zx) < 1e-14
 
 
 # --- curvature function ---
@@ -109,21 +97,50 @@ def test_curvature_matches_doubled_berry_curvature():
     k = np.linspace(0, 2 * np.pi, 8, endpoint=False)
     for kx in k:
         for ky in k:
-            z = zeta_2d(Momentum2(kx, ky), p)
-            if z.norm() < 1e-3:
+            zx, zy, zz = zeta_components_2d(kx, ky, p)
+            zn = np.sqrt(zx * zx + zy * zy + zz * zz)
+            if zn < 1e-3:
                 continue
-            south = (z.z / z.norm()) < 0.5
-            state = lambda x, y: lower_state(x, y, p, south)
+            south = (zz / zn) < 0.5
+            state = lambda x, y: lower_band_states(
+                zeta_components_2d(x, y, p), south)
             om = berry_curvature_fd(state, float(kx), float(ky))
-            f = curvature_2d(Momentum2(kx, ky), p)
+            f = float(curvature_grid_2d(kx, ky, p))
             assert abs(f - 2 * om) < 1e-5
+
+
+def test_metric_determinant_and_curvature_from_qgt():
+    # sqrt(det g) = |F| / 4 and -2 Im T_xy = F / 2 for the axis field, with
+    # d zeta by central differences
+    rng = np.random.default_rng(2001)
+    h = 1e-5
+
+    def d_zeta(kx, ky, p, ux, uy):
+        plus = zeta_components_2d(kx + h * ux, ky + h * uy, p)
+        minus = zeta_components_2d(kx - h * ux, ky - h * uy, p)
+        return [(u - v) / (2 * h) for u, v in zip(plus, minus)]
+
+    for _ in range(10):
+        p = WalkParams(*rng.uniform(-np.pi, np.pi, 2))
+        kx, ky = rng.uniform(0, 2 * np.pi, (2, 200))
+        z = zeta_components_2d(kx, ky, p)
+        keep = np.sqrt(sum(c * c for c in z)) > 0.05
+        kx, ky, z = kx[keep], ky[keep], [c[keep] for c in z]
+        dx, dy = d_zeta(kx, ky, p, 1, 0), d_zeta(kx, ky, p, 0, 1)
+        txx = quantum_geometric_tensor(z, dx, dx).real
+        tyy = quantum_geometric_tensor(z, dy, dy).real
+        txy = quantum_geometric_tensor(z, dx, dy)
+        f = curvature_grid_2d(kx, ky, p)
+        np.testing.assert_allclose(np.sqrt(txx * tyy - txy.real ** 2),
+                                   np.abs(f) / 4, rtol=1e-6)
+        np.testing.assert_allclose(-2 * txy.imag, f / 2, rtol=1e-6)
 
 
 def test_curvature_sign_flip_across_critical_alpha():
     eps = 1e-3
-    q = Momentum2(np.pi / 2, -np.pi / 2)
-    r = (curvature_2d(q, WalkParams(-eps, np.pi / 2))
-         / curvature_2d(q, WalkParams(+eps, np.pi / 2)))
+    q = (np.pi / 2, -np.pi / 2)
+    r = (curvature_grid_2d(*q, WalkParams(-eps, np.pi / 2))
+         / curvature_grid_2d(*q, WalkParams(+eps, np.pi / 2)))
     assert abs(r + 1.0) < 0.01
 
 
@@ -137,7 +154,7 @@ def test_curvature_even_along_slice():
 
 def test_curvature_raises_on_closed_gap():
     with pytest.raises(ZeroGap):
-        curvature_2d(Momentum2(np.pi / 2, -np.pi / 2), WalkParams(0.0, np.pi / 2))
+        curvature_grid_2d(np.pi / 2, -np.pi / 2, WalkParams(0.0, np.pi / 2))
 
 
 # --- peak asymptotics ---
@@ -148,11 +165,10 @@ def test_peak_value_example():
 
 
 def test_peak_matches_curvature_exactly():
-    q = Momentum2(np.pi / 2, -np.pi / 2)
     for a in (-2.5, -0.3, -0.1, 0.1, 0.3, 1.0, 2.9):
         for b in (0.4, np.pi / 2, 2.0):
             fp, _ = peak_asymptotics_2d(WalkParams(a, b))
-            fc = curvature_2d(q, WalkParams(a, b))
+            fc = WALK_2D.peak_curvature(WALK_2D.slice_peak(), WalkParams(a, b))
             assert abs(fp - fc) < 1e-10 * max(1.0, abs(fc))
 
 
@@ -182,14 +198,6 @@ def test_peak_at_criticality_raises():
 def test_gap_closes_only_at_alpha_zero_on_slice():
     assert min_gap_2d(WalkParams(0.0, np.pi / 2)) < 1e-6
     assert min_gap_2d(WalkParams(0.5, np.pi / 2)) > 0.1
-
-
-def test_momentum_reduced_range():
-    q = Momentum2(-0.3, 7.0).reduced()
-    assert 0.0 <= q.kx < 2 * np.pi
-    assert 0.0 <= q.ky < 2 * np.pi
-    p = WalkParams(0.7, 1.1)
-    assert abs(energy_2d(q, p) - energy_2d(Momentum2(-0.3, 7.0), p)) < 1e-12
 
 
 def test_axis_slice_profiles_share_peak_value():
