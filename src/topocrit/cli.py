@@ -341,8 +341,12 @@ def cmd_exponents(cfg: dict) -> int:
         k_c = float(cfg.get("kc", 0.0))
     else:
         k_c = model.slice_peak()
-    fit = criticality.extract_exponents(model, beta, k_c, window=window,
-                                        n_points=n_points)
+    # the transition whose gap closes at k_c, alpha_c = -b beta: for walk1d
+    # -beta at k_c = 0 and +beta at k_c = pi, for walk2d 0 at the slice
+    # peak; 0.0 - b beta keeps alpha_c = +0.0 at beta = 0
+    alpha_c = 0.0 - model.closing_slope(k_c) * beta
+    fit = criticality.extract_exponents(model, beta, k_c, alpha_c=alpha_c,
+                                        window=window, n_points=n_points)
     payload = {
         "alpha_c": fit.alpha_c,
         "gamma": fit.gamma,

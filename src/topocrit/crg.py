@@ -131,8 +131,10 @@ def flow_field(model, grid: int = 128, hsps=None, ks=None,
     """Evaluate the RG flow on a uniform (alpha, beta) grid over [-pi, pi)^2.
 
     The scaling direction defaults to the first momentum axis, +k in 1D and
-    +kx in 2D.  Cells where the gap closes at the HSP carry non-finite
-    entries and are flagged diverged; no exception is raised per cell.
+    +kx in 2D.  Cells where the gap closes at the HSP, exactly those where
+    :func:`walk_curvature_callback` raises ZeroGap there, carry NaN flow and
+    an infinite peak height and are flagged diverged; no exception is
+    raised per cell.
     """
     if grid < 64:
         raise ValueError("grid must be at least 64x64")
@@ -158,6 +160,9 @@ def flow_field(model, grid: int = 128, hsps=None, ks=None,
             db = np.where(np.abs(den_b) < DENOMINATOR_FLOOR,
                           np.where(np.abs(num) < DENOMINATOR_FLOOR, 0.0, np.inf),
                           num / den_b) * (dM / dk ** 2)
+            closed = _closed_cells(model, hsp, axes)
+            da[closed] = db[closed] = np.nan
+            f0[closed] = np.inf
             rate = np.hypot(da, db)
             log_rate = np.log10(rate)
         key = _hsp_key(hsp)
@@ -169,6 +174,25 @@ def flow_field(model, grid: int = 128, hsps=None, ks=None,
         out.peak_height[key] = np.abs(f0)
         out.scaling_response[key] = np.abs(num)
     return out
+
+
+def _closed_cells(model, hsp, axes):
+    """Index arrays (i, j) of the cells (axes[i], axes[j]) where the gap
+    closes at ``hsp``.
+
+    It closes on the line alpha = -b beta (mod 2 pi) of
+    ``model.closing_slope(hsp)``, so only the three alpha cells nearest to
+    that line in each beta column are tested, by the model's own gap test:
+    O(grid) cells, not the grid.
+    """
+    n = len(axes)
+    # the index of alpha = -b beta on the axis -pi + 2 pi i / n
+    nearest = np.rint(np.mod(np.pi - model.closing_slope(hsp) * axes,
+                             2.0 * np.pi) * (n / (2.0 * np.pi))).astype(int)
+    i = (np.repeat(nearest, 3) + np.tile((-1, 0, 1), n)) % n
+    j = np.repeat(np.arange(n), 3)
+    closed = model.gap_closed(hsp, axes[i], axes[j])
+    return i[closed], j[closed]
 
 
 @dataclass

@@ -21,6 +21,7 @@ DEFAULT_WINDOW = (1e-3, 1e-1)
 DEFAULT_POINTS = 20
 MIN_POINTS = 10
 PEAK_SAMPLES = 31
+LOCUS_TOL = 1e-9  # angle slack of a point on a gap-closing locus
 
 
 @dataclass
@@ -200,11 +201,14 @@ def extract_exponents(model, beta: float, k_c, dimension: int | None = None,
 
     For each eps in the window the peak is sampled at alpha = alpha_c + eps
     and fit with :func:`fit_lorentzian`; |F_peak| ~ eps^-gamma and
-    xi ~ eps^-nu give the exponents by least squares.
+    xi ~ eps^-nu give the exponents by least squares.  alpha_c must lie on
+    a gap-closing locus of the model, and the sweep must approach it: no
+    sweep point may be nearer to another locus (``criticality_distance``
+    measures to the nearest of them all) than to alpha_c.
 
     Raises:
-        WindowTouchesCriticality: a sweep point is critical or the window is
-            malformed.
+        WindowTouchesCriticality: the window is malformed, alpha_c is on no
+            locus, or a sweep point is nearer to another locus.
     """
     lo, hi = window
     if not (0.0 < lo < hi):
@@ -213,13 +217,19 @@ def extract_exponents(model, beta: float, k_c, dimension: int | None = None,
         raise ValueError("need at least %d window points" % MIN_POINTS)
     if dimension is None:
         dimension = model.dimension
+    if model.criticality_distance(WalkParams(alpha_c, beta)) > LOCUS_TOL:
+        raise WindowTouchesCriticality(
+            "alpha_c = %r is on no gap-closing locus at beta = %r"
+            % (alpha_c, beta))
     eps = np.logspace(np.log10(lo), np.log10(hi), n_points)
     f_peaks = np.empty(n_points)
     xis = np.empty(n_points)
     for i, e in enumerate(eps):
         p = WalkParams(alpha_c + e, beta)
-        if model.criticality_distance(p) < lo * 0.5:
-            raise WindowTouchesCriticality("sweep point at alpha offset %.3e is critical" % e)
+        if model.criticality_distance(p) < e - LOCUS_TOL:
+            raise WindowTouchesCriticality(
+                "sweep point at alpha offset %.3e is nearer to another "
+                "gap-closing locus than to alpha_c = %r" % (e, alpha_c))
         try:
             _, xi2 = model.peak_asymptotics(p, k_c)
             guess = np.sqrt(abs(xi2))

@@ -4,6 +4,10 @@ invariant layers.
 A model object is stateless; walk parameters are passed per call.  The 2D
 walk exposes its peak structure through the ky = -kx diagonal slice, which is
 where its near-critical asymptotics live.
+
+At each high-symmetry momentum k of either walk, |zeta(k)| is
+|sin((alpha + b beta)/2)| for an integer slope b = ``closing_slope(k)``: the
+gap at k closes on the line alpha = -b beta (mod 2 pi) and nowhere else.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import walk1d, walk2d
-from .walk1d import WalkParams
+from .walk1d import WalkParams, _angle_halves, _reduce_angle
 
 
 class Walk1D:
@@ -58,6 +62,18 @@ class Walk1D:
     def criticality_distance(p: WalkParams) -> float:
         """Parameter-space distance to the nearest gap-closing family."""
         return min(walk1d.gap_distances(p))
+
+    @staticmethod
+    def closing_slope(k) -> int:
+        """b = 1 at k = 0 and -1 at k = pi, from zeta(k) = (0, sin((alpha
+        +- beta)/2), 0); ValueError at any other momentum."""
+        return 1 if walk1d._at_zero_channel(k) else -1
+
+    @staticmethod
+    def gap_closed(k, alpha, beta):
+        """Where ``curvature`` at momentum k raises ZeroGap, on
+        broadcastable angle arrays."""
+        return walk1d._gap_closed_1d(k, _angle_halves(alpha, beta))
 
 
 class Walk2D:
@@ -116,10 +132,35 @@ class Walk2D:
         """Default peak momentum of the diagonal-slice configuration."""
         return (walk2d.PEAK_KX, -walk2d.PEAK_KX)
 
+    # alpha = -b beta closes the gap at (0, 0) for b = 2, at (0, pi/2) for
+    # b = -2 and at kx = pi/2 for b = 0, keyed by (2 kx, 2 ky) / pi mod 2
+    SLOPES = {(0, 0): 2, (0, 1): -2, (1, 0): 0, (1, 1): 0}
+
     @staticmethod
     def criticality_distance(p: WalkParams) -> float:
-        """Angle distance of alpha to the slice-peak critical value 0."""
-        return abs(walk1d._reduce_angle(p.alpha))
+        """Angle distance to the nearest gap-closing family: alpha = 0 (the
+        slice peak), -2 beta or +2 beta (mod 2 pi)."""
+        return min(abs(_reduce_angle(p.alpha + b * p.beta))
+                   for b in (0, 2, -2))
+
+    @classmethod
+    def closing_slope(cls, k) -> int:
+        """b at a high-symmetry momentum (kx, ky), each a multiple of pi/2;
+        ValueError at any other momentum."""
+        key = []
+        for c in k:
+            half_turns = abs(_reduce_angle(2.0 * c)) / np.pi
+            if min(half_turns, 1.0 - half_turns) > 1e-9:
+                raise ValueError("momentum %r is not high-symmetry" % (k,))
+            key.append(round(half_turns))
+        return cls.SLOPES[tuple(key)]
+
+    @staticmethod
+    def gap_closed(k, alpha, beta):
+        """Where ``curvature`` at momentum k raises ZeroGap, on
+        broadcastable angle arrays."""
+        kx, ky = k
+        return walk2d._gap_closed_2d(kx, ky, _angle_halves(alpha, beta))
 
 
 WALK_1D = Walk1D()

@@ -122,8 +122,13 @@ def reconstruct_unitary(sample: EffectiveHamiltonianSample) -> Unitary2:
 
 
 def _half_angles(p: WalkParams):
-    return (np.cos(p.alpha / 2.0), np.sin(p.alpha / 2.0),
-            np.cos(p.beta / 2.0), np.sin(p.beta / 2.0))
+    return _angle_halves(p.alpha, p.beta)
+
+
+def _angle_halves(alpha, beta):
+    """(kap_a, lam_a, kap_b, lam_b) of broadcastable angle arrays."""
+    return (np.cos(alpha / 2.0), np.sin(alpha / 2.0),
+            np.cos(beta / 2.0), np.sin(beta / 2.0))
 
 
 def energy_1d(k, p: WalkParams):
@@ -172,14 +177,15 @@ def rotated_zeta_1d(k, p: WalkParams):
     return zx, zy
 
 
-def _rotated_norm2(k, p: WalkParams):
-    zx, zy = rotated_zeta_1d(k, p)
-    return zx * zx + zy * zy
+def _gap_closed_1d(k, h):
+    """Where the rotated axis has no gap, zeta'_x^2 + zeta_y^2 below
+    GAP_FLOOR^2, from the half angles h, which may be arrays."""
+    _, zy, _, zx = _zeta_terms_1d(h, np.sin(k), np.cos(k))
+    return zx * zx + zy * zy < GAP_FLOOR ** 2
 
 
 def _validate_gap(k, p: WalkParams):
-    n2 = np.min(_rotated_norm2(k, p))
-    if n2 < GAP_FLOOR ** 2:
+    if np.any(_gap_closed_1d(k, _half_angles(p))):
         raise ZeroGap("gap closed on the requested momenta")
 
 
@@ -201,11 +207,9 @@ def _curvature_raw_1d(k, alpha, beta):
         F = -(kap_a^2 lam_b + lam_a kap_a kap_b cos k)
             / (kap_a^2 sin^2 k + (lam_a kap_b + kap_a lam_b cos k)^2).
     """
-    h = (np.cos(alpha / 2.0), np.sin(alpha / 2.0),
-         np.cos(beta / 2.0), np.sin(beta / 2.0))
+    coeffs = _curvature_coeffs_1d(_angle_halves(alpha, beta))
     cos_k = np.cos(k)
-    return _curvature_terms_1d(_curvature_coeffs_1d(h), cos_k,
-                               np.sin(k) ** 2, cos_k ** 2)
+    return _curvature_terms_1d(coeffs, cos_k, np.sin(k) ** 2, cos_k ** 2)
 
 
 def _curvature_coeffs_1d(h):
@@ -246,15 +250,27 @@ def peak_asymptotics_1d(p: WalkParams, k_c: float):
         AtCriticality: the corresponding gap channel is closed.
     """
     ka, la, kb, lb = _half_angles(p)
-    at_zero = abs(_reduce_angle(k_c)) < 1e-9
-    if not at_zero and abs(abs(_reduce_angle(k_c)) - np.pi) > 1e-9:
-        raise ValueError("k_c must be 0 or pi")
+    at_zero = _at_zero_channel(k_c)
     lam = np.sin((p.alpha + p.beta) / 2.0) if at_zero else np.sin((p.alpha - p.beta) / 2.0)
     if abs(lam) < FLAT_FLOOR:
         raise AtCriticality("peak channel at k_c=%s is critical" % ("0" if at_zero else "pi"))
     f_peak = -ka / lam if at_zero else ka / lam
     xi2 = 0.5 * (kb ** 2 + ka ** 2 * kb ** 2 - ka * kb * la * lb) / lam ** 2
     return float(f_peak), float(xi2)
+
+
+def _at_zero_channel(k_c: float) -> bool:
+    """True at k_c = 0 and False at k_c = pi (mod 2 pi, to 1e-9).
+
+    Raises:
+        ValueError: any other momentum.
+    """
+    k = abs(_reduce_angle(k_c))
+    if k < 1e-9:
+        return True
+    if abs(k - np.pi) < 1e-9:
+        return False
+    raise ValueError("k_c must be 0 or pi, got %r" % (k_c,))
 
 
 def gap_distances(p: WalkParams):

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import AtCriticality, ZeroGap
 from .geometry import GAP_FLOOR
-from .walk1d import Unitary2, WalkParams, _half_angles, coin
+from .walk1d import (Unitary2, WalkParams, _angle_halves, _half_angles,
+                     coin)
 
 CRITICAL_FLOOR = 1e-12
 
@@ -177,11 +178,23 @@ def phi_2d(kx, ky, p: WalkParams):
     return _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))[3]
 
 
+def _norm2_phi_2d(kx, ky, h):
+    """|zeta|^2 and the curvature numerator phi on broadcastable momentum
+    arrays, from the half angles h, which may be arrays too."""
+    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), *h)
+    return zx * zx + zy * zy + zz * zz, phi
+
+
+def _gap_closed_2d(kx, ky, h):
+    """Where |zeta|^2 is below GAP_FLOOR^2, the test of
+    ``curvature_grid_2d``."""
+    return _norm2_phi_2d(kx, ky, h)[0] < GAP_FLOOR ** 2
+
+
 def curvature_grid_2d(kx, ky, p: WalkParams):
     """Curvature function F = (d_kx n x d_ky n) . n = phi / |zeta|^3 on
     momentum arrays."""
-    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))
-    n2 = zx * zx + zy * zy + zz * zz
+    n2, phi = _norm2_phi_2d(kx, ky, _half_angles(p))
     if np.min(n2) < GAP_FLOOR ** 2:
         raise ZeroGap("gap closed on the requested grid")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,11 +203,9 @@ def curvature_grid_2d(kx, ky, p: WalkParams):
 
 def _curvature_raw_2d(kx, ky, alpha, beta):
     """Unvalidated curvature on broadcastable (k, alpha, beta) arrays."""
-    ka, la = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
-    kb, lb = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), ka, la, kb, lb)
+    n2, phi = _norm2_phi_2d(kx, ky, _angle_halves(alpha, beta))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return phi / (zx * zx + zy * zy + zz * zz) ** 1.5
+        return phi / n2 ** 1.5
 
 
 def peak_asymptotics_2d(p: WalkParams):

@@ -122,6 +122,33 @@ def test_exponents_malformed_window(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kc, alpha_c", [("0", -0.3), (repr(math.pi), 0.3)])
+def test_exponents_walk1d_fits_the_transition_at_kc(tmp_path, kc, alpha_c):
+    # at beta = 0.3 the k = 0 channel closes at alpha = -0.3 and the k = pi
+    # channel at +0.3; a sweep from alpha = 0 approached neither
+    out = tmp_path / "exp.json"
+    assert main(["exponents", "--model", "walk1d", "--beta", "0.3", "--kc",
+                 kc, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["alpha_c"] == alpha_c
+    assert 0.99 <= doc["gamma"] <= 1.01
+    assert 0.99 <= doc["nu"] <= 1.01
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the window [1e-3, 0.1] crosses the alpha = 2 beta = 0.06 closing
+    (["--model", "walk2d", "--beta", "0.03"], "nearer to another"),
+    (["--model", "walk1d", "--beta", "0.3", "--kc", "1"],
+     "k_c must be 0 or pi"),
+])
+def test_exponents_refuses_a_sweep_off_its_transition(tmp_path, capsys, argv,
+                                                      message):
+    out = tmp_path / "exp.json"
+    assert main(["exponents"] + argv + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- correlation ---
 
 def test_correlation_csv(tmp_path):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from topocrit import WalkParams
+from topocrit import WalkParams, correlation
 from topocrit.correlation import (envelope_indices, fit_decay,
                                   fourier_series_1d, wannier_correlation_1d,
                                   wannier_correlation_2d, CorrelationSeries)
@@ -33,7 +35,7 @@ def test_fourier_of_constant():
     ("walk1d", WalkParams(0.8, 0.3), 32, 12),
     ("walk1d", WalkParams(0.6, 0.0), 32, 75),  # R wraps past N
     ("walk2d", WalkParams(1.2, np.pi / 2), 32, 12),
-    ("walk2d", WalkParams(0.8, 0.3), 48, 100),  # R wraps past N
+    ("walk2d", WalkParams(0.8, 1.0), 48, 100),  # R wraps past N
 ])
 def test_series_matches_direct_trapezoidal_sum(model, p, n, r_max):
     k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -51,6 +53,49 @@ def test_series_matches_direct_trapezoidal_sum(model, p, n, r_max):
     np.testing.assert_array_equal(series.displacements, r)
     assert np.abs(direct.imag).max() < 1e-12
     assert np.abs(series.values - direct.real).max() < 1e-12
+
+
+@pytest.mark.parametrize("p, n, r_max, block_rows", [
+    (WalkParams(0.7, np.pi / 2), 97, 200, None),   # odd N, R wraps past N
+    (WalkParams(0.8, 0.3), 600, 40, None),  # N not a multiple of the rows
+    (WalkParams(-0.9, 1.0), 64, 130, 5),    # many blocks, the last short
+])
+def test_streamed_2d_series_bit_equal_to_full_grid_route(monkeypatch, p, n,
+                                                         r_max, block_rows):
+    # the row blocks transform along ky and then kx, the axis order of
+    # ifftn, so every value keeps the bits of the full-grid transform
+    if block_rows is not None:
+        monkeypatch.setattr(correlation, "CORRELATION_BLOCK_POINTS",
+                            block_rows * n)
+    assert n % max(1, correlation.CORRELATION_BLOCK_POINTS // n) != 0
+    k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    r = np.arange(r_max + 1)
+    full = np.fft.ifftn(curvature_grid_2d(k[:, None], k[None, :], p))
+    series = wannier_correlation_2d(p, r_max, n)
+    assert series.values.tobytes() == full[r % n, -r % n].real.tobytes()
+
+
+def test_streamed_1d_series_bit_equal_to_full_grid_route():
+    p = WalkParams(0.8, 0.3)
+    k = np.linspace(0.0, 2.0 * np.pi, 33, endpoint=False)
+    r = np.arange(101)
+    want = np.fft.ifftn(rotated_curvature_1d(k, p))[r % 33].real
+    got = wannier_correlation_1d(p, 100, 33).values
+    assert got.tobytes() == want.tobytes()
+
+
+def test_streamed_2d_series_holds_no_full_grid():
+    # one (512, 512) complex array is 4 MB; the row blocks and the kept
+    # (512, 61) columns stay well below it
+    p = WalkParams(0.3, np.pi / 2)
+    wannier_correlation_2d(p, 60, 512)
+    tracemalloc.start()
+    try:
+        wannier_correlation_2d(p, 60, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 16
 
 
 def test_fourier_series_1d_matches_direct_sum_past_the_grid():

@@ -5,9 +5,10 @@ import pytest
 
 from topocrit import WalkParams
 from topocrit.crg import (MIN_COMPONENT_CELLS, NUMERATOR_FLOOR,
-                          PEAK_SINGULAR, FlowField, _hsp_key,
+                          PEAK_SINGULAR, FlowField, _closed_cells, _hsp_key,
                           _periodic_label, detect_critical_lines,
                           flow_field, rg_step, walk_curvature_callback)
+from topocrit.errors import ZeroGap
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import rotated_curvature_1d
 
@@ -143,24 +144,101 @@ def test_flow_field_bit_equal_to_meshgrid_evaluation(model):
             assert got[key].tobytes() == want[key].tobytes()
 
 
+def _raises_zero_gap(f, hsp, M) -> bool:
+    try:
+        f(hsp, M)
+    except ZeroGap:
+        return True
+    return False
+
+
+def _closed(field, key):
+    """Cells the flow field marks as closed at the HSP."""
+    return np.isnan(field.dalpha[key]) & np.isinf(field.peak_height[key])
+
+
 @pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
 def test_rg_step_is_the_oracle_of_flow_field(model):
-    # the scalar rg_step on the curvature callback recomputes finite,
-    # non-diverged cells of the array flow field; the strided set starts
-    # past the gapless (-pi, -pi) corner, where the callback raises ZeroGap
+    # the scalar rg_step on the curvature callback recomputes the array flow
+    # field on a strided set of cells that starts at (0, 0), the gapless
+    # corner (-pi, -pi): a cell is closed exactly where the callback raises
+    # ZeroGap at the HSP, and every other non-diverged cell has its flow
     field = flow_field(model, grid=64)
     f = walk_curvature_callback(model)
     for hsp in field.hsps:
         key = _hsp_key(hsp)
-        cells = np.argwhere(~field.diverged[key])
-        assert len(cells) > 100
-        stride = len(cells) // 12
-        for i, j in cells[stride // 2::stride]:
+        closed = _closed(field, key)
+        assert np.all(field.diverged[key][closed])
+        compared = 0
+        for i, j in np.argwhere(np.ones_like(closed))[::61]:
             M = (field.alphas[i], field.betas[j])
+            assert _raises_zero_gap(f, hsp, M) == closed[i, j]
+            if field.diverged[key][i, j]:
+                continue
+            compared += 1
             for axis, flow in enumerate((field.dalpha, field.dbeta)):
                 step = rg_step(f, hsp, field.ks, M, field.dk, field.dM,
                                axis=axis)
                 assert abs(step - flow[key][i, j]) <= 1e-9 * abs(step)
+        assert compared >= 40
+
+
+@pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
+@pytest.mark.parametrize("grid", [64, 66])
+def test_flow_field_closes_exactly_where_the_callback_raises(model, grid):
+    # |zeta(hsp)| = |sin((alpha + b beta) / 2)|, so away from its line the
+    # gap at the HSP is at least sin(0.1); every cell nearer the line than
+    # that is checked against the callback, and no cell beyond it is closed
+    field = flow_field(model, grid=grid)
+    f = walk_curvature_callback(model)
+    A, B = np.meshgrid(field.alphas, field.betas, indexing="ij")
+    for hsp in field.hsps:
+        key = _hsp_key(hsp)
+        closed = _closed(field, key)
+        near = np.abs(np.sin((A + model.closing_slope(hsp) * B) / 2)) < 0.1
+        assert 0 < closed.sum() < near.sum() < 6 * grid
+        assert not closed[~near].any()
+        for i, j in np.argwhere(near):
+            M = (field.alphas[i], field.betas[j])
+            assert _raises_zero_gap(f, hsp, M) == closed[i, j]
+
+
+@pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
+def test_gap_at_each_hsp_is_the_sine_of_its_closing_line(model):
+    for hsp in model.hsps():
+        b = model.closing_slope(hsp)
+        for _ in range(20):
+            a, beta = RNG.uniform(-np.pi, np.pi, 2)
+            norm = model.zeta_norm(*np.reshape(hsp, (-1, 1)),
+                                   WalkParams(a, beta))
+            assert abs(norm[0] - abs(np.sin((a + b * beta) / 2))) < 1e-14
+
+
+def test_closing_slope_rejects_other_momenta():
+    with pytest.raises(ValueError):
+        WALK_1D.closing_slope(0.5)
+    with pytest.raises(ValueError):
+        WALK_2D.closing_slope((np.pi / 2, 0.3))
+    assert WALK_2D.closing_slope(WALK_2D.slice_peak()) == 0
+
+
+def test_closed_cells_test_three_cells_per_column():
+    # the closed-cell search evaluates the gap at O(grid) cells, three per
+    # beta column, never the whole grid
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(WALK_1D, name)
+
+        def gap_closed(self, k, alpha, beta):
+            calls.append(np.broadcast(alpha, beta).size)
+            return WALK_1D.gap_closed(k, alpha, beta)
+
+    axes = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    i, j = _closed_cells(Counting(), 0.0, axes)
+    assert calls == [3 * 512]
+    assert len(i) == 512 and sorted(j) == list(range(512))
 
 
 def test_flow_direction_reverses_across_line():

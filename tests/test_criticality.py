@@ -172,6 +172,30 @@ def test_exponents_malformed_window():
         extract_exponents(WALK_1D, beta=0.0, k_c=0.0, window=(1e-1, 1e-3))
 
 
+def test_exponents_walk1d_at_both_channels():
+    for beta in (-1.0, 0.3):
+        for k_c, alpha_c in ((0.0, -beta), (np.pi, beta)):
+            fit = extract_exponents(WALK_1D, beta=beta, k_c=k_c,
+                                    alpha_c=alpha_c)
+            assert abs(fit.gamma - 1.0) < 0.01
+            assert abs(fit.nu - 1.0) < 0.01
+
+
+def test_exponents_alpha_c_off_every_locus():
+    # alpha = 0 is no transition of the walk1d at beta = 0.3
+    with pytest.raises(WindowTouchesCriticality, match="no gap-closing"):
+        extract_exponents(WALK_1D, beta=0.3, k_c=0.0)
+
+
+def test_exponents_window_reaching_another_locus():
+    # at beta = 0.03 the walk2d closes at alpha = 0 and at alpha = 2 beta
+    with pytest.raises(WindowTouchesCriticality, match="nearer to another"):
+        extract_exponents(WALK_2D, beta=0.03, k_c=WALK_2D.slice_peak())
+    fit = extract_exponents(WALK_2D, beta=0.03, k_c=WALK_2D.slice_peak(),
+                            window=(1e-4, 1e-2))
+    assert fit.alpha_c == 0.0
+
+
 def test_exponents_requires_points():
     with pytest.raises(ValueError):
         extract_exponents(WALK_1D, beta=0.0, k_c=0.0, n_points=5)

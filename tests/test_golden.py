@@ -43,6 +43,10 @@ CASES = [
                             "256"], 0),
     ("correlation-walk2d", ["correlation", "--model", "walk2d", "--alpha",
                             "0.2", "--rmax", "4", "--grid", "256"], 0),
+    # the shape of the benchmark's figure recipe
+    ("correlation-walk2d-512", ["correlation", "--model", "walk2d",
+                                "--alpha", "0.3", "--grid", "512", "--rmax",
+                                "60"], 0),
     ("invariant-walk1d", ["invariant", "--model", "walk1d", "--alpha", "0.3",
                           "--beta", "1.0"], 0),
     ("invariant-walk2d", ["invariant", "--model", "walk2d", "--alpha",
@@ -81,7 +85,7 @@ HASHES = {
     },
     "exponents-walk1d-b0.3": {
         "out.json":
-            "db3e0e8f77e57e77a7162591758e8e801b5e55493771238d5827ef35acb3d57b",
+            "65e0ccc9f54421015586f2c919154c6e9d3e78bab87d4c32d775ebbdbae66bd1",
     },
     "exponents-walk2d": {
         "out.json":
@@ -95,6 +99,10 @@ HASHES = {
         "out.csv":
             "376e4a6e40b824ee4a0e39dc51178b21bd126f43170bad40ab7ae016656cef32",
     },
+    "correlation-walk2d-512": {
+        "out.csv":
+            "a9ce38c017f1d9a3911eedbc9876ede90274e39b5770d21ca7fc7c33417c42d4",
+    },
     "invariant-walk1d": {
         "out.json":
             "bdbf4d5d7964e814df60ee1bbe4ede6e79401c49c84b2992a03683ee8669d486",
@@ -105,23 +113,23 @@ HASHES = {
     },
     "crg-walk1d": {
         "out.json":
-            "faf1b1ee8b1656bc9ae1506f55495b048bcf700e54abc5eb580870d887204fb0",
+            "5cc48538f4267492e713d5ff55757c564ed7138b62726a5a840bd016fdc99e2f",
         "out_hsp0.csv":
-            "2720193cc7d79148edac7da45fcc92f60e2ef1893eff7ceea95165b08e996bb6",
+            "ddd32192b75b1c911d56b120ad6c943c6888dae168cd864e1a6fe3e108104599",
         "out_hsp1.csv":
-            "4acb1e568aa8778f90b6817eb0fb200bf1d0804ef512254d1ebc7b5db64f1a17",
+            "83158793da10a262d09aa90ca47d5ddd178ae577f49c65c3bb38c7d4ce6ac397",
     },
     "crg-walk2d": {
         "out.json":
-            "8ad8cfc5b91fed1840f84cc4b08332fcc974a14a7a2be4f948cf82f2917bb64a",
+            "ea10e5685255aaf2ea654ccccc5b7e1bd35a640871fd525026551b885e74439d",
         "out_hsp0.csv":
-            "0426e427c4f28ef465347977036cbc46d1f18a62259ab5b047e4c36ed42b46fb",
+            "9bf278d1a9c26a8ec826f69fcf8eb0ceeebf9983072e7bbdcd593fd1f130d4fd",
         "out_hsp1.csv":
-            "51962dab43df7603073d62ddb34f5606485b2379fd85b9052b8984add8c467be",
+            "c8dd798283f35750886d57bc09a1660cca7905310b0530f682ff8d4109736b00",
         "out_hsp2.csv":
-            "7fdc53893b0bdec901ba20e8506b5a68aed542d40f4cda4b86ec64c3fc6a8d27",
+            "ceb1175ed338e6622385ed93191cc4d432a71aa1132219e565180c17437126a4",
         "out_hsp3.csv":
-            "d84cbd50ef5c8fd5369244f696c4752776c93dd54e355250b290e63ad606f848",
+            "d23fd4335f4323b8f6cc944907f516367f1d47b211cf249d7e014c9bb50147c0",
     },
     "phase-diagram-walk1d": {
         "out.csv":
