@@ -29,8 +29,7 @@ from .criticality import (CurvatureProfile, ExponentFit, extract_exponents,
                           sample_peak)
 from .correlation import (CorrelationSeries, fit_decay,
                           wannier_correlation_1d, wannier_correlation_2d)
-from .crg import (CriticalLine, FlowField, RGFlowSample,
-                  detect_critical_lines, flow_field, rg_step,
-                  walk_curvature_callback)
+from .crg import (CriticalLine, FlowField, detect_critical_lines,
+                  flow_field, rg_step, walk_curvature_callback)
 from .invariants import (InvariantResult, chern_number_2d, chern_plaquette,
                          winding_number_1d)

@@ -224,15 +224,6 @@ def _defaults(merged: dict, command: str) -> dict:
     return out
 
 
-def _config_echo(cfg: dict) -> dict:
-    echo = {}
-    for k, v in cfg.items():
-        if isinstance(v, tuple):
-            v = list(v)
-        echo[k] = v
-    return echo
-
-
 # the file suffixes that --out may carry; any other dot belongs to the name
 OUT_SUFFIXES = (".csv", ".json")
 
@@ -252,7 +243,7 @@ def _per_alpha(cfg: dict):
     for idx, alpha in enumerate(alphas):
         tag = "" if len(alphas) == 1 else "_a%d" % idx
         yield (alpha, _outpath(cfg["out"], ".csv", tag),
-               _config_echo({**cfg, "alpha": alpha}))
+               {**cfg, "alpha": alpha})
 
 
 def _write_table(cfg: dict, path: str, echo: dict, columns: dict,
@@ -357,7 +348,7 @@ def cmd_exponents(cfg: dict) -> int:
         "dimension": fit.dimension,
     }
     path = _outpath(cfg["out"], ".json")
-    write_json(path, __version__, _config_echo(cfg), payload)
+    write_json(path, __version__, cfg, payload)
     print(path)
     return EXIT_OK
 
@@ -383,7 +374,6 @@ def cmd_crg(cfg: dict) -> int:
     grid = int(cfg.get("grid", 128))
     threshold = float(cfg.get("threshold", crg.DETECT_RATE_THRESHOLD))
     base = cfg["out"]
-    echo = _config_echo(cfg)
     lines = []
     # one high-symmetry point at a time: its field is written, searched
     # for lines and dropped before the next one is evaluated
@@ -396,7 +386,7 @@ def cmd_crg(cfg: dict) -> int:
                    "log_rate": field.log_rate[key].ravel(),
                    "diverged": field.diverged[key].ravel()}
         _write_table(cfg, _outpath(base, ".csv", "_hsp%d" % idx),
-                     {**echo, "hsp": list(key)}, columns, Counter())
+                     {**cfg, "hsp": list(key)}, columns, Counter())
         del columns
         lines += crg.detect_critical_lines(field, rate_threshold=threshold)
         del field
@@ -405,7 +395,7 @@ def cmd_crg(cfg: dict) -> int:
          "vertices": [[float(a), float(b)] for a, b in line.vertices]}
         for line in lines]}
     jpath = _outpath(base, ".json")
-    write_json(jpath, __version__, echo, payload)
+    write_json(jpath, __version__, cfg, payload)
     print(jpath)
     return EXIT_OK
 
@@ -424,7 +414,7 @@ def cmd_invariant(cfg: dict) -> int:
     payload = {"raw": res.raw, "rounded": res.rounded,
                "defect": res.defect, "N": res.grid}
     path = _outpath(cfg["out"], ".json")
-    write_json(path, __version__, _config_echo(cfg), payload)
+    write_json(path, __version__, cfg, payload)
     print(path)
     return EXIT_OK
 
@@ -449,8 +439,8 @@ def cmd_phase_diagram(cfg: dict) -> int:
             continue
         raw[i], rounded[i] = res.raw, res.rounded
     columns = {**_grid_columns(axes, axes), "raw": raw, "rounded": rounded}
-    return _write_table(cfg, _outpath(cfg["out"], ".csv"), _config_echo(cfg),
-                        columns, failures)
+    return _write_table(cfg, _outpath(cfg["out"], ".csv"), cfg, columns,
+                        failures)
 
 
 COMMANDS = {

@@ -40,9 +40,6 @@ class CorrelationSeries:
 
     displacements: np.ndarray
     values: np.ndarray
-    model: str
-    params: WalkParams
-    slice_mode: str = ""
 
 
 def _check_near_critical(distance: float, xi_estimate: float, n_grid: int):
@@ -92,8 +89,8 @@ def fourier_series_1d(values: np.ndarray, r_max: int) -> np.ndarray:
 
 
 def _correlation_series(model, p: WalkParams, r_max: int, n_grid: int,
-                        width_scale: float, sample, direction,
-                        slice_mode: str = "") -> CorrelationSeries:
+                        width_scale: float, sample,
+                        direction) -> CorrelationSeries:
     """The series along ``direction`` of the curvature ``sample(k, rows)``
     (the rows of a slice of the zone grid on axis ``k``, as
     ``_zone_transform`` reads them); width_scale / distance estimates the
@@ -110,7 +107,7 @@ def _correlation_series(model, p: WalkParams, r_max: int, n_grid: int,
     if np.abs(series.imag).max() > IMAG_TOL:
         raise RuntimeError("correlation series has imaginary residue %.2e"
                            % np.abs(series.imag).max())
-    return CorrelationSeries(r, series.real, model.name, p, slice_mode)
+    return CorrelationSeries(r, series.real)
 
 
 def wannier_correlation_1d(p: WalkParams, r_max: int,
@@ -144,7 +141,7 @@ def wannier_correlation_2d(p: WalkParams, r_max: int,
     return _correlation_series(
         WALK_2D, p, r_max, n_grid, 2.0 * np.sqrt(6.0),
         lambda k, rows: curvature_grid_2d(k[rows, None], k[None, :], p),
-        (1, -1), slice_mode="Ry=-Rx")
+        (1, -1))
 
 
 def envelope_indices(values: np.ndarray) -> np.ndarray:

@@ -75,29 +75,12 @@ def rg_step(curvature, k0, ks, M, dk: float = DEFAULT_DK,
 
 
 @dataclass
-class RGFlowSample:
-    """Flow data at one (alpha, beta) cell for one high-symmetry point."""
-
-    alpha: float
-    beta: float
-    dalpha_dl: float
-    dbeta_dl: float
-    rate: float
-    diverged: bool
-    peak_height: float  # |F(k0, M)|, used to thin detected ridges
-
-
-@dataclass
 class FlowField:
     """Per-HSP flow-rate arrays over a uniform (alpha, beta) grid."""
 
     alphas: np.ndarray
     betas: np.ndarray
     hsps: list
-    ks: object
-    dk: float
-    dM: float
-    rate_threshold: float
     dalpha: dict = field(default_factory=dict)
     dbeta: dict = field(default_factory=dict)
     rate: dict = field(default_factory=dict)
@@ -110,14 +93,6 @@ class FlowField:
     def cell(self) -> float:
         return float(self.alphas[1] - self.alphas[0])
 
-    def sample(self, hsp, i: int, j: int) -> RGFlowSample:
-        key = _hsp_key(hsp)
-        return RGFlowSample(
-            float(self.alphas[i]), float(self.betas[j]),
-            float(self.dalpha[key][i, j]), float(self.dbeta[key][i, j]),
-            float(self.rate[key][i, j]), bool(self.diverged[key][i, j]),
-            float(self.peak_height[key][i, j]))
-
 
 def _hsp_key(hsp):
     if np.ndim(hsp) == 0:
@@ -125,13 +100,13 @@ def _hsp_key(hsp):
     return tuple(float(x) for x in hsp)
 
 
-def flow_field(model, grid: int = 128, hsps=None, ks=None,
-               dk: float = DEFAULT_DK, dM: float = DEFAULT_DM,
-               rate_threshold: float = DEFAULT_RATE_THRESHOLD) -> FlowField:
+def flow_field(model, grid: int = 128, hsps=None) -> FlowField:
     """Evaluate the RG flow on a uniform (alpha, beta) grid over [-pi, pi)^2.
 
-    The scaling direction defaults to the first momentum axis, +k in 1D and
-    +kx in 2D.  Cells where the gap closes at the HSP, exactly those where
+    The scaling direction is the first momentum axis, +k in 1D and +kx in
+    2D, with the steps ``DEFAULT_DK`` and ``DEFAULT_DM``; a cell whose rate
+    passes ``DEFAULT_RATE_THRESHOLD`` is flagged diverged.  Cells where the
+    gap closes at the HSP, exactly those where
     :func:`walk_curvature_callback` raises ZeroGap there, carry NaN flow and
     an infinite peak height and are flagged diverged; no exception is
     raised per cell.
@@ -141,9 +116,9 @@ def flow_field(model, grid: int = 128, hsps=None, ks=None,
     axes = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     if hsps is None:
         hsps = model.hsps()
-    if ks is None:
-        ks = np.eye(model.dimension)[0]
-    out = FlowField(axes, axes.copy(), list(hsps), ks, dk, dM, rate_threshold)
+    ks = np.eye(model.dimension)[0]
+    dk, dM = DEFAULT_DK, DEFAULT_DM
+    out = FlowField(axes, axes.copy(), list(hsps))
     # broadcast axes: each model term is evaluated at the length its
     # angle dependence needs, and every field comes out (grid, grid)
     A, B = axes[:, None], axes[None, :]
@@ -170,7 +145,8 @@ def flow_field(model, grid: int = 128, hsps=None, ks=None,
         out.dbeta[key] = db
         out.rate[key] = rate
         out.log_rate[key] = log_rate
-        out.diverged[key] = (~np.isfinite(rate)) | (rate > rate_threshold)
+        out.diverged[key] = ((~np.isfinite(rate))
+                             | (rate > DEFAULT_RATE_THRESHOLD))
         out.peak_height[key] = np.abs(f0)
         out.scaling_response[key] = np.abs(num)
     return out
@@ -314,6 +290,6 @@ def walk_curvature_callback(model):
 
 
 __all__ = [
-    "rg_step", "flow_field", "detect_critical_lines", "RGFlowSample",
-    "FlowField", "CriticalLine", "walk_curvature_callback",
+    "rg_step", "flow_field", "detect_critical_lines", "FlowField",
+    "CriticalLine", "walk_curvature_callback",
 ]

@@ -65,98 +65,52 @@ def energy_grid_2d(kx, ky, p: WalkParams):
 # The momentum trig terms of the zeta/phi closed forms.  Each keeps the
 # argument expression of the closed form it came from: 2 (kx + ky) and
 # 2 kx + 2 ky round differently, and both are in use.
-TRIG_TERMS_2D = {
-    "cos_x": lambda kx, ky: np.cos(kx),
-    "sin_x": lambda kx, ky: np.sin(kx),
-    "cos_x2y": lambda kx, ky: np.cos(kx + 2.0 * ky),
-    "cos_2x": lambda kx, ky: np.cos(2.0 * kx),
-    "sin_2x": lambda kx, ky: np.sin(2.0 * kx),
-    "sin_2xy": lambda kx, ky: np.sin(2.0 * (kx + ky)),
-    "sin_2y": lambda kx, ky: np.sin(2.0 * ky),
-    "cos_2y": lambda kx, ky: np.cos(2.0 * ky),
-    "cos_2x2y": lambda kx, ky: np.cos(2.0 * kx + 2.0 * ky),
-    # the momentum-only factor 2 cos 2kx + cos 4ky + 3 of phi's lam_b^2 term
-    "sum_2x4y": lambda kx, ky: 2.0 * np.cos(2.0 * kx) + np.cos(4.0 * ky) + 3.0,
-}
-
-
-TrigTable2D = namedtuple("TrigTable2D", TRIG_TERMS_2D)
+TrigTable2D = namedtuple("TrigTable2D", (
+    "cos_x", "sin_x", "cos_x2y", "cos_2x", "sin_2x", "sin_2xy", "sin_2y",
+    "cos_2y", "cos_2x2y", "sum_2x4y"))
 
 
 def trig_table_2d(kx, ky) -> TrigTable2D:
-    """Every trig term evaluated once on a momentum grid, for reuse across
-    many parameter points."""
-    return TrigTable2D(*(term(kx, ky) for term in TRIG_TERMS_2D.values()))
+    """Every trig term on broadcastable momentum arrays, evaluated once."""
+    return TrigTable2D(
+        cos_x=np.cos(kx),
+        sin_x=np.sin(kx),
+        cos_x2y=np.cos(kx + 2.0 * ky),
+        cos_2x=np.cos(2.0 * kx),
+        sin_2x=np.sin(2.0 * kx),
+        sin_2xy=np.sin(2.0 * (kx + ky)),
+        sin_2y=np.sin(2.0 * ky),
+        cos_2y=np.cos(2.0 * ky),
+        cos_2x2y=np.cos(2.0 * kx + 2.0 * ky),
+        # the momentum-only factor of phi's lam_b^2 term
+        sum_2x4y=2.0 * np.cos(2.0 * kx) + np.cos(4.0 * ky) + 3.0)
 
 
-class _TrigOnRead:
-    """Trig source over broadcastable momentum arrays.
+# The beta-only partial products of the zeta/phi closed forms.  Each is the
+# leading part of its closed form, in that form's operation order, so a cell
+# stage that reads it computes the bits of the single expression.
+BetaTable2D = namedtuple("BetaTable2D", ("zx", "zz", "t2", "t3"))
 
-    Each term is computed when it is read and not kept, so evaluating the
-    closed forms on a large grid holds no more arrays at once than writing
-    the trig calls inline would.
+
+def beta_table_2d(trig: TrigTable2D, kb, lb) -> BetaTable2D:
+    """Every beta-only product over a trig table and the beta half-angle
+    coefficients, evaluated once for the walks that share beta."""
+    return BetaTable2D(
+        zx=-2.0 * lb * trig.sin_x,
+        zz=kb ** 2 * trig.sin_2xy + lb ** 2 * trig.sin_2y,
+        t2=(2.0 * kb ** 2 * trig.cos_2y * trig.cos_2x2y
+            - lb ** 2 * trig.sum_2x4y),
+        t3=lb ** 2 - kb ** 2 * trig.cos_2x)
+
+
+def _zeta_phi_2d(trig: TrigTable2D, ka, la, kb, lb, beta: BetaTable2D):
+    """Axis components and curvature numerator from one trig table and the
+    beta table over it and (kb, lb).
+
+    The half-angle coefficients broadcast against the momentum terms, so
+    either side may be the grid.  Returns (zx, zy, zz, phi) with
+    F = phi / |zeta|^3.
     """
-
-    __slots__ = ("kx", "ky")
-
-    def __init__(self, kx, ky):
-        self.kx = kx
-        self.ky = ky
-
-    def __getattr__(self, name):
-        return TRIG_TERMS_2D[name](self.kx, self.ky)
-
-
-# The beta-only partial products of the zeta/phi closed forms, over a trig
-# source and the beta half-angle coefficients.  Each is the leading part of
-# its closed form, in that form's operation order, so a cell stage that
-# reads it computes the bits of the single expression.
-BETA_TERMS_2D = {
-    "zx": lambda trig, kb, lb: -2.0 * lb * trig.sin_x,
-    "zz": lambda trig, kb, lb: kb ** 2 * trig.sin_2xy + lb ** 2 * trig.sin_2y,
-    "t2": lambda trig, kb, lb: (2.0 * kb ** 2 * trig.cos_2y * trig.cos_2x2y
-                                - lb ** 2 * trig.sum_2x4y),
-    "t3": lambda trig, kb, lb: lb ** 2 - kb ** 2 * trig.cos_2x,
-}
-
-
-BetaTable2D = namedtuple("BetaTable2D", BETA_TERMS_2D)
-
-
-def beta_table_2d(trig, kb, lb) -> BetaTable2D:
-    """Every beta-only product evaluated once, for reuse across the walks
-    that share beta."""
-    return BetaTable2D(*(term(trig, kb, lb) for term in BETA_TERMS_2D.values()))
-
-
-class _BetaOnRead:
-    """Beta-stage source that computes each product when it is read, like
-    ``_TrigOnRead``, so a one-off evaluation holds no product before the
-    closed form that uses it."""
-
-    __slots__ = ("trig", "kb", "lb")
-
-    def __init__(self, trig, kb, lb):
-        self.trig = trig
-        self.kb = kb
-        self.lb = lb
-
-    def __getattr__(self, name):
-        return BETA_TERMS_2D[name](self.trig, self.kb, self.lb)
-
-
-def _zeta_phi_2d(trig, ka, la, kb, lb, beta=None):
-    """Axis components and curvature numerator from one trig source.
-
-    ``trig`` exposes the terms of ``TRIG_TERMS_2D`` as attributes: a
-    ``_TrigOnRead`` or a ``TrigTable2D``.  ``beta`` exposes the products of
-    ``BETA_TERMS_2D`` over the same trig source and (kb, lb): a
-    ``BetaTable2D``, or None to compute each where it is read.  The
-    half-angle coefficients broadcast against the momentum terms, so either
-    side may be the grid.  Returns (zx, zy, zz, phi) with F = phi / |zeta|^3.
-    """
-    if beta is None:
-        beta = _BetaOnRead(trig, kb, lb)
     zx = beta.zx * (la * lb * trig.cos_x - ka * kb * trig.cos_x2y)
     zy = (la * kb ** 2 - la * lb ** 2 * trig.cos_2x
           + 2.0 * ka * kb * lb * trig.cos_x * trig.cos_x2y)
@@ -168,20 +122,28 @@ def _zeta_phi_2d(trig, ka, la, kb, lb, beta=None):
     return zx, zy, zz, phi
 
 
+def _zeta_phi_at(kx, ky, h):
+    """``_zeta_phi_2d`` on broadcastable momentum arrays and half angles h,
+    with both tables built on these momenta."""
+    ka, la, kb, lb = h
+    trig = trig_table_2d(kx, ky)
+    return _zeta_phi_2d(trig, ka, la, kb, lb, beta_table_2d(trig, kb, lb))
+
+
 def zeta_components_2d(kx, ky, p: WalkParams):
     """Unnormalized-axis components on broadcastable momentum arrays."""
-    return _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))[:3]
+    return _zeta_phi_at(kx, ky, _half_angles(p))[:3]
 
 
 def phi_2d(kx, ky, p: WalkParams):
     """Numerator of the curvature function; array-capable."""
-    return _zeta_phi_2d(_TrigOnRead(kx, ky), *_half_angles(p))[3]
+    return _zeta_phi_at(kx, ky, _half_angles(p))[3]
 
 
 def _norm2_phi_2d(kx, ky, h):
     """|zeta|^2 and the curvature numerator phi on broadcastable momentum
     arrays, from the half angles h, which may be arrays too."""
-    zx, zy, zz, phi = _zeta_phi_2d(_TrigOnRead(kx, ky), *h)
+    zx, zy, zz, phi = _zeta_phi_at(kx, ky, h)
     return zx * zx + zy * zy + zz * zz, phi
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import topocrit
 from topocrit import correlation, crg, invariants, walk1d
-from topocrit.cli import (WALKS, _config_echo, _defaults, _grid_columns,
+from topocrit.cli import (WALKS, _defaults, _grid_columns,
                           _merge_config, build_parser, main)
 from topocrit.errors import TopocritError
 from topocrit.models import WALK_1D
@@ -120,6 +120,20 @@ def test_exponents_malformed_window(tmp_path, capsys):
                "--out", str(tmp_path / "x.json")])
     assert rc == 1
     assert "window" in capsys.readouterr().err
+
+
+def test_exponents_window_flag_and_config_write_the_same_bytes(tmp_path):
+    # --window parses to a tuple and a config file gives a list; the echo
+    # writes both as the same JSON list
+    out = tmp_path / "exp.json"
+    argv = ["exponents", "--model", "walk1d", "--out", str(out)]
+    assert main(argv + ["--window", "1e-3,1e-1"]) == 0
+    by_flag = out.read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": [0.001, 0.1]}))
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert out.read_bytes() == by_flag
+    assert json.loads(by_flag)["config"]["window"] == [0.001, 0.1]
 
 
 @pytest.mark.parametrize("kc, alpha_c", [("0", -0.3), (repr(math.pi), 0.3)])
@@ -471,8 +485,7 @@ def test_crg_files_match_the_field_of_every_hsp_at_once(tmp_path, model):
             "--out", str(tmp_path / "run" / "flow")]
     (tmp_path / "run").mkdir()
     assert main(argv) == 0
-    echo = _config_echo(_defaults(_merge_config(build_parser().parse_args(
-        argv)), "crg"))
+    echo = _defaults(_merge_config(build_parser().parse_args(argv)), "crg")
     field = crg.flow_field(WALKS[model], grid=grid)
     ref = tmp_path / "ref"
     ref.mkdir()

@@ -17,8 +17,7 @@ from topocrit.walk2d import PEAK_KX, curvature_grid_2d
 
 def _series(values):
     values = np.asarray(values, dtype=float)
-    return CorrelationSeries(np.arange(len(values)), values, "synthetic",
-                             WalkParams(0.0, 0.0))
+    return CorrelationSeries(np.arange(len(values)), values)
 
 
 # --- Fourier helper ---

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from topocrit import WalkParams
-from topocrit.crg import (MIN_COMPONENT_CELLS, NUMERATOR_FLOOR,
-                          PEAK_SINGULAR, FlowField, _closed_cells, _hsp_key,
+from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, MIN_COMPONENT_CELLS,
+                          NUMERATOR_FLOOR, PEAK_SINGULAR, FlowField,
+                          _closed_cells, _hsp_key,
                           _periodic_label, detect_critical_lines,
                           flow_field, rg_step, walk_curvature_callback)
 from topocrit.errors import ZeroGap
@@ -84,9 +85,6 @@ def test_flow_field_shapes_and_channels():
         assert field.rate[key].shape == (64, 64)
         assert field.log_rate[key].shape == (64, 64)
         assert field.diverged[key].dtype == bool
-    s = field.sample(field.hsps[0], 3, 5)
-    assert s.alpha == pytest.approx(field.alphas[3])
-    assert s.beta == pytest.approx(field.betas[5])
 
 
 def test_flow_field_divergence_clusters_on_critical_lines():
@@ -165,6 +163,7 @@ def test_rg_step_is_the_oracle_of_flow_field(model):
     # ZeroGap at the HSP, and every other non-diverged cell has its flow
     field = flow_field(model, grid=64)
     f = walk_curvature_callback(model)
+    ks = np.eye(model.dimension)[0]
     for hsp in field.hsps:
         key = _hsp_key(hsp)
         closed = _closed(field, key)
@@ -177,7 +176,7 @@ def test_rg_step_is_the_oracle_of_flow_field(model):
                 continue
             compared += 1
             for axis, flow in enumerate((field.dalpha, field.dbeta)):
-                step = rg_step(f, hsp, field.ks, M, field.dk, field.dM,
+                step = rg_step(f, hsp, ks, M, DEFAULT_DK, DEFAULT_DM,
                                axis=axis)
                 assert abs(step - flow[key][i, j]) <= 1e-9 * abs(step)
         assert compared >= 40
@@ -281,7 +280,7 @@ def test_flow_field_2d_lines_near_loci():
 def _synthetic_field(grid=64):
     axes = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     A, B = np.meshgrid(axes, axes, indexing="ij")
-    field = FlowField(axes, axes.copy(), [(0.0,)], 1.0, 1e-2, 1e-3, 1e3)
+    field = FlowField(axes, axes.copy(), [(0.0,)])
     dist = np.abs(wrap(A - B))
     spike = 1.0 / (dist + 1e-3)
     key = (0.0,)

@@ -398,8 +398,9 @@ def test_chern_beta_groups_keep_the_bits(n, kinds, monkeypatch):
 
 @pytest.mark.parametrize("n", [96, 97])
 def test_zeta_phi_bits_match_single_expressions(n):
-    # the torus path (beta table) and the on-read path against one
-    # expression per component, every bit of every point, signed zeros too
+    # the torus path (tables shared across cells) and the public entry
+    # points (tables built per call) against one expression per component,
+    # every bit of every point, signed zeros too
     work = _TorusWork(n)
     kx, ky = torus_momenta(n)
     for a, b in GROUPED_CELLS:
@@ -407,8 +408,8 @@ def test_zeta_phi_bits_match_single_expressions(n):
         want = single_expression_zeta_phi(kx, ky, *_half_angles(p))
         staged = _zeta_phi_2d(work.table, *_half_angles(p),
                               work.beta_stage(p))
-        on_read = (*zeta_components_2d(kx, ky, p), phi_2d(kx, ky, p))
-        for w, s, r in zip(want, staged, on_read):
+        per_call = (*zeta_components_2d(kx, ky, p), phi_2d(kx, ky, p))
+        for w, s, r in zip(want, staged, per_call):
             assert np.array_equal(_bits(s), _bits(w))
             assert np.array_equal(_bits(r), _bits(w))
 
