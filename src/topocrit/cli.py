@@ -43,11 +43,6 @@ MINIMA = {"grid": 1, "inner-grid": 1, "points": criticality.MIN_POINTS,
           "rmax": 0}
 
 
-def _fail(msg: str) -> int:
-    print("error: %s" % msg, file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _parse_alphas(text: str):
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
@@ -62,8 +57,15 @@ def _parse_window(text: str):
     return float(parts[0]), float(parts[1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error for main's one ``error:`` line and exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="topocrit",
         description="Curvature-function criticality toolkit for two-band "
                     "walks and Dirac models.")
@@ -95,9 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponents", help="critical exponents JSON")
     common(p)
     p.add_argument("--window", type=_parse_window, default=None,
-                   help="log-spaced window 'lo,hi' (default 1e-3,1e-1)")
+                   help="log-spaced window 'lo,hi' (default %g,%g)"
+                   % criticality.DEFAULT_WINDOW)
     p.add_argument("--points", type=int, default=None,
-                   help="window points (default 20)")
+                   help="window points (default %d)"
+                   % criticality.DEFAULT_POINTS)
     p.add_argument("--kc", type=float, default=None,
                    help="1D peak momentum, 0 or pi (default 0)")
 
@@ -109,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crg", help="RG flow field CSV + critical lines JSON")
     common(p)
     p.add_argument("--threshold", type=float, default=None,
-                   help="line-detection rate threshold (default 30)")
+                   help="line-detection rate threshold (default %g)"
+                   % crg.DETECT_RATE_THRESHOLD)
 
     p = sub.add_parser("invariant", help="topological invariant JSON")
     common(p)
@@ -322,8 +327,6 @@ def cmd_curvature(cfg: dict) -> int:
 
 def cmd_exponents(cfg: dict) -> int:
     window = tuple(cfg.get("window", criticality.DEFAULT_WINDOW))
-    if window[0] >= window[1] or window[0] <= 0:
-        return _fail("malformed window: need 0 < lo < hi, got %r" % (window,))
     n_points = int(cfg.get("points", criticality.DEFAULT_POINTS))
     model_name = cfg["model"]
     model = WALKS[model_name]
@@ -332,12 +335,8 @@ def cmd_exponents(cfg: dict) -> int:
         k_c = float(cfg.get("kc", 0.0))
     else:
         k_c = model.slice_peak()
-    # the transition whose gap closes at k_c, alpha_c = -b beta: for walk1d
-    # -beta at k_c = 0 and +beta at k_c = pi, for walk2d 0 at the slice
-    # peak; 0.0 - b beta keeps alpha_c = +0.0 at beta = 0
-    alpha_c = 0.0 - model.closing_slope(k_c) * beta
-    fit = criticality.extract_exponents(model, beta, k_c, alpha_c=alpha_c,
-                                        window=window, n_points=n_points)
+    fit = criticality.extract_exponents(model, beta, k_c, window=window,
+                                        n_points=n_points)
     payload = {
         "alpha_c": fit.alpha_c,
         "gamma": fit.gamma,
@@ -371,22 +370,21 @@ def cmd_correlation(cfg: dict) -> int:
 
 def cmd_crg(cfg: dict) -> int:
     model = WALKS[cfg["model"]]
-    grid = int(cfg.get("grid", 128))
+    grid = int(cfg.get("grid", crg.DEFAULT_GRID))
     threshold = float(cfg.get("threshold", crg.DETECT_RATE_THRESHOLD))
     base = cfg["out"]
     lines = []
     # one high-symmetry point at a time: its field is written, searched
     # for lines and dropped before the next one is evaluated
     for idx, hsp in enumerate(model.hsps()):
-        field = crg.flow_field(model, grid=grid, hsps=[hsp])
-        key = crg._hsp_key(hsp)
-        columns = {**_grid_columns(field.alphas, field.betas),
-                   "dalpha_dl": field.dalpha[key].ravel(),
-                   "dbeta_dl": field.dbeta[key].ravel(),
-                   "log_rate": field.log_rate[key].ravel(),
-                   "diverged": field.diverged[key].ravel()}
+        field = crg.flow_field(model, hsp, grid)
+        columns = {**_grid_columns(field.axes, field.axes),
+                   "dalpha_dl": field.dalpha.ravel(),
+                   "dbeta_dl": field.dbeta.ravel(),
+                   "log_rate": field.log_rate.ravel(),
+                   "diverged": field.diverged.ravel()}
         _write_table(cfg, _outpath(base, ".csv", "_hsp%d" % idx),
-                     {**cfg, "hsp": list(key)}, columns, Counter())
+                     {**cfg, "hsp": list(field.hsp)}, columns, Counter())
         del columns
         lines += crg.detect_critical_lines(field, rate_threshold=threshold)
         del field
@@ -454,13 +452,14 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         merged = _merge_config(args)
         cfg = _defaults(merged, args.command)
         return COMMANDS[args.command](cfg)
     except (TopocritError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

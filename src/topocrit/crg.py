@@ -20,10 +20,11 @@ must reject.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+DEFAULT_GRID = 128
 DEFAULT_DK = 1e-2
 DEFAULT_DM = 1e-3
 DEFAULT_RATE_THRESHOLD = 1e3
@@ -76,32 +77,30 @@ def rg_step(curvature, k0, ks, M, dk: float = DEFAULT_DK,
 
 @dataclass
 class FlowField:
-    """Per-HSP flow-rate arrays over a uniform (alpha, beta) grid."""
+    """The flow-rate arrays of one HSP over a uniform (alpha, beta) grid;
+    both angles run over ``axes`` and every array is indexed [alpha, beta]."""
 
-    alphas: np.ndarray
-    betas: np.ndarray
-    hsps: list
-    dalpha: dict = field(default_factory=dict)
-    dbeta: dict = field(default_factory=dict)
-    rate: dict = field(default_factory=dict)
-    log_rate: dict = field(default_factory=dict)
-    diverged: dict = field(default_factory=dict)
-    peak_height: dict = field(default_factory=dict)
-    scaling_response: dict = field(default_factory=dict)
-
-    @property
-    def cell(self) -> float:
-        return float(self.alphas[1] - self.alphas[0])
+    axes: np.ndarray
+    hsp: tuple
+    dalpha: np.ndarray
+    dbeta: np.ndarray
+    log_rate: np.ndarray
+    diverged: np.ndarray
+    peak_height: np.ndarray
+    scaling_response: np.ndarray
 
 
-def _hsp_key(hsp):
-    if np.ndim(hsp) == 0:
-        return (float(hsp),)
-    return tuple(float(x) for x in hsp)
+def _flow_ratio(num, den):
+    """num/den rescaled by DM/Dk^2; inf where den is below the floor, 0 where
+    num is too."""
+    return np.where(np.abs(den) < DENOMINATOR_FLOOR,
+                    np.where(np.abs(num) < DENOMINATOR_FLOOR, 0.0, np.inf),
+                    num / den) * (DEFAULT_DM / DEFAULT_DK ** 2)
 
 
-def flow_field(model, grid: int = 128, hsps=None) -> FlowField:
-    """Evaluate the RG flow on a uniform (alpha, beta) grid over [-pi, pi)^2.
+def flow_field(model, hsp, grid: int = DEFAULT_GRID) -> FlowField:
+    """Evaluate the RG flow at ``hsp`` on a uniform (alpha, beta) grid over
+    [-pi, pi)^2.
 
     The scaling direction is the first momentum axis, +k in 1D and +kx in
     2D, with the steps ``DEFAULT_DK`` and ``DEFAULT_DM``; a cell whose rate
@@ -114,42 +113,23 @@ def flow_field(model, grid: int = 128, hsps=None) -> FlowField:
     if grid < 64:
         raise ValueError("grid must be at least 64x64")
     axes = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-    if hsps is None:
-        hsps = model.hsps()
-    ks = np.eye(model.dimension)[0]
-    dk, dM = DEFAULT_DK, DEFAULT_DM
-    out = FlowField(axes, axes.copy(), list(hsps))
+    k_shift = _shifted_momentum(hsp, np.eye(model.dimension)[0], DEFAULT_DK)
     # broadcast axes: each model term is evaluated at the length its
     # angle dependence needs, and every field comes out (grid, grid)
     A, B = axes[:, None], axes[None, :]
-    for hsp in hsps:
-        k_shift = _shifted_momentum(hsp, ks, dk)
-        with np.errstate(all="ignore"):
-            f0 = model.curvature_raw(hsp, A, B)
-            num = model.curvature_raw(k_shift, A, B) - f0
-            den_a = model.curvature_raw(hsp, A + dM, B) - f0
-            den_b = model.curvature_raw(hsp, A, B + dM) - f0
-            da = np.where(np.abs(den_a) < DENOMINATOR_FLOOR,
-                          np.where(np.abs(num) < DENOMINATOR_FLOOR, 0.0, np.inf),
-                          num / den_a) * (dM / dk ** 2)
-            db = np.where(np.abs(den_b) < DENOMINATOR_FLOOR,
-                          np.where(np.abs(num) < DENOMINATOR_FLOOR, 0.0, np.inf),
-                          num / den_b) * (dM / dk ** 2)
-            closed = _closed_cells(model, hsp, axes)
-            da[closed] = db[closed] = np.nan
-            f0[closed] = np.inf
-            rate = np.hypot(da, db)
-            log_rate = np.log10(rate)
-        key = _hsp_key(hsp)
-        out.dalpha[key] = da
-        out.dbeta[key] = db
-        out.rate[key] = rate
-        out.log_rate[key] = log_rate
-        out.diverged[key] = ((~np.isfinite(rate))
-                             | (rate > DEFAULT_RATE_THRESHOLD))
-        out.peak_height[key] = np.abs(f0)
-        out.scaling_response[key] = np.abs(num)
-    return out
+    with np.errstate(all="ignore"):
+        f0 = model.curvature_raw(hsp, A, B)
+        num = model.curvature_raw(k_shift, A, B) - f0
+        da = _flow_ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B) - f0)
+        db = _flow_ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0)
+        closed = _closed_cells(model, hsp, axes)
+        da[closed] = db[closed] = np.nan
+        f0[closed] = np.inf
+        rate = np.hypot(da, db)
+        log_rate = np.log10(rate)
+    return FlowField(axes, tuple(map(float, np.ravel(hsp))), da, db, log_rate,
+                     ~np.isfinite(rate) | (rate > DEFAULT_RATE_THRESHOLD),
+                     np.abs(f0), np.abs(num))
 
 
 def _closed_cells(model, hsp, axes):
@@ -224,56 +204,51 @@ def detect_critical_lines(field: FlowField,
     cell per column (or row, for near-vertical lines) at the maximum of the
     curvature magnitude, which increases monotonically toward the boundary.
 
-    Each component is visited through its bounding box, so a grid pass is
-    made per HSP, not per component.
+    Each component is visited through its bounding box, so one grid pass
+    is made per field, not per component.
 
     Returns:
-        list of CriticalLine, one per surviving component per HSP.
+        list of CriticalLine, one per surviving component.
     """
     from scipy import ndimage
 
+    f0 = field.peak_height
+    with np.errstate(invalid="ignore"):
+        min_rate = np.minimum(np.abs(field.dalpha), np.abs(field.dbeta))
+    # cells sitting numerically on a gap closing evaluate to huge or
+    # non-finite curvature; both mean the transition runs through them
+    singular = ~np.isfinite(f0) | (f0 > PEAK_SINGULAR)
+    finite_flow = np.isfinite(min_rate)
+    cand = singular | (finite_flow & (min_rate >= rate_threshold)
+                       & (field.scaling_response >= NUMERATOR_FLOOR))
+    if not cand.any():
+        return []
+    lab = _periodic_label(cand)
+    height = np.where(np.isfinite(f0), f0, np.inf)
+    sizes = np.bincount(lab.ravel())
     lines = []
-    for hsp in field.hsps:
-        key = _hsp_key(hsp)
-        da = field.dalpha[key]
-        db = field.dbeta[key]
-        f0 = field.peak_height[key]
-        num = field.scaling_response[key]
-        with np.errstate(invalid="ignore"):
-            min_rate = np.minimum(np.abs(da), np.abs(db))
-        # cells sitting numerically on a gap closing evaluate to huge or
-        # non-finite curvature; both mean the transition runs through them
-        singular = ~np.isfinite(f0) | (f0 > PEAK_SINGULAR)
-        finite_flow = np.isfinite(min_rate)
-        cand = singular | (finite_flow & (min_rate >= rate_threshold)
-                           & (num >= NUMERATOR_FLOOR))
-        if not cand.any():
+    # labels in ascending order; a label that no cell kept has no box
+    for lb, box in enumerate(ndimage.find_objects(lab), start=1):
+        if box is None or sizes[lb] < MIN_COMPONENT_CELLS:
             continue
-        lab = _periodic_label(cand)
-        height = np.where(np.isfinite(f0), f0, np.inf)
-        sizes = np.bincount(lab.ravel())
-        # labels in ascending order; a label that no cell kept has no box
-        for lb, box in enumerate(ndimage.find_objects(lab), start=1):
-            if box is None or sizes[lb] < MIN_COMPONENT_CELLS:
-                continue
-            mask = lab[box] == lb
-            box_height = height[box]
-            alphas = field.alphas[box[0]]
-            betas = field.betas[box[1]]
-            rows = np.flatnonzero(mask.any(axis=1))
-            cols = np.flatnonzero(mask.any(axis=0))
-            verts = []
-            if len(cols) >= len(rows):
-                for j in cols:
-                    ii = np.flatnonzero(mask[:, j])
-                    i = ii[np.argmax(box_height[ii, j])]
-                    verts.append((alphas[i], betas[j]))
-            else:
-                for i in rows:
-                    jj = np.flatnonzero(mask[i, :])
-                    j = jj[np.argmax(box_height[i, jj])]
-                    verts.append((alphas[i], betas[j]))
-            lines.append(CriticalLine(key, np.array(verts)))
+        mask = lab[box] == lb
+        box_height = height[box]
+        alphas = field.axes[box[0]]
+        betas = field.axes[box[1]]
+        rows = np.flatnonzero(mask.any(axis=1))
+        cols = np.flatnonzero(mask.any(axis=0))
+        verts = []
+        if len(cols) >= len(rows):
+            for j in cols:
+                ii = np.flatnonzero(mask[:, j])
+                i = ii[np.argmax(box_height[ii, j])]
+                verts.append((alphas[i], betas[j]))
+        else:
+            for i in rows:
+                jj = np.flatnonzero(mask[i, :])
+                j = jj[np.argmax(box_height[i, jj])]
+                verts.append((alphas[i], betas[j]))
+        lines.append(CriticalLine(field.hsp, np.array(verts)))
     return lines
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AtCriticality, PoorFit, WindowTouchesCriticality, ZeroGap
-from .walk1d import WalkParams
+from .walk1d import LOCUS_TOL, WalkParams
 
 GAP_TOL = 1e-8
 REFINE_TOL = 1e-10
@@ -21,7 +21,6 @@ DEFAULT_WINDOW = (1e-3, 1e-1)
 DEFAULT_POINTS = 20
 MIN_POINTS = 10
 PEAK_SAMPLES = 31
-LOCUS_TOL = 1e-9  # angle slack of a point on a gap-closing locus
 
 
 @dataclass
@@ -181,46 +180,39 @@ def sample_peak(model, p: WalkParams, k_c, xi_guess: float | None = None,
     then one refinement pass resamples at the adapted radius and applies the
     R^2 gate of :func:`fit_lorentzian`.
     """
-    def deltas_for(radius):
+    def deltas_for(xi):
+        radius = 0.1 if xi is None else min(0.5 / max(xi, 1e-12), 0.1)
         d = np.linspace(-radius, radius, n)
         return d[np.abs(d) > 1e-12]
 
-    radius = 0.1 if xi_guess is None else min(0.5 / max(xi_guess, 1e-12), 0.1)
-    d = deltas_for(radius)
+    d = deltas_for(xi_guess)
     _, xi2, _ = _linearized_fit(d, model.peak_profile(k_c, d, p), 0.0)
-    xi_est = np.sqrt(abs(xi2))
-    refined = min(0.5 / max(xi_est, 1e-12), 0.1)
-    d = deltas_for(refined)
+    d = deltas_for(np.sqrt(abs(xi2)))
     return fit_lorentzian(d, model.peak_profile(k_c, d, p), 0.0)
 
 
-def extract_exponents(model, beta: float, k_c, dimension: int | None = None,
-                      alpha_c: float = 0.0, window=DEFAULT_WINDOW,
+def extract_exponents(model, beta: float, k_c, window=DEFAULT_WINDOW,
                       n_points: int = DEFAULT_POINTS) -> ExponentFit:
     """Fit gamma and nu from log-log slopes over a log-spaced window.
 
     For each eps in the window the peak is sampled at alpha = alpha_c + eps
     and fit with :func:`fit_lorentzian`; |F_peak| ~ eps^-gamma and
-    xi ~ eps^-nu give the exponents by least squares.  alpha_c must lie on
-    a gap-closing locus of the model, and the sweep must approach it: no
-    sweep point may be nearer to another locus (``criticality_distance``
-    measures to the nearest of them all) than to alpha_c.
+    xi ~ eps^-nu give the exponents by least squares.  alpha_c is the
+    transition whose gap closes at k_c, and no sweep point may be nearer to
+    another locus (``criticality_distance`` measures to them all) than to it.
 
     Raises:
-        WindowTouchesCriticality: the window is malformed, alpha_c is on no
-            locus, or a sweep point is nearer to another locus.
+        ValueError: k_c is no high-symmetry momentum of the model.
+        WindowTouchesCriticality: the window is malformed, or a sweep point
+            is nearer to another locus.
     """
     lo, hi = window
     if not (0.0 < lo < hi):
-        raise WindowTouchesCriticality("window must satisfy 0 < lo < hi")
+        raise WindowTouchesCriticality(
+            "malformed window: need 0 < lo < hi, got %r" % (window,))
+    alpha_c = _critical_alpha(model, beta, k_c)
     if n_points < MIN_POINTS:
         raise ValueError("need at least %d window points" % MIN_POINTS)
-    if dimension is None:
-        dimension = model.dimension
-    if model.criticality_distance(WalkParams(alpha_c, beta)) > LOCUS_TOL:
-        raise WindowTouchesCriticality(
-            "alpha_c = %r is on no gap-closing locus at beta = %r"
-            % (alpha_c, beta))
     eps = np.logspace(np.log10(lo), np.log10(hi), n_points)
     f_peaks = np.empty(n_points)
     xis = np.empty(n_points)
@@ -240,7 +232,8 @@ def extract_exponents(model, beta: float, k_c, dimension: int | None = None,
         xis[i] = prof.xi
     gamma, g_se = _neg_slope(np.log(eps), np.log(f_peaks))
     nu, n_se = _neg_slope(np.log(eps), np.log(xis))
-    return ExponentFit(alpha_c, gamma, nu, g_se, n_se, (lo, hi), dimension)
+    return ExponentFit(alpha_c, gamma, nu, g_se, n_se, (lo, hi),
+                       model.dimension)
 
 
 def _neg_slope(x: np.ndarray, y: np.ndarray):
@@ -254,12 +247,18 @@ def _neg_slope(x: np.ndarray, y: np.ndarray):
     return float(-coef[1]), float(np.sqrt(var))
 
 
-def flip_test(model, beta: float, k_c, alpha_c: float = 0.0,
-              eps: float = 1e-3) -> float:
+def _critical_alpha(model, beta: float, k_c) -> float:
+    """alpha_c = -b beta, b = ``model.closing_slope(k_c)`` (ValueError off
+    every HSP); 0.0 - b beta keeps alpha_c = +0.0 at beta = 0."""
+    return 0.0 - model.closing_slope(k_c) * beta
+
+
+def flip_test(model, beta: float, k_c, eps: float = 1e-3) -> float:
     """Peak-value ratio F(k_c; alpha_c - eps) / F(k_c; alpha_c + eps).
 
-    Approaches -1 as eps -> 0 across a topological transition.
+    Approaches -1 as eps -> 0 across the transition whose gap closes at k_c.
     """
+    alpha_c = _critical_alpha(model, beta, k_c)
     f_minus = model.peak_curvature(k_c, WalkParams(alpha_c - eps, beta))
     f_plus = model.peak_curvature(k_c, WalkParams(alpha_c + eps, beta))
     if f_plus == 0.0:

@@ -15,10 +15,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import walk1d, walk2d
-from .walk1d import WalkParams, _angle_halves, _reduce_angle
+from .walk1d import LOCUS_TOL, WalkParams, _angle_halves, _reduce_angle
 
 
-class Walk1D:
+class _Walk:
+    """The transitions of a walk, from its ``hsps`` and ``closing_slope``."""
+
+    @classmethod
+    def criticality_distance(cls, p: WalkParams) -> float:
+        """Angle distance to the nearest gap-closing locus alpha = -b beta
+        (mod 2 pi), over b = closing_slope(h) of every h in hsps()."""
+        return min(abs(_reduce_angle(p.alpha + cls.closing_slope(h) * p.beta))
+                   for h in cls.hsps())
+
+
+class Walk1D(_Walk):
     """Adapter for the one-dimensional split-step walk."""
 
     name = "walk1d"
@@ -59,11 +70,6 @@ class Walk1D:
         return walk1d.peak_asymptotics_1d(p, k_c)
 
     @staticmethod
-    def criticality_distance(p: WalkParams) -> float:
-        """Parameter-space distance to the nearest gap-closing family."""
-        return min(walk1d.gap_distances(p))
-
-    @staticmethod
     def closing_slope(k) -> int:
         """b = 1 at k = 0 and -1 at k = pi, from zeta(k) = (0, sin((alpha
         +- beta)/2), 0); ValueError at any other momentum."""
@@ -76,7 +82,7 @@ class Walk1D:
         return walk1d._gap_closed_1d(k, _angle_halves(alpha, beta))
 
 
-class Walk2D:
+class Walk2D(_Walk):
     """Adapter for the two-dimensional walk, diagonal-slice conventions."""
 
     name = "walk2d"
@@ -136,13 +142,6 @@ class Walk2D:
     # b = -2 and at kx = pi/2 for b = 0, keyed by (2 kx, 2 ky) / pi mod 2
     SLOPES = {(0, 0): 2, (0, 1): -2, (1, 0): 0, (1, 1): 0}
 
-    @staticmethod
-    def criticality_distance(p: WalkParams) -> float:
-        """Angle distance to the nearest gap-closing family: alpha = 0 (the
-        slice peak), -2 beta or +2 beta (mod 2 pi)."""
-        return min(abs(_reduce_angle(p.alpha + b * p.beta))
-                   for b in (0, 2, -2))
-
     @classmethod
     def closing_slope(cls, k) -> int:
         """b at a high-symmetry momentum (kx, ky), each a multiple of pi/2;
@@ -150,7 +149,7 @@ class Walk2D:
         key = []
         for c in k:
             half_turns = abs(_reduce_angle(2.0 * c)) / np.pi
-            if min(half_turns, 1.0 - half_turns) > 1e-9:
+            if min(half_turns, 1.0 - half_turns) > LOCUS_TOL:
                 raise ValueError("momentum %r is not high-symmetry" % (k,))
             key.append(round(half_turns))
         return cls.SLOPES[tuple(key)]

@@ -29,7 +29,10 @@ import numpy as np
 from .errors import AtCriticality, FlatDegenerate, ZeroGap
 from .geometry import GAP_FLOOR
 
-FLAT_FLOOR = 1e-12
+# |sin E| below which the bands touch: no axis (FlatDegenerate), and no
+# closed-form peak asymptotics in either walk (AtCriticality)
+CRITICAL_FLOOR = 1e-12
+LOCUS_TOL = 1e-9  # angle slack of a point on a gap-closing locus or at an HSP
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -106,7 +109,7 @@ def effective_hamiltonian(U: Unitary2) -> EffectiveHamiltonianSample:
     cos_e = float(np.clip(cos_e, -1.0, 1.0))
     e = float(np.arccos(cos_e))
     sin_e = np.sin(e)
-    if abs(sin_e) < FLAT_FLOOR:
+    if abs(sin_e) < CRITICAL_FLOOR:
         raise FlatDegenerate("band touching: quasienergy %.3e from 0 or pi" % min(e, np.pi - e))
     n = np.array([(1j * np.trace(s @ m) / 2.0).real for s in (_SX, _SY, _SZ)])
     n /= sin_e
@@ -252,7 +255,7 @@ def peak_asymptotics_1d(p: WalkParams, k_c: float):
     ka, la, kb, lb = _half_angles(p)
     at_zero = _at_zero_channel(k_c)
     lam = np.sin((p.alpha + p.beta) / 2.0) if at_zero else np.sin((p.alpha - p.beta) / 2.0)
-    if abs(lam) < FLAT_FLOOR:
+    if abs(lam) < CRITICAL_FLOOR:
         raise AtCriticality("peak channel at k_c=%s is critical" % ("0" if at_zero else "pi"))
     f_peak = -ka / lam if at_zero else ka / lam
     xi2 = 0.5 * (kb ** 2 + ka ** 2 * kb ** 2 - ka * kb * la * lb) / lam ** 2
@@ -260,15 +263,15 @@ def peak_asymptotics_1d(p: WalkParams, k_c: float):
 
 
 def _at_zero_channel(k_c: float) -> bool:
-    """True at k_c = 0 and False at k_c = pi (mod 2 pi, to 1e-9).
+    """True at k_c = 0 and False at k_c = pi (mod 2 pi, to LOCUS_TOL).
 
     Raises:
         ValueError: any other momentum.
     """
     k = abs(_reduce_angle(k_c))
-    if k < 1e-9:
+    if k < LOCUS_TOL:
         return True
-    if abs(k - np.pi) < 1e-9:
+    if abs(k - np.pi) < LOCUS_TOL:
         return False
     raise ValueError("k_c must be 0 or pi, got %r" % (k_c,))
 

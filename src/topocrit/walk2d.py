@@ -30,10 +30,8 @@ import numpy as np
 
 from .errors import AtCriticality, ZeroGap
 from .geometry import GAP_FLOOR
-from .walk1d import (Unitary2, WalkParams, _angle_halves, _half_angles,
-                     coin)
-
-CRITICAL_FLOOR = 1e-12
+from .walk1d import (CRITICAL_FLOOR, Unitary2, WalkParams, _angle_halves,
+                     _half_angles, coin)
 
 PEAK_KX = np.pi / 2.0  # gap-closing momentum on the ky = -kx slice
 

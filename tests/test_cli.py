@@ -420,6 +420,29 @@ def test_directory_in_place_of_a_file_exits_1(tmp_path, capsys, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["crg", "--mass", "2"], ["crg", "--bogus"], ["invariant", "--grid", "abc"],
+    [],
+], ids=["unread-flag", "unknown-flag", "bad-int", "no-command"])
+def test_parse_errors_exit_1_with_one_error_line(tmp_path, monkeypatch,
+                                                 capsys, argv):
+    # argparse would print its usage text and exit 2, the NaN-rows code
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in out + err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_benchmark_commands_are_valid(monkeypatch):
     bench = Path(__file__).resolve().parent.parent / "bench"
     monkeypatch.syspath_prepend(str(bench))
@@ -460,14 +483,11 @@ def test_csv_bytes_crg_bool_column(tmp_path):
     grid = 64
     main(["crg", "--model", "walk1d", "--grid", str(grid),
           "--out", str(tmp_path / "flow.csv")])
-    field = crg.flow_field(WALK_1D, grid=grid)
-    for idx, hsp in enumerate(field.hsps):
-        key = crg._hsp_key(hsp)
-        rows = [(float(field.alphas[i]), float(field.betas[j]),
-                 float(field.dalpha[key][i, j]),
-                 float(field.dbeta[key][i, j]),
-                 float(field.log_rate[key][i, j]),
-                 bool(field.diverged[key][i, j]))
+    for idx, hsp in enumerate(WALK_1D.hsps()):
+        field = crg.flow_field(WALK_1D, hsp, grid)
+        rows = [(float(field.axes[i]), float(field.axes[j]),
+                 float(field.dalpha[i, j]), float(field.dbeta[i, j]),
+                 float(field.log_rate[i, j]), bool(field.diverged[i, j]))
                 for i in range(grid) for j in range(grid)]
         assert {row[5] for row in rows} == {False, True}
         expected = _reference_table(
@@ -479,26 +499,26 @@ def test_csv_bytes_crg_bool_column(tmp_path):
 @pytest.mark.parametrize("model", ["walk1d", "walk2d"])
 def test_crg_files_match_the_field_of_every_hsp_at_once(tmp_path, model):
     # crg evaluates, writes and searches one high-symmetry point at a time;
-    # its files are those of one field holding every HSP
+    # its files are those of the flow field and the lines of every HSP
     grid = 64
     argv = ["crg", "--model", model, "--grid", str(grid),
             "--out", str(tmp_path / "run" / "flow")]
     (tmp_path / "run").mkdir()
     assert main(argv) == 0
     echo = _defaults(_merge_config(build_parser().parse_args(argv)), "crg")
-    field = crg.flow_field(WALKS[model], grid=grid)
     ref = tmp_path / "ref"
     ref.mkdir()
-    for idx, hsp in enumerate(field.hsps):
-        key = crg._hsp_key(hsp)
+    lines = []
+    for idx, hsp in enumerate(WALKS[model].hsps()):
+        field = crg.flow_field(WALKS[model], hsp, grid)
         write_csv(ref / ("flow_hsp%d.csv" % idx), topocrit.__version__,
-                  {**echo, "hsp": list(key)},
-                  {**_grid_columns(field.alphas, field.betas),
-                   "dalpha_dl": field.dalpha[key].ravel(),
-                   "dbeta_dl": field.dbeta[key].ravel(),
-                   "log_rate": field.log_rate[key].ravel(),
-                   "diverged": field.diverged[key].ravel()})
-    lines = crg.detect_critical_lines(field)
+                  {**echo, "hsp": list(field.hsp)},
+                  {**_grid_columns(field.axes, field.axes),
+                   "dalpha_dl": field.dalpha.ravel(),
+                   "dbeta_dl": field.dbeta.ravel(),
+                   "log_rate": field.log_rate.ravel(),
+                   "diverged": field.diverged.ravel()})
+        lines += crg.detect_critical_lines(field)
     assert lines
     write_json(ref / "flow.json", topocrit.__version__, echo,
                {"critical_lines": [

@@ -6,9 +6,9 @@ import pytest
 from topocrit import WalkParams
 from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, MIN_COMPONENT_CELLS,
                           NUMERATOR_FLOOR, PEAK_SINGULAR, FlowField,
-                          _closed_cells, _hsp_key,
-                          _periodic_label, detect_critical_lines,
-                          flow_field, rg_step, walk_curvature_callback)
+                          _closed_cells, _periodic_label,
+                          detect_critical_lines, flow_field, rg_step,
+                          walk_curvature_callback)
 from topocrit.errors import ZeroGap
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import rotated_curvature_1d
@@ -18,6 +18,15 @@ RNG = np.random.default_rng(19)
 
 def wrap(x):
     return np.angle(np.exp(1j * np.asarray(x)))
+
+
+def lines_of(model, grid, rate_threshold=30.0):
+    """The detected lines of every HSP of the model, and the grid cell."""
+    lines = []
+    for hsp in model.hsps():
+        lines += detect_critical_lines(flow_field(model, hsp, grid),
+                                       rate_threshold=rate_threshold)
+    return lines, 2 * np.pi / grid
 
 
 def derivative_form_1d(k0, a, b, axis):
@@ -78,19 +87,20 @@ def test_rg_step_convergence_order():
 # --- flow_field ---
 
 def test_flow_field_shapes_and_channels():
-    field = flow_field(WALK_1D, grid=64)
-    assert len(field.hsps) == 2
-    for hsp in field.hsps:
-        key = (float(hsp),)
-        assert field.rate[key].shape == (64, 64)
-        assert field.log_rate[key].shape == (64, 64)
-        assert field.diverged[key].dtype == bool
+    for hsp in WALK_1D.hsps():
+        field = flow_field(WALK_1D, hsp, 64)
+        assert field.hsp == (hsp,)
+        assert field.axes.shape == (64,)
+        for name in ("dalpha", "dbeta", "log_rate", "diverged",
+                     "peak_height", "scaling_response"):
+            assert getattr(field, name).shape == (64, 64)
+        assert field.diverged.dtype == bool
+    assert flow_field(WALK_2D, (np.pi / 2, 0.0)).hsp == (np.pi / 2, 0.0)
+    assert flow_field(WALK_2D, (0.0, 0.0)).axes.shape == (128,)
 
 
 def test_flow_field_divergence_clusters_on_critical_lines():
-    field = flow_field(WALK_1D, grid=128)
-    cell = field.cell
-    lines = detect_critical_lines(field, rate_threshold=30.0)
+    lines, cell = lines_of(WALK_1D, 128)
     assert lines
     for line in lines:
         a = line.vertices[:, 0]
@@ -100,15 +110,15 @@ def test_flow_field_divergence_clusters_on_critical_lines():
 
 
 def test_flow_field_families_split_by_hsp():
-    field = flow_field(WALK_1D, grid=128)
-    lines = detect_critical_lines(field, rate_threshold=30.0)
+    lines, cell = lines_of(WALK_1D, 128)
+    assert {line.hsp for line in lines} == {(0.0,), (np.pi,)}
     # k0 = 0 detects the alpha + beta = 0 family, k0 = pi the other
     for line in lines:
         a, b = line.vertices[:, 0], line.vertices[:, 1]
         if line.hsp == (0.0,):
-            assert np.abs(wrap(a + b)).max() <= field.cell + 1e-12
+            assert np.abs(wrap(a + b)).max() <= cell + 1e-12
         else:
-            assert np.abs(wrap(a - b)).max() <= field.cell + 1e-12
+            assert np.abs(wrap(a - b)).max() <= cell + 1e-12
 
 
 class _OnMeshgrid:
@@ -130,16 +140,17 @@ class _OnMeshgrid:
 def test_flow_field_bit_equal_to_meshgrid_evaluation(model):
     # the flow field evaluates on broadcast angle axes; every elementwise
     # value goes through the same operations as on full meshgrid arrays
-    field = flow_field(model, grid=64)
-    ref = flow_field(_OnMeshgrid(model), grid=64)
-    for name in ("dalpha", "dbeta", "rate", "log_rate", "diverged",
-                 "peak_height", "scaling_response"):
-        got, want = getattr(field, name), getattr(ref, name)
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key].shape == want[key].shape == (64, 64)
-            assert got[key].dtype == want[key].dtype
-            assert got[key].tobytes() == want[key].tobytes()
+    for hsp in model.hsps():
+        field = flow_field(model, hsp, 64)
+        ref = flow_field(_OnMeshgrid(model), hsp, 64)
+        assert field.hsp == ref.hsp
+        assert field.axes.tobytes() == ref.axes.tobytes()
+        for name in ("dalpha", "dbeta", "log_rate", "diverged",
+                     "peak_height", "scaling_response"):
+            got, want = getattr(field, name), getattr(ref, name)
+            assert got.shape == want.shape == (64, 64)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def _raises_zero_gap(f, hsp, M) -> bool:
@@ -150,9 +161,9 @@ def _raises_zero_gap(f, hsp, M) -> bool:
     return False
 
 
-def _closed(field, key):
-    """Cells the flow field marks as closed at the HSP."""
-    return np.isnan(field.dalpha[key]) & np.isinf(field.peak_height[key])
+def _closed(field):
+    """Cells the flow field marks as closed at its HSP."""
+    return np.isnan(field.dalpha) & np.isinf(field.peak_height)
 
 
 @pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
@@ -161,24 +172,23 @@ def test_rg_step_is_the_oracle_of_flow_field(model):
     # field on a strided set of cells that starts at (0, 0), the gapless
     # corner (-pi, -pi): a cell is closed exactly where the callback raises
     # ZeroGap at the HSP, and every other non-diverged cell has its flow
-    field = flow_field(model, grid=64)
     f = walk_curvature_callback(model)
     ks = np.eye(model.dimension)[0]
-    for hsp in field.hsps:
-        key = _hsp_key(hsp)
-        closed = _closed(field, key)
-        assert np.all(field.diverged[key][closed])
+    for hsp in model.hsps():
+        field = flow_field(model, hsp, 64)
+        closed = _closed(field)
+        assert np.all(field.diverged[closed])
         compared = 0
         for i, j in np.argwhere(np.ones_like(closed))[::61]:
-            M = (field.alphas[i], field.betas[j])
+            M = (field.axes[i], field.axes[j])
             assert _raises_zero_gap(f, hsp, M) == closed[i, j]
-            if field.diverged[key][i, j]:
+            if field.diverged[i, j]:
                 continue
             compared += 1
             for axis, flow in enumerate((field.dalpha, field.dbeta)):
                 step = rg_step(f, hsp, ks, M, DEFAULT_DK, DEFAULT_DM,
                                axis=axis)
-                assert abs(step - flow[key][i, j]) <= 1e-9 * abs(step)
+                assert abs(step - flow[i, j]) <= 1e-9 * abs(step)
         assert compared >= 40
 
 
@@ -188,17 +198,16 @@ def test_flow_field_closes_exactly_where_the_callback_raises(model, grid):
     # |zeta(hsp)| = |sin((alpha + b beta) / 2)|, so away from its line the
     # gap at the HSP is at least sin(0.1); every cell nearer the line than
     # that is checked against the callback, and no cell beyond it is closed
-    field = flow_field(model, grid=grid)
     f = walk_curvature_callback(model)
-    A, B = np.meshgrid(field.alphas, field.betas, indexing="ij")
-    for hsp in field.hsps:
-        key = _hsp_key(hsp)
-        closed = _closed(field, key)
+    for hsp in model.hsps():
+        field = flow_field(model, hsp, grid)
+        A, B = np.meshgrid(field.axes, field.axes, indexing="ij")
+        closed = _closed(field)
         near = np.abs(np.sin((A + model.closing_slope(hsp) * B) / 2)) < 0.1
         assert 0 < closed.sum() < near.sum() < 6 * grid
         assert not closed[~near].any()
         for i, j in np.argwhere(near):
-            M = (field.alphas[i], field.betas[j])
+            M = (field.axes[i], field.axes[j])
             assert _raises_zero_gap(f, hsp, M) == closed[i, j]
 
 
@@ -259,9 +268,7 @@ def test_flow_rate_roughly_even_about_line():
 
 
 def test_flow_field_2d_lines_near_loci():
-    field = flow_field(WALK_2D, grid=128)
-    cell = field.cell
-    lines = detect_critical_lines(field, rate_threshold=30.0)
+    lines, cell = lines_of(WALK_2D, 128)
     assert lines
 
     def wrap_pi(x):
@@ -280,18 +287,11 @@ def test_flow_field_2d_lines_near_loci():
 def _synthetic_field(grid=64):
     axes = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     A, B = np.meshgrid(axes, axes, indexing="ij")
-    field = FlowField(axes, axes.copy(), [(0.0,)])
     dist = np.abs(wrap(A - B))
     spike = 1.0 / (dist + 1e-3)
-    key = (0.0,)
-    field.dalpha[key] = spike
-    field.dbeta[key] = spike
-    field.rate[key] = np.hypot(spike, spike)
-    field.log_rate[key] = np.log10(field.rate[key])
-    field.diverged[key] = field.rate[key] > 1e3
-    field.peak_height[key] = spike
-    field.scaling_response[key] = spike
-    return field
+    rate = np.hypot(spike, spike)
+    return FlowField(axes, (0.0,), spike, spike, np.log10(rate), rate > 1e3,
+                     spike, spike)
 
 
 def test_detect_synthetic_spike_line():
@@ -299,13 +299,12 @@ def test_detect_synthetic_spike_line():
     lines = detect_critical_lines(field, rate_threshold=50.0)
     assert len(lines) == 1
     a, b = lines[0].vertices[:, 0], lines[0].vertices[:, 1]
-    assert np.abs(wrap(a - b)).max() <= field.cell + 1e-12
+    assert np.abs(wrap(a - b)).max() <= 2 * np.pi / 64 + 1e-12
 
 
 def test_detect_threshold_robustness():
-    field = flow_field(WALK_1D, grid=128)
-    lo = detect_critical_lines(field, rate_threshold=30.0)
-    hi = detect_critical_lines(field, rate_threshold=300.0)
+    lo, cell = lines_of(WALK_1D, 128, rate_threshold=30.0)
+    hi, _ = lines_of(WALK_1D, 128, rate_threshold=300.0)
     assert hi  # something survives a tenfold threshold increase
 
     def vert_map(lines):
@@ -318,61 +317,62 @@ def test_detect_threshold_robustness():
     lo_map, hi_map = vert_map(lo), vert_map(hi)
     shared = set(lo_map) & set(hi_map)
     assert shared
-    cell = field.cell
     for key in shared:
         assert abs(lo_map[key] - hi_map[key]) <= cell + 1e-12
 
 
 def _full_grid_lines(field, rate_threshold):
     """Reference detection: one full-grid mask per component label."""
+    f0 = field.peak_height
+    with np.errstate(invalid="ignore"):
+        min_rate = np.minimum(np.abs(field.dalpha), np.abs(field.dbeta))
+    cand = (~np.isfinite(f0) | (f0 > PEAK_SINGULAR)
+            | (np.isfinite(min_rate) & (min_rate >= rate_threshold)
+               & (field.scaling_response >= NUMERATOR_FLOOR)))
+    if not cand.any():
+        return []
+    lab = _periodic_label(cand)
+    height = np.where(np.isfinite(f0), f0, np.inf)
+    axes = field.axes
     out = []
-    for hsp in field.hsps:
-        key = _hsp_key(hsp)
-        f0 = field.peak_height[key]
-        with np.errstate(invalid="ignore"):
-            min_rate = np.minimum(np.abs(field.dalpha[key]),
-                                  np.abs(field.dbeta[key]))
-        cand = (~np.isfinite(f0) | (f0 > PEAK_SINGULAR)
-                | (np.isfinite(min_rate) & (min_rate >= rate_threshold)
-                   & (field.scaling_response[key] >= NUMERATOR_FLOOR)))
-        if not cand.any():
+    for lb in np.unique(lab):
+        mask = lab == lb
+        if lb == 0 or mask.sum() < MIN_COMPONENT_CELLS:
             continue
-        lab = _periodic_label(cand)
-        height = np.where(np.isfinite(f0), f0, np.inf)
-        for lb in np.unique(lab):
-            mask = lab == lb
-            if lb == 0 or mask.sum() < MIN_COMPONENT_CELLS:
-                continue
-            rows, cols = (np.unique(ix) for ix in np.nonzero(mask))
-            verts = []
-            if len(cols) >= len(rows):
-                for j in cols:
-                    ii = np.nonzero(mask[:, j])[0]
-                    verts.append((field.alphas[ii[np.argmax(height[ii, j])]],
-                                  field.betas[j]))
-            else:
-                for i in rows:
-                    jj = np.nonzero(mask[i, :])[0]
-                    verts.append((field.alphas[i],
-                                  field.betas[jj[np.argmax(height[i, jj])]]))
-            out.append((key, np.array(verts)))
+        rows, cols = (np.unique(ix) for ix in np.nonzero(mask))
+        verts = []
+        if len(cols) >= len(rows):
+            for j in cols:
+                ii = np.nonzero(mask[:, j])[0]
+                verts.append((axes[ii[np.argmax(height[ii, j])]], axes[j]))
+        else:
+            for i in rows:
+                jj = np.nonzero(mask[i, :])[0]
+                verts.append((axes[i], axes[jj[np.argmax(height[i, jj])]]))
+        out.append((field.hsp, np.array(verts)))
     return out
 
 
-@pytest.mark.parametrize("make_field, threshold", [
-    (lambda: flow_field(WALK_1D, grid=128), 30.0),
-    (lambda: flow_field(WALK_1D, grid=64), 3.0),
-    (lambda: flow_field(WALK_2D, grid=96), 30.0),
-    (lambda: flow_field(WALK_2D, grid=64), 300.0),
-    (_synthetic_field, 50.0),
+def _fields(model, grid):
+    return lambda: [flow_field(model, hsp, grid) for hsp in model.hsps()]
+
+
+@pytest.mark.parametrize("make_fields, threshold", [
+    (_fields(WALK_1D, 128), 30.0),
+    (_fields(WALK_1D, 64), 3.0),
+    (_fields(WALK_2D, 96), 30.0),
+    (_fields(WALK_2D, 64), 300.0),
+    (lambda: [_synthetic_field()], 50.0),
 ], ids=["walk1d-128", "walk1d-64-t3", "walk2d-96", "walk2d-64-t300",
         "synthetic"])
-def test_detect_bounding_boxes_match_full_grid_masks(make_field, threshold):
+def test_detect_bounding_boxes_match_full_grid_masks(make_fields, threshold):
     # same components in the same order, and bit-identical vertices
-    field = make_field()
-    lines = detect_critical_lines(field, rate_threshold=threshold)
-    want = _full_grid_lines(field, threshold)
-    assert lines
-    assert [line.hsp for line in lines] == [key for key, _ in want]
-    for line, (_, verts) in zip(lines, want):
-        assert line.vertices.tobytes() == verts.tobytes()
+    found = 0
+    for field in make_fields():
+        lines = detect_critical_lines(field, rate_threshold=threshold)
+        want = _full_grid_lines(field, threshold)
+        assert [line.hsp for line in lines] == [key for key, _ in want]
+        for line, (_, verts) in zip(lines, want):
+            assert line.vertices.tobytes() == verts.tobytes()
+        found += len(lines)
+    assert found

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from topocrit.criticality import (extract_exponents, find_gap_closings,
                                   fit_lorentzian, flip_test, sample_peak)
 from topocrit.errors import PoorFit, WindowTouchesCriticality
 from topocrit.models import WALK_1D, WALK_2D
-from topocrit.walk1d import gap_distances, peak_asymptotics_1d
+from topocrit.walk1d import _reduce_angle, gap_distances, peak_asymptotics_1d
 
 RNG = np.random.default_rng(3)
 
@@ -33,6 +35,32 @@ class PowerLawModel:
 
     def criticality_distance(self, p):
         return abs(p.alpha)
+
+    def closing_slope(self, k):
+        return 0
+
+
+# --- criticality_distance ---
+
+def _angle_pairs(n=5000):
+    """Random angle pairs and every pair of the edge angles +-pi, +-0.0."""
+    edges = (np.pi, -np.pi, 0.0, -0.0, 0.3, -1.1, 2 * np.pi)
+    return ([tuple(ab) for ab in RNG.uniform(-4 * np.pi, 4 * np.pi, (n, 2))]
+            + list(itertools.product(edges, repeat=2)))
+
+
+def test_criticality_distance_walk1d_is_min_of_gap_distances():
+    for a, b in _angle_pairs():
+        p = WalkParams(a, b)
+        want = min(gap_distances(p))
+        assert WALK_1D.criticality_distance(p).hex() == want.hex(), (a, b)
+
+
+def test_criticality_distance_walk2d_is_min_over_alpha_and_two_beta():
+    for a, b in _angle_pairs():
+        want = min(abs(_reduce_angle(x)) for x in (a, a + 2 * b, a - 2 * b))
+        got = WALK_2D.criticality_distance(WalkParams(a, b))
+        assert got.hex() == want.hex(), (a, b)
 
 
 # --- find_gap_closings ---
@@ -146,8 +174,10 @@ def test_walk_fit_width_agreement_across_window():
 # --- extract_exponents ---
 
 def test_exponents_synthetic_power_law():
-    fit = extract_exponents(PowerLawModel(3.0, 1.5), beta=0.0, k_c=0.0,
-                            dimension=2)
+    model = PowerLawModel(3.0, 1.5)
+    model.dimension = 2
+    fit = extract_exponents(model, beta=0.0, k_c=0.0)
+    assert fit.dimension == 2
     assert abs(fit.gamma - 3.0) < 1e-6
     assert abs(fit.nu - 1.5) < 1e-6
     assert fit.scaling_law_residual == pytest.approx(0.0, abs=1e-6)
@@ -173,18 +203,24 @@ def test_exponents_malformed_window():
 
 
 def test_exponents_walk1d_at_both_channels():
+    # alpha_c comes from the model: the gap closes at k = 0 on alpha = -beta
+    # and at k = pi on alpha = +beta
     for beta in (-1.0, 0.3):
         for k_c, alpha_c in ((0.0, -beta), (np.pi, beta)):
-            fit = extract_exponents(WALK_1D, beta=beta, k_c=k_c,
-                                    alpha_c=alpha_c)
+            fit = extract_exponents(WALK_1D, beta=beta, k_c=k_c)
+            assert fit.alpha_c == alpha_c
             assert abs(fit.gamma - 1.0) < 0.01
             assert abs(fit.nu - 1.0) < 0.01
 
 
-def test_exponents_alpha_c_off_every_locus():
-    # alpha = 0 is no transition of the walk1d at beta = 0.3
-    with pytest.raises(WindowTouchesCriticality, match="no gap-closing"):
-        extract_exponents(WALK_1D, beta=0.3, k_c=0.0)
+def test_exponents_and_flip_refuse_a_kc_off_every_hsp():
+    # a momentum off every high-symmetry point has no transition to sweep to
+    for model, k_c in ((WALK_1D, 0.5), (WALK_1D, np.pi / 2),
+                       (WALK_2D, (np.pi / 2, 0.3)), (WALK_2D, (0.4, -np.pi))):
+        with pytest.raises(ValueError, match="not high-symmetry|0 or pi"):
+            extract_exponents(model, beta=0.3, k_c=k_c)
+        with pytest.raises(ValueError, match="not high-symmetry|0 or pi"):
+            flip_test(model, beta=0.3, k_c=k_c)
 
 
 def test_exponents_window_reaching_another_locus():
