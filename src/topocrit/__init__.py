@@ -25,8 +25,7 @@ from .walk1d import (EffectiveHamiltonianSample, Unitary2, WalkParams,
 from .walk2d import peak_asymptotics_2d, unitary_2d
 from .models import WALK_1D, WALK_2D, Walk1D, Walk2D
 from .criticality import (CurvatureProfile, ExponentFit, extract_exponents,
-                          find_gap_closings, fit_lorentzian, flip_test,
-                          sample_peak)
+                          fit_lorentzian, flip_test, sample_peak)
 from .correlation import (CorrelationSeries, fit_decay,
                           wannier_correlation_1d, wannier_correlation_2d)
 from .crg import (CriticalLine, FlowField, detect_critical_lines,

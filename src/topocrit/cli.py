@@ -276,10 +276,11 @@ def _write_table(cfg: dict, path: str, echo: dict, columns: dict,
 def _grid_columns(alphas, betas) -> dict:
     """The row-major ``alpha``/``beta`` columns of an (alpha, beta) grid, as
     ``Indexed`` columns of the axis values: each value is encoded once per
-    file, not once per row."""
-    rows, cols = len(alphas), len(betas)
-    return {"alpha": Indexed(alphas, np.repeat(np.arange(rows), cols)),
-            "beta": Indexed(betas, np.tile(np.arange(cols), rows))}
+    file, not once per row, and row i holds (alphas[i // n], betas[i % n])
+    for n betas."""
+    n_rows = len(alphas) * len(betas)
+    return {"alpha": Indexed(alphas, n_rows, every=len(betas)),
+            "beta": Indexed(betas, n_rows)}
 
 
 def _curvature_columns(cfg: dict, alpha: float) -> dict:

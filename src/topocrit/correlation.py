@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDecade, UndersampledPeak, ZeroGap
-from .models import WALK_1D, WALK_2D
+from .models import BLOCK_POINTS, WALK_1D, WALK_2D
 from .walk1d import WalkParams, rotated_curvature_1d
 from .walk2d import curvature_grid_2d
 
@@ -28,10 +28,6 @@ USABLE_FLOOR = 1e-13
 IMAG_TOL = 1e-10
 OSCILLATION_WINDOW = 10
 OSCILLATION_MIN_FLIPS = 2
-# (row, momentum) points per block of the sampled zone grid: 16 kx rows of
-# the 512^2 2D grid, the fastest of 8 to 128 rows in process (34.6 ms
-# median CPU against 37.9-41.6 ms), with the smallest traced peak (1.0 MB)
-CORRELATION_BLOCK_POINTS = 1 << 13
 
 
 @dataclass
@@ -68,7 +64,7 @@ def _zone_transform(sample, shape, r, direction) -> np.ndarray:
     """
     n_rows, n = shape
     u_row, u_col = direction
-    step = max(1, CORRELATION_BLOCK_POINTS // n)
+    step = max(1, BLOCK_POINTS // n)
     cols, col_of_r = np.unique((u_col * r) % n, return_inverse=True)
     part = np.empty((n_rows, len(cols)), dtype=complex)
     for lo in range(0, n_rows, step):

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import BLOCK_POINTS
+
 DEFAULT_GRID = 128
 DEFAULT_DK = 1e-2
 DEFAULT_DM = 1e-3
@@ -90,12 +92,13 @@ class FlowField:
     scaling_response: np.ndarray
 
 
-def _flow_ratio(num, den):
-    """num/den rescaled by DM/Dk^2; inf where den is below the floor, 0 where
-    num is too."""
-    return np.where(np.abs(den) < DENOMINATOR_FLOOR,
-                    np.where(np.abs(num) < DENOMINATOR_FLOOR, 0.0, np.inf),
-                    num / den) * (DEFAULT_DM / DEFAULT_DK ** 2)
+def _flow_ratio(num, den, out):
+    """num/den rescaled by DM/Dk^2 into ``out``; inf where den is below the
+    floor, 0 where num is too."""
+    np.multiply(np.where(np.abs(den) < DENOMINATOR_FLOOR,
+                         np.where(np.abs(num) < DENOMINATOR_FLOOR, 0.0, np.inf),
+                         num / den),
+                DEFAULT_DM / DEFAULT_DK ** 2, out=out)
 
 
 def flow_field(model, hsp, grid: int = DEFAULT_GRID) -> FlowField:
@@ -109,27 +112,49 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID) -> FlowField:
     :func:`walk_curvature_callback` raises ZeroGap there, carry NaN flow and
     an infinite peak height and are flagged diverged; no exception is
     raised per cell.
+
+    The grid is evaluated in blocks of alpha rows, ``BLOCK_POINTS`` cells
+    each, and every block is written straight into the field's arrays: the
+    evaluation holds the field, its closed-cell mask and one block.
     """
     if grid < 64:
         raise ValueError("grid must be at least 64x64")
     axes = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     k_shift = _shifted_momentum(hsp, np.eye(model.dimension)[0], DEFAULT_DK)
+
+    def empty(dtype=float):
+        return np.empty((grid, grid), dtype=dtype)
+
+    field = FlowField(axes, tuple(map(float, np.ravel(hsp))), empty(),
+                      empty(), empty(), empty(bool), empty(), empty())
+    closed = np.zeros((grid, grid), dtype=bool)
+    closed[_closed_cells(model, hsp, axes)] = True
     # broadcast axes: each model term is evaluated at the length its
-    # angle dependence needs, and every field comes out (grid, grid)
-    A, B = axes[:, None], axes[None, :]
+    # angle dependence needs, and every block comes out (rows, grid)
+    B = axes[None, :]
+    step = max(1, BLOCK_POINTS // grid)
     with np.errstate(all="ignore"):
-        f0 = model.curvature_raw(hsp, A, B)
-        num = model.curvature_raw(k_shift, A, B) - f0
-        da = _flow_ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B) - f0)
-        db = _flow_ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0)
-        closed = _closed_cells(model, hsp, axes)
-        da[closed] = db[closed] = np.nan
-        f0[closed] = np.inf
-        rate = np.hypot(da, db)
-        log_rate = np.log10(rate)
-    return FlowField(axes, tuple(map(float, np.ravel(hsp))), da, db, log_rate,
-                     ~np.isfinite(rate) | (rate > DEFAULT_RATE_THRESHOLD),
-                     np.abs(f0), np.abs(num))
+        for lo in range(0, grid, step):
+            rows = slice(lo, lo + step)
+            A = axes[rows, None]
+            f0 = model.curvature_raw(hsp, A, B)
+            num = model.curvature_raw(k_shift, A, B) - f0
+            da, db = field.dalpha[rows], field.dbeta[rows]
+            _flow_ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B) - f0,
+                        da)
+            _flow_ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0,
+                        db)
+            shut = closed[rows]
+            da[shut] = db[shut] = np.nan
+            f0[shut] = np.inf
+            rate = np.hypot(da, db)
+            np.log10(rate, out=field.log_rate[rows])
+            diverged = field.diverged[rows]
+            np.greater(rate, DEFAULT_RATE_THRESHOLD, out=diverged)
+            diverged |= ~np.isfinite(rate)
+            np.abs(f0, out=field.peak_height[rows])
+            np.abs(num, out=field.scaling_response[rows])
+    return field
 
 
 def _closed_cells(model, hsp, axes):
@@ -160,7 +185,9 @@ class CriticalLine:
 
 
 def _periodic_label(mask: np.ndarray) -> np.ndarray:
-    """8-connected component labels on a torus."""
+    """8-connected component labels on a torus: each component carries the
+    label of one of its planar parts, and the labels of the other parts
+    are unused."""
     from scipy import ndimage
 
     lab, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
@@ -187,8 +214,39 @@ def _periodic_label(mask: np.ndarray) -> np.ndarray:
                 union(lab[0, t], lab[-1, u])
             if lab[t, 0] and lab[u, -1]:
                 union(lab[t, 0], lab[u, -1])
-    roots = np.array([find(x) for x in range(n + 1)])
-    return roots[lab]
+    merged = [x for x in range(1, n + 1) if find(x) != x]
+    if merged:
+        # relabel each merged part in place, within its bounding box
+        boxes = ndimage.find_objects(lab)
+        for x in merged:
+            part = lab[boxes[x - 1]]
+            part[part == x] = find(x)
+    return lab
+
+
+def _candidates(field: FlowField, rate_threshold: float) -> np.ndarray:
+    """The transition-candidate mask of :func:`detect_critical_lines`, made
+    one block of ``BLOCK_POINTS`` cells at a time."""
+    cand = np.empty(field.peak_height.shape, dtype=bool)
+    step = max(1, BLOCK_POINTS // cand.shape[1])
+    for lo in range(0, len(cand), step):
+        rows = slice(lo, lo + step)
+        f0 = field.peak_height[rows]
+        with np.errstate(invalid="ignore"):
+            min_rate = np.minimum(np.abs(field.dalpha[rows]),
+                                  np.abs(field.dbeta[rows]))
+        # cells sitting numerically on a gap closing evaluate to huge or
+        # non-finite curvature; both mean the transition runs through them
+        cand[rows] = (~np.isfinite(f0) | (f0 > PEAK_SINGULAR)
+                      | (np.isfinite(min_rate) & (min_rate >= rate_threshold)
+                         & (field.scaling_response[rows] >= NUMERATOR_FLOOR)))
+    return cand
+
+
+def _highest(heights) -> int:
+    """The index of the first largest height, a non-finite one counting as
+    +inf."""
+    return int(np.argmax(np.where(np.isfinite(heights), heights, np.inf)))
 
 
 def detect_critical_lines(field: FlowField,
@@ -205,34 +263,27 @@ def detect_critical_lines(field: FlowField,
     curvature magnitude, which increases monotonically toward the boundary.
 
     Each component is visited through its bounding box, so one grid pass
-    is made per field, not per component.
+    is made per field, not per component.  Beyond the field, detection
+    holds the candidate mask, the labels and one component's box mask.
 
     Returns:
         list of CriticalLine, one per surviving component.
     """
     from scipy import ndimage
 
-    f0 = field.peak_height
-    with np.errstate(invalid="ignore"):
-        min_rate = np.minimum(np.abs(field.dalpha), np.abs(field.dbeta))
-    # cells sitting numerically on a gap closing evaluate to huge or
-    # non-finite curvature; both mean the transition runs through them
-    singular = ~np.isfinite(f0) | (f0 > PEAK_SINGULAR)
-    finite_flow = np.isfinite(min_rate)
-    cand = singular | (finite_flow & (min_rate >= rate_threshold)
-                       & (field.scaling_response >= NUMERATOR_FLOOR))
+    cand = _candidates(field, rate_threshold)
     if not cand.any():
         return []
     lab = _periodic_label(cand)
-    height = np.where(np.isfinite(f0), f0, np.inf)
-    sizes = np.bincount(lab.ravel())
     lines = []
     # labels in ascending order; a label that no cell kept has no box
     for lb, box in enumerate(ndimage.find_objects(lab), start=1):
-        if box is None or sizes[lb] < MIN_COMPONENT_CELLS:
+        if box is None:
             continue
         mask = lab[box] == lb
-        box_height = height[box]
+        if np.count_nonzero(mask) < MIN_COMPONENT_CELLS:
+            continue
+        box_height = field.peak_height[box]
         alphas = field.axes[box[0]]
         betas = field.axes[box[1]]
         rows = np.flatnonzero(mask.any(axis=1))
@@ -241,12 +292,12 @@ def detect_critical_lines(field: FlowField,
         if len(cols) >= len(rows):
             for j in cols:
                 ii = np.flatnonzero(mask[:, j])
-                i = ii[np.argmax(box_height[ii, j])]
+                i = ii[_highest(box_height[ii, j])]
                 verts.append((alphas[i], betas[j]))
         else:
             for i in rows:
                 jj = np.flatnonzero(mask[i, :])
-                j = jj[np.argmax(box_height[i, jj])]
+                j = jj[_highest(box_height[i, jj])]
                 verts.append((alphas[i], betas[j]))
         lines.append(CriticalLine(field.hsp, np.array(verts)))
     return lines

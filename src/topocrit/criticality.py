@@ -1,12 +1,11 @@
 """Critical behavior of curvature-function peaks.
 
-Gap-closing location, Lorentzian (Ornstein-Zernike) peak fits, power-law
-critical exponents, and the sign flip of the peak across a transition.
+Lorentzian (Ornstein-Zernike) peak fits, power-law critical exponents, and
+the sign flip of the peak across a transition.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,8 +13,6 @@ import numpy as np
 from .errors import AtCriticality, PoorFit, WindowTouchesCriticality, ZeroGap
 from .walk1d import LOCUS_TOL, WalkParams
 
-GAP_TOL = 1e-8
-REFINE_TOL = 1e-10
 FIT_MIN_R2 = 0.99
 DEFAULT_WINDOW = (1e-3, 1e-1)
 DEFAULT_POINTS = 20
@@ -50,78 +47,6 @@ class ExponentFit:
 
     def __post_init__(self):
         self.scaling_law_residual = abs(self.gamma - self.dimension * self.nu)
-
-
-def _refine_1d(gap_fn, k0: float, h: float) -> float:
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(gap_fn, bracket=None, bounds=(k0 - h, k0 + h),
-                          method="bounded", options={"xatol": REFINE_TOL})
-    return float(res.x)
-
-
-def _coordinate_descent(gap_fn, k0, h: float):
-    """Coordinate-wise golden-section refinement of a gap minimum.
-
-    Each sweep minimizes along one momentum axis after the other within
-    +-width and then halves the width, 12 sweeps in all.  A single axis has
-    nothing to alternate with, so it takes one sweep.
-    """
-    k = list(k0)
-    width = h
-    for _ in range(12 if len(k) > 1 else 1):
-        for axis in range(len(k)):
-            k[axis] = _refine_1d(
-                lambda t: gap_fn(k[:axis] + [t] + k[axis + 1:]), k[axis],
-                width)
-        width = max(width * 0.5, 10 * REFINE_TOL)
-    return k
-
-
-def find_gap_closings(model, p: WalkParams, grid: int = 128):
-    """Locate all gap closings of a walk at fixed parameters.
-
-    Scans |zeta| = sin E on a uniform grid over every momentum axis, refines
-    every local minimum (no larger than any of its 3^d - 1 neighbours), and
-    keeps those below ``GAP_TOL``.  |zeta| is sin of the gap min(E, pi - E),
-    so it has the same minima; unlike the arccos quasienergy, which rounds a
-    closed gap to about 1.5e-8, it resolves a closing down to rounding.
-    Returns a list of (k_c, zone) where k_c is a float in 1D and a pair in
-    2D, and zone is 0 or pi according to which quasienergy the bands touch
-    at; the list is empty for gapped parameters.
-    """
-    if grid < 64:
-        raise ValueError("grid must be at least 64 points per axis")
-    dim = model.dimension
-    k = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    gap = np.asarray(model.zeta_norm(*np.meshgrid(*[k] * dim, indexing="ij"),
-                                     p))
-    h = 2.0 * np.pi / grid
-    is_min = np.ones_like(gap, dtype=bool)
-    for shift in itertools.product((-1, 0, 1), repeat=dim):
-        if any(shift):
-            is_min &= gap <= np.roll(gap, shift, axis=tuple(range(dim)))
-
-    def at(fn, q):
-        return float(fn(*(np.array([c]) for c in q), p)[0])
-
-    def gap_fn(q):
-        return at(model.zeta_norm, q)
-
-    out = []
-    for idx in zip(*np.nonzero(is_min)):
-        q = _coordinate_descent(gap_fn, [float(k[i]) for i in idx], h)
-        if gap_fn(q) < GAP_TOL:
-            q = [float(np.mod(c, 2.0 * np.pi)) for c in q]
-            zone = 0.0 if at(model.energy, q) < np.pi / 2.0 else np.pi
-            if not any(zone == z and all(map(_close_mod, q, kc))
-                       for kc, z in out):
-                out.append((q, zone))
-    return [(q[0] if dim == 1 else tuple(q), zone) for q, zone in out]
-
-
-def _close_mod(a: float, b: float, tol: float = 1e-5) -> bool:
-    return abs(np.angle(np.exp(1j * (a - b)))) < tol
 
 
 def _linearized_fit(momenta, values, k_c: float):
@@ -267,6 +192,6 @@ def flip_test(model, beta: float, k_c, eps: float = 1e-3) -> float:
 
 
 __all__ = [
-    "CurvatureProfile", "ExponentFit", "find_gap_closings", "fit_lorentzian",
-    "sample_peak", "extract_exponents", "flip_test",
+    "CurvatureProfile", "ExponentFit", "fit_lorentzian", "sample_peak",
+    "extract_exponents", "flip_test",
 ]

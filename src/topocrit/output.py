@@ -9,9 +9,9 @@ column picks its conversion: a float column is written as Python writes
 ``FLOAT_FMT % x`` (``'%.17g'``: 17 significant digits, ``nan``, ``inf``,
 ``-inf``, negative zero as ``-0``), a bool or integer column as Python
 writes ``'%d' % v`` (``1``/``0`` and plain digits).  An ``Indexed`` column
-holds the distinct values of a column and each row's index into them, such
-as the grid coordinates of a parameter scan: each distinct value is encoded
-once per file and every row gathers its bytes.
+holds the distinct values of a column and a rule for each row's index into
+them, such as the grid coordinates of a parameter scan: each distinct value
+is encoded once per file and every row gathers its bytes.
 
 The bytes are made in numpy, one chunk of ``CSV_CHUNK_ROWS`` rows at a
 time, with no per-value Python formatting.  For a float x the encoder
@@ -40,17 +40,20 @@ for the decimal point, 'e', the exponent's sign and digits, and the
 separator.  Its ``'%g'`` layout (fixed notation for -4 <= E < 17, otherwise
 ``d.ddde+XX``, trailing zeros dropped) is the set of slots it keeps; the
 others hold NUL.  An integer cell is a sign, 20 digits and the separator.
-The canvases of a chunk's columns are joined into one uint8 block, and one
-``bytes.translate`` deleting NUL gives the chunk's bytes.
+Each column fills its slots of one uint8 block of canvases, allocated once
+per file, and one ``bytes.translate`` deleting NUL gives the chunk's bytes.
 
-A write holds its columns, the encoded values of its ``Indexed`` columns
-and one chunk: about 700 bytes per row for the six columns of a ``crg``
-file, under 3 MB per 4096-row chunk, whatever the row count.
+A write holds its columns, the encoded values of its ``Indexed`` columns,
+whose chunk indices come from the row numbers, the block (183 bytes per row
+for the six columns of a ``crg`` file, 0.7 MB per 4096-row chunk) and one
+chunk's temporaries: a 512^2 ``crg`` table traces a 2.2 MB peak beyond its
+columns, whatever the row count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -93,18 +96,25 @@ def header_comment(version: str, config: dict) -> str:
 
 
 class Indexed:
-    """A CSV column whose row i holds ``values[index[i]]``.
+    """A CSV column of ``length`` rows whose row i holds ``values[(i //
+    every) % len(values)]``.
 
     Each distinct value is encoded once per write, and every row gathers
     its bytes: the grid coordinates of a parameter scan repeat a few
-    hundred axis values over every row."""
+    hundred axis values over every row.  A chunk's indices are derived
+    from its row numbers, so the column holds no per-row array."""
 
-    def __init__(self, values, index):
+    def __init__(self, values, length: int, every: int = 1):
         self.values = np.asarray(values)
-        self.index = np.asarray(index, dtype=np.intp)
+        self.length = length
+        self.every = every
 
     def __len__(self) -> int:
-        return len(self.index)
+        return self.length
+
+    def index(self, start: int, stop: int) -> np.ndarray:
+        """The indices into ``values`` of rows start..stop-1."""
+        return np.arange(start, stop) // self.every % len(self.values)
 
 
 @functools.cache
@@ -265,9 +275,9 @@ def _python_digits(values):
             [int(t[19:]) for t in texts])
 
 
-def _encode_float(x):
-    """The '%.17g' cells of a float64 array: an (n, 45) canvas of the
-    slots of ``_TEMPLATE``, NUL in each slot a cell does not keep."""
+def _encode_float(x, canvas):
+    """Fill the (n, 45) canvas with the '%.17g' cells of a float64 array:
+    the slots of ``_TEMPLATE``, NUL in each slot a cell does not keep."""
     n = len(x)
     d, e, nan, inf, zero = _float_digits(x)
     digits = _digits(d)[:, 3:]
@@ -279,7 +289,6 @@ def _encode_float(x):
     cls[nan] = _NAN
     cls[inf] = _INF
     cls[zero] = _ZERO
-    canvas = np.empty((n, len(_TEMPLATE)), dtype=np.uint8)
     canvas[:] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
     canvas[:, _DIGITS:_EXP:2] = digits
     canvas[:, _EXP + 1:_SEPARATOR] = exp_text.take(e + E_MAX).view(
@@ -291,12 +300,12 @@ def _encode_float(x):
     keep[:, 0] = np.signbit(x)
     keep[nan, 0] = False
     canvas *= keep
-    return canvas
 
 
-def _encode_int(v):
-    """The '%d' cells of an integer array: an (n, 22) canvas of a sign, 20
-    digits and a separator, NUL in each slot a cell does not keep."""
+def _encode_int(v, canvas):
+    """Fill the (n, 22) canvas with the '%d' cells of an integer array: a
+    sign, 20 digits and a separator, NUL in each slot a cell does not
+    keep."""
     unsigned = v.dtype.kind == "u"
     v = v.astype(np.int64)
     neg = v < 0
@@ -306,7 +315,6 @@ def _encode_int(v):
                               else v == np.iinfo(np.int64).min)
     a = np.abs(v)
     a[fallback] = 0
-    canvas = np.empty((len(v), 22), dtype=np.uint8)
     canvas[:, 0] = ord("-")
     canvas[:, 1:21] = _digits(a)
     canvas[:, 21] = ord(",")
@@ -322,58 +330,73 @@ def _encode_int(v):
         text = ("%d" % (value + 2 ** 64 if unsigned else value)).encode()
         canvas[i, :21] = 0
         canvas[i, 21 - len(text):21] = np.frombuffer(text, dtype=np.uint8)
-    return canvas
 
 
-def _encode(column):
-    """The cells of one column, by its dtype: a uint8 canvas of one row per
-    entry, ending in a separator slot, with NUL in each slot a cell does
-    not keep."""
+def _width(column) -> int:
+    """The canvas width of a column's cells, by its dtype."""
     kind = column.dtype.kind
     if kind == "b":
-        canvas = np.empty((len(column), 2), dtype=np.uint8)
-        np.add(column.view(np.uint8), ord("0"), out=canvas[:, 0])
-        canvas[:, 1] = ord(",")
-        return canvas
+        return 2
     if kind in "iu":
-        return _encode_int(column)
+        return 22
     if kind == "f":
-        return _encode_float(column.astype(np.float64))
+        return len(_TEMPLATE)
     raise TypeError("no CSV conversion for a column of dtype %s"
                     % column.dtype)
+
+
+def _encode(column, canvas) -> None:
+    """Fill the uint8 canvas, one row per entry of ``_width(column)``
+    slots, with the column's cells, by its dtype: each ends in a separator
+    slot, with NUL in each slot a cell does not keep."""
+    kind = column.dtype.kind
+    if kind == "b":
+        np.add(column.view(np.uint8), ord("0"), out=canvas[:, 0])
+        canvas[:, 1] = ord(",")
+    elif kind in "iu":
+        _encode_int(column, canvas)
+    else:
+        _encode_float(column.astype(np.float64), canvas)
 
 
 def _encode_once(values):
     """The canvas of an ``Indexed`` column's values, less the slots no
     value keeps: every row gathers its bytes from it."""
-    canvas = _encode(values)
+    canvas = np.empty((len(values), _width(values)), dtype=np.uint8)
+    _encode(values, canvas)
     return canvas[:, canvas.any(axis=0)]
-
-
-def _rows(columns, start: int, stop: int) -> bytes:
-    """The bytes of rows start..stop-1 of ``columns``: each an array, or
-    the (index, canvas) of an ``Indexed`` column's encoded values."""
-    cells = [col[1].take(col[0][start:stop], axis=0)
-             if isinstance(col, tuple) else _encode(col[start:stop])
-             for col in columns]
-    block = np.concatenate(cells, axis=1)
-    block[:, -1] = ord("\n")
-    return block.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, version: str, config: dict, columns) -> None:
     """Write ``columns`` (name -> 1-D array or ``Indexed``) as
-    comma-separated UTF-8 with LF, one row per array index."""
-    sources = [(col.index, _encode_once(col.values))
+    comma-separated UTF-8 with LF, one row per array index.
+
+    Every chunk is encoded into one block of canvases, allocated once per
+    file: each column fills its slots of the block's rows."""
+    sources = [(col, _encode_once(col.values))
                if isinstance(col, Indexed) else np.asarray(col)
                for col in columns.values()]
+    widths = [src[1].shape[1] if isinstance(src, tuple) else _width(src)
+              for src in sources]
+    edges = list(itertools.accumulate(widths, initial=0))
     n_rows = min(map(len, columns.values()), default=0)
+    block = np.empty((min(n_rows, CSV_CHUNK_ROWS), edges[-1]),
+                     dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write((header_comment(version, config) + "\n"
                   + ",".join(columns) + "\n").encode("utf-8"))
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            fh.write(_rows(sources, start, min(start + CSV_CHUNK_ROWS,
-                                               n_rows)))
+            stop = min(start + CSV_CHUNK_ROWS, n_rows)
+            rows = block[:stop - start]
+            for src, lo, hi in zip(sources, edges, edges[1:]):
+                if isinstance(src, tuple):
+                    col, canvas = src
+                    np.take(canvas, col.index(start, stop), axis=0,
+                            out=rows[:, lo:hi])
+                else:
+                    _encode(src[start:stop], rows[:, lo:hi])
+            rows[:, -1] = ord("\n")
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _jsonify(obj):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from topocrit import correlation, crg, invariants, walk1d
 from topocrit.cli import (WALKS, _defaults, _grid_columns,
                           _merge_config, build_parser, main)
 from topocrit.errors import TopocritError
-from topocrit.models import WALK_1D
+from topocrit.models import WALK_1D, WALK_2D
 from topocrit.output import Indexed, write_csv, write_json
 from topocrit.walk1d import WalkParams
 from topocrit.walk2d import peak_asymptotics_2d
@@ -588,6 +589,25 @@ def test_csv_bytes_curvature_nan_rows(tmp_path):
     rows = [(float(k[i]), float(f[i]), float(e[i])) for i in range(64)]
     assert any(math.isnan(row[1]) for row in rows)
     assert _table_bytes(out) == _reference_table(("k", "F", "E_upper"), rows)
+
+
+def test_crg_table_write_holds_no_grid_sized_columns(tmp_path):
+    # the alpha and beta index columns were two 2 MB int64 arrays at 512^2,
+    # and each chunk concatenated fresh canvases: about 7 MB in all; the
+    # chunk indices now come from the row numbers, into one block per file
+    field = crg.flow_field(WALK_2D, WALK_2D.hsps()[0], 512)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "flow.csv", "0", {},
+                  {**_grid_columns(field.axes, field.axes),
+                   "dalpha_dl": field.dalpha.ravel(),
+                   "dbeta_dl": field.dbeta.ravel(),
+                   "log_rate": field.log_rate.ravel(),
+                   "diverged": field.diverged.ravel()})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_write_csv_grid_columns_match_numeric(tmp_path):

@@ -64,9 +64,8 @@ def test_streamed_2d_series_bit_equal_to_full_grid_route(monkeypatch, p, n,
     # the row blocks transform along ky and then kx, the axis order of
     # ifftn, so every value keeps the bits of the full-grid transform
     if block_rows is not None:
-        monkeypatch.setattr(correlation, "CORRELATION_BLOCK_POINTS",
-                            block_rows * n)
-    assert n % max(1, correlation.CORRELATION_BLOCK_POINTS // n) != 0
+        monkeypatch.setattr(correlation, "BLOCK_POINTS", block_rows * n)
+    assert n % max(1, correlation.BLOCK_POINTS // n) != 0
     k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     r = np.arange(r_max + 1)
     full = np.fft.ifftn(curvature_grid_2d(k[:, None], k[None, :], p))

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from topocrit import WalkParams
-from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, MIN_COMPONENT_CELLS,
+from topocrit import WalkParams, crg
+from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, DEFAULT_RATE_THRESHOLD,
+                          DENOMINATOR_FLOOR, MIN_COMPONENT_CELLS,
                           NUMERATOR_FLOOR, PEAK_SINGULAR, FlowField,
                           _closed_cells, _periodic_label,
                           detect_critical_lines, flow_field, rg_step,
@@ -14,6 +16,9 @@ from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import rotated_curvature_1d
 
 RNG = np.random.default_rng(19)
+FIELDS = ("dalpha", "dbeta", "log_rate", "diverged", "peak_height",
+          "scaling_response")
+MB = 2 ** 20
 
 
 def wrap(x):
@@ -91,8 +96,7 @@ def test_flow_field_shapes_and_channels():
         field = flow_field(WALK_1D, hsp, 64)
         assert field.hsp == (hsp,)
         assert field.axes.shape == (64,)
-        for name in ("dalpha", "dbeta", "log_rate", "diverged",
-                     "peak_height", "scaling_response"):
+        for name in FIELDS:
             assert getattr(field, name).shape == (64, 64)
         assert field.diverged.dtype == bool
     assert flow_field(WALK_2D, (np.pi / 2, 0.0)).hsp == (np.pi / 2, 0.0)
@@ -145,12 +149,128 @@ def test_flow_field_bit_equal_to_meshgrid_evaluation(model):
         ref = flow_field(_OnMeshgrid(model), hsp, 64)
         assert field.hsp == ref.hsp
         assert field.axes.tobytes() == ref.axes.tobytes()
-        for name in ("dalpha", "dbeta", "log_rate", "diverged",
-                     "peak_height", "scaling_response"):
+        for name in FIELDS:
             got, want = getattr(field, name), getattr(ref, name)
             assert got.shape == want.shape == (64, 64)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+def _full_grid_field(model, hsp, grid):
+    """Reference flow field: every quantity evaluated at once on the whole
+    (grid, grid) broadcast, never one block of rows at a time."""
+    axes = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    k_shift = np.asarray(hsp, dtype=float) + np.reshape(
+        [DEFAULT_DK] + [0.0] * (model.dimension - 1), np.shape(hsp))
+    A, B = axes[:, None], axes[None, :]
+
+    def ratio(num, den):
+        return np.where(np.abs(den) < DENOMINATOR_FLOOR,
+                        np.where(np.abs(num) < DENOMINATOR_FLOOR, 0.0, np.inf),
+                        num / den) * (DEFAULT_DM / DEFAULT_DK ** 2)
+
+    with np.errstate(all="ignore"):
+        f0 = model.curvature_raw(hsp, A, B)
+        num = model.curvature_raw(k_shift, A, B) - f0
+        da = ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B) - f0)
+        db = ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0)
+        closed = _closed_cells(model, hsp, axes)
+        da[closed] = db[closed] = np.nan
+        f0[closed] = np.inf
+        rate = np.hypot(da, db)
+        return FlowField(axes, tuple(map(float, np.ravel(hsp))), da, db,
+                         np.log10(rate),
+                         ~np.isfinite(rate) | (rate > DEFAULT_RATE_THRESHOLD),
+                         np.abs(f0), np.abs(num))
+
+
+@pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
+@pytest.mark.parametrize("grid, block_rows", [
+    (64, None), (64, 7), (100, None), (100, 1), (100, 7),
+])
+def test_flow_field_blocks_bit_equal_to_full_grid(monkeypatch, model, grid,
+                                                  block_rows):
+    # every elementwise value goes through the same operations in a block
+    # of rows as on the whole grid: grid 64 is one default block, grid 100
+    # is no multiple of its default 81 rows nor of 7, so its last block is
+    # short, and the detected lines are the same
+    if block_rows is not None:
+        monkeypatch.setattr(crg, "BLOCK_POINTS", block_rows * grid)
+    for hsp in model.hsps():
+        field = flow_field(model, hsp, grid)
+        ref = _full_grid_field(model, hsp, grid)
+        assert field.hsp == ref.hsp
+        assert field.axes.tobytes() == ref.axes.tobytes()
+        for name in FIELDS:
+            got, want = getattr(field, name), getattr(ref, name)
+            assert got.shape == want.shape == (grid, grid)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+        got = detect_critical_lines(field)
+        want = detect_critical_lines(ref)
+        assert [line.hsp for line in got] == [line.hsp for line in want]
+        assert all(a.vertices.tobytes() == b.vertices.tobytes()
+                   for a, b in zip(got, want))
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the memory it traced above the start."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_flow_field_holds_the_field_and_one_block():
+    # the four curvature grids of a full-grid evaluation and their
+    # differences held about 12 MB beyond the 10.25 MB field at 512^2
+    hsp = WALK_2D.hsps()[0]
+    flow_field(WALK_2D, hsp, 64)
+    field, peak = _traced_peak(lambda: flow_field(WALK_2D, hsp, 512))
+    size = sum(getattr(field, name).nbytes for name in FIELDS)
+    assert peak < size + 2 * MB
+
+
+def test_detect_holds_no_grid_sized_temporaries():
+    # min_rate, the heights and the int64 torus labels were 2 MB each at
+    # 512^2, and detection held about 7 MB beyond the field
+    field = flow_field(WALK_2D, WALK_2D.hsps()[0], 512)
+    want = detect_critical_lines(field)
+    lines, peak = _traced_peak(lambda: detect_critical_lines(field))
+    assert len(lines) == len(want) == 3
+    assert peak < 3 * MB
+
+
+def test_periodic_label_joins_components_across_the_edges():
+    # the torus components, from the graph of the 8 neighbours of every
+    # cell with wrap-around, against the labels: one label per component
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    for density in (0.1, 0.3, 0.45):
+        mask = RNG.random((40, 40)) < density
+        mask[:, 0] |= mask[:, -1]  # components that cross the edges
+        lab = _periodic_label(mask)
+        assert np.array_equal(lab > 0, mask)
+        cells = np.flatnonzero(mask)
+        node = np.full(mask.shape, -1)
+        node.flat[cells] = np.arange(len(cells))
+        src, dst = [], []
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                near = np.roll(node, (di, dj), axis=(0, 1))
+                both = (node >= 0) & (near >= 0)
+                src.append(node[both])
+                dst.append(near[both])
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        graph = coo_matrix((np.ones(len(src)), (src, dst)),
+                           shape=(len(cells),) * 2)
+        n, comp = connected_components(graph, directed=False)
+        pairs = np.unique(np.stack([lab.flat[cells], comp]), axis=1)
+        assert pairs.shape[1] == n == len(np.unique(lab.flat[cells]))
 
 
 def _raises_zero_gap(f, hsp, M) -> bool:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from topocrit import WalkParams
-from topocrit.criticality import (extract_exponents, find_gap_closings,
-                                  fit_lorentzian, flip_test, sample_peak)
+from topocrit.criticality import (extract_exponents, fit_lorentzian,
+                                  flip_test, sample_peak)
 from topocrit.errors import PoorFit, WindowTouchesCriticality
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import _reduce_angle, gap_distances, peak_asymptotics_1d
+
+from oracles import find_gap_closings
 
 RNG = np.random.default_rng(3)
 
@@ -105,6 +107,25 @@ def test_gap_closings_2d_contains_slice_point():
         assert sum(zone == z and all(abs(np.angle(np.exp(1j * (c - w)))) < 1e-6
                                      for c, w in zip(k, (kx, ky)))
                    for k, z in out) == 1
+
+
+@pytest.mark.parametrize("model, grid", [(WALK_1D, 128), (WALK_2D, 64)],
+                         ids=["walk1d", "walk2d"])
+def test_closing_slope_matches_the_numeric_gap_closings(model, grid):
+    # the numeric scan is the oracle of each HSP's closing line alpha = -b
+    # beta: on it the gap closes at the HSP, and 0.3 off it, not there
+    beta = 0.7
+
+    def closes_at(hsp, alpha):
+        out = find_gap_closings(model, WalkParams(alpha, beta), grid)
+        return any(all(abs(np.angle(np.exp(1j * (c - h)))) < 1e-6
+                       for c, h in zip(np.ravel(k), np.ravel(hsp)))
+                   for k, _ in out)
+
+    for hsp in model.hsps():
+        alpha = -model.closing_slope(hsp) * beta
+        assert closes_at(hsp, alpha)
+        assert not closes_at(hsp, alpha + 0.3)
 
 
 def test_gap_closings_requires_grid():

@@ -53,6 +53,10 @@ CASES = [
                           "0.3"], 0),
     ("crg-walk1d", ["crg", "--model", "walk1d", "--grid", "64"], 0),
     ("crg-walk2d", ["crg", "--model", "walk2d", "--grid", "64"], 0),
+    # 100 is no multiple of the flow field's block height, and 10 000 rows
+    # span three CSV chunks, the last one short
+    ("crg-walk1d-100", ["crg", "--model", "walk1d", "--grid", "100"], 0),
+    ("crg-walk2d-100", ["crg", "--model", "walk2d", "--grid", "100"], 0),
     # both diagrams hold NaN rows: ZeroGap, and QuantizationFailure in 2D
     ("phase-diagram-walk1d", ["phase-diagram", "--model", "walk1d", "--grid",
                               "9", "--inner-grid", "64"], 2),
@@ -130,6 +134,26 @@ HASHES = {
             "ceb1175ed338e6622385ed93191cc4d432a71aa1132219e565180c17437126a4",
         "out_hsp3.csv":
             "d23fd4335f4323b8f6cc944907f516367f1d47b211cf249d7e014c9bb50147c0",
+    },
+    "crg-walk1d-100": {
+        "out.json":
+            "5ad6263be224596e485f69eb5866fd24c4d99ca43c59a32900a6acbdef7b1e78",
+        "out_hsp0.csv":
+            "e7f8b8311db36608697f14d900bd600c5a2f149835f2bcfa9667eca5867eaa20",
+        "out_hsp1.csv":
+            "b57741ac7864270e98df9f450e7b5d006ac5a74c2e90ddec219f5fdb554393e9",
+    },
+    "crg-walk2d-100": {
+        "out.json":
+            "1929df3e281acf7b55031ad5b3e768fa61dcbb734400e534eec8341eb51c3260",
+        "out_hsp0.csv":
+            "0d3544819b014f7edd3434d7ff9a73d3cd77db1395c67c30dbf897b58baf6cba",
+        "out_hsp1.csv":
+            "b78db132b12d88320481e2826bc31b7b7138eae9cb12b951ca75fa04c6a1fbd4",
+        "out_hsp2.csv":
+            "6d7c81c9b0a8afa5fda95a5b18b7a10d112d2671140696312aa2690a168b0dc2",
+        "out_hsp3.csv":
+            "c00318cfb1c49652afb4159cd097deeadb6d87ee0798ec574f1bbd653a4cd866",
     },
     "phase-diagram-walk1d": {
         "out.csv":

@@ -15,15 +15,18 @@ AXIS = np.array([-0.0, 1e-300, np.nan, 0.1, -2.5, 3.0])
 
 
 def _columns(n_rows: int) -> dict:
-    """A float column with NaN and -0, bool and int columns, and an Indexed
-    column whose rows repeat the values of AXIS."""
+    """A float column with NaN and -0, bool and int columns, and two
+    Indexed columns whose rows repeat the values of AXIS: row i holds
+    AXIS[i % 6] and AXIS[i // 7 % 6], as the beta and alpha columns of a
+    grid scan hold theirs."""
     x = np.linspace(-1.0, 1.0, n_rows) / 3.0
     x[::7] = np.nan
     x[1::11] = -0.0
     return {"x": x,
             "flag": np.arange(n_rows) % 3 == 0,
             "n": np.arange(n_rows, dtype=np.int64) - n_rows // 2,
-            "s": Indexed(AXIS, np.arange(n_rows) % len(AXIS))}
+            "s": Indexed(AXIS, n_rows),
+            "t": Indexed(AXIS, n_rows, every=7)}
 
 
 # chunk boundaries several chunks in, and a run of whole chunks
@@ -35,11 +38,12 @@ def test_write_csv_bytes_match_one_shot_format(tmp_path, n_rows):
     columns = _columns(n_rows)
     path = tmp_path / "t.csv"
     write_csv(path, "1.0", CONFIG, columns)
-    index = columns["s"].index
+    i = np.arange(n_rows)
     rows = zip(*(col.tolist() for col in columns.values()
-                 if not isinstance(col, Indexed)), AXIS[index].tolist())
-    expected = (header_comment("1.0", CONFIG) + "\nx,flag,n,s\n"
-                + "".join("%.17g,%d,%d,%.17g\n" % row for row in rows))
+                 if not isinstance(col, Indexed)),
+               AXIS[i % 6].tolist(), AXIS[i // 7 % 6].tolist())
+    expected = (header_comment("1.0", CONFIG) + "\nx,flag,n,s,t\n"
+                + "".join("%.17g,%d,%d,%.17g,%.17g\n" % row for row in rows))
     assert path.read_bytes() == expected.encode()
     assert len(path.read_text().splitlines()) == 2 + n_rows
 
