@@ -34,20 +34,34 @@ finds the 17 digits D and the decimal exponent E of ``'%.16e' % x``:
   This fallback is the reference itself; a random double needs it with
   odds of about 2e-9 inside that range.
 
-D becomes ASCII through a table of all 4-digit groups.  Each float cell is
-a 45-byte canvas: the sign, '0.000', the 17 digits each followed by a slot
-for the decimal point, 'e', the exponent's sign and digits, and the
-separator.  Its ``'%g'`` layout (fixed notation for -4 <= E < 17, otherwise
-``d.ddde+XX``, trailing zeros dropped) is the set of slots it keeps; the
-others hold NUL.  An integer cell is a sign, 20 digits and the separator.
-Each column fills its slots of one uint8 block of canvases, allocated once
-per file, and one ``bytes.translate`` deleting NUL gives the chunk's bytes.
+Each float cell is 48 bytes, six 8-byte words, and each word is one gather
+from a table:
+
+- word 0: the sign, '0.000', D's first digit and a slot for the decimal
+  point, by sign and digit;
+- words 1-4: D's other 16 digits, four a word, each followed by a slot for
+  the point, by 4-digit group;
+- word 5: 'e', the exponent's sign and two or three digits (NUL in fixed
+  notation), the separator and two NUL pad bytes, by E.
+
+The cell's ``'%g'`` layout (fixed notation for -4 <= E < 17, otherwise
+``d.ddde+XX``, trailing zeros dropped) is one AND of words 0-4 with a mask
+row, chosen by E and by the index of D's last nonzero digit, which a table
+over the same four groups gives; the bytes a cell does not keep become
+NUL.  The nan, inf and zero cells are written afterwards.  An integer
+below 2**53 in magnitude is exactly its float64 value, whose '%.17g' is
+its '%d', so an integer column is encoded as floats (Python formats larger
+integers).  A bool cell is its digit, the separator and six pad bytes.  So
+every cell is a whole number of words, and each column fills 8-byte
+aligned words of one uint8 block, zeroed once per file so that pad bytes
+stay NUL.  The last column's separator becomes LF, and ``bytes.translate``
+deleting NUL gives the bytes of ``WRITE_ROWS`` rows at a time.
 
 A write holds its columns, the encoded values of its ``Indexed`` columns,
-whose chunk indices come from the row numbers, the block (183 bytes per row
-for the six columns of a ``crg`` file, 0.7 MB per 4096-row chunk) and one
-chunk's temporaries: a 512^2 ``crg`` table traces a 2.2 MB peak beyond its
-columns, whatever the row count.
+whose chunk indices come from the row numbers, the block (200 bytes per row
+for the six columns of a ``crg`` file, 0.8 MB per 4096-row chunk), one
+chunk's temporaries and the bytes of ``WRITE_ROWS`` rows: a 512^2 ``crg``
+table traces a 1.5 MB peak beyond its columns, whatever the row count.
 """
 
 from __future__ import annotations
@@ -63,6 +77,9 @@ import numpy as np
 FLOAT_FMT = "%.17g"
 # rows encoded per chunk: 8192 was no faster and holds twice the memory
 CSV_CHUNK_ROWS = 1 << 12
+# rows of a chunk copied out and stripped of NUL at a time: a whole chunk
+# at once traced 1.0 MB more in a 512^2 crg write
+WRITE_ROWS = 1 << 10
 # |x| outside [ENCODE_MIN, ENCODE_MAX) is formatted by Python: there the
 # Dekker splits of x or of the power of ten could under- or overflow
 ENCODE_MIN = 1e-280
@@ -77,17 +94,9 @@ P_MIN, P_MAX = 16 - 300, 16 + 281
 # reach -324)
 E_MAX = 330
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
-# the slots of a float cell: the sign, '0.' and three zeros (fixed notation
-# below 0.1), D's digits each followed by a slot for the decimal point, 'e',
-# the exponent's sign and three digits, and the separator that ends every
-# cell of a row (the last one's becomes LF)
-_TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"e+000,"
-# the first slot of '0.000', of D and of 'e+000', and the separator slot
-_LEAD, _DIGITS, _EXP, _SEPARATOR = 1, 6, 39, 44
-_NEVER = 99  # a keep threshold no digit index reaches
-# layout classes: fixed notation for E = -4..16, exponent notation with
-# two and with three exponent digits, nan, inf and zero
-_SCI2, _SCI3, _NAN, _INF, _ZERO = 21, 22, 23, 24, 25
+# per dtype kind, the width of a cell, a whole number of 8-byte words, and
+# the offset of its separator (the module docstring gives each layout)
+_CELLS = {"f": (48, 45), "i": (48, 45), "u": (48, 45), "b": (8, 1)}
 
 
 def header_comment(version: str, config: dict) -> str:
@@ -118,16 +127,17 @@ class Indexed:
 
 
 @functools.cache
-def _digit_table() -> np.ndarray:
-    """The four ASCII digits of each of 0..9999, with leading zeros, as one
-    uint32 per group (its bytes in memory order)."""
-    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+def _group_words() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999, with leading zeros, each
+    followed by '.', as one uint64 per group (its bytes in memory order):
+    words 1-4 of a float cell."""
+    words = np.full((10, 10, 10, 10, 8), ord("."), dtype=np.uint8)
     ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    digits[..., 0] = ten[:, None, None, None]
-    digits[..., 1] = ten[:, None, None]
-    digits[..., 2] = ten[:, None]
-    digits[..., 3] = ten
-    return digits.view(np.uint32).reshape(10000)
+    words[..., 0] = ten[:, None, None, None]
+    words[..., 2] = ten[:, None, None]
+    words[..., 4] = ten[:, None]
+    words[..., 6] = ten
+    return words.view(np.uint64).reshape(10000)
 
 
 @functools.cache
@@ -151,48 +161,84 @@ def _power_table() -> np.ndarray:
 
 
 @functools.cache
-def _exponent_table():
-    """Per decimal exponent E = -E_MAX..E_MAX: its layout class, and the
-    four bytes of its sign and three digits as one uint32."""
-    exponents = range(-E_MAX, E_MAX + 1)
-    cls = [e + 4 if -4 <= e < 17 else _SCI2 if abs(e) < 100 else _SCI3
-           for e in exponents]
-    text = b"".join(b"%+04d" % e for e in exponents)
-    return np.array(cls), np.frombuffer(text, dtype=np.uint32)
+def _lead_words() -> np.ndarray:
+    """Word 0 of a float cell per sign bit * 10 + D's first digit: the
+    sign (NUL for +), '0.000', the digit and '.'."""
+    return np.frombuffer(b"".join(b"%s0.000%d." % (sign, digit)
+                                  for sign in (b"\0", b"-")
+                                  for digit in range(10)), dtype=np.uint64)
 
 
 @functools.cache
-def _float_layouts() -> np.ndarray:
-    """Per layout class, the keep threshold of each canvas slot: a slot is
-    kept when the index of D's last nonzero digit reaches it (0: always,
-    _NEVER: never).  The sign slot is the caller's."""
-    need = np.full((26, len(_TEMPLATE)), _NEVER, dtype=np.uint8)
-    need[:, 0] = 0
-    need[:, _SEPARATOR] = 0
-    digit = np.arange(_DIGITS, _EXP, 2)  # the slot of D's digit k
-    # a digit is kept up to D's last nonzero one; the point after digit k
-    # when D has a digit after it
-    fraction = np.arange(17, dtype=np.uint8)
-    for e in range(17):
-        row = need[e + 4]
-        row[digit] = fraction
-        row[digit[:e + 1]] = 0
-        if e < 16:
-            row[digit[e] + 1] = e + 1
-    for e in range(-4, 0):
-        row = need[e + 4]
-        row[_LEAD:_LEAD + 1 - e] = 0
-        row[digit] = fraction
-    for cls, exp_digits in ((_SCI2, 2), (_SCI3, 3)):
-        row = need[cls]
-        row[digit] = fraction
-        row[digit[0] + 1] = 1
-        row[_EXP:_EXP + 2] = 0
-        row[_SEPARATOR - exp_digits:_SEPARATOR] = 0
-    need[_NAN, digit[:3]] = 0
-    need[_INF, digit[:3]] = 0
-    need[_ZERO, digit[0]] = 0
-    return need
+def _last_digits() -> np.ndarray:
+    """Row j = 0..3 per 4-digit group: the index in D of the group's last
+    nonzero digit when it holds D's digits 4j + 1..4j + 4, or 0 for the
+    group 0.  The largest over D's four groups is the index of its last
+    nonzero digit."""
+    # filled by slices of the group's digits a, b, c, d: the last nonzero
+    # one is d unless d = 0, then c unless c = 0, ...
+    table = np.empty((4, 10, 10, 10, 10), dtype=np.uint8)
+    for j, last in enumerate(table):
+        last[...] = 4 * j + 4
+        last[..., 0] = 4 * j + 3
+        last[..., 0, 0] = 4 * j + 2
+        last[:, 0, 0, 0] = 4 * j + 1
+        last[0, 0, 0, 0] = 0
+    return table.reshape(4, 10000)
+
+
+@functools.cache
+def _exponent_words():
+    """Per decimal exponent E = -E_MAX..E_MAX: word 5 of a float cell, and
+    the first row of its layout in ``_mask_words``.
+
+    Fixed notation (-4 <= E < 17) has layout E + 4 and no exponent: word 5
+    is the separator.  Exponent notation writes 'e', the exponent's sign
+    and at least two digits, and keeps the bytes of words 0-4 that E = 0
+    keeps."""
+    exponents = range(-E_MAX, E_MAX + 1)
+    fixed = [-4 <= e < 17 for e in exponents]
+    text = b"".join((b"" if f else b"e%+03d" % e).ljust(5, b"\0") + b",\0\0"
+                    for e, f in zip(exponents, fixed))
+    first = [17 * (e + 4 if f else 4) for e, f in zip(exponents, fixed)]
+    return np.frombuffer(text, dtype=np.uint64), np.array(first)
+
+
+@functools.cache
+def _mask_words() -> np.ndarray:
+    """Words 0-4 of a float cell's keep mask per layout * 17 + the index of
+    D's last nonzero digit: all bits set in each byte the cell keeps, none
+    in the others.  Layout E + 4 is fixed notation at E = -4..16."""
+    keep = np.zeros((21, 17, 40), dtype=np.uint8)
+    keep[:, :, 0] = 0xFF  # the sign
+    # D's digit k is byte 2k + 6, followed by the point's slot; it is kept
+    # up to D's last nonzero digit, and in fixed notation up to the units
+    # digit
+    for k in range(17):
+        keep[:, k:, 2 * k + 6] = 0xFF
+    for e in range(-4, 17):
+        row = keep[e + 4]
+        if e < 0:
+            row[:, 1:2 - e] = 0xFF  # '0.' and -1 - E zeros
+        else:
+            row[:, 6:2 * e + 7:2] = 0xFF  # the integer digits
+            row[e + 1:, 2 * e + 7] = 0xFF  # the point, where a digit follows
+    return keep.view(np.uint64).reshape(21 * 17, 5)
+
+
+def _text_cells(texts) -> np.ndarray:
+    """The six words of a float cell per ASCII text of at most 40 bytes:
+    the text and the separator."""
+    return np.frombuffer(b"".join(text.ljust(40, b"\0") + b"\0" * 5 + b",\0\0"
+                                  for text in texts),
+                         dtype=np.uint64).reshape(-1, 6)
+
+
+@functools.cache
+def _special_words() -> np.ndarray:
+    """The six words of the nan, inf and zero cells, per sign bit."""
+    return _text_cells([b"nan", b"nan", b"inf", b"-inf", b"0",
+                        b"-0"]).reshape(3, 2, 6)
 
 
 def _split(a):
@@ -217,20 +263,8 @@ def _scaled(a, e):
     return hi, c - (hi - th), p_lo == 0.0
 
 
-def _digits(v) -> np.ndarray:
-    """The 20 ASCII digits, with leading zeros, of non-negative int64
-    values: an (n, 20) uint8 array."""
-    groups = np.empty((len(v), 5), dtype=np.int64)
-    for i in range(4, 0, -1):
-        q = v // 10000
-        groups[:, i] = v - q * 10000
-        v = q
-    groups[:, 0] = v
-    return _digit_table().take(groups).view(np.uint8)
-
-
 def _float_digits(x):
-    """D and E of ``'%.16e' % x`` for finite nonzero x (any int64 pair for
+    """D and E of ``'%.16e' % x`` for finite nonzero x (10**16 and 0 for
     other x), and the indices of the nan, inf and zero entries."""
     size = np.abs(x)
     inside = (size >= ENCODE_MIN) & (size < ENCODE_MAX)
@@ -276,79 +310,67 @@ def _python_digits(values):
 
 
 def _encode_float(x, canvas):
-    """Fill the (n, 45) canvas with the '%.17g' cells of a float64 array:
-    the slots of ``_TEMPLATE``, NUL in each slot a cell does not keep."""
-    n = len(x)
+    """Fill the (n, 48) canvas with the '%.17g' cells of a float64 array.
+
+    Each of a cell's six words is one table gather; one AND with the mask
+    of the cell's layout and of the index of D's last nonzero digit leaves
+    NUL in each byte of words 0-4 the cell does not keep.  The nan, inf and
+    zero cells are written afterwards."""
+    words = canvas.view(np.uint64)
     d, e, nan, inf, zero = _float_digits(x)
-    digits = _digits(d)[:, 3:]
-    digits[nan, :3] = np.frombuffer(b"nan", dtype=np.uint8)
-    digits[inf, :3] = np.frombuffer(b"inf", dtype=np.uint8)
-    digits[zero, 0] = ord("0")
-    exp_class, exp_text = _exponent_table()
-    cls = exp_class.take(e + E_MAX)
-    cls[nan] = _NAN
-    cls[inf] = _INF
-    cls[zero] = _ZERO
-    canvas[:] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
-    canvas[:, _DIGITS:_EXP:2] = digits
-    canvas[:, _EXP + 1:_SEPARATOR] = exp_text.take(e + E_MAX).view(
-        np.uint8).reshape(n, 4)
-    # the index of D's last nonzero digit
-    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    keep = (_float_layouts().take(cls, axis=0)
-            <= last.astype(np.uint8)[:, None])
-    keep[:, 0] = np.signbit(x)
-    keep[nan, 0] = False
-    canvas *= keep
+    sign = np.signbit(x).view(np.uint8)
+    exponent = e + E_MAX
+    exponent_words, first = _exponent_words()
+    # D's first digit, then its other 16 digits in four 4-digit groups
+    groups = np.empty((5, len(x)), dtype=np.int64)
+    for j in range(4, 0, -1):
+        q = d // 10000
+        np.subtract(d, q * 10000, out=groups[j])
+        d = q
+    groups[0] = d
+    last = np.zeros(len(x), dtype=np.uint8)
+    for row, g in zip(_last_digits(), groups[1:]):
+        np.maximum(last, row.take(g), out=last)
+    masks = _mask_words().take(first.take(exponent) + last, axis=0)
+    np.bitwise_and(_lead_words().take(groups[0] + 10 * sign), masks[:, 0],
+                   out=words[:, 0])
+    for j in range(1, 5):
+        np.bitwise_and(_group_words().take(groups[j]), masks[:, j],
+                       out=words[:, j])
+    words[:, 5] = exponent_words.take(exponent)
+    special = _special_words()
+    for kind, rows in enumerate((nan, inf, zero)):
+        words[rows] = special[kind].take(sign[rows], axis=0)
 
 
 def _encode_int(v, canvas):
-    """Fill the (n, 22) canvas with the '%d' cells of an integer array: a
-    sign, 20 digits and a separator, NUL in each slot a cell does not
-    keep."""
-    unsigned = v.dtype.kind == "u"
-    v = v.astype(np.int64)
-    neg = v < 0
-    # the int64 minimum, and a uint64 from 2**63 up, has no int64 |v|:
-    # Python formats those rows
-    fallback = np.flatnonzero(neg if unsigned
-                              else v == np.iinfo(np.int64).min)
-    a = np.abs(v)
-    a[fallback] = 0
-    canvas[:, 0] = ord("-")
-    canvas[:, 1:21] = _digits(a)
-    canvas[:, 21] = ord(",")
-    significant = canvas[:, 1:21] != ord("0")
-    significant[:, -1] = True  # a zero writes its last digit
-    first = np.argmax(significant, axis=1)
-    keep = np.empty(canvas.shape, dtype=bool)
-    keep[:, 0] = neg
-    np.greater_equal(np.arange(20), first[:, None], out=keep[:, 1:21])
-    keep[:, 21] = True
-    canvas *= keep
-    for i, value in zip(fallback.tolist(), v[fallback].tolist()):
-        text = ("%d" % (value + 2 ** 64 if unsigned else value)).encode()
-        canvas[i, :21] = 0
-        canvas[i, 21 - len(text):21] = np.frombuffer(text, dtype=np.uint8)
+    """Fill the (n, 48) canvas with the '%d' cells of an integer array.
+
+    Below 2**53 in magnitude an integer is exactly its float64 value, whose
+    '%.17g' is its '%d' (fixed notation, no point); Python formats the
+    others."""
+    x = v.astype(np.float64)
+    big = np.flatnonzero(np.abs(x) >= 2.0 ** 53)
+    _encode_float(x, canvas)
+    canvas.view(np.uint64)[big] = _text_cells(
+        b"%d" % i for i in v[big].tolist())
 
 
-def _width(column) -> int:
-    """The canvas width of a column's cells, by its dtype."""
+def _cell(column):
+    """The width and the separator offset of a column's cells, by its
+    dtype."""
     kind = column.dtype.kind
-    if kind == "b":
-        return 2
-    if kind in "iu":
-        return 22
-    if kind == "f":
-        return len(_TEMPLATE)
-    raise TypeError("no CSV conversion for a column of dtype %s"
-                    % column.dtype)
+    if kind not in _CELLS:
+        raise TypeError("no CSV conversion for a column of dtype %s"
+                        % column.dtype)
+    return _CELLS[kind]
 
 
 def _encode(column, canvas) -> None:
-    """Fill the uint8 canvas, one row per entry of ``_width(column)``
-    slots, with the column's cells, by its dtype: each ends in a separator
-    slot, with NUL in each slot a cell does not keep."""
+    """Fill the uint8 canvas, one row per entry of ``_cell(column)`` bytes,
+    with the column's cells, by its dtype: each ends in a separator, with
+    NUL in each byte a cell does not keep.  Pad bytes are left as they
+    are."""
     kind = column.dtype.kind
     if kind == "b":
         np.add(column.view(np.uint8), ord("0"), out=canvas[:, 0])
@@ -360,27 +382,37 @@ def _encode(column, canvas) -> None:
 
 
 def _encode_once(values):
-    """The canvas of an ``Indexed`` column's values, less the slots no
-    value keeps: every row gathers its bytes from it."""
-    canvas = np.empty((len(values), _width(values)), dtype=np.uint8)
+    """The cells of an ``Indexed`` column's values, less the bytes no value
+    keeps and padded to whole words, as one void item each, and the offset
+    of the separator in a cell: every row gathers its cell from them."""
+    width, separator = _cell(values)
+    canvas = np.zeros((len(values), width), dtype=np.uint8)
     _encode(values, canvas)
-    return canvas[:, canvas.any(axis=0)]
+    # the separator is the last byte kept, also when there is no value
+    kept = canvas.any(axis=0)
+    kept[separator] = True
+    width = int(kept.sum())
+    cells = np.zeros((len(values), -(-width // 8) * 8), dtype=np.uint8)
+    cells[:, :width] = canvas[:, kept]
+    return cells.view("V%d" % cells.shape[1])[:, 0], width - 1
 
 
 def write_csv(path, version: str, config: dict, columns) -> None:
     """Write ``columns`` (name -> 1-D array or ``Indexed``) as
     comma-separated UTF-8 with LF, one row per array index.
 
-    Every chunk is encoded into one block of canvases, allocated once per
-    file: each column fills its slots of the block's rows."""
-    sources = [(col, _encode_once(col.values))
+    Every chunk is encoded into one block of cells, allocated and zeroed
+    once per file, so pad bytes stay NUL: each column fills its whole
+    words of the block's rows, and the last column's separator becomes
+    LF."""
+    sources = [(col, *_encode_once(col.values))
                if isinstance(col, Indexed) else np.asarray(col)
                for col in columns.values()]
-    widths = [src[1].shape[1] if isinstance(src, tuple) else _width(src)
-              for src in sources]
-    edges = list(itertools.accumulate(widths, initial=0))
+    cells = [(src[1].itemsize, src[2]) if isinstance(src, tuple)
+             else _cell(src) for src in sources]
+    edges = list(itertools.accumulate((w for w, _ in cells), initial=0))
     n_rows = min(map(len, columns.values()), default=0)
-    block = np.empty((min(n_rows, CSV_CHUNK_ROWS), edges[-1]),
+    block = np.zeros((min(n_rows, CSV_CHUNK_ROWS), edges[-1]),
                      dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write((header_comment(version, config) + "\n"
@@ -390,13 +422,15 @@ def write_csv(path, version: str, config: dict, columns) -> None:
             rows = block[:stop - start]
             for src, lo, hi in zip(sources, edges, edges[1:]):
                 if isinstance(src, tuple):
-                    col, canvas = src
-                    np.take(canvas, col.index(start, stop), axis=0,
-                            out=rows[:, lo:hi])
+                    col, values, _ = src
+                    rows[:, lo:hi].view(values.dtype)[:, 0] = values.take(
+                        col.index(start, stop))
                 else:
                     _encode(src[start:stop], rows[:, lo:hi])
-            rows[:, -1] = ord("\n")
-            fh.write(rows.tobytes().translate(None, b"\0"))
+            rows[:, edges[-2] + cells[-1][1]] = ord("\n")
+            for part in range(0, len(rows), WRITE_ROWS):
+                fh.write(rows[part:part + WRITE_ROWS].tobytes().translate(
+                    None, b"\0"))
 
 
 def _jsonify(obj):

@@ -116,14 +116,6 @@ def effective_hamiltonian(U: Unitary2) -> EffectiveHamiltonianSample:
     return EffectiveHamiltonianSample(e, n)
 
 
-def reconstruct_unitary(sample: EffectiveHamiltonianSample) -> Unitary2:
-    """Rebuild U = cos(E) I - i sin(E) n.sigma from a decomposition."""
-    e = sample.quasienergy
-    nx, ny, nz = sample.axis
-    nsig = nx * _SX + ny * _SY + nz * _SZ
-    return Unitary2(np.cos(e) * np.eye(2) - 1j * np.sin(e) * nsig)
-
-
 def _half_angles(p: WalkParams):
     return _angle_halves(p.alpha, p.beta)
 

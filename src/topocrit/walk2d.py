@@ -133,11 +133,6 @@ def zeta_components_2d(kx, ky, p: WalkParams):
     return _zeta_phi_at(kx, ky, _half_angles(p))[:3]
 
 
-def phi_2d(kx, ky, p: WalkParams):
-    """Numerator of the curvature function; array-capable."""
-    return _zeta_phi_at(kx, ky, _half_angles(p))[3]
-
-
 def _norm2_phi_2d(kx, ky, h):
     """|zeta|^2 and the curvature numerator phi on broadcastable momentum
     arrays, from the half angles h, which may be arrays too."""

@@ -3,7 +3,10 @@
 ``find_gap_closings`` locates the gap closings of a walk by a grid scan of
 |zeta| and a golden-section refinement of every local minimum; it is the
 oracle of the adapters' ``closing_slope``, which states the loci in closed
-form.
+form.  ``reconstruct_unitary`` rebuilds a walk unitary from its effective
+Hamiltonian, the round trip of ``effective_hamiltonian``, and ``phi_2d``
+evaluates the walk2d curvature numerator with tables built per call, the
+per-call route of the torus kernel.
 """
 
 import itertools
@@ -11,8 +14,9 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from topocrit.walk1d import WalkParams, energy_1d
-from topocrit.walk2d import energy_grid_2d
+from topocrit.walk1d import (_SX, _SY, _SZ, EffectiveHamiltonianSample,
+                             Unitary2, WalkParams, _half_angles, energy_1d)
+from topocrit.walk2d import _zeta_phi_at, energy_grid_2d
 
 GAP_TOL = 1e-8
 REFINE_TOL = 1e-10
@@ -88,3 +92,16 @@ def find_gap_closings(model, p: WalkParams, grid: int = 128):
 
 def _close_mod(a: float, b: float, tol: float = 1e-5) -> bool:
     return abs(np.angle(np.exp(1j * (a - b)))) < tol
+
+
+def reconstruct_unitary(sample: EffectiveHamiltonianSample) -> Unitary2:
+    """Rebuild U = cos(E) I - i sin(E) n.sigma from a decomposition."""
+    e = sample.quasienergy
+    nx, ny, nz = sample.axis
+    nsig = nx * _SX + ny * _SY + nz * _SZ
+    return Unitary2(np.cos(e) * np.eye(2) - 1j * np.sin(e) * nsig)
+
+
+def phi_2d(kx, ky, p: WalkParams):
+    """Numerator of the walk2d curvature function; array-capable."""
+    return _zeta_phi_at(kx, ky, _half_angles(p))[3]

@@ -13,7 +13,9 @@ from topocrit.invariants import (GAP_TOL, WINDING_BLOCK_POINTS,
 from topocrit.geometry import GAP_FLOOR
 from topocrit.walk1d import _half_angles, _zeta_terms_1d, rotated_curvature_1d
 from topocrit.walk2d import (_curvature_raw_2d, _zeta_phi_2d,
-                             curvature_grid_2d, phi_2d, zeta_components_2d)
+                             curvature_grid_2d, zeta_components_2d)
+
+from oracles import phi_2d
 
 
 # --- 1D winding ---

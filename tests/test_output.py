@@ -125,6 +125,101 @@ def test_float_encoder_matches_percent_17g(tmp_path, monkeypatch):
     assert 5e-324 in fallen and 1e-300 in fallen
 
 
+def _layout_key(x):
+    """The key of a finite nonzero x in the encoder's mask table, from
+    Python's own '%.16e': the layout (E + 4 in fixed notation, otherwise
+    that of E = 0) and the index of D's last nonzero digit."""
+    text = "%.16e" % abs(x)
+    e = int(text[19:])
+    last = len((text[0] + text[2:18]).rstrip("0")) - 1
+    return (e + 4 if -4 <= e < 17 else 4), last
+
+
+def _value_at(e, last):
+    """A double with decimal exponent e whose '%.16e' digits end at index
+    ``last``: the first that round-trips among those whose decimal digits
+    are 10**last, 10**last + 1, ..."""
+    for m in range(10 ** last, 10 ** (last + 1)):
+        digits = str(m)
+        x = float("%s.%se%d" % (digits[0], digits[1:], e))
+        if _layout_key(x) == (e + 4 if -4 <= e < 17 else 4, last):
+            return x
+    raise AssertionError("no double at E = %d with last digit %d"
+                         % (e, last))
+
+
+def test_float_cell_layouts_match_percent_17g(tmp_path):
+    # k = 1..17 significant digits at every exponent of the exponent table
+    # that a double reaches, the decimal edges of fixed notation and of the
+    # exponent's digit count, and one value per fixed-notation layout and
+    # last digit: every key of the mask table, at both signs
+    digits = "12345678912345679"
+    grid = [float("%s.%se%d" % (digits[0], digits[1:k], e))
+            for e in range(-output.E_MAX, 309) for k in range(1, 18)]
+    edges = np.array([float("1e%d" % e) for e in (-5, -4, -1, 0, 16, 17,
+                                                   -99, 99, -100, 100)])
+    bounds = np.array([output.ENCODE_MIN, output.ENCODE_MAX])
+    keys = [_value_at(e, last) for e in range(-4, 17) for last in range(17)]
+    subnormals = np.array([5e-324, 1e-310, 2.2250738585072009e-308,
+                           2.2250738585072014e-308])
+    x = np.concatenate([
+        grid, keys, edges, np.nextafter(edges, 0.0),
+        np.nextafter(edges, np.inf), bounds, np.nextafter(bounds, 0.0),
+        np.nextafter(bounds, np.inf), subnormals,
+    ])
+    x = np.concatenate([x, -x, [np.nan, np.copysign(np.nan, -1.0), 0.0,
+                                -0.0, np.inf, -np.inf]])
+    finite = x[np.isfinite(x) & (x != 0.0)].tolist()
+    covered = {(v < 0, *_layout_key(v)) for v in finite}
+    assert covered >= {(negative, layout, last) for negative in (False, True)
+                       for layout in range(21) for last in range(17)}
+    write_csv(tmp_path / "x.csv", "1.0", CONFIG, {"x": x})
+    expected = "".join("%.17g\n" % v for v in x.tolist()).encode()
+    assert _table_bytes(tmp_path / "x.csv") == expected
+
+
+def _python_table(columns) -> bytes:
+    """The rows of ``columns`` as Python formats them one value at a
+    time."""
+    n_rows = min(map(len, columns.values()))
+    cells = []
+    for col in columns.values():
+        if isinstance(col, Indexed):
+            col = col.values[np.arange(n_rows) // col.every % len(col.values)]
+        fmt = "%.17g" if col.dtype.kind == "f" else "%d"
+        cells.append([fmt % v for v in col.tolist()])
+    return "".join(",".join(row) + "\n" for row in zip(*cells)).encode()
+
+
+# columns whose cells are not 48 bytes, and an Indexed column trimmed to a
+# width that is not a whole number of words
+OTHER_COLUMNS = {
+    "indexed": lambda n: Indexed(np.array([0.5, -3.0, np.nan]), n, every=2),
+    "bool": lambda n: np.arange(n) % 3 == 1,
+    "int": lambda n: (np.arange(n) - 5) * 100_003,
+}
+
+
+@pytest.mark.parametrize("last", ["float", *OTHER_COLUMNS])
+def test_write_csv_cells_stay_word_aligned(tmp_path, last):
+    # 0-3 columns of each other kind before a float column, and each kind
+    # as the last column, whose separator becomes LF
+    n_rows = 40
+    x = np.linspace(-2.0, 2.0, n_rows) / 3.0
+    x[::9] = [np.nan, -0.0, np.inf, 1e-300, 12.5]
+    path = tmp_path / "t.csv"
+    for kind, column in OTHER_COLUMNS.items():
+        for before in range(4):
+            columns = {"%s%d" % (kind, i): column(n_rows)
+                       for i in range(before)}
+            columns["x"] = x
+            columns["last"] = (x[::-1].copy() if last == "float"
+                               else OTHER_COLUMNS[last](n_rows))
+            write_csv(path, "1.0", CONFIG, columns)
+            assert _table_bytes(path) == _python_table(columns), (kind,
+                                                                  before)
+
+
 def test_int_encoder_matches_percent_d(tmp_path):
     rng = np.random.default_rng(7)
     info = np.iinfo(np.int64)
@@ -134,6 +229,8 @@ def test_int_encoder_matches_percent_d(tmp_path):
         np.arange(-1000, 1000),
         np.array([info.min, info.min + 1, info.max, info.max - 1, 0,
                   10 ** 18, -10 ** 18, 10 ** 17, 9999, 10000]),
+        # the largest integers a float64 holds exactly, and the first not
+        np.array([1, -1]).repeat(4) * (2 ** 53 + np.array([-1, 0, 1, 3] * 2)),
     ])
     unsigned = np.array([0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1],
                         dtype=np.uint64)

@@ -7,10 +7,11 @@ from topocrit import (
 )
 from topocrit.geometry import (berry_curvature_fd, lower_band_states,
                                quantum_geometric_tensor)
-from topocrit.walk1d import reconstruct_unitary
 from topocrit.models import WALK_2D
 from topocrit.walk2d import (PEAK_KX, curvature_grid_2d, energy_grid_2d,
                              min_gap_2d, rho_2d, zeta_components_2d)
+
+from oracles import reconstruct_unitary
 
 RNG = np.random.default_rng(11)
 
