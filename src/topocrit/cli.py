@@ -172,7 +172,9 @@ KINDS = {
     "window": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
                and all(map(_is_finite, v)), "a pair of finite numbers"),
     **{key: (_is_finite, "a finite number")
-       for key in ("beta", "kc", "threshold", "mass", "kmax")},
+       for key in ("beta", "kc", "mass", "kmax")},
+    "threshold": (lambda v: _is_finite(v) and v > 0,
+                  "a positive finite number"),
     **{key: (_is_integer, "an integer") for key in MINIMA},
 }
 # the options each command reads besides model, out and strict; giving any
@@ -251,11 +253,12 @@ def _per_alpha(cfg: dict):
                {**cfg, "alpha": alpha})
 
 
-def _write_table(cfg: dict, path: str, echo: dict, columns: dict,
+def _write_table(cfg: dict, path: str, echo: dict, blocks,
                  failures: Counter) -> int:
     """The NaN policy and the one CSV write path of every command.
 
-    ``failures`` counts the NaN rows of ``columns`` by the name of their
+    ``blocks`` is the table as ``write_csv`` takes it, an iterable of row
+    blocks, and ``failures`` counts its NaN rows by the name of their
     cause.  With NaN rows the exit code is 2, and --strict writes no file.
     """
     if failures:
@@ -265,7 +268,7 @@ def _write_table(cfg: dict, path: str, echo: dict, columns: dict,
             print("error: NaN rows (%s); no file written (strict)" % causes,
                   file=sys.stderr)
             return EXIT_ZEROGAP
-    write_csv(path, __version__, echo, columns)
+    write_csv(path, __version__, echo, blocks)
     print(path)
     if failures:
         print("warning: NaN rows written (%s)" % causes, file=sys.stderr)
@@ -273,12 +276,14 @@ def _write_table(cfg: dict, path: str, echo: dict, columns: dict,
     return EXIT_OK
 
 
-def _grid_columns(alphas, betas) -> dict:
+def _grid_columns(alphas, betas, n_rows=None) -> dict:
     """The row-major ``alpha``/``beta`` columns of an (alpha, beta) grid, as
     ``Indexed`` columns of the axis values: each value is encoded once per
-    file, not once per row, and row i holds (alphas[i // n], betas[i % n])
-    for n betas."""
-    n_rows = len(alphas) * len(betas)
+    file, not once per row, and file row i holds (alphas[i // n],
+    betas[i % n]) for n betas.  ``n_rows`` is the length of the block that
+    holds them, by default the whole grid."""
+    if n_rows is None:
+        n_rows = len(alphas) * len(betas)
     return {"alpha": Indexed(alphas, n_rows, every=len(betas)),
             "beta": Indexed(betas, n_rows)}
 
@@ -319,7 +324,7 @@ def cmd_curvature(cfg: dict) -> int:
         columns["F"][undefined] = np.nan
         # unary + drops a zero count
         failures = +Counter(ZeroGap=int(undefined.sum()))
-        status = max(status, _write_table(cfg, path, echo, columns,
+        status = max(status, _write_table(cfg, path, echo, [columns],
                                           failures))
         if status and cfg["strict"]:
             break
@@ -364,9 +369,26 @@ def cmd_correlation(cfg: dict) -> int:
         transform = correlation.wannier_correlation_2d
     for alpha, path, echo in _per_alpha(cfg):
         series = transform(WalkParams(alpha, beta), r_max, n)
-        _write_table(cfg, path, echo, {"R": series.displacements,
-                                       "F_tilde": series.values}, Counter())
+        _write_table(cfg, path, echo, [{"R": series.displacements,
+                                        "F_tilde": series.values}],
+                     Counter())
     return EXIT_OK
+
+
+def _crg_blocks(model, hsp, grid: int, found):
+    """The CSV row blocks of the flow field at ``hsp``: each block of alpha
+    rows is evaluated, added to the line candidates ``found`` and yielded
+    as columns, and dropped before the next is evaluated."""
+    for rows in crg.row_blocks(grid):
+        field = crg.flow_field(model, hsp, grid, rows)
+        found.add(field)
+        # the axes of ``found``, one array for every block, so that the
+        # writer encodes them once per file
+        yield {**_grid_columns(found.axes, found.axes, field.dalpha.size),
+               "dalpha_dl": field.dalpha.ravel(),
+               "dbeta_dl": field.dbeta.ravel(),
+               "log_rate": field.log_rate.ravel(),
+               "diverged": field.diverged.ravel()}
 
 
 def cmd_crg(cfg: dict) -> int:
@@ -375,20 +397,16 @@ def cmd_crg(cfg: dict) -> int:
     threshold = float(cfg.get("threshold", crg.DETECT_RATE_THRESHOLD))
     base = cfg["out"]
     lines = []
-    # one high-symmetry point at a time: its field is written, searched
-    # for lines and dropped before the next one is evaluated
+    # one high-symmetry point at a time, one block of rows at a time: each
+    # block is written and screened for line candidates, and the lines are
+    # detected from the candidates once the point's file is written
     for idx, hsp in enumerate(model.hsps()):
-        field = crg.flow_field(model, hsp, grid)
-        columns = {**_grid_columns(field.axes, field.axes),
-                   "dalpha_dl": field.dalpha.ravel(),
-                   "dbeta_dl": field.dbeta.ravel(),
-                   "log_rate": field.log_rate.ravel(),
-                   "diverged": field.diverged.ravel()}
+        found = crg.LineCandidates(crg.grid_axes(grid), hsp, threshold)
         _write_table(cfg, _outpath(base, ".csv", "_hsp%d" % idx),
-                     {**cfg, "hsp": list(field.hsp)}, columns, Counter())
-        del columns
-        lines += crg.detect_critical_lines(field, rate_threshold=threshold)
-        del field
+                     {**cfg, "hsp": list(found.hsp)},
+                     _crg_blocks(model, hsp, grid, found), Counter())
+        lines += crg.detect_critical_lines(found)
+        del found
     payload = {"critical_lines": [
         {"hsp": list(line.hsp),
          "vertices": [[float(a), float(b)] for a, b in line.vertices]}
@@ -438,7 +456,7 @@ def cmd_phase_diagram(cfg: dict) -> int:
             continue
         raw[i], rounded[i] = res.raw, res.rounded
     columns = {**_grid_columns(axes, axes), "raw": raw, "rounded": rounded}
-    return _write_table(cfg, _outpath(cfg["out"], ".csv"), cfg, columns,
+    return _write_table(cfg, _outpath(cfg["out"], ".csv"), cfg, [columns],
                         failures)
 
 
@@ -458,8 +476,9 @@ def main(argv=None) -> int:
         merged = _merge_config(args)
         cfg = _defaults(merged, args.command)
         return COMMANDS[args.command](cfg)
-    except (TopocritError, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (TopocritError, OSError, ValueError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__),
+              file=sys.stderr)
         return EXIT_USAGE
 
 

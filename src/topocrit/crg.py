@@ -19,6 +19,7 @@ must reject.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,8 +80,9 @@ def rg_step(curvature, k0, ks, M, dk: float = DEFAULT_DK,
 
 @dataclass
 class FlowField:
-    """The flow-rate arrays of one HSP over a uniform (alpha, beta) grid;
-    both angles run over ``axes`` and every array is indexed [alpha, beta]."""
+    """The flow-rate arrays of one HSP over a uniform (alpha, beta) grid, or
+    over a range of its alpha rows: both angles run over ``axes``, and every
+    array is indexed [alpha row - start, beta]."""
 
     axes: np.ndarray
     hsp: tuple
@@ -90,6 +92,7 @@ class FlowField:
     diverged: np.ndarray
     peak_height: np.ndarray
     scaling_response: np.ndarray
+    start: int = 0
 
 
 def _flow_ratio(num, den, out):
@@ -101,9 +104,30 @@ def _flow_ratio(num, den, out):
                 DEFAULT_DM / DEFAULT_DK ** 2, out=out)
 
 
-def flow_field(model, hsp, grid: int = DEFAULT_GRID) -> FlowField:
+def grid_axes(grid: int) -> np.ndarray:
+    """The angles -pi + 2 pi i / grid of either axis of a flow field."""
+    if grid < 64:
+        raise ValueError("grid must be at least 64x64")
+    return np.linspace(-np.pi, np.pi, grid, endpoint=False)
+
+
+def row_blocks(grid: int, rows=None):
+    """The alpha rows ``rows`` (default every row) of a grid, cut into
+    blocks of ``BLOCK_POINTS`` cells: the blocks :func:`flow_field`
+    evaluates."""
+    rows = range(grid) if rows is None else rows
+    step = max(1, BLOCK_POINTS // grid)
+    return [range(lo, min(lo + step, rows.stop))
+            for lo in range(rows.start, rows.stop, step)]
+
+
+def _hsp_key(hsp) -> tuple:
+    return tuple(map(float, np.ravel(hsp)))
+
+
+def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None) -> FlowField:
     """Evaluate the RG flow at ``hsp`` on a uniform (alpha, beta) grid over
-    [-pi, pi)^2.
+    [-pi, pi)^2, on the alpha rows ``rows`` (a range; default every row).
 
     The scaling direction is the first momentum axis, +k in 1D and +kx in
     2D, with the steps ``DEFAULT_DK`` and ``DEFAULT_DM``; a cell whose rate
@@ -113,48 +137,58 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID) -> FlowField:
     an infinite peak height and are flagged diverged; no exception is
     raised per cell.
 
-    The grid is evaluated in blocks of alpha rows, ``BLOCK_POINTS`` cells
-    each, and every block is written straight into the field's arrays: the
-    evaluation holds the field, its closed-cell mask and one block.
+    The rows are evaluated one block of :func:`row_blocks` at a time, each
+    written straight into the arrays of the returned field: a call holds
+    its field and one block.  Evaluated one block per call, the whole grid
+    is never held.
     """
-    if grid < 64:
-        raise ValueError("grid must be at least 64x64")
-    axes = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    axes = grid_axes(grid)
+    rows = range(grid) if rows is None else rows
+    shape = (len(rows), grid)
+    field = FlowField(axes, _hsp_key(hsp),
+                      *(np.empty(shape, dtype=dtype) for dtype in
+                        (float, float, float, bool, float, float)),
+                      start=rows.start)
     k_shift = _shifted_momentum(hsp, np.eye(model.dimension)[0], DEFAULT_DK)
-
-    def empty(dtype=float):
-        return np.empty((grid, grid), dtype=dtype)
-
-    field = FlowField(axes, tuple(map(float, np.ravel(hsp))), empty(),
-                      empty(), empty(), empty(bool), empty(), empty())
-    closed = np.zeros((grid, grid), dtype=bool)
-    closed[_closed_cells(model, hsp, axes)] = True
+    shut_i, shut_j = _grid_closed_cells(model, field.hsp, grid)
     # broadcast axes: each model term is evaluated at the length its
     # angle dependence needs, and every block comes out (rows, grid)
     B = axes[None, :]
-    step = max(1, BLOCK_POINTS // grid)
     with np.errstate(all="ignore"):
-        for lo in range(0, grid, step):
-            rows = slice(lo, lo + step)
-            A = axes[rows, None]
+        for block in row_blocks(grid, rows):
+            here = slice(block.start - rows.start, block.stop - rows.start)
+            A = axes[block.start:block.stop, None]
             f0 = model.curvature_raw(hsp, A, B)
             num = model.curvature_raw(k_shift, A, B) - f0
-            da, db = field.dalpha[rows], field.dbeta[rows]
+            da, db = field.dalpha[here], field.dbeta[here]
             _flow_ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B) - f0,
                         da)
             _flow_ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0,
                         db)
-            shut = closed[rows]
+            inside = (shut_i >= block.start) & (shut_i < block.stop)
+            shut = shut_i[inside] - block.start, shut_j[inside]
             da[shut] = db[shut] = np.nan
             f0[shut] = np.inf
             rate = np.hypot(da, db)
-            np.log10(rate, out=field.log_rate[rows])
-            diverged = field.diverged[rows]
+            np.log10(rate, out=field.log_rate[here])
+            diverged = field.diverged[here]
             np.greater(rate, DEFAULT_RATE_THRESHOLD, out=diverged)
             diverged |= ~np.isfinite(rate)
-            np.abs(f0, out=field.peak_height[rows])
-            np.abs(num, out=field.scaling_response[rows])
+            np.abs(f0, out=field.peak_height[here])
+            np.abs(num, out=field.scaling_response[here])
     return field
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_closed_cells(model, hsp: tuple, grid: int):
+    """The read-only :func:`_closed_cells` of the grid at ``hsp``, given as
+    a ``FlowField.hsp`` tuple: searched once per model, HSP and grid, and
+    shared by the calls that evaluate a field one block of rows each."""
+    cells = _closed_cells(model, hsp[0] if len(hsp) == 1 else hsp,
+                          grid_axes(grid))
+    for index in cells:
+        index.flags.writeable = False
+    return cells
 
 
 def _closed_cells(model, hsp, axes):
@@ -224,82 +258,113 @@ def _periodic_label(mask: np.ndarray) -> np.ndarray:
     return lab
 
 
-def _candidates(field: FlowField, rate_threshold: float) -> np.ndarray:
-    """The transition-candidate mask of :func:`detect_critical_lines`, made
-    one block of ``BLOCK_POINTS`` cells at a time."""
-    cand = np.empty(field.peak_height.shape, dtype=bool)
-    step = max(1, BLOCK_POINTS // cand.shape[1])
-    for lo in range(0, len(cand), step):
-        rows = slice(lo, lo + step)
-        f0 = field.peak_height[rows]
-        with np.errstate(invalid="ignore"):
-            min_rate = np.minimum(np.abs(field.dalpha[rows]),
-                                  np.abs(field.dbeta[rows]))
-        # cells sitting numerically on a gap closing evaluate to huge or
-        # non-finite curvature; both mean the transition runs through them
-        cand[rows] = (~np.isfinite(f0) | (f0 > PEAK_SINGULAR)
-                      | (np.isfinite(min_rate) & (min_rate >= rate_threshold)
-                         & (field.scaling_response[rows] >= NUMERATOR_FLOOR)))
-    return cand
+class LineCandidates:
+    """The transition candidates of one HSP's flow field, gathered one block
+    of alpha rows at a time by :meth:`add`: the candidate mask of the grid
+    and the peak height of each candidate cell, nothing else of the field.
+
+    A cell is a candidate when both flow components reach
+    ``rate_threshold`` (a genuine boundary drives every parameter
+    direction; a cell where only one component diverges sits on a
+    d_{M_i} F = 0 fixed-point locus) and the scaling response is above the
+    numeric floor, or when the curvature at the HSP is itself singular (gap
+    closed).  Each depends on its own cell only, so blocks may come in any
+    order.
+    """
+
+    def __init__(self, axes, hsp,
+                 rate_threshold: float = DETECT_RATE_THRESHOLD):
+        if not rate_threshold > 0:
+            raise ValueError("rate threshold must be positive, got %r"
+                             % (rate_threshold,))
+        self.axes = axes
+        self.hsp = _hsp_key(hsp)
+        self.rate_threshold = rate_threshold
+        self.mask = np.zeros((len(axes), len(axes)), dtype=bool)
+        self._cells = []  # flat grid indices of the candidates, per block
+        self._heights = []  # their peak heights
+
+    def add(self, field: FlowField) -> None:
+        """Screen the rows of ``field``, a whole field or a block of one,
+        ``BLOCK_POINTS`` cells at a time."""
+        n = len(self.axes)
+        for block in row_blocks(n, range(len(field.peak_height))):
+            rows = slice(block.start, block.stop)
+            f0 = field.peak_height[rows]
+            with np.errstate(invalid="ignore"):
+                min_rate = np.minimum(np.abs(field.dalpha[rows]),
+                                      np.abs(field.dbeta[rows]))
+            # cells sitting numerically on a gap closing evaluate to huge or
+            # non-finite curvature; both mean the transition runs through
+            # them
+            cand = (~np.isfinite(f0) | (f0 > PEAK_SINGULAR)
+                    | (np.isfinite(min_rate)
+                       & (min_rate >= self.rate_threshold)
+                       & (field.scaling_response[rows] >= NUMERATOR_FLOOR)))
+            first = field.start + block.start
+            self.mask[first:first + len(cand)] = cand
+            self._cells.append(np.flatnonzero(cand) + first * n)
+            self._heights.append(f0[cand])
+
+    def heights(self):
+        """The flat grid indices of the candidates, ascending, and their
+        peak heights, a non-finite one as +inf."""
+        cells = np.concatenate(self._cells)
+        order = np.argsort(cells, kind="stable")
+        heights = np.concatenate(self._heights)[order]
+        return cells[order], np.where(np.isfinite(heights), heights, np.inf)
 
 
-def _highest(heights) -> int:
-    """The index of the first largest height, a non-finite one counting as
-    +inf."""
-    return int(np.argmax(np.where(np.isfinite(heights), heights, np.inf)))
-
-
-def detect_critical_lines(field: FlowField,
+def detect_critical_lines(field,
                           rate_threshold: float = DETECT_RATE_THRESHOLD):
     """Extract phase-boundary polylines from a flow field.
 
-    A cell is a transition candidate when both flow components exceed the
-    threshold (a genuine boundary drives every parameter direction; a cell
-    where only one component diverges sits on a d_{M_i} F = 0 fixed-point
-    locus) and the scaling response is above the numeric floor, or when the
-    curvature at the HSP is itself singular (gap closed).  Candidates are
-    linked into 8-connected components; each component is thinned to one
+    ``field`` is a :class:`FlowField`, screened here at ``rate_threshold``
+    as one block, or the :class:`LineCandidates` of a field screened block
+    by block, at their own threshold.  Candidates are linked into
+    8-connected components on the torus; each component is thinned to one
     cell per column (or row, for near-vertical lines) at the maximum of the
     curvature magnitude, which increases monotonically toward the boundary.
 
-    Each component is visited through its bounding box, so one grid pass
-    is made per field, not per component.  Beyond the field, detection
-    holds the candidate mask, the labels and one component's box mask.
+    Each component is visited through its bounding box, so one grid pass is
+    made per field, not per component.  Beyond the candidates, detection
+    holds the labels and one component's box mask.
 
     Returns:
         list of CriticalLine, one per surviving component.
     """
     from scipy import ndimage
 
-    cand = _candidates(field, rate_threshold)
-    if not cand.any():
+    if isinstance(field, FlowField):
+        found = LineCandidates(field.axes, field.hsp, rate_threshold)
+        found.add(field)
+    else:
+        found = field
+    if not found.mask.any():
         return []
-    lab = _periodic_label(cand)
+    lab = _periodic_label(found.mask)
+    cells, heights = found.heights()
+    axes, n = found.axes, len(found.axes)
     lines = []
     # labels in ascending order; a label that no cell kept has no box
     for lb, box in enumerate(ndimage.find_objects(lab), start=1):
         if box is None:
             continue
-        mask = lab[box] == lb
-        if np.count_nonzero(mask) < MIN_COMPONENT_CELLS:
+        i, j = np.nonzero(lab[box] == lb)
+        if len(i) < MIN_COMPONENT_CELLS:
             continue
-        box_height = field.peak_height[box]
-        alphas = field.axes[box[0]]
-        betas = field.axes[box[1]]
-        rows = np.flatnonzero(mask.any(axis=1))
-        cols = np.flatnonzero(mask.any(axis=0))
-        verts = []
-        if len(cols) >= len(rows):
-            for j in cols:
-                ii = np.flatnonzero(mask[:, j])
-                i = ii[_highest(box_height[ii, j])]
-                verts.append((alphas[i], betas[j]))
-        else:
-            for i in rows:
-                jj = np.flatnonzero(mask[i, :])
-                j = jj[_highest(box_height[i, jj])]
-                verts.append((alphas[i], betas[j]))
-        lines.append(CriticalLine(field.hsp, np.array(verts)))
+        i += box[0].start
+        j += box[1].start
+        height = heights[np.searchsorted(cells, i * n + j)]
+        # one vertex per column, or per row when the component spans more
+        # rows than columns: its highest cell, the first along the column
+        # (row) among equals
+        along, across = ((j, i) if len(np.unique(j)) >= len(np.unique(i))
+                         else (i, j))
+        order = np.lexsort((across, -height, along))
+        first = order[np.diff(along[order], prepend=-1) != 0]
+        lines.append(CriticalLine(found.hsp, np.column_stack(
+            (axes[i[first]], axes[j[first]]))))
     return lines
 
 
@@ -317,5 +382,5 @@ def walk_curvature_callback(model):
 
 __all__ = [
     "rg_step", "flow_field", "detect_critical_lines", "FlowField",
-    "CriticalLine", "walk_curvature_callback",
+    "LineCandidates", "CriticalLine", "walk_curvature_callback",
 ]

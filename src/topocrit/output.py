@@ -3,19 +3,25 @@
 Every file opens with a comment line echoing the tool version and the full
 configuration, so identical configurations reproduce byte-identical files.
 
-A CSV table is passed column-wise: an ordered mapping from column name to a
-1-D array, all of one length, or to an ``Indexed`` column.  The dtype of a
-column picks its conversion: a float column is written as Python writes
-``FLOAT_FMT % x`` (``'%.17g'``: 17 significant digits, ``nan``, ``inf``,
-``-inf``, negative zero as ``-0``), a bool or integer column as Python
-writes ``'%d' % v`` (``1``/``0`` and plain digits).  An ``Indexed`` column
-holds the distinct values of a column and a rule for each row's index into
-them, such as the grid coordinates of a parameter scan: each distinct value
-is encoded once per file and every row gathers its bytes.
+A CSV table is passed as an iterable of row blocks, each column-wise: an
+ordered mapping from column name to a 1-D array, all of one length, or to
+an ``Indexed`` column, with the same names in every block.  A table that
+is made whole is one block; one made a block of rows at a time, such as a
+``crg`` flow field, is written as its blocks come, and no more of it is
+held than one block.  The dtype of a column picks its conversion: a float
+column is written as Python writes ``FLOAT_FMT % x`` (``'%.17g'``: 17
+significant digits, ``nan``, ``inf``, ``-inf``, negative zero as ``-0``),
+a bool or integer column as Python writes ``'%d' % v`` (``1``/``0`` and
+plain digits).  An ``Indexed`` column holds the distinct values of a
+column and a rule for each file row's index into them, such as the grid
+coordinates of a parameter scan: each distinct value is encoded once per
+file while the blocks pass the same values array, and every row gathers
+its bytes.
 
-The bytes are made in numpy, one chunk of ``CSV_CHUNK_ROWS`` rows at a
-time, with no per-value Python formatting.  For a float x the encoder
-finds the 17 digits D and the decimal exponent E of ``'%.16e' % x``:
+The bytes are made in numpy, one chunk of at most ``CSV_CHUNK_ROWS`` rows
+of a block at a time, with no per-value Python formatting.  For a float x
+the encoder finds the 17 digits D and the decimal exponent E of ``'%.16e'
+% x``:
 
 - E starts as ``floor(log10|x|)``.  |x| * 10**(16 - E) is formed as a
   double-double: a Dekker two-product of |x| with a hi/lo pair for
@@ -57,11 +63,12 @@ aligned words of one uint8 block, zeroed once per file so that pad bytes
 stay NUL.  The last column's separator becomes LF, and ``bytes.translate``
 deleting NUL gives the bytes of ``WRITE_ROWS`` rows at a time.
 
-A write holds its columns, the encoded values of its ``Indexed`` columns,
-whose chunk indices come from the row numbers, the block (200 bytes per row
-for the six columns of a ``crg`` file, 0.8 MB per 4096-row chunk), one
-chunk's temporaries and the bytes of ``WRITE_ROWS`` rows: a 512^2 ``crg``
-table traces a 1.5 MB peak beyond its columns, whatever the row count.
+A write holds one row block of columns, the encoded values of its
+``Indexed`` columns, whose chunk indices come from the file's row numbers,
+the cell block (200 bytes per row for the six columns of a ``crg`` file,
+0.8 MB per 4096-row chunk), one chunk's temporaries and the bytes of
+``WRITE_ROWS`` rows: a 512^2 ``crg`` table passed whole traces a 1.5 MB
+peak beyond its columns, whatever the row count.
 """
 
 from __future__ import annotations
@@ -105,13 +112,13 @@ def header_comment(version: str, config: dict) -> str:
 
 
 class Indexed:
-    """A CSV column of ``length`` rows whose row i holds ``values[(i //
-    every) % len(values)]``.
+    """A CSV column of ``length`` rows in its block whose file row i holds
+    ``values[(i // every) % len(values)]``.
 
     Each distinct value is encoded once per write, and every row gathers
     its bytes: the grid coordinates of a parameter scan repeat a few
     hundred axis values over every row.  A chunk's indices are derived
-    from its row numbers, so the column holds no per-row array."""
+    from its file row numbers, so the column holds no per-row array."""
 
     def __init__(self, values, length: int, every: int = 1):
         self.values = np.asarray(values)
@@ -122,7 +129,7 @@ class Indexed:
         return self.length
 
     def index(self, start: int, stop: int) -> np.ndarray:
-        """The indices into ``values`` of rows start..stop-1."""
+        """The indices into ``values`` of file rows start..stop-1."""
         return np.arange(start, stop) // self.every % len(self.values)
 
 
@@ -397,40 +404,81 @@ def _encode_once(values):
     return cells.view("V%d" % cells.shape[1])[:, 0], width - 1
 
 
-def write_csv(path, version: str, config: dict, columns) -> None:
-    """Write ``columns`` (name -> 1-D array or ``Indexed``) as
-    comma-separated UTF-8 with LF, one row per array index.
+def _sources(columns, encoded):
+    """The columns of one block as the writer reads them, and the width and
+    separator offset of each column's cells.
 
-    Every chunk is encoded into one block of cells, allocated and zeroed
-    once per file, so pad bytes stay NUL: each column fills its whole
-    words of the block's rows, and the last column's separator becomes
-    LF."""
-    sources = [(col, *_encode_once(col.values))
-               if isinstance(col, Indexed) else np.asarray(col)
-               for col in columns.values()]
-    cells = [(src[1].itemsize, src[2]) if isinstance(src, tuple)
-             else _cell(src) for src in sources]
-    edges = list(itertools.accumulate((w for w, _ in cells), initial=0))
-    n_rows = min(map(len, columns.values()), default=0)
-    block = np.zeros((min(n_rows, CSV_CHUNK_ROWS), edges[-1]),
-                     dtype=np.uint8)
+    An array column is read as an array; an ``Indexed`` column as itself,
+    its encoded cells and their separator, taken from ``encoded`` (column
+    position -> values, cells, separator) while its values are the same
+    object, so each is encoded once per file."""
+    sources, cells = [], []
+    for pos, col in enumerate(columns.values()):
+        if isinstance(col, Indexed):
+            if pos not in encoded or encoded[pos][0] is not col.values:
+                encoded[pos] = (col.values, *_encode_once(col.values))
+            _, values, separator = encoded[pos]
+            sources.append((col, values))
+            cells.append((values.itemsize, separator))
+        else:
+            col = np.asarray(col)
+            sources.append(col)
+            cells.append(_cell(col))
+    return sources, cells
+
+
+def write_csv(path, version: str, config: dict, blocks) -> None:
+    """Write a table as comma-separated UTF-8 with LF, given as an iterable
+    of row blocks, each a mapping from column name to a 1-D array or an
+    ``Indexed`` column: one row per array index, block after block.  Every
+    block has the column names of the first, and an ``Indexed`` column
+    indexes by the file's row, counted over all blocks.
+
+    The first block is taken, and its columns checked for a CSV
+    conversion, before the file is opened.  Every chunk is
+    encoded into one block of cells, allocated and zeroed once per file
+    while the blocks keep its layout, so pad bytes stay NUL: each column
+    fills its whole words of the block's rows, and the last column's
+    separator becomes LF."""
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        raise ValueError("a CSV table needs at least one block")
+    names = list(first)
+    encoded = {}
+    _sources(first, encoded)  # TypeError before the file is opened
+    layout = canvas = None
+    done = 0  # rows written
     with open(path, "wb") as fh:
         fh.write((header_comment(version, config) + "\n"
-                  + ",".join(columns) + "\n").encode("utf-8"))
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            stop = min(start + CSV_CHUNK_ROWS, n_rows)
-            rows = block[:stop - start]
-            for src, lo, hi in zip(sources, edges, edges[1:]):
-                if isinstance(src, tuple):
-                    col, values, _ = src
-                    rows[:, lo:hi].view(values.dtype)[:, 0] = values.take(
-                        col.index(start, stop))
-                else:
-                    _encode(src[start:stop], rows[:, lo:hi])
-            rows[:, edges[-2] + cells[-1][1]] = ord("\n")
-            for part in range(0, len(rows), WRITE_ROWS):
-                fh.write(rows[part:part + WRITE_ROWS].tobytes().translate(
-                    None, b"\0"))
+                  + ",".join(names) + "\n").encode("utf-8"))
+        for columns in itertools.chain([first], blocks):
+            if list(columns) != names:
+                raise ValueError("a block has the columns %s, not %s"
+                                 % (list(columns), names))
+            sources, cells = _sources(columns, encoded)
+            n_rows = min(map(len, columns.values()), default=0)
+            if cells != layout or len(canvas) < min(n_rows, CSV_CHUNK_ROWS):
+                layout = cells
+                edges = list(itertools.accumulate((w for w, _ in cells),
+                                                  initial=0))
+                canvas = np.zeros((min(n_rows, CSV_CHUNK_ROWS), edges[-1]),
+                                  dtype=np.uint8)
+            for start in range(0, n_rows, CSV_CHUNK_ROWS):
+                stop = min(start + CSV_CHUNK_ROWS, n_rows)
+                rows = canvas[:stop - start]
+                for src, lo, hi in zip(sources, edges, edges[1:]):
+                    if isinstance(src, tuple):
+                        col, values = src
+                        rows[:, lo:hi].view(values.dtype)[:, 0] = values.take(
+                            col.index(done + start, done + stop))
+                    else:
+                        _encode(src[start:stop], rows[:, lo:hi])
+                rows[:, edges[-2] + cells[-1][1]] = ord("\n")
+                for part in range(0, len(rows), WRITE_ROWS):
+                    fh.write(rows[part:part + WRITE_ROWS].tobytes().translate(
+                        None, b"\0"))
+            done += n_rows
 
 
 def _jsonify(obj):

@@ -154,24 +154,6 @@ def zeta_components_1d(k, p: WalkParams):
     return _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))[:3]
 
 
-def chiral_axis(p: WalkParams) -> np.ndarray:
-    """Axis A = (kap_b, 0, lam_b) perpendicular to the walk's n-vector."""
-    _, _, kb, lb = _half_angles(p)
-    return np.array([kb, 0.0, lb])
-
-
-def gauge_rotation_matrix(p: WalkParams) -> np.ndarray:
-    """Rotation about y with cos(t) = lam_b, sin(t) = -kap_b, mapping A -> z."""
-    _, _, kb, lb = _half_angles(p)
-    return np.array([[lb, 0.0, -kb], [0.0, 1.0, 0.0], [kb, 0.0, lb]])
-
-
-def rotated_zeta_1d(k, p: WalkParams):
-    """Planar components of the rotated axis: (kap_a sin k, zeta_y, 0)."""
-    _, zy, _, zx = _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))
-    return zx, zy
-
-
 def _gap_closed_1d(k, h):
     """Where the rotated axis has no gap, zeta'_x^2 + zeta_y^2 below
     GAP_FLOOR^2, from the half angles h, which may be arrays."""

@@ -6,7 +6,10 @@ oracle of the adapters' ``closing_slope``, which states the loci in closed
 form.  ``reconstruct_unitary`` rebuilds a walk unitary from its effective
 Hamiltonian, the round trip of ``effective_hamiltonian``, and ``phi_2d``
 evaluates the walk2d curvature numerator with tables built per call, the
-per-call route of the torus kernel.
+per-call route of the torus kernel.  ``chiral_axis``,
+``gauge_rotation_matrix`` and ``rotated_zeta_1d`` derive the rotated frame
+of the 1D walk, in which its curvature function is the doubled Berry
+connection.
 """
 
 import itertools
@@ -15,7 +18,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from topocrit.walk1d import (_SX, _SY, _SZ, EffectiveHamiltonianSample,
-                             Unitary2, WalkParams, _half_angles, energy_1d)
+                             Unitary2, WalkParams, _half_angles,
+                             _zeta_terms_1d, energy_1d)
 from topocrit.walk2d import _zeta_phi_at, energy_grid_2d
 
 GAP_TOL = 1e-8
@@ -105,3 +109,21 @@ def reconstruct_unitary(sample: EffectiveHamiltonianSample) -> Unitary2:
 def phi_2d(kx, ky, p: WalkParams):
     """Numerator of the walk2d curvature function; array-capable."""
     return _zeta_phi_at(kx, ky, _half_angles(p))[3]
+
+
+def chiral_axis(p: WalkParams) -> np.ndarray:
+    """Axis A = (kap_b, 0, lam_b) perpendicular to the walk's n-vector."""
+    _, _, kb, lb = _half_angles(p)
+    return np.array([kb, 0.0, lb])
+
+
+def gauge_rotation_matrix(p: WalkParams) -> np.ndarray:
+    """Rotation about y with cos(t) = lam_b, sin(t) = -kap_b, mapping A -> z."""
+    _, _, kb, lb = _half_angles(p)
+    return np.array([[lb, 0.0, -kb], [0.0, 1.0, 0.0], [kb, 0.0, lb]])
+
+
+def rotated_zeta_1d(k, p: WalkParams):
+    """Planar components of the rotated axis: (kap_a sin k, zeta_y, 0)."""
+    _, zy, _, zx = _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))
+    return zx, zy

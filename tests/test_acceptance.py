@@ -32,10 +32,11 @@ from topocrit.geometry import (berry_connection_fd, berry_curvature_fd,
 from topocrit.invariants import (chern_number_2d, chern_plaquette,
                                  winding_number_1d)
 from topocrit.models import WALK_1D, WALK_2D
-from topocrit.walk1d import (peak_asymptotics_1d, rotated_curvature_1d,
-                             rotated_zeta_1d)
+from topocrit.walk1d import peak_asymptotics_1d, rotated_curvature_1d
 from topocrit.walk2d import (PEAK_KX, curvature_grid_2d, energy_grid_2d,
                              zeta_components_2d)
+
+from oracles import rotated_zeta_1d
 
 RNG = np.random.default_rng(2024)
 

@@ -201,6 +201,23 @@ def test_crg_threshold_flag(tmp_path):
     assert n_vertices("100") <= n_vertices("10")
 
 
+def test_crg_run_holds_no_grid_sized_array(tmp_path):
+    # each block of rows is evaluated, written and screened for line
+    # candidates, then dropped: the field of one HSP, six 512^2 arrays of
+    # 10.25 MB, was held while its file was written, and a run traced about
+    # 12 MB; the candidate mask, 0.25 MB, is the one grid-sized array
+    argv = ["crg", "--model", "walk2d", "--out", str(tmp_path / "flow")]
+    # the imports and the encoder's tables are made once per process
+    assert main(argv + ["--grid", "64"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--grid", "512"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
 # --- invariant ---
 
 def test_invariant_json(tmp_path):
@@ -388,6 +405,11 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
      {"threshold": 5, "kc": 3.0, "mass": 2.0}, "threshold"),
     (["invariant"], {"points": 12}, "points"),
     (["invariant"], {"colour": "red"}, "colour"),
+    # a threshold of 0 or below made every cell a candidate: one line
+    # through every column of every HSP
+    (["crg", "--threshold", "0"], None, "threshold"),
+    (["crg", "--threshold=-5"], None, "threshold"),
+    (["crg"], {"threshold": 0.0}, "threshold"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):
@@ -433,6 +455,24 @@ def test_parse_errors_exit_1_with_one_error_line(tmp_path, monkeypatch,
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "usage:" not in out + err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 74.5 PiB for an array"),
+     "error: Unable to allocate 74.5 PiB for an array\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_memory_error_exits_1_with_one_error_line(tmp_path, monkeypatch,
+                                                  capsys, exc, message):
+    # a grid too large to allocate ended in a traceback
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(crg, "flow_field", no_memory)
+    assert main(["crg", "--model", "walk1d", "--grid", "64",
+                 "--out", str(tmp_path / "flow")]) == 1
+    assert capsys.readouterr().err == message
     assert list(tmp_path.iterdir()) == []
 
 
@@ -514,11 +554,11 @@ def test_crg_files_match_the_field_of_every_hsp_at_once(tmp_path, model):
         field = crg.flow_field(WALKS[model], hsp, grid)
         write_csv(ref / ("flow_hsp%d.csv" % idx), topocrit.__version__,
                   {**echo, "hsp": list(field.hsp)},
-                  {**_grid_columns(field.axes, field.axes),
-                   "dalpha_dl": field.dalpha.ravel(),
-                   "dbeta_dl": field.dbeta.ravel(),
-                   "log_rate": field.log_rate.ravel(),
-                   "diverged": field.diverged.ravel()})
+                  [{**_grid_columns(field.axes, field.axes),
+                    "dalpha_dl": field.dalpha.ravel(),
+                    "dbeta_dl": field.dbeta.ravel(),
+                    "log_rate": field.log_rate.ravel(),
+                    "diverged": field.diverged.ravel()}])
         lines += crg.detect_critical_lines(field)
     assert lines
     write_json(ref / "flow.json", topocrit.__version__, echo,
@@ -599,11 +639,11 @@ def test_crg_table_write_holds_no_grid_sized_columns(tmp_path):
     tracemalloc.start()
     try:
         write_csv(tmp_path / "flow.csv", "0", {},
-                  {**_grid_columns(field.axes, field.axes),
-                   "dalpha_dl": field.dalpha.ravel(),
-                   "dbeta_dl": field.dbeta.ravel(),
-                   "log_rate": field.log_rate.ravel(),
-                   "diverged": field.diverged.ravel()})
+                  [{**_grid_columns(field.axes, field.axes),
+                    "dalpha_dl": field.dalpha.ravel(),
+                    "dbeta_dl": field.dbeta.ravel(),
+                    "log_rate": field.log_rate.ravel(),
+                    "diverged": field.diverged.ravel()}])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,17 +658,17 @@ def test_write_csv_grid_columns_match_numeric(tmp_path):
                "v": values}
     formatted = {**_grid_columns(alphas, betas), "v": values}
     assert isinstance(formatted["alpha"], Indexed)
-    write_csv(tmp_path / "numeric.csv", "0", {}, numeric)
-    write_csv(tmp_path / "formatted.csv", "0", {}, formatted)
+    write_csv(tmp_path / "numeric.csv", "0", {}, [numeric])
+    write_csv(tmp_path / "formatted.csv", "0", {}, [formatted])
     assert ((tmp_path / "formatted.csv").read_bytes()
             == (tmp_path / "numeric.csv").read_bytes())
 
 
 def test_write_csv_conversion_per_dtype(tmp_path):
     out = tmp_path / "t.csv"
-    write_csv(out, "0", {}, {"flag": np.array([True, False, True]),
-                             "n": np.array([0, -7, 10 ** 17]),
-                             "x": np.array([np.nan, -0.0, 0.1])})
+    write_csv(out, "0", {}, [{"flag": np.array([True, False, True]),
+                              "n": np.array([0, -7, 10 ** 17]),
+                              "x": np.array([np.nan, -0.0, 0.1])}])
     assert "%.17g" % -0.0 == "-0" and "%.17g" % np.nan == "nan"
     assert _table_bytes(out) == (b"flag,n,x\n"
                                  b"1,0,nan\n"

@@ -8,9 +8,9 @@ from topocrit import WalkParams, crg
 from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, DEFAULT_RATE_THRESHOLD,
                           DENOMINATOR_FLOOR, MIN_COMPONENT_CELLS,
                           NUMERATOR_FLOOR, PEAK_SINGULAR, FlowField,
-                          _closed_cells, _periodic_label,
-                          detect_critical_lines, flow_field, rg_step,
-                          walk_curvature_callback)
+                          LineCandidates, _closed_cells, _periodic_label,
+                          detect_critical_lines, flow_field, grid_axes,
+                          rg_step, row_blocks, walk_curvature_callback)
 from topocrit.errors import ZeroGap
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import rotated_curvature_1d
@@ -211,6 +211,49 @@ def test_flow_field_blocks_bit_equal_to_full_grid(monkeypatch, model, grid,
         assert [line.hsp for line in got] == [line.hsp for line in want]
         assert all(a.vertices.tobytes() == b.vertices.tobytes()
                    for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
+@pytest.mark.parametrize("grid", [64, 100])
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_streamed_detection_equals_whole_field_detection(monkeypatch, model,
+                                                         grid, block_rows):
+    # the rows evaluated one block per call are the rows of the whole
+    # field, and the candidates gathered block by block, in either order,
+    # give the lines of the whole field
+    fields = [flow_field(model, hsp, grid) for hsp in model.hsps()]
+    monkeypatch.setattr(crg, "BLOCK_POINTS", block_rows * grid)
+    blocks = row_blocks(grid)
+    assert len(blocks) == -(-grid // block_rows)
+    found = 0
+    for hsp, field in zip(model.hsps(), fields):
+        want = detect_critical_lines(field)
+        for order in (blocks, blocks[::-1]):
+            candidates = LineCandidates(grid_axes(grid), hsp)
+            for rows in order:
+                block = flow_field(model, hsp, grid, rows)
+                assert block.start == rows.start
+                for name in FIELDS:
+                    assert getattr(block, name).tobytes() == getattr(
+                        field, name)[rows.start:rows.stop].tobytes(), name
+                candidates.add(block)
+            got = detect_critical_lines(candidates)
+            assert [line.hsp for line in got] == [line.hsp for line in want]
+            assert all(a.vertices.tobytes() == b.vertices.tobytes()
+                       for a, b in zip(got, want))
+        found += len(want)
+    assert found
+
+
+@pytest.mark.parametrize("threshold", [0.0, -5.0, float("nan")])
+def test_detect_rejects_a_threshold_that_is_not_positive(threshold):
+    # every cell passes a threshold of 0 or below: one line through every
+    # column
+    field = flow_field(WALK_1D, 0.0, 64)
+    with pytest.raises(ValueError):
+        detect_critical_lines(field, rate_threshold=threshold)
+    with pytest.raises(ValueError):
+        LineCandidates(field.axes, field.hsp, threshold)
 
 
 def _traced_peak(fn):

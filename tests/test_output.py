@@ -37,7 +37,7 @@ def _columns(n_rows: int) -> dict:
 def test_write_csv_bytes_match_one_shot_format(tmp_path, n_rows):
     columns = _columns(n_rows)
     path = tmp_path / "t.csv"
-    write_csv(path, "1.0", CONFIG, columns)
+    write_csv(path, "1.0", CONFIG, [columns])
     i = np.arange(n_rows)
     rows = zip(*(col.tolist() for col in columns.values()
                  if not isinstance(col, Indexed)),
@@ -56,11 +56,56 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     columns = {"a": x, "b": -x, "c": x + 0.5, "d": x % 2.0 < 1.0}
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "big.csv", "1.0", CONFIG, columns)
+        write_csv(tmp_path / "big.csv", "1.0", CONFIG, [columns])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20
+
+
+def _row_blocks(columns, bounds):
+    """The rows of ``columns`` cut before each row of ``bounds`` into
+    ``write_csv`` blocks: slices of the array columns and ``Indexed``
+    columns of the block's length over the same values and rule."""
+    n_rows = min(map(len, columns.values()))
+    edges = [0, *bounds, n_rows]
+    for lo, hi in zip(edges, edges[1:]):
+        yield {name: (Indexed(col.values, hi - lo, col.every)
+                      if isinstance(col, Indexed) else col[lo:hi])
+               for name, col in columns.items()}
+
+
+@pytest.mark.parametrize("bounds", [
+    [1, 1, 8, CSV_CHUNK_ROWS + 13, 2 * CSV_CHUNK_ROWS - 1,
+     2 * CSV_CHUNK_ROWS + 6],
+    [0, 3 * CSV_CHUNK_ROWS - 1, 3 * CSV_CHUNK_ROWS + 5],
+    list(range(7, 3 * CSV_CHUNK_ROWS + 5, 1000)),
+], ids=["uneven", "empty-first-and-last", "every-1000"])
+def test_write_csv_blocks_match_one_block(tmp_path, bounds):
+    # block bounds that are no multiple of 6 or 7 cut the Indexed columns
+    # mid-period, and blocks that cross the file's 4096-row chunk bounds
+    # (or hold two of them) are cut into chunks of their own; an empty
+    # block writes nothing
+    columns = _columns(3 * CSV_CHUNK_ROWS + 5)
+    write_csv(tmp_path / "one.csv", "1.0", CONFIG, [columns])
+    write_csv(tmp_path / "blocks.csv", "1.0", CONFIG,
+              _row_blocks(columns, bounds))
+    assert ((tmp_path / "blocks.csv").read_bytes()
+            == (tmp_path / "one.csv").read_bytes())
+
+
+def test_write_csv_checks_its_blocks(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "none.csv", "1.0", CONFIG, [])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", "1.0", CONFIG,
+                  [{"x": np.zeros(2)}, {"y": np.zeros(2)}])
+    # the first block is made, and its dtypes checked, before the file is
+    # opened
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "text.csv", "1.0", CONFIG,
+                  [{"s": np.array(["a", "b"])}])
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 # --- the encoder against Python's own formatting ---
@@ -112,7 +157,7 @@ def test_float_encoder_matches_percent_17g(tmp_path, monkeypatch):
         return python_digits(values)
 
     monkeypatch.setattr(output, "_python_digits", spy)
-    write_csv(tmp_path / "x.csv", "1.0", CONFIG, {"x": x})
+    write_csv(tmp_path / "x.csv", "1.0", CONFIG, [{"x": x}])
     expected = "".join("%.17g\n" % v for v in x.tolist()).encode()
     assert _table_bytes(tmp_path / "x.csv") == expected
     # the fallback ran for the ties whose product is inexact and for the
@@ -173,7 +218,7 @@ def test_float_cell_layouts_match_percent_17g(tmp_path):
     covered = {(v < 0, *_layout_key(v)) for v in finite}
     assert covered >= {(negative, layout, last) for negative in (False, True)
                        for layout in range(21) for last in range(17)}
-    write_csv(tmp_path / "x.csv", "1.0", CONFIG, {"x": x})
+    write_csv(tmp_path / "x.csv", "1.0", CONFIG, [{"x": x}])
     expected = "".join("%.17g\n" % v for v in x.tolist()).encode()
     assert _table_bytes(tmp_path / "x.csv") == expected
 
@@ -215,7 +260,7 @@ def test_write_csv_cells_stay_word_aligned(tmp_path, last):
             columns["x"] = x
             columns["last"] = (x[::-1].copy() if last == "float"
                                else OTHER_COLUMNS[last](n_rows))
-            write_csv(path, "1.0", CONFIG, columns)
+            write_csv(path, "1.0", CONFIG, [columns])
             assert _table_bytes(path) == _python_table(columns), (kind,
                                                                   before)
 
@@ -239,7 +284,7 @@ def test_int_encoder_matches_percent_d(tmp_path):
     for name, column in [("i", ints), ("u", unsigned), ("b", flags),
                          ("s", small)]:
         path = tmp_path / (name + ".csv")
-        write_csv(path, "1.0", CONFIG, {name: column})
+        write_csv(path, "1.0", CONFIG, [{name: column}])
         expected = "".join("%d\n" % v for v in column.tolist()).encode()
         assert _table_bytes(path) == expected, name
 

@@ -8,10 +8,10 @@ from topocrit import (
 )
 from topocrit.geometry import (berry_connection_fd, lower_band_states,
                                quantum_geometric_tensor)
-from topocrit.walk1d import (Unitary2, chiral_axis, gauge_rotation_matrix,
-                             rotated_zeta_1d, zeta_components_1d)
+from topocrit.walk1d import Unitary2, zeta_components_1d
 
-from oracles import reconstruct_unitary
+from oracles import (chiral_axis, gauge_rotation_matrix, reconstruct_unitary,
+                     rotated_zeta_1d)
 
 RNG = np.random.default_rng(7)
 
