@@ -8,10 +8,12 @@
     topocrit phase-diagram  invariant over an (alpha, beta) grid
 
 Outputs are deterministic: fixed row ordering, 17-significant-digit floats,
-and a header comment echoing the full configuration.  Rows whose value is
-undefined are written as NaN with a warning that counts them by cause (e.g.
-"51 ZeroGap, 4 QuantizationFailure") and exit code 2; --strict writes no
-file instead.  Invalid options, from flags or --config, exit with code 1.
+and a header comment echoing the options given and the defaults of the
+``echoed`` options the command reads.  Rows whose value is undefined are
+written as NaN with a warning that counts them by cause (e.g. "51 ZeroGap,
+4 QuantizationFailure") and exit code 2; --strict writes no file instead.
+Invalid options, from flags or --config, exit with code 1.  Each option is
+declared once, in ``OPTIONS``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +40,6 @@ EXIT_USAGE = 1
 EXIT_ZEROGAP = 2
 
 WALKS = {"walk1d": WALK_1D, "walk2d": WALK_2D}
-CURVATURE_MODELS = ("walk1d", "walk2d", "dirac1d", "dirac2d")
-# smallest accepted value of each integer option
-MINIMA = {"grid": 1, "inner-grid": 1, "points": criticality.MIN_POINTS,
-          "rmax": 0}
 
 
 def _parse_alphas(text: str):
@@ -57,6 +56,132 @@ def _parse_window(text: str):
     return float(parts[0]), float(parts[1])
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and (isinstance(value, int)
+                                  or math.isfinite(value))
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int)
+                                  or value.is_integer())
+
+
+class Option(NamedTuple):
+    """One option, from a flag or from --config alike.  ``echoed`` options
+    write their default in the configuration echo; any other option is
+    echoed only when given."""
+
+    type: object  # argparse type of the flag; None for a switch
+    accepts: object  # the check of a value, flag or config
+    what: str  # what ``accepts`` takes, for its error message
+    help: str
+    default: object  # a constant, or a rule (command, model) -> value
+    minimum: int | None = None
+    echoed: bool = False
+
+
+def _grid_default(command: str, model: str) -> int:
+    """The momentum, angle or zone grid that --grid sets."""
+    return {"curvature": 1024, "crg": crg.DEFAULT_GRID, "phase-diagram": 33,
+            "correlation": (correlation.DEFAULT_N_CORR_1D if model == "walk1d"
+                            else correlation.DEFAULT_N_CORR_2D),
+            "invariant": (invariants.DEFAULT_N_WINDING if model == "walk1d"
+                          else invariants.DEFAULT_N_CHERN)}[command]
+
+
+OPTIONS = {
+    "model": Option(str, lambda v: isinstance(v, str), "a string",
+                    "model: walk1d or walk2d, or for curvature also dirac1d "
+                    "or dirac2d", "walk1d", echoed=True),
+    "alpha": Option(_parse_alphas,
+                    lambda v: isinstance(v, list) and v != []
+                    and all(map(_is_finite, v)),
+                    "a non-empty list of finite angles",
+                    "coin angle(s), comma separated", [0.3], echoed=True),
+    "beta": Option(float, _is_finite, "a finite number", "second coin angle",
+                   lambda command, model:
+                   np.pi / 2.0 if model == "walk2d" else 0.0, echoed=True),
+    "grid": Option(int, _is_integer, "an integer", "grid size N",
+                   _grid_default, minimum=1),
+    "out": Option(str, lambda v: isinstance(v, str), "a string",
+                  "output path; a .csv or .json suffix is replaced",
+                  lambda command, model: "topocrit_" + command, echoed=True),
+    "strict": Option(None, lambda v: isinstance(v, bool), "true or false",
+                     "write no file if any row is NaN", False, echoed=True),
+    "mass": Option(float, _is_finite, "a finite number", "Dirac mass", 1.0),
+    "kmax": Option(float, _is_finite, "a finite number",
+                   "momentum half-range of the Dirac models", 10.0),
+    "window": Option(_parse_window,
+                     lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                     and all(map(_is_finite, v)), "a pair of finite numbers",
+                     "log-spaced window 'lo,hi'", criticality.DEFAULT_WINDOW),
+    "points": Option(int, _is_integer, "an integer", "window points",
+                     criticality.DEFAULT_POINTS,
+                     minimum=criticality.MIN_POINTS),
+    "kc": Option(float, _is_finite, "a finite number",
+                 "1D peak momentum, 0 or pi", 0.0),
+    "rmax": Option(int, _is_integer, "an integer", "largest displacement",
+                   40, minimum=0),
+    "threshold": Option(float, lambda v: _is_finite(v) and v > 0,
+                        "a positive finite number",
+                        "line-detection rate threshold",
+                        crg.DETECT_RATE_THRESHOLD),
+    "inner-grid": Option(int, _is_integer, "an integer",
+                         "BZ grid per invariant",
+                         lambda command, model:
+                         512 if model == "walk1d" else 96, minimum=1),
+}
+# the options every command reads
+ALWAYS = ("model", "out", "strict")
+# the options each command reads besides those; giving any other option,
+# by flag or by --config, is an error, not a no-op
+READS = {
+    "curvature": ("alpha", "beta", "grid", "mass", "kmax"),
+    "exponents": ("beta", "window", "points", "kc"),
+    "correlation": ("alpha", "beta", "grid", "rmax"),
+    "crg": ("grid", "threshold"),
+    "invariant": ("alpha", "beta", "grid"),
+    "phase-diagram": ("grid", "inner-grid"),
+}
+# options that a model does not read, whatever the command; curvature takes
+# every model, the other commands the walks
+UNREAD_BY_MODEL = {"walk1d": ("mass", "kmax"),
+                   "walk2d": ("mass", "kmax", "kc"),
+                   "dirac1d": ("alpha", "beta"),
+                   "dirac2d": ("alpha", "beta")}
+
+
+def _models(command: str) -> tuple:
+    return tuple(UNREAD_BY_MODEL if command == "curvature" else WALKS)
+
+
+def _default(key: str, command: str, model: str):
+    default = OPTIONS[key].default
+    return default(command, model) if callable(default) else default
+
+
+def _show(value) -> str:
+    """A default as its flag would spell it."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_show, value))
+    return "%g" % value if _is_number(value) else str(value)
+
+
+def _help(key: str, command: str) -> str:
+    """The help of ``key`` in ``command``, with its default per model."""
+    shown = {model: _show(_default(key, command, model))
+             for model in _models(command)
+             if key not in UNREAD_BY_MODEL[model]}
+    values = set(shown.values())
+    text = values.pop() if len(values) == 1 else ", ".join(
+        "%s for %s" % (value, model) for model, value in shown.items())
+    return "%s (default %s)" % (OPTIONS[key].help, text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a parse error for main's one ``error:`` line and exit 1."""
 
@@ -71,58 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "walks and Dirac models.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, models=("walk1d", "walk2d")):
-        p.add_argument("--model", choices=models, default=None,
-                       help="model (default: walk1d)")
-        p.add_argument("--alpha", type=_parse_alphas, default=None,
-                       help="coin angle(s), comma separated")
-        p.add_argument("--beta", type=float, default=None,
-                       help="second coin angle (default: 0 for walk1d, "
-                            "pi/2 for walk2d)")
-        p.add_argument("--grid", type=int, default=None, help="grid size N")
-        p.add_argument("--out", type=str, default=None, help="output path")
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with defaults; flags override")
-        p.add_argument("--strict", action="store_true", default=None,
-                       help="write no file if any row is NaN")
-
-    p = sub.add_parser("curvature", help="curvature profile CSV")
-    common(p, models=CURVATURE_MODELS)
-    p.add_argument("--mass", type=float, default=None,
-                   help="Dirac mass (dirac models; default 1.0)")
-    p.add_argument("--kmax", type=float, default=None,
-                   help="momentum half-range for Dirac models (default 10)")
-
-    p = sub.add_parser("exponents", help="critical exponents JSON")
-    common(p)
-    p.add_argument("--window", type=_parse_window, default=None,
-                   help="log-spaced window 'lo,hi' (default %g,%g)"
-                   % criticality.DEFAULT_WINDOW)
-    p.add_argument("--points", type=int, default=None,
-                   help="window points (default %d)"
-                   % criticality.DEFAULT_POINTS)
-    p.add_argument("--kc", type=float, default=None,
-                   help="1D peak momentum, 0 or pi (default 0)")
-
-    p = sub.add_parser("correlation", help="correlation series CSV")
-    common(p)
-    p.add_argument("--rmax", type=int, default=None,
-                   help="largest displacement (default 40)")
-
-    p = sub.add_parser("crg", help="RG flow field CSV + critical lines JSON")
-    common(p)
-    p.add_argument("--threshold", type=float, default=None,
-                   help="line-detection rate threshold (default %g)"
-                   % crg.DETECT_RATE_THRESHOLD)
-
-    p = sub.add_parser("invariant", help="topological invariant JSON")
-    common(p)
-
-    p = sub.add_parser("phase-diagram", help="invariant over an angle grid")
-    common(p)
-    p.add_argument("--inner-grid", type=int, default=None,
-                   help="BZ grid per invariant (default 512 / 96)")
+        # every option, so that _defaults refuses an unread flag as it
+        # refuses an unread config key; --help shows the ones read
+        for key, opt in OPTIONS.items():
+            kind = ({"action": "store_true"} if opt.type is None
+                    else {"type": opt.type})
+            p.add_argument("--" + key, default=None, **kind,
+                           help=(_help(key, command)
+                                 if key in ALWAYS + READS[command]
+                                 else argparse.SUPPRESS))
     return ap
 
 
@@ -144,91 +230,39 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and (isinstance(value, int)
-                                  or math.isfinite(value))
-
-
-def _is_integer(value) -> bool:
-    return _is_number(value) and (isinstance(value, int)
-                                  or value.is_integer())
-
-
-def _is_string(value) -> bool:
-    return isinstance(value, str)
-
-
-# what each option must hold, from a flag or from --config alike
-KINDS = {
-    "model": (_is_string, "a string"),
-    "out": (_is_string, "a string"),
-    "strict": (lambda v: isinstance(v, bool), "true or false"),
-    "alpha": (lambda v: isinstance(v, list) and v != []
-              and all(map(_is_finite, v)), "a non-empty list of finite angles"),
-    "window": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-               and all(map(_is_finite, v)), "a pair of finite numbers"),
-    **{key: (_is_finite, "a finite number")
-       for key in ("beta", "kc", "mass", "kmax")},
-    "threshold": (lambda v: _is_finite(v) and v > 0,
-                  "a positive finite number"),
-    **{key: (_is_integer, "an integer") for key in MINIMA},
-}
-# the options each command reads besides model, out and strict; giving any
-# other option, by flag or by --config, is an error, not a no-op
-READS = {
-    "curvature": ("alpha", "beta", "grid", "mass", "kmax"),
-    "exponents": ("beta", "window", "points", "kc"),
-    "correlation": ("alpha", "beta", "grid", "rmax"),
-    "crg": ("grid", "threshold"),
-    "invariant": ("alpha", "beta", "grid"),
-    "phase-diagram": ("grid", "inner-grid"),
-}
-# options that a model does not read, whatever the command
-UNREAD_BY_MODEL = {"walk1d": ("mass", "kmax"),
-                   "walk2d": ("mass", "kmax", "kc"),
-                   "dirac1d": ("alpha", "beta"),
-                   "dirac2d": ("alpha", "beta")}
-
-
-def _defaults(merged: dict, command: str) -> dict:
-    model = merged.get("model", "walk1d")
-    beta_default = np.pi / 2.0 if model == "walk2d" else 0.0
-    out = {
-        "model": model,
-        "alpha": merged.get("alpha", [0.3]),
-        "beta": merged.get("beta", beta_default),
-        "strict": merged.get("strict", False),
-        "out": merged.get("out", "topocrit_%s" % command),
-    }
-    # the other options a command reads are taken only when given
-    out.update((key, merged[key]) for key in READS[command]
-               if key in merged and key not in out)
-    if _is_number(out["alpha"]):
-        out["alpha"] = [float(out["alpha"])]
-    for key, value in out.items():
-        accepts, what = KINDS[key]
-        if not accepts(value):
-            raise ValueError("%s must be %s, got %r" % (key, what, value))
-        if key in MINIMA and value < MINIMA[key]:
-            raise ValueError("%s must be at least %d, got %r"
-                             % (key, MINIMA[key], value))
-    if command == "invariant" and len(out["alpha"]) > 1:
-        raise ValueError("alpha must be a single angle for invariant, got %r"
-                         % (out["alpha"],))
-    if model not in (CURVATURE_MODELS if command == "curvature" else WALKS):
+def _defaults(merged: dict, command: str):
+    """The settings of a run, every option that ``command`` and its model
+    read, given or by default, and its configuration echo: the options
+    given and the defaults of the ``echoed`` ones."""
+    model = merged.get("model", OPTIONS["model"].default)
+    if model not in _models(command):
         raise ValueError("model %r is not available for %s" % (model, command))
     for key, value in merged.items():
-        if key not in ("model", "out", "strict") + READS[command]:
+        if key not in ALWAYS + READS[command]:
             raise ValueError("%s is not read by %s, got %r"
                              % (key, command, value))
         if key in UNREAD_BY_MODEL[model]:
             raise ValueError("%s is not read by %s --model %s, got %r"
                              % (key, command, model, value))
-    return out
+    cfg = {key: merged[key] if key in merged
+           else _default(key, command, model)
+           for key in ALWAYS + READS[command]
+           if key not in UNREAD_BY_MODEL[model]}
+    if _is_number(cfg.get("alpha")):
+        cfg["alpha"] = [float(cfg["alpha"])]
+    for key, value in cfg.items():
+        opt = OPTIONS[key]
+        if not opt.accepts(value):
+            raise ValueError("%s must be %s, got %r" % (key, opt.what, value))
+        if opt.minimum is not None and value < opt.minimum:
+            raise ValueError("%s must be at least %d, got %r"
+                             % (key, opt.minimum, value))
+    if command == "invariant" and len(cfg["alpha"]) > 1:
+        raise ValueError("alpha must be a single angle for invariant, got %r"
+                         % (cfg["alpha"],))
+    echo = {key: value for key, value in cfg.items()
+            if key in merged or OPTIONS[key].echoed}
+    return cfg, echo
 
 
 # the file suffixes that --out may carry; any other dot belongs to the name
@@ -243,14 +277,15 @@ def _outpath(base: str, suffix: str, tag: str = "") -> str:
     return str(p.with_name(stem + tag + suffix))
 
 
-def _per_alpha(cfg: dict):
+def _per_alpha(cfg: dict, echo: dict):
     """Yield (alpha, CSV path, config echo) per --alpha value; a sweep of
-    several values writes one file each, tagged _a0, _a1, ..."""
-    alphas = cfg["alpha"]
+    several values writes one file each, tagged _a0, _a1, ..., and a model
+    that reads no alpha writes one file, with alpha None."""
+    alphas = cfg.get("alpha", [None])
     for idx, alpha in enumerate(alphas):
         tag = "" if len(alphas) == 1 else "_a%d" % idx
         yield (alpha, _outpath(cfg["out"], ".csv", tag),
-               {**cfg, "alpha": alpha})
+               echo if alpha is None else {**echo, "alpha": alpha})
 
 
 def _write_table(cfg: dict, path: str, echo: dict, blocks,
@@ -288,25 +323,20 @@ def _grid_columns(alphas, betas, n_rows=None) -> dict:
             "beta": Indexed(betas, n_rows)}
 
 
-def _curvature_columns(cfg: dict, alpha: float) -> dict:
-    model = cfg["model"]
-    n = int(cfg.get("grid", 1024))
-    beta = float(cfg["beta"])
-    mass = float(cfg.get("mass", 1.0))
-    kmax = float(cfg.get("kmax", 10.0))
-    if model == "walk1d":
+def _curvature_columns(cfg: dict, alpha) -> dict:
+    model, n = cfg["model"], int(cfg["grid"])
+    if model in WALKS:
+        beta = float(cfg["beta"])
+        p = WalkParams(alpha, beta)
         k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         with np.errstate(all="ignore"):
-            f = walk1d._curvature_raw_1d(k, alpha, beta)
-        return {"k": k, "F": f,
-                "E_upper": walk1d.energy_1d(k, WalkParams(alpha, beta))}
-    if model == "walk2d":
-        kx = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        with np.errstate(all="ignore"):
-            f = walk2d._curvature_raw_2d(kx, -kx, alpha, beta)
-        return {"kx": kx, "ky": -kx, "F": f,
-                "E_upper": walk2d.energy_grid_2d(kx, -kx,
-                                                 WalkParams(alpha, beta))}
+            if model == "walk1d":
+                return {"k": k, "F": walk1d._curvature_raw_1d(k, alpha, beta),
+                        "E_upper": walk1d.energy_1d(k, p)}
+            return {"kx": k, "ky": -k,
+                    "F": walk2d._curvature_raw_2d(k, -k, alpha, beta),
+                    "E_upper": walk2d.energy_grid_2d(k, -k, p)}
+    mass, kmax = float(cfg["mass"]), float(cfg["kmax"])
     k = np.linspace(-kmax, kmax, n)
     if model == "dirac1d":
         return {"k": k, "F": geometry.berry_connection_1d(k, mass),
@@ -316,33 +346,30 @@ def _curvature_columns(cfg: dict, alpha: float) -> dict:
             "E_upper": np.sqrt(mass * mass + k * k)}
 
 
-def cmd_curvature(cfg: dict) -> int:
+def cmd_curvature(cfg: dict, echo: dict) -> int:
+    """curvature profile CSV"""
     status = EXIT_OK
-    for alpha, path, echo in _per_alpha(cfg):
+    for alpha, path, alpha_echo in _per_alpha(cfg, echo):
         columns = _curvature_columns(cfg, alpha)
         undefined = ~np.isfinite(columns["F"])
         columns["F"][undefined] = np.nan
         # unary + drops a zero count
         failures = +Counter(ZeroGap=int(undefined.sum()))
-        status = max(status, _write_table(cfg, path, echo, [columns],
+        status = max(status, _write_table(cfg, path, alpha_echo, [columns],
                                           failures))
         if status and cfg["strict"]:
             break
     return status
 
 
-def cmd_exponents(cfg: dict) -> int:
-    window = tuple(cfg.get("window", criticality.DEFAULT_WINDOW))
-    n_points = int(cfg.get("points", criticality.DEFAULT_POINTS))
-    model_name = cfg["model"]
-    model = WALKS[model_name]
-    beta = float(cfg["beta"])
-    if model_name == "walk1d":
-        k_c = float(cfg.get("kc", 0.0))
-    else:
-        k_c = model.slice_peak()
-    fit = criticality.extract_exponents(model, beta, k_c, window=window,
-                                        n_points=n_points)
+def cmd_exponents(cfg: dict, echo: dict) -> int:
+    """critical exponents JSON"""
+    model = WALKS[cfg["model"]]
+    # walk2d reads no kc: its peak is the slice peak
+    k_c = float(cfg["kc"]) if "kc" in cfg else model.slice_peak()
+    fit = criticality.extract_exponents(model, float(cfg["beta"]), k_c,
+                                        window=tuple(cfg["window"]),
+                                        n_points=int(cfg["points"]))
     payload = {
         "alpha_c": fit.alpha_c,
         "gamma": fit.gamma,
@@ -353,24 +380,20 @@ def cmd_exponents(cfg: dict) -> int:
         "dimension": fit.dimension,
     }
     path = _outpath(cfg["out"], ".json")
-    write_json(path, __version__, cfg, payload)
+    write_json(path, __version__, echo, payload)
     print(path)
     return EXIT_OK
 
 
-def cmd_correlation(cfg: dict) -> int:
-    beta = float(cfg["beta"])
-    r_max = int(cfg.get("rmax", 40))
-    if cfg["model"] == "walk1d":
-        n = int(cfg.get("grid", correlation.DEFAULT_N_CORR_1D))
-        transform = correlation.wannier_correlation_1d
-    else:
-        n = int(cfg.get("grid", correlation.DEFAULT_N_CORR_2D))
-        transform = correlation.wannier_correlation_2d
-    for alpha, path, echo in _per_alpha(cfg):
+def cmd_correlation(cfg: dict, echo: dict) -> int:
+    """correlation series CSV"""
+    beta, r_max, n = float(cfg["beta"]), int(cfg["rmax"]), int(cfg["grid"])
+    transform = {"walk1d": correlation.wannier_correlation_1d,
+                 "walk2d": correlation.wannier_correlation_2d}[cfg["model"]]
+    for alpha, path, alpha_echo in _per_alpha(cfg, echo):
         series = transform(WalkParams(alpha, beta), r_max, n)
-        _write_table(cfg, path, echo, [{"R": series.displacements,
-                                        "F_tilde": series.values}],
+        _write_table(cfg, path, alpha_echo, [{"R": series.displacements,
+                                              "F_tilde": series.values}],
                      Counter())
     return EXIT_OK
 
@@ -391,19 +414,20 @@ def _crg_blocks(model, hsp, grid: int, found):
                "diverged": field.diverged.ravel()}
 
 
-def cmd_crg(cfg: dict) -> int:
+def cmd_crg(cfg: dict, echo: dict) -> int:
+    """RG flow field CSV + critical lines JSON"""
     model = WALKS[cfg["model"]]
-    grid = int(cfg.get("grid", crg.DEFAULT_GRID))
-    threshold = float(cfg.get("threshold", crg.DETECT_RATE_THRESHOLD))
+    grid = int(cfg["grid"])
     base = cfg["out"]
     lines = []
     # one high-symmetry point at a time, one block of rows at a time: each
     # block is written and screened for line candidates, and the lines are
     # detected from the candidates once the point's file is written
     for idx, hsp in enumerate(model.hsps()):
-        found = crg.LineCandidates(crg.grid_axes(grid), hsp, threshold)
+        found = crg.LineCandidates(crg.grid_axes(grid), hsp,
+                                   float(cfg["threshold"]))
         _write_table(cfg, _outpath(base, ".csv", "_hsp%d" % idx),
-                     {**cfg, "hsp": list(found.hsp)},
+                     {**echo, "hsp": list(found.hsp)},
                      _crg_blocks(model, hsp, grid, found), Counter())
         lines += crg.detect_critical_lines(found)
         del found
@@ -412,51 +436,45 @@ def cmd_crg(cfg: dict) -> int:
          "vertices": [[float(a), float(b)] for a, b in line.vertices]}
         for line in lines]}
     jpath = _outpath(base, ".json")
-    write_json(jpath, __version__, cfg, payload)
+    write_json(jpath, __version__, echo, payload)
     print(jpath)
     return EXIT_OK
 
 
-def cmd_invariant(cfg: dict) -> int:
-    model_name = cfg["model"]
-    beta = float(cfg["beta"])
-    alpha = cfg["alpha"][0]
-    p = WalkParams(alpha, beta)
-    if model_name == "walk1d":
-        n = int(cfg.get("grid", invariants.DEFAULT_N_WINDING))
-        res = invariants.winding_number_1d(p, n)
+def cmd_invariant(cfg: dict, echo: dict) -> int:
+    """topological invariant JSON"""
+    p = WalkParams(cfg["alpha"][0], float(cfg["beta"]))
+    if cfg["model"] == "walk1d":
+        res = invariants.winding_number_1d(p, int(cfg["grid"]))
     else:
-        n = int(cfg.get("grid", invariants.DEFAULT_N_CHERN))
-        res = invariants.chern_number_2d(p, n)
+        res = invariants.chern_number_2d(p, int(cfg["grid"]))
     payload = {"raw": res.raw, "rounded": res.rounded,
                "defect": res.defect, "N": res.grid}
     path = _outpath(cfg["out"], ".json")
-    write_json(path, __version__, cfg, payload)
+    write_json(path, __version__, echo, payload)
     print(path)
     return EXIT_OK
 
 
-def cmd_phase_diagram(cfg: dict) -> int:
-    grid = int(cfg.get("grid", 33))
+def cmd_phase_diagram(cfg: dict, echo: dict) -> int:
+    """invariant over an angle grid"""
+    grid = int(cfg["grid"])
     axes = np.linspace(-np.pi, np.pi, grid)
     angles = axes.tolist()
     raw = np.full(grid * grid, np.nan)
     rounded = np.full(grid * grid, np.nan)
     failures = Counter()
-    if cfg["model"] == "walk1d":
-        inner = int(cfg.get("inner-grid", 512))
-        kernel = invariants.winding_numbers_1d
-    else:
-        inner = int(cfg.get("inner-grid", 96))
-        kernel = invariants.chern_numbers_2d
-    cells = kernel([WalkParams(a, b) for a in angles for b in angles], inner)
+    kernel = {"walk1d": invariants.winding_numbers_1d,
+              "walk2d": invariants.chern_numbers_2d}[cfg["model"]]
+    cells = kernel([WalkParams(a, b) for a in angles for b in angles],
+                   int(cfg["inner-grid"]))
     for i, res in enumerate(cells):
         if isinstance(res, TopocritError):
             failures[type(res).__name__] += 1
             continue
         raw[i], rounded[i] = res.raw, res.rounded
     columns = {**_grid_columns(axes, axes), "raw": raw, "rounded": rounded}
-    return _write_table(cfg, _outpath(cfg["out"], ".csv"), cfg, [columns],
+    return _write_table(cfg, _outpath(cfg["out"], ".csv"), echo, [columns],
                         failures)
 
 
@@ -474,8 +492,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         merged = _merge_config(args)
-        cfg = _defaults(merged, args.command)
-        return COMMANDS[args.command](cfg)
+        cfg, echo = _defaults(merged, args.command)
+        return COMMANDS[args.command](cfg, echo)
     except (TopocritError, OSError, ValueError, MemoryError) as exc:
         print("error: %s" % (str(exc) or type(exc).__name__),
               file=sys.stderr)

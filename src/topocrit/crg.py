@@ -19,7 +19,6 @@ must reject.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -150,7 +149,6 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None) -> FlowField:
                         (float, float, float, bool, float, float)),
                       start=rows.start)
     k_shift = _shifted_momentum(hsp, np.eye(model.dimension)[0], DEFAULT_DK)
-    shut_i, shut_j = _grid_closed_cells(model, field.hsp, grid)
     # broadcast axes: each model term is evaluated at the length its
     # angle dependence needs, and every block comes out (rows, grid)
     B = axes[None, :]
@@ -165,8 +163,7 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None) -> FlowField:
                         da)
             _flow_ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0,
                         db)
-            inside = (shut_i >= block.start) & (shut_i < block.stop)
-            shut = shut_i[inside] - block.start, shut_j[inside]
+            shut = _closed_cells(model, hsp, axes, block)
             da[shut] = db[shut] = np.nan
             f0[shut] = np.inf
             rate = np.hypot(da, db)
@@ -179,26 +176,14 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None) -> FlowField:
     return field
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_closed_cells(model, hsp: tuple, grid: int):
-    """The read-only :func:`_closed_cells` of the grid at ``hsp``, given as
-    a ``FlowField.hsp`` tuple: searched once per model, HSP and grid, and
-    shared by the calls that evaluate a field one block of rows each."""
-    cells = _closed_cells(model, hsp[0] if len(hsp) == 1 else hsp,
-                          grid_axes(grid))
-    for index in cells:
-        index.flags.writeable = False
-    return cells
-
-
-def _closed_cells(model, hsp, axes):
-    """Index arrays (i, j) of the cells (axes[i], axes[j]) where the gap
-    closes at ``hsp``.
+def _closed_cells(model, hsp, axes, rows):
+    """Index arrays (i - rows.start, j) of the cells (axes[i], axes[j]), i
+    in the range ``rows``, where the gap closes at ``hsp``.
 
     It closes on the line alpha = -b beta (mod 2 pi) of
     ``model.closing_slope(hsp)``, so only the three alpha cells nearest to
-    that line in each beta column are tested, by the model's own gap test:
-    O(grid) cells, not the grid.
+    that line in each beta column are tested, by the model's own gap test,
+    and only those in ``rows``: 3 grid cells over the blocks of a field.
     """
     n = len(axes)
     # the index of alpha = -b beta on the axis -pi + 2 pi i / n
@@ -206,8 +191,10 @@ def _closed_cells(model, hsp, axes):
                              2.0 * np.pi) * (n / (2.0 * np.pi))).astype(int)
     i = (np.repeat(nearest, 3) + np.tile((-1, 0, 1), n)) % n
     j = np.repeat(np.arange(n), 3)
+    inside = (i >= rows.start) & (i < rows.stop)
+    i, j = i[inside], j[inside]
     closed = model.gap_closed(hsp, axes[i], axes[j])
-    return i[closed], j[closed]
+    return i[closed] - rows.start, j[closed]
 
 
 @dataclass
@@ -315,16 +302,15 @@ class LineCandidates:
         return cells[order], np.where(np.isfinite(heights), heights, np.inf)
 
 
-def detect_critical_lines(field,
-                          rate_threshold: float = DETECT_RATE_THRESHOLD):
-    """Extract phase-boundary polylines from a flow field.
+def detect_critical_lines(found: LineCandidates):
+    """Extract phase-boundary polylines from the candidates of one HSP's
+    flow field, gathered by :class:`LineCandidates` (a whole field is one
+    block of it).
 
-    ``field`` is a :class:`FlowField`, screened here at ``rate_threshold``
-    as one block, or the :class:`LineCandidates` of a field screened block
-    by block, at their own threshold.  Candidates are linked into
-    8-connected components on the torus; each component is thinned to one
-    cell per column (or row, for near-vertical lines) at the maximum of the
-    curvature magnitude, which increases monotonically toward the boundary.
+    Candidates are linked into 8-connected components on the torus; each
+    component is thinned to one cell per column (or row, for near-vertical
+    lines) at the maximum of the curvature magnitude, which increases
+    monotonically toward the boundary.
 
     Each component is visited through its bounding box, so one grid pass is
     made per field, not per component.  Beyond the candidates, detection
@@ -335,11 +321,6 @@ def detect_critical_lines(field,
     """
     from scipy import ndimage
 
-    if isinstance(field, FlowField):
-        found = LineCandidates(field.axes, field.hsp, rate_threshold)
-        found.add(field)
-    else:
-        found = field
     if not found.mask.any():
         return []
     lab = _periodic_label(found.mask)

@@ -24,8 +24,8 @@ from topocrit import WalkParams
 from topocrit.correlation import (fit_decay, wannier_correlation_1d,
                                   wannier_correlation_2d)
 from topocrit.criticality import _linearized_fit, extract_exponents, flip_test
-from topocrit.crg import (detect_critical_lines, flow_field, rg_step,
-                          walk_curvature_callback)
+from topocrit.crg import (LineCandidates, detect_critical_lines, flow_field,
+                          rg_step, walk_curvature_callback)
 from topocrit.errors import TopocritError
 from topocrit.geometry import (berry_connection_fd, berry_curvature_fd,
                                lower_band_states)
@@ -453,8 +453,10 @@ def test_criterion_9_crg_boundaries_1d():
     t0 = time.perf_counter()
     lines = []
     for hsp in WALK_1D.hsps():
-        lines += detect_critical_lines(flow_field(WALK_1D, hsp, 128),
-                                       rate_threshold=30.0)
+        field = flow_field(WALK_1D, hsp, 128)
+        found = LineCandidates(field.axes, field.hsp, 30.0)
+        found.add(field)
+        lines += detect_critical_lines(found)
     elapsed = time.perf_counter() - t0
     cell = 2 * np.pi / 128
     ok = bool(lines) and elapsed < 60.0
@@ -482,8 +484,10 @@ def test_criterion_9_crg_boundaries_2d():
     t0 = time.perf_counter()
     lines = []
     for hsp in WALK_2D.hsps():
-        lines += detect_critical_lines(flow_field(WALK_2D, hsp, 128),
-                                       rate_threshold=30.0)
+        field = flow_field(WALK_2D, hsp, 128)
+        found = LineCandidates(field.axes, field.hsp, 30.0)
+        found.add(field)
+        lines += detect_critical_lines(found)
     elapsed = time.perf_counter() - t0
     cell = 2 * np.pi / 128
     ok = bool(lines) and elapsed < 60.0

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 
 import topocrit
 from topocrit import correlation, crg, invariants, walk1d
-from topocrit.cli import (WALKS, _defaults, _grid_columns,
+from topocrit.cli import (READS, WALKS, _defaults, _grid_columns,
                           _merge_config, build_parser, main)
 from topocrit.errors import TopocritError
 from topocrit.models import WALK_1D, WALK_2D
@@ -410,6 +411,14 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["crg", "--threshold", "0"], None, "threshold"),
     (["crg", "--threshold=-5"], None, "threshold"),
     (["crg"], {"threshold": 0.0}, "threshold"),
+    # every command parses every option, so an unread flag is refused by
+    # the check that refuses an unread config key, not by the parser
+    (["curvature", "--window", "0.1,1"], None, "window"),
+    (["exponents", "--mass", "2"], None, "mass"),
+    (["invariant", "--rmax", "3"], None, "rmax"),
+    (["crg", "--inner-grid", "8"], None, "inner-grid"),
+    (["crg", "--model", "dirac1d"], None, "model"),
+    (["phase-diagram"], {"model": "dirac2d"}, "model"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):
@@ -424,6 +433,47 @@ def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         ["cfg.json"] if config is not None else [])
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["crg", "--model", "walk1d", "--grid", "64"], ["grid", "hsp"]),
+    (["phase-diagram", "--model", "walk1d", "--grid", "3", "--inner-grid",
+      "64"], ["grid", "inner-grid"]),
+    (["exponents", "--model", "walk2d", "--points", "10"],
+     ["beta", "points"]),
+    (["curvature", "--model", "dirac1d", "--grid", "16"], ["grid"]),
+], ids=["crg", "phase-diagram", "exponents-walk2d", "curvature-dirac1d"])
+def test_config_echo_holds_only_what_the_command_reads(tmp_path, argv,
+                                                       echoed):
+    # crg and phase-diagram scan their own angles, exponents sweeps alpha
+    # and the Dirac models take no angle: each echoed an alpha of 0.3 (and
+    # a beta) that it never read
+    assert main(argv + ["--out", str(tmp_path / "x")]) in (0, 2)
+    paths = sorted(tmp_path.iterdir())
+    assert len(paths) == (3 if argv[0] == "crg" else 1)
+    for path in paths:
+        if path.suffix == ".json":
+            echo = json.loads(path.read_text())["config"]
+        else:
+            echo = json.loads(read_lines(path)[0].split(" config=", 1)[1])
+        assert sorted(echo) == sorted(["model", "out", "strict"] + [
+            key for key in echoed if key != "hsp" or path.suffix == ".csv"])
+        assert echo.get("beta", np.pi / 2) == np.pi / 2
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_the_options_the_command_reads(capsys, command):
+    # every option is registered on every command; its help and usage show
+    # only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage, options = capsys.readouterr().out.split("\n\n", 1)
+    want = {"--model", "--out", "--config", "--strict"} | {
+        "--" + key for key in READS[command]}
+    flags = re.compile(r"--[a-z][a-z-]*")
+    assert set(flags.findall(usage)) == want
+    assert set(flags.findall(options)) == want | {"--help"}
 
 
 @pytest.mark.parametrize("flag", ["--config", "--out"])
@@ -546,7 +596,8 @@ def test_crg_files_match_the_field_of_every_hsp_at_once(tmp_path, model):
             "--out", str(tmp_path / "run" / "flow")]
     (tmp_path / "run").mkdir()
     assert main(argv) == 0
-    echo = _defaults(_merge_config(build_parser().parse_args(argv)), "crg")
+    _, echo = _defaults(_merge_config(build_parser().parse_args(argv)),
+                        "crg")
     ref = tmp_path / "ref"
     ref.mkdir()
     lines = []
@@ -559,7 +610,10 @@ def test_crg_files_match_the_field_of_every_hsp_at_once(tmp_path, model):
                     "dbeta_dl": field.dbeta.ravel(),
                     "log_rate": field.log_rate.ravel(),
                     "diverged": field.diverged.ravel()}])
-        lines += crg.detect_critical_lines(field)
+        found = crg.LineCandidates(field.axes, field.hsp,
+                                   crg.DETECT_RATE_THRESHOLD)
+        found.add(field)
+        lines += crg.detect_critical_lines(found)
     assert lines
     write_json(ref / "flow.json", topocrit.__version__, echo,
                {"critical_lines": [

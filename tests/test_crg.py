@@ -6,11 +6,12 @@ import pytest
 
 from topocrit import WalkParams, crg
 from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, DEFAULT_RATE_THRESHOLD,
-                          DENOMINATOR_FLOOR, MIN_COMPONENT_CELLS,
-                          NUMERATOR_FLOOR, PEAK_SINGULAR, FlowField,
-                          LineCandidates, _closed_cells, _periodic_label,
-                          detect_critical_lines, flow_field, grid_axes,
-                          rg_step, row_blocks, walk_curvature_callback)
+                          DENOMINATOR_FLOOR, DETECT_RATE_THRESHOLD,
+                          MIN_COMPONENT_CELLS, NUMERATOR_FLOOR, PEAK_SINGULAR,
+                          FlowField, LineCandidates, _closed_cells,
+                          _periodic_label, detect_critical_lines, flow_field,
+                          grid_axes, rg_step, row_blocks,
+                          walk_curvature_callback)
 from topocrit.errors import ZeroGap
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import rotated_curvature_1d
@@ -25,12 +26,18 @@ def wrap(x):
     return np.angle(np.exp(1j * np.asarray(x)))
 
 
+def field_lines(field, rate_threshold=DETECT_RATE_THRESHOLD):
+    """The detected lines of a whole field, screened as one block."""
+    found = LineCandidates(field.axes, field.hsp, rate_threshold)
+    found.add(field)
+    return detect_critical_lines(found)
+
+
 def lines_of(model, grid, rate_threshold=30.0):
     """The detected lines of every HSP of the model, and the grid cell."""
     lines = []
     for hsp in model.hsps():
-        lines += detect_critical_lines(flow_field(model, hsp, grid),
-                                       rate_threshold=rate_threshold)
+        lines += field_lines(flow_field(model, hsp, grid), rate_threshold)
     return lines, 2 * np.pi / grid
 
 
@@ -174,7 +181,7 @@ def _full_grid_field(model, hsp, grid):
         num = model.curvature_raw(k_shift, A, B) - f0
         da = ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B) - f0)
         db = ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0)
-        closed = _closed_cells(model, hsp, axes)
+        closed = _closed_cells(model, hsp, axes, range(grid))
         da[closed] = db[closed] = np.nan
         f0[closed] = np.inf
         rate = np.hypot(da, db)
@@ -206,8 +213,8 @@ def test_flow_field_blocks_bit_equal_to_full_grid(monkeypatch, model, grid,
             assert got.shape == want.shape == (grid, grid)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
-        got = detect_critical_lines(field)
-        want = detect_critical_lines(ref)
+        got = field_lines(field)
+        want = field_lines(ref)
         assert [line.hsp for line in got] == [line.hsp for line in want]
         assert all(a.vertices.tobytes() == b.vertices.tobytes()
                    for a, b in zip(got, want))
@@ -227,7 +234,7 @@ def test_streamed_detection_equals_whole_field_detection(monkeypatch, model,
     assert len(blocks) == -(-grid // block_rows)
     found = 0
     for hsp, field in zip(model.hsps(), fields):
-        want = detect_critical_lines(field)
+        want = field_lines(field)
         for order in (blocks, blocks[::-1]):
             candidates = LineCandidates(grid_axes(grid), hsp)
             for rows in order:
@@ -248,10 +255,8 @@ def test_streamed_detection_equals_whole_field_detection(monkeypatch, model,
 @pytest.mark.parametrize("threshold", [0.0, -5.0, float("nan")])
 def test_detect_rejects_a_threshold_that_is_not_positive(threshold):
     # every cell passes a threshold of 0 or below: one line through every
-    # column
+    # column; detection takes its threshold from the candidates
     field = flow_field(WALK_1D, 0.0, 64)
-    with pytest.raises(ValueError):
-        detect_critical_lines(field, rate_threshold=threshold)
     with pytest.raises(ValueError):
         LineCandidates(field.axes, field.hsp, threshold)
 
@@ -281,8 +286,8 @@ def test_detect_holds_no_grid_sized_temporaries():
     # min_rate, the heights and the int64 torus labels were 2 MB each at
     # 512^2, and detection held about 7 MB beyond the field
     field = flow_field(WALK_2D, WALK_2D.hsps()[0], 512)
-    want = detect_critical_lines(field)
-    lines, peak = _traced_peak(lambda: detect_critical_lines(field))
+    want = field_lines(field)
+    lines, peak = _traced_peak(lambda: field_lines(field))
     assert len(lines) == len(want) == 3
     assert peak < 3 * MB
 
@@ -395,7 +400,8 @@ def test_closing_slope_rejects_other_momenta():
 
 def test_closed_cells_test_three_cells_per_column():
     # the closed-cell search evaluates the gap at O(grid) cells, three per
-    # beta column, never the whole grid
+    # beta column, never the whole grid: each block of rows tests the
+    # candidates inside it, so the blocks of one field test 3 * grid cells
     calls = []
 
     class Counting:
@@ -407,9 +413,15 @@ def test_closed_cells_test_three_cells_per_column():
             return WALK_1D.gap_closed(k, alpha, beta)
 
     axes = np.linspace(-np.pi, np.pi, 512, endpoint=False)
-    i, j = _closed_cells(Counting(), 0.0, axes)
-    assert calls == [3 * 512]
+    blocks = row_blocks(512)
+    assert len(blocks) > 1
+    cells = [_closed_cells(Counting(), 0.0, axes, rows) for rows in blocks]
+    assert sum(calls) == 3 * 512 and len(calls) == len(blocks)
+    i = np.concatenate([i + rows.start for (i, _), rows in zip(cells, blocks)])
+    j = np.concatenate([j for _, j in cells])
     assert len(i) == 512 and sorted(j) == list(range(512))
+    assert np.array_equal(np.sort(i * 512 + j), np.flatnonzero(
+        WALK_1D.gap_closed(0.0, axes[:, None], axes[None, :])))
 
 
 def test_flow_direction_reverses_across_line():
@@ -459,7 +471,7 @@ def _synthetic_field(grid=64):
 
 def test_detect_synthetic_spike_line():
     field = _synthetic_field()
-    lines = detect_critical_lines(field, rate_threshold=50.0)
+    lines = field_lines(field, rate_threshold=50.0)
     assert len(lines) == 1
     a, b = lines[0].vertices[:, 0], lines[0].vertices[:, 1]
     assert np.abs(wrap(a - b)).max() <= 2 * np.pi / 64 + 1e-12
@@ -532,7 +544,7 @@ def test_detect_bounding_boxes_match_full_grid_masks(make_fields, threshold):
     # same components in the same order, and bit-identical vertices
     found = 0
     for field in make_fields():
-        lines = detect_critical_lines(field, rate_threshold=threshold)
+        lines = field_lines(field, rate_threshold=threshold)
         want = _full_grid_lines(field, threshold)
         assert [line.hsp for line in lines] == [key for key, _ in want]
         for line, (_, verts) in zip(lines, want):

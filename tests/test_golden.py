@@ -77,23 +77,23 @@ HASHES = {
     },
     "curvature-dirac1d": {
         "out.csv":
-            "86e5725cf87981e14e7ff35e7b36d405dcc42f65207731b99ddf1b6f604880ba",
+            "10d4f3ba177d14771c0d7643823ccc2bb24cf937dc54b3a145c6ac1bb439cab0",
     },
     "curvature-dirac2d": {
         "out.csv":
-            "0908debf9eeddf422dfe7b6d8d0ac810e610fc402e582f3dae8e85d5dd900b9f",
+            "22f97d7d6742ae1e6dd65a8d44024be0760f871485013f40b84a518e4dbc5a84",
     },
     "exponents-walk1d-b0": {
         "out.json":
-            "96d92d61619bdef2c7e8df71b788c7b4bb3a1dd818e4a28714d5a4f9b4781dc5",
+            "0ce06a18e72a546b24b665be7bcf7891a4903b4ad24612bdc30279ce91776d60",
     },
     "exponents-walk1d-b0.3": {
         "out.json":
-            "65e0ccc9f54421015586f2c919154c6e9d3e78bab87d4c32d775ebbdbae66bd1",
+            "2687c468dae3248e34070084040806ee3ee3616d4cf4813cb6d078639e2ee917",
     },
     "exponents-walk2d": {
         "out.json":
-            "81a271b691089ec07e2f69274459cfeee674ff2836246f29d76c370bf57eceaf",
+            "9cdc72ddcccabdefd9fa3f145b0372c10cb6f0adfb2346b240fe9506caf02bd4",
     },
     "correlation-walk1d": {
         "out.csv":
@@ -117,51 +117,51 @@ HASHES = {
     },
     "crg-walk1d": {
         "out.json":
-            "5cc48538f4267492e713d5ff55757c564ed7138b62726a5a840bd016fdc99e2f",
+            "c1c925eaec647f6826f2ce0c11536c3e6711126eefefb9dfef49dcd2003ac3e1",
         "out_hsp0.csv":
-            "ddd32192b75b1c911d56b120ad6c943c6888dae168cd864e1a6fe3e108104599",
+            "6c429ba631a6c3c03ea333cb729362016279987b66912c2fd7f1a16426e8247d",
         "out_hsp1.csv":
-            "83158793da10a262d09aa90ca47d5ddd178ae577f49c65c3bb38c7d4ce6ac397",
+            "38f298bf3bf036920b3a7212191c329a6deb9e88774f99297f2f7b9b21da7092",
     },
     "crg-walk2d": {
         "out.json":
-            "ea10e5685255aaf2ea654ccccc5b7e1bd35a640871fd525026551b885e74439d",
+            "35c866310680435d05a61c7aad2a2470fc216df426e1f392f7941e97fe5440b9",
         "out_hsp0.csv":
-            "9bf278d1a9c26a8ec826f69fcf8eb0ceeebf9983072e7bbdcd593fd1f130d4fd",
+            "f33a871a7234d04824f269fb86e8e92ecbc6eca2603c65d5e48ebcc0b052c8f6",
         "out_hsp1.csv":
-            "c8dd798283f35750886d57bc09a1660cca7905310b0530f682ff8d4109736b00",
+            "ed933c0e62d589ade7625b4c56997491d790eefbf12eed38739f41039b881537",
         "out_hsp2.csv":
-            "ceb1175ed338e6622385ed93191cc4d432a71aa1132219e565180c17437126a4",
+            "be04741d353a6716dff1904528bfda139c5af19a54f34b757c0062d2dbc791bc",
         "out_hsp3.csv":
-            "d23fd4335f4323b8f6cc944907f516367f1d47b211cf249d7e014c9bb50147c0",
+            "566214782b13722257048a160fe9ba374ddb9217a0428b0e325b5f4e9e806756",
     },
     "crg-walk1d-100": {
         "out.json":
-            "5ad6263be224596e485f69eb5866fd24c4d99ca43c59a32900a6acbdef7b1e78",
+            "ccb96df46c20a1c34ac2d9712f87bf8d3361bd635d5b17e266b9e84bcc683260",
         "out_hsp0.csv":
-            "e7f8b8311db36608697f14d900bd600c5a2f149835f2bcfa9667eca5867eaa20",
+            "0bd294b788921fc45c27981d1dbdff4829b83db0e48030d51e7517be45efdaa7",
         "out_hsp1.csv":
-            "b57741ac7864270e98df9f450e7b5d006ac5a74c2e90ddec219f5fdb554393e9",
+            "8662502632b92c0e391155c2556b34a62400a9d4125adff6c9102ab5c562155e",
     },
     "crg-walk2d-100": {
         "out.json":
-            "1929df3e281acf7b55031ad5b3e768fa61dcbb734400e534eec8341eb51c3260",
+            "ab5ac9e196b148883d8cf3458b7fd1714ced0cb1759b39222f032585fcdde38b",
         "out_hsp0.csv":
-            "0d3544819b014f7edd3434d7ff9a73d3cd77db1395c67c30dbf897b58baf6cba",
+            "98b7ff95a58ceba86f1256044cd7ae8111290ea7f5d7e0a23a9e0352f4687880",
         "out_hsp1.csv":
-            "b78db132b12d88320481e2826bc31b7b7138eae9cb12b951ca75fa04c6a1fbd4",
+            "bcf0d9fbc7c33c475aaffbae8201bbd279754d47901b595911385a8fdfca718d",
         "out_hsp2.csv":
-            "6d7c81c9b0a8afa5fda95a5b18b7a10d112d2671140696312aa2690a168b0dc2",
+            "a50e553a2f94ae69453d243cebbc36b366ebd3c8c0df04579ee4246b86635046",
         "out_hsp3.csv":
-            "c00318cfb1c49652afb4159cd097deeadb6d87ee0798ec574f1bbd653a4cd866",
+            "be83904a04cea257b2f7dd66d2daa8d3e25b4bb30ae8fb71ee0fee33f66f78a4",
     },
     "phase-diagram-walk1d": {
         "out.csv":
-            "cab69fa659591ef8cfebac84dda85a14379fd4682c8220c5be3f00665cb8cd54",
+            "59dabe0d6ea2beb19fcef0e3142e9c7dd5a23258106ad96ce1876db45e2b6879",
     },
     "phase-diagram-walk2d": {
         "out.csv":
-            "e82470dd28b29b7fbe164fc6797f9b5085fca856129d5eb58c9eaff3ea2990f6",
+            "314048bed235cc5b8e21f902eeaa5af76fef4a0171f152c6592fd5d2b2848eb0",
     },
 }
 
