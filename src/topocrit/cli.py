@@ -19,6 +19,7 @@ declared once, in ``OPTIONS``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -189,7 +190,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: it registers
+    every option on every command, and main parses each call with it."""
     ap = _Parser(
         prog="topocrit",
         description="Curvature-function criticality toolkit for two-band "
@@ -460,19 +464,15 @@ def cmd_phase_diagram(cfg: dict, echo: dict) -> int:
     """invariant over an angle grid"""
     grid = int(cfg["grid"])
     axes = np.linspace(-np.pi, np.pi, grid)
-    angles = axes.tolist()
-    raw = np.full(grid * grid, np.nan)
-    rounded = np.full(grid * grid, np.nan)
-    failures = Counter()
     kernel = {"walk1d": invariants.winding_numbers_1d,
               "walk2d": invariants.chern_numbers_2d}[cfg["model"]]
-    cells = kernel([WalkParams(a, b) for a in angles for b in angles],
-                   int(cfg["inner-grid"]))
-    for i, res in enumerate(cells):
-        if isinstance(res, TopocritError):
-            failures[type(res).__name__] += 1
-            continue
-        raw[i], rounded[i] = res.raw, res.rounded
+    # row-major cells: alpha = axes[i // grid], beta = axes[i % grid]
+    raw, failed = kernel(np.repeat(axes, grid), np.tile(axes, grid),
+                         int(cfg["inner-grid"]))
+    failures = Counter(type(exc).__name__ for exc in failed.values())
+    # + 0.0 writes the -0.0 that rint gives a raw just below zero as the 0
+    # of InvariantResult.rounded; NaN cells stay NaN
+    rounded = np.rint(raw) + 0.0
     columns = {**_grid_columns(axes, axes), "raw": raw, "rounded": rounded}
     return _write_table(cfg, _outpath(cfg["out"], ".csv"), echo, [columns],
                         failures)

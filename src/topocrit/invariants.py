@@ -1,11 +1,12 @@
 """Topological invariants by Brillouin-zone integration.
 
 The 1D winding number integrates the curvature function over dk/(2 pi).
-Many walks (a phase diagram) are evaluated per call, as one array
-expression per block of cells, against a memoized table of the momentum
-trig terms; a single cell is a block of one.  The parameter
-coefficients are still evaluated per cell, as numpy scalars, so every raw
-integral keeps the bits of the one-cell closed-form route.
+Many walks (a phase diagram, given as arrays of alpha and beta) are
+evaluated per call, as one array expression per block of cells, against a
+memoized table of the momentum trig terms; a single cell is a call of one.
+The parameter coefficients of every cell are evaluated in one pass over
+Python floats, which square through libm pow as numpy scalars do, so every
+raw integral keeps the bits of the one-cell closed-form route.
 
 The 2D invariant integrates the mapping-degree density of the Bloch axis
 over d^2k/(4 pi) and is cross-checked against a gauge-invariant plaquette
@@ -37,8 +38,8 @@ import numpy as np
 
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
 from .geometry import GAUGE_SWITCH
-from .walk1d import (WalkParams, _curvature_coeffs_1d, _curvature_terms_1d,
-                     _half_angles, _zeta_terms_1d)
+from .walk1d import (WalkParams, _angle_halves, _curvature_coeffs_1d,
+                     _curvature_terms_1d, _zeta_terms_1d)
 from .walk2d import _zeta_phi_2d, beta_table_2d, trig_table_2d
 
 DEFAULT_N_WINDING = 4096
@@ -64,9 +65,13 @@ def _quantize(raw: float, grid: int) -> InvariantResult:
     rounded = int(np.rint(raw))
     defect = abs(raw - rounded)
     if defect >= DEFECT_LIMIT:
-        raise QuantizationFailure("integral %.6f is %.2e from an integer"
-                                  % (raw, defect))
+        raise _quantization_failure(raw, defect)
     return InvariantResult(float(raw), rounded, float(defect), grid)
+
+
+def _quantization_failure(raw: float, defect: float) -> QuantizationFailure:
+    return QuantizationFailure("integral %.6f is %.2e from an integer"
+                               % (raw, defect))
 
 
 def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> InvariantResult:
@@ -78,18 +83,19 @@ def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> Invaria
         ZeroGap: the spectrum closes somewhere on the grid.
         QuantizationFailure: the integral does not round cleanly.
     """
-    return _one_cell(winding_numbers_1d([p], n_grid))
+    return _one_cell(*winding_numbers_1d([p.alpha], [p.beta], n_grid),
+                     n_grid)
 
 
-def _one_cell(results) -> InvariantResult:
-    """The one entry of a kernel's ``results``: returned if it is an
-    InvariantResult, raised if it is an exception."""
-    result, = results
+def _one_cell(raw, failed: dict, n_grid: int) -> InvariantResult:
+    """The result of a kernel's one cell: its InvariantResult, or its
+    failure raised."""
+    if not failed:
+        return _quantize(float(raw[0]), n_grid)
+    result, = failed.values()
     # a raised result's traceback holds this frame; dropping both locals
     # that refer to it breaks the exception -> frame -> exception cycle
-    del results
-    if isinstance(result, InvariantResult):
-        return result
+    del failed
     try:
         raise result
     finally:
@@ -107,46 +113,48 @@ def _circle_trig(n_grid: int):
     return table
 
 
-def winding_numbers_1d(params, n_grid: int = DEFAULT_N_WINDING) -> list:
-    """``winding_number_1d`` of each walk in ``params``, evaluated together.
+def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
+    """``winding_number_1d`` of the walks (alpha[i], beta[i]), evaluated
+    together.
 
-    Returns one entry per walk: its InvariantResult, or the ZeroGap or
-    QuantizationFailure that ``winding_number_1d`` raises for it.  The cells
-    are evaluated in blocks of at most WINDING_BLOCK_POINTS (cell, momentum)
-    points, so memory does not grow with the number of cells.
+    Returns (raw, failed): the raw integral of every cell, NaN where it
+    failed, and a dict from the index of each failed cell, in cell order, to
+    the ZeroGap or QuantizationFailure that ``winding_number_1d`` raises for
+    it.  The integrals are evaluated in blocks of at most
+    WINDING_BLOCK_POINTS (cell, momentum) points, so memory grows with the
+    number of cells only by the per-cell coefficients.
     """
-    params = list(params)
-    step = max(1, WINDING_BLOCK_POINTS // n_grid)
-    results = []
-    for start in range(0, len(params), step):
-        results += _winding_block(params[start:start + step], n_grid)
-    return results
-
-
-def _winding_block(params, n_grid: int) -> list:
+    halves = np.array(_angle_halves(np.asarray(alpha, dtype=float),
+                                    np.asarray(beta, dtype=float)))
+    # on Python floats, as on the one-cell route's numpy scalars, x ** 2
+    # goes through libm pow; a float64 array squares as x * x, which may
+    # differ in the last bit
+    coeffs = np.array(_curvature_coeffs_1d(halves.astype(object)),
+                      dtype=float)
     sin_k, cos_k, sin2_k, cos2_k = _circle_trig(n_grid)
-    halves = [_half_angles(p) for p in params]
-    # per-cell scalar coefficients keep the bits of the one-cell route
-    coeffs = np.array([_curvature_coeffs_1d(h) for h in halves]).T[:, :, None]
-    h = np.array(halves).T[:, :, None]
-    zx, zy, zz, _ = _zeta_terms_1d(h, sin_k, cos_k)
-    # rotated_curvature_1d's rotated-frame norm, kap_a^2 sin^2 k + zeta_y^2,
-    # equals |zeta|^2 (kap_b^2 + lam_b^2 = 1), so this check also covers its
-    # GAP_FLOOR^2 bound
-    closed = np.min(zx * zx + zy * zy + zz * zz, axis=1) < GAP_TOL ** 2
-    f = _curvature_terms_1d(coeffs[:, ~closed], cos_k, sin2_k, cos2_k)
-    raws = iter((np.sum(f, axis=1) / n_grid).tolist())
-    results = []
-    for zeta_closed in closed.tolist():
-        if zeta_closed:
-            results.append(ZeroGap("gap closed on the integration grid"))
-        else:
-            try:
-                results.append(_quantize(next(raws), n_grid))
-            except QuantizationFailure as exc:
-                # a kept traceback would hold this block's arrays alive
-                results.append(exc.with_traceback(None))
-    return results
+    cells = halves.shape[1]
+    closed = np.empty(cells, dtype=bool)
+    raw = np.full(cells, np.nan)
+    step = max(1, WINDING_BLOCK_POINTS // n_grid)
+    for start in range(0, cells, step):
+        block = slice(start, start + step)
+        zx, zy, zz, _ = _zeta_terms_1d(halves[:, block, None], sin_k, cos_k)
+        # rotated_curvature_1d's rotated-frame norm, kap_a^2 sin^2 k +
+        # zeta_y^2, equals |zeta|^2 (kap_b^2 + lam_b^2 = 1), so this check
+        # also covers its GAP_FLOOR^2 bound
+        shut = np.min(zx * zx + zy * zy + zz * zz, axis=1) < GAP_TOL ** 2
+        closed[block] = shut
+        f = _curvature_terms_1d(coeffs[:, block][:, ~shut, None], cos_k,
+                                sin2_k, cos2_k)
+        raw[block][~shut] = np.sum(f, axis=1) / n_grid
+    defect = np.abs(raw - np.rint(raw))
+    failed = {}
+    for i in np.flatnonzero(closed | (defect >= DEFECT_LIMIT)).tolist():
+        failed[i] = (ZeroGap("gap closed on the integration grid")
+                     if closed[i]
+                     else _quantization_failure(raw[i], defect[i]))
+    raw[list(failed)] = np.nan
+    return raw, failed
 
 
 @lru_cache(maxsize=4)
@@ -197,17 +205,19 @@ class _TorusWork:
         (self.up, self.dn, self.cup, self.cdn, self.shifted, self.ux,
          self.uy) = (np.empty(shape, complex) for _ in range(7))
 
-    def beta_stage(self, p: WalkParams):
-        """The beta-only products of ``p``'s beta on the torus table."""
-        _, _, kb, lb = _half_angles(p)
+    def beta_stage(self, beta: float):
+        """The beta-only products of the angle ``beta`` on the torus
+        table."""
+        _, _, kb, lb = _angle_halves(0.0, beta)
         return beta_table_2d(self.table, kb, lb)
 
-    def zeta(self, p: WalkParams, beta):
-        """One zeta/phi evaluation, gap-checked; returns (zeta, phi).
-
-        ``beta`` is ``beta_stage`` of a walk with the bits of ``p.beta``.
+    def zeta(self, alpha: float, beta: float, stage):
+        """One zeta/phi evaluation of the walk (alpha, beta), gap-checked;
+        returns (zeta, phi).  ``stage`` is ``beta_stage`` of the bits of
+        ``beta``.
         """
-        zx, zy, zz, phi = _zeta_phi_2d(self.table, *_half_angles(p), beta)
+        zx, zy, zz, phi = _zeta_phi_2d(self.table,
+                                       *_angle_halves(alpha, beta), stage)
         zeta = (zx, zy, zz)
         if self.norm2(zeta) < GAP_TOL ** 2:
             raise ZeroGap("gap closed on the integration grid")
@@ -302,43 +312,47 @@ class _TorusWork:
         np.multiply(self.cdn, s, out=s)
         np.add(out, s, out=out)
 
-    def chern(self, p: WalkParams, beta) -> InvariantResult:
-        """``chern_number_2d`` of one walk on these work arrays, with the
-        ``beta_stage`` of its beta."""
-        zeta, phi = self.zeta(p, beta)
-        result = _quantize(self.integral(phi), self.n_grid)
-        oracle = _quantize(self.plaquette(zeta), self.n_grid)
-        if oracle.rounded != result.rounded:
+    def chern(self, alpha: float, beta: float, stage) -> float:
+        """The raw integral of ``chern_number_2d`` of the walk (alpha,
+        beta) on these work arrays, with the ``beta_stage`` of its beta."""
+        zeta, phi = self.zeta(alpha, beta, stage)
+        raw = self.integral(phi)
+        rounded = _quantize(raw, self.n_grid).rounded
+        oracle = _quantize(self.plaquette(zeta), self.n_grid).rounded
+        if oracle != rounded:
             raise OracleMismatch("integral gives %d but plaquette oracle "
-                                 "gives %d" % (result.rounded, oracle.rounded))
-        return result
+                                 "gives %d" % (rounded, oracle))
+        return raw
 
 
-def chern_numbers_2d(params, n_grid: int = DEFAULT_N_CHERN) -> list:
-    """``chern_number_2d`` of each walk in ``params``, on one set of work
-    arrays.
+def chern_numbers_2d(alpha, beta, n_grid: int = DEFAULT_N_CHERN):
+    """``chern_number_2d`` of the walks (alpha[i], beta[i]), on one set of
+    work arrays.
 
     The walks are grouped by the bits of beta (0.0 and -0.0 apart), and the
     beta-only products of the closed forms are evaluated once per group.
-    Returns one entry per walk, in the order of ``params``: its
-    InvariantResult, or the ZeroGap, QuantizationFailure or OracleMismatch
-    that ``chern_number_2d`` raises for it.
+    Returns (raw, failed) as ``winding_numbers_1d`` does: the raw integral
+    of every cell, NaN where it failed, and a dict from the index of each
+    failed cell, in cell order, to the ZeroGap, QuantizationFailure or
+    OracleMismatch that ``chern_number_2d`` raises for it.
     """
-    params = list(params)
+    alphas = np.asarray(alpha, dtype=float).tolist()
+    betas = np.asarray(beta, dtype=float).tolist()
     groups = {}
-    for i, p in enumerate(params):
-        groups.setdefault(float(p.beta).hex(), []).append(i)
+    for i, b in enumerate(betas):
+        groups.setdefault(b.hex(), []).append(i)
     work = _TorusWork(n_grid)
-    results = [None] * len(params)
+    raw = np.full(len(betas), np.nan)
+    failed = {}
     for cells in groups.values():
-        beta = work.beta_stage(params[cells[0]])
+        stage = work.beta_stage(betas[cells[0]])
         for i in cells:
             try:
-                results[i] = work.chern(params[i], beta)
+                raw[i] = work.chern(alphas[i], betas[i], stage)
             except (ZeroGap, QuantizationFailure, OracleMismatch) as exc:
                 # a kept traceback would hold the work arrays alive
-                results[i] = exc.with_traceback(None)
-    return results
+                failed[i] = exc.with_traceback(None)
+    return raw, dict(sorted(failed.items()))
 
 
 def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantResult:
@@ -352,7 +366,8 @@ def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
     Raises:
         ZeroGap, QuantizationFailure, OracleMismatch.
     """
-    return _one_cell(chern_numbers_2d([p], n_grid))
+    return _one_cell(*chern_numbers_2d([p.alpha], [p.beta], n_grid),
+                     n_grid)
 
 
 def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantResult:
@@ -362,7 +377,7 @@ def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
     through link variables, never the curvature function.
     """
     work = _TorusWork(n_grid)
-    zeta, _ = work.zeta(p, work.beta_stage(p))
+    zeta, _ = work.zeta(p.alpha, p.beta, work.beta_stage(p.beta))
     return _quantize(work.plaquette(zeta), n_grid)
 
 

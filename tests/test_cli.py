@@ -348,6 +348,19 @@ def test_curvature_nan_rows_name_zero_gap(tmp_path, capsys):
     assert "ZeroGap" in capsys.readouterr().err
 
 
+def test_phase_diagram_rounds_a_raw_below_zero_to_0(tmp_path):
+    # cells on the alpha = -pi row integrate to about -1e-32; the rounded
+    # column writes the 0 of InvariantResult.rounded, never -0
+    out = tmp_path / "pd.csv"
+    assert main(["phase-diagram", "--model", "walk1d", "--grid", "17",
+                 "--inner-grid", "64", "--out", str(out)]) == 2
+    rows = [line.split(",") for line in read_lines(out)[2:]]
+    tiny = [r for r in rows if r[2] != "nan" and -1e-20 < float(r[2]) < 0]
+    assert tiny
+    assert {r[3] for r in tiny} == {"0"}
+    assert "-0" not in {r[3] for r in rows}
+
+
 def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     out = tmp_path / "pd.csv"
     rc = main(["phase-diagram", "--model", "walk1d", "--grid", "9",
@@ -532,6 +545,51 @@ def test_help_and_version_exit_0(capsys, flag):
         main([flag])
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+# a refused flag, then every command, small enough to run in a second
+ONE_PROCESS_CALLS = [
+    ["crg", "--mass", "2"],
+    ["curvature", "--model", "walk2d", "--grid", "16"],
+    ["exponents", "--points", "10"],
+    ["correlation", "--rmax", "4", "--grid", "64"],
+    ["crg", "--model", "walk1d", "--grid", "64"],
+    ["invariant", "--model", "walk2d", "--grid", "96"],
+    ["phase-diagram", "--grid", "5", "--inner-grid", "8"],
+    ["invariant", "--alpha=0.3,0.9"],
+]
+
+
+def _run_calls(tmp_path, capsys, fresh_parser):
+    """(exit code, stdout, stderr) of each of ONE_PROCESS_CALLS, made in
+    ``tmp_path``, and the bytes of every file they wrote."""
+    os.chdir(tmp_path)
+    seen = []
+    for idx, argv in enumerate(ONE_PROCESS_CALLS):
+        if fresh_parser:
+            build_parser.cache_clear()
+        code = main(argv + ["--out", "run%d" % idx])
+        seen.append((code, *capsys.readouterr()))
+    files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    return seen, files
+
+
+def test_one_process_runs_every_command_as_separate_calls(tmp_path, capsys,
+                                                          monkeypatch):
+    # the parser built once serves a refused flag and then every command
+    # as a parser built for each call does
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "once").mkdir()
+    (tmp_path / "each").mkdir()
+    once = _run_calls(tmp_path / "once", capsys, fresh_parser=False)
+    each = _run_calls(tmp_path / "each", capsys, fresh_parser=True)
+    assert once == each
+    codes = [code for code, _, _ in once[0]]
+    assert codes == [1, 0, 0, 0, 0, 0, 2, 1]
 
 
 def test_benchmark_commands_are_valid(monkeypatch):

@@ -11,7 +11,9 @@ from topocrit.invariants import (GAP_TOL, WINDING_BLOCK_POINTS,
                                  chern_numbers_2d, chern_plaquette,
                                  winding_number_1d, winding_numbers_1d)
 from topocrit.geometry import GAP_FLOOR
-from topocrit.walk1d import _half_angles, _zeta_terms_1d, rotated_curvature_1d
+from topocrit.walk1d import (_angle_halves, _curvature_coeffs_1d,
+                             _half_angles, _zeta_terms_1d,
+                             rotated_curvature_1d)
 from topocrit.walk2d import (_curvature_raw_2d, _zeta_phi_2d,
                              curvature_grid_2d, zeta_components_2d)
 
@@ -74,6 +76,28 @@ def _one_cell(p, n):
         return exc
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def assert_cells_match_one_cell_calls(raw, failed, refs):
+    """A kernel's (raw, failed) against the one-cell results or errors
+    ``refs``: the same kinds and messages, and for every defined cell the
+    raw bits and the rounded value and defect that the CLI derives."""
+    assert raw.shape == (len(refs),)
+    assert list(failed) == sorted(failed)
+    for i, ref in enumerate(refs):
+        if isinstance(ref, Exception):
+            assert type(failed[i]) is type(ref)
+            assert str(failed[i]) == str(ref)
+            assert np.isnan(raw[i])
+        else:
+            assert i not in failed
+            assert _bits(raw[i]) == _bits(ref.raw)
+            assert _bits(np.rint(raw[i]) + 0.0) == _bits(float(ref.rounded))
+            assert abs(raw[i] - np.rint(raw[i])) == ref.defect
+
+
 @pytest.mark.parametrize("n, want", [
     (8, {"InvariantResult", "ZeroGap", "QuantizationFailure"}),
     (600, {"InvariantResult", "ZeroGap"}),
@@ -84,20 +108,30 @@ def test_winding_row_matches_one_cell_calls(n, want):
     # the gap on the grid and inner grid 8 is too coarse to quantize; at
     # the larger inner grids the row spans several blocks, at 600 with a
     # partial last block
-    axes = np.linspace(-np.pi, np.pi, 40).tolist()
-    row = [WalkParams(axes[25], b) for b in axes]
+    axes = np.linspace(-np.pi, np.pi, 40)
     if n > 8:
-        assert len(row) * n > 2 * WINDING_BLOCK_POINTS
-    got = winding_numbers_1d(row, n)
-    assert len(got) == len(row)
-    assert {type(r).__name__ for r in got} == want
-    for p, res in zip(row, got):
-        ref = _one_cell(p, n)
-        assert type(res) is type(ref)
-        if not isinstance(ref, Exception):
-            assert res.raw == ref.raw
-            assert (res.rounded, res.defect, res.grid) == (
-                ref.rounded, ref.defect, ref.grid)
+        assert axes.size * n > 2 * WINDING_BLOCK_POINTS
+    raw, failed = winding_numbers_1d(np.full(axes.size, axes[25]), axes, n)
+    refs = [_one_cell(WalkParams(axes[25], b), n) for b in axes.tolist()]
+    assert {type(r).__name__ for r in refs} == want
+    assert_cells_match_one_cell_calls(raw, failed, refs)
+
+
+def test_winding_coefficients_keep_the_scalar_bits():
+    # the kernel evaluates the closed form's coefficients of every cell in
+    # one pass over object arrays of the half angles, which array cos/sin
+    # give with the bits of the scalar calls; each coefficient must keep
+    # the bits of the one-cell route's numpy scalars, whose squares go
+    # through libm pow (a float64 array squares as x * x and differs)
+    axes = np.linspace(-np.pi, np.pi, 129)
+    alpha, beta = np.repeat(axes, axes.size), np.tile(axes, axes.size)
+    halves = np.array(_angle_halves(alpha, beta))
+    scalar = [_half_angles(WalkParams(a, b))
+              for a, b in zip(alpha.tolist(), beta.tolist())]
+    assert np.array_equal(_bits(halves), _bits(np.array(scalar).T))
+    got = np.array(_curvature_coeffs_1d(halves.astype(object)), dtype=float)
+    want = np.array([_curvature_coeffs_1d(h) for h in scalar]).T
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_winding_failures_leave_no_reference_cycles():
@@ -306,19 +340,19 @@ def test_chern_row_matches_one_cell_calls(n):
     # two alpha rows of the 33 x 33 phase diagram: at inner grid 96 the
     # first has ZeroGap cells and the second QuantizationFailure cells; at
     # the odd full zone 97 the first row has both
-    axes = np.linspace(-np.pi, np.pi, 33).tolist()
+    axes = np.linspace(-np.pi, np.pi, 33)
     kinds = set()
     for a in (axes[12], axes[13]):
-        row = [WalkParams(a, b) for b in axes]
-        got = chern_numbers_2d(row, n)
-        assert len(got) == len(row)
-        for p, res in zip(row, got):
-            kinds.add(type(res).__name__)
-            one = result_or_error(chern_number_2d, p, n)
+        raw, failed = chern_numbers_2d(np.full(axes.size, a), axes, n)
+        row = [WalkParams(a, b) for b in axes.tolist()]
+        ones = [result_or_error(chern_number_2d, p, n) for p in row]
+        assert_cells_match_one_cell_calls(raw, failed, ones)
+        for p, one in zip(row, ones):
+            kinds.add(type(one).__name__)
             ref = result_or_error(reference_chern, p, n, torus_reference)
-            assert type(res) is type(one) is type(ref)
+            assert type(one) is type(ref)
             if isinstance(ref, InvariantResult):
-                assert res == one == ref  # raw bit-equal
+                assert one == ref  # raw bit-equal
             if isinstance(ref, ZeroGap):
                 continue
             # the oracle's scaled states against normalized ones
@@ -338,9 +372,10 @@ def test_chern_failures_leave_no_reference_cycles():
     gc.disable()
     try:
         row = [WalkParams(0.0, 0.5), WalkParams(0.05, 0.5)]
-        got = chern_numbers_2d(row, 96)
-        assert [type(r) for r in got] == [ZeroGap, QuantizationFailure]
-        del got
+        raw, failed = chern_numbers_2d([0.0, 0.05], [0.5, 0.5], 96)
+        assert [type(r) for r in failed.values()] == [ZeroGap,
+                                                      QuantizationFailure]
+        del failed
         for p in row:
             with pytest.raises((ZeroGap, QuantizationFailure)):
                 chern_number_2d(p, 96)
@@ -365,10 +400,6 @@ GROUPED_CELLS = [(a, b) for a in (0.3, -1.1, 2.2, 0.9)
 ]
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
-
-
 @pytest.mark.parametrize("n, kinds", [
     (96, {"InvariantResult", "ZeroGap", "QuantizationFailure"}),
     (97, {"InvariantResult", "QuantizationFailure"}),
@@ -378,24 +409,25 @@ def test_chern_beta_groups_keep_the_bits(n, kinds, monkeypatch):
     staged = []
     beta_stage = _TorusWork.beta_stage
 
-    def spy(self, p):
-        staged.append(float(p.beta).hex())
-        return beta_stage(self, p)
+    def spy(self, beta):
+        staged.append(float(beta).hex())
+        return beta_stage(self, beta)
 
     monkeypatch.setattr(_TorusWork, "beta_stage", spy)
-    got = chern_numbers_2d(cells, n)
+    raw, failed = chern_numbers_2d(*zip(*GROUPED_CELLS), n)
     # one beta stage per bit pattern of beta, with 0.0 and -0.0 apart
     betas = {float(p.beta).hex() for p in cells}
     assert {"0x0.0p+0", "-0x0.0p+0"} <= betas
     assert sorted(staged) == sorted(betas)
-    assert len(got) == len(cells)
-    assert {type(res).__name__ for res in got} == kinds
-    for p, res in zip(cells, got):
+    ones = [result_or_error(chern_number_2d, p, n) for p in cells]
+    assert_cells_match_one_cell_calls(raw, failed, ones)
+    assert {type(one).__name__ for one in ones} == kinds
+    for p, one in zip(cells, ones):
         ref = result_or_error(reference_chern, p, n, torus_reference)
-        assert type(res) is type(ref)
+        assert type(one) is type(ref)
         if isinstance(ref, InvariantResult):
-            assert _bits(res.raw) == _bits(ref.raw)  # the sign of zero too
-            assert res == ref
+            assert _bits(one.raw) == _bits(ref.raw)  # the sign of zero too
+            assert one == ref
 
 
 @pytest.mark.parametrize("n", [96, 97])
@@ -409,7 +441,7 @@ def test_zeta_phi_bits_match_single_expressions(n):
         p = WalkParams(a, b)
         want = single_expression_zeta_phi(kx, ky, *_half_angles(p))
         staged = _zeta_phi_2d(work.table, *_half_angles(p),
-                              work.beta_stage(p))
+                              work.beta_stage(p.beta))
         per_call = (*zeta_components_2d(kx, ky, p), phi_2d(kx, ky, p))
         for w, s, r in zip(want, staged, per_call):
             assert np.array_equal(_bits(s), _bits(w))
@@ -424,7 +456,7 @@ def test_oracle_plaquette_phases_match_normalized_states(n):
     work = _TorusWork(n)
     for a, b in GAPPED_POINTS:
         p = WalkParams(a, b)
-        zeta, _ = work.zeta(p, work.beta_stage(p))
+        zeta, _ = work.zeta(a, b, work.beta_stage(b))
         want = normalized_state_phases(zeta)
         np.testing.assert_allclose(work.plaquette_phases(zeta), want,
                                    rtol=0, atol=1e-12)
