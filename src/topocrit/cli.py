@@ -137,16 +137,17 @@ OPTIONS = {
                          512 if model == "walk1d" else 96, minimum=1),
 }
 # the options every command reads
-ALWAYS = ("model", "out", "strict")
+ALWAYS = ("model", "out")
 # the options each command reads besides those; giving any other option,
-# by flag or by --config, is an error, not a no-op
+# by flag or by --config, is an error, not a no-op.  Only the commands that
+# write NaN rows read strict
 READS = {
-    "curvature": ("alpha", "beta", "grid", "mass", "kmax"),
+    "curvature": ("alpha", "beta", "grid", "mass", "kmax", "strict"),
     "exponents": ("beta", "window", "points", "kc"),
     "correlation": ("alpha", "beta", "grid", "rmax"),
     "crg": ("grid", "threshold"),
     "invariant": ("alpha", "beta", "grid"),
-    "phase-diagram": ("grid", "inner-grid"),
+    "phase-diagram": ("grid", "inner-grid", "strict"),
 }
 # options that a model does not read, whatever the command; curvature takes
 # every model, the other commands the walks
@@ -298,7 +299,8 @@ def _write_table(cfg: dict, path: str, echo: dict, blocks,
 
     ``blocks`` is the table as ``write_csv`` takes it, an iterable of row
     blocks, and ``failures`` counts its NaN rows by the name of their
-    cause.  With NaN rows the exit code is 2, and --strict writes no file.
+    cause.  With NaN rows the exit code is 2, and --strict writes no file;
+    only a command that reads strict may count NaN rows.
     """
     if failures:
         causes = ", ".join("%d %s" % (n, name)

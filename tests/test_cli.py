@@ -396,7 +396,7 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["exponents"], {"window": [0.1]}, "window"),
     (["exponents"], {"window": ["a", 1]}, "window"),
     (["invariant"], {"model": ["walk1d"]}, "model"),
-    (["invariant"], {"strict": "no"}, "strict"),
+    (["phase-diagram"], {"strict": "no"}, "strict"),
     (["exponents", "--points", "9"], None, "points"),
     (["invariant", "--model", "walk1d", "--alpha=0.3,0.9"], None, "alpha"),
     (["phase-diagram", "--model", "walk1d", "--alpha=0.3,0.9"], None, "alpha"),
@@ -432,6 +432,12 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["crg", "--inner-grid", "8"], None, "inner-grid"),
     (["crg", "--model", "dirac1d"], None, "model"),
     (["phase-diagram"], {"model": "dirac2d"}, "model"),
+    # only curvature and phase-diagram write NaN rows, so only they read
+    # --strict; the other commands echoed it and exited 0
+    (["exponents", "--strict"], None, "strict"),
+    (["invariant", "--strict"], None, "strict"),
+    (["correlation"], {"strict": True}, "strict"),
+    (["crg", "--grid", "64", "--strict"], None, "strict"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):
@@ -451,16 +457,17 @@ def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
 @pytest.mark.parametrize("argv, echoed", [
     (["crg", "--model", "walk1d", "--grid", "64"], ["grid", "hsp"]),
     (["phase-diagram", "--model", "walk1d", "--grid", "3", "--inner-grid",
-      "64"], ["grid", "inner-grid"]),
+      "64"], ["grid", "inner-grid", "strict"]),
     (["exponents", "--model", "walk2d", "--points", "10"],
      ["beta", "points"]),
-    (["curvature", "--model", "dirac1d", "--grid", "16"], ["grid"]),
+    (["curvature", "--model", "dirac1d", "--grid", "16"], ["grid", "strict"]),
 ], ids=["crg", "phase-diagram", "exponents-walk2d", "curvature-dirac1d"])
 def test_config_echo_holds_only_what_the_command_reads(tmp_path, argv,
                                                        echoed):
     # crg and phase-diagram scan their own angles, exponents sweeps alpha
     # and the Dirac models take no angle: each echoed an alpha of 0.3 (and
-    # a beta) that it never read
+    # a beta) that it never read; crg and exponents write no NaN rows and
+    # echoed a strict that they never read
     assert main(argv + ["--out", str(tmp_path / "x")]) in (0, 2)
     paths = sorted(tmp_path.iterdir())
     assert len(paths) == (3 if argv[0] == "crg" else 1)
@@ -469,7 +476,7 @@ def test_config_echo_holds_only_what_the_command_reads(tmp_path, argv,
             echo = json.loads(path.read_text())["config"]
         else:
             echo = json.loads(read_lines(path)[0].split(" config=", 1)[1])
-        assert sorted(echo) == sorted(["model", "out", "strict"] + [
+        assert sorted(echo) == sorted(["model", "out"] + [
             key for key in echoed if key != "hsp" or path.suffix == ".csv"])
         assert echo.get("beta", np.pi / 2) == np.pi / 2
 
@@ -482,7 +489,7 @@ def test_help_lists_the_options_the_command_reads(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     usage, options = capsys.readouterr().out.split("\n\n", 1)
-    want = {"--model", "--out", "--config", "--strict"} | {
+    want = {"--model", "--out", "--config"} | {
         "--" + key for key in READS[command]}
     flags = re.compile(r"--[a-z][a-z-]*")
     assert set(flags.findall(usage)) == want

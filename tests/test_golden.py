@@ -85,75 +85,75 @@ HASHES = {
     },
     "exponents-walk1d-b0": {
         "out.json":
-            "0ce06a18e72a546b24b665be7bcf7891a4903b4ad24612bdc30279ce91776d60",
+            "01960ecb65eea06553666241841ecef60790824616b6d12551de9a132405c5c1",
     },
     "exponents-walk1d-b0.3": {
         "out.json":
-            "2687c468dae3248e34070084040806ee3ee3616d4cf4813cb6d078639e2ee917",
+            "5f7912137be3dcf4a2821e221681e5d8d10d88359707e808f9c3ddeea758caba",
     },
     "exponents-walk2d": {
         "out.json":
-            "9cdc72ddcccabdefd9fa3f145b0372c10cb6f0adfb2346b240fe9506caf02bd4",
+            "20f5d4d1b385f37bce23a0e47e254290fcf46c1c291cca9de630e72f3800617f",
     },
     "correlation-walk1d": {
         "out.csv":
-            "5c6a7d11e462b68ef5247680798043e87530090b7820f93f49df5711ddf6c327",
+            "8ca9bc09ef612077e05493014485c33f1b0fb3c490db5426135ec391b9f356cb",
     },
     "correlation-walk2d": {
         "out.csv":
-            "376e4a6e40b824ee4a0e39dc51178b21bd126f43170bad40ab7ae016656cef32",
+            "e213f3ad4a80834186a65638a83f4612fa36cf74a81aefc973582fc15baa1040",
     },
     "correlation-walk2d-512": {
         "out.csv":
-            "a9ce38c017f1d9a3911eedbc9876ede90274e39b5770d21ca7fc7c33417c42d4",
+            "3711f0f354c53b48ace263534cf1c7f7f7f437a7a4c431a741d6d9abe69b673c",
     },
     "invariant-walk1d": {
         "out.json":
-            "bdbf4d5d7964e814df60ee1bbe4ede6e79401c49c84b2992a03683ee8669d486",
+            "038584e10c377da1dbba5e53dc739be7c3fcceb54f534557ff85d00f356c3c8a",
     },
     "invariant-walk2d": {
         "out.json":
-            "8c2e53634864650aeec2e16fb805e658ef6a52378807b1bf04d3f46fa4297ee2",
+            "5bee0bebe051659d67aa3e41c7e5b0e2edcabdd515dae1231e1d6cd15d32a1ed",
     },
     "crg-walk1d": {
         "out.json":
-            "c1c925eaec647f6826f2ce0c11536c3e6711126eefefb9dfef49dcd2003ac3e1",
+            "8a00b87a0f963e8d07ca6b8ba6812583092e8f6a0c6fb4a605e16a2f84c08228",
         "out_hsp0.csv":
-            "6c429ba631a6c3c03ea333cb729362016279987b66912c2fd7f1a16426e8247d",
+            "bb2af31a2ae221d383f7a19c074be64685f389e8cea39119783edc0a616c6a20",
         "out_hsp1.csv":
-            "38f298bf3bf036920b3a7212191c329a6deb9e88774f99297f2f7b9b21da7092",
+            "6b54e32c83ebe4f6b319df9e0dd2b66e34834eeb878a8fe715fd05fbc3ddb9ff",
     },
     "crg-walk2d": {
         "out.json":
-            "35c866310680435d05a61c7aad2a2470fc216df426e1f392f7941e97fe5440b9",
+            "24e9c56f987c98157d072c913c2c729e9d54837a770bb0eff6b12c358c8ac686",
         "out_hsp0.csv":
-            "f33a871a7234d04824f269fb86e8e92ecbc6eca2603c65d5e48ebcc0b052c8f6",
+            "73b35278ade262b41b52a09f87f9c1cc48e47deb90c8539d593deddffdbfcaa5",
         "out_hsp1.csv":
-            "ed933c0e62d589ade7625b4c56997491d790eefbf12eed38739f41039b881537",
+            "12ddf5fe7e81b4d79f4163ad991b1a54b102f3967f3ec34794522a63f3bdc862",
         "out_hsp2.csv":
-            "be04741d353a6716dff1904528bfda139c5af19a54f34b757c0062d2dbc791bc",
+            "e7bd3731ad496c36cdc2262c1b56443290799e532ca0541a2250041a10a2ceed",
         "out_hsp3.csv":
-            "566214782b13722257048a160fe9ba374ddb9217a0428b0e325b5f4e9e806756",
+            "b614d54eacbddd252e7d4508d5e9fdb35c3b9b1fe75aec78d0f7e3ab61acfb27",
     },
     "crg-walk1d-100": {
         "out.json":
-            "ccb96df46c20a1c34ac2d9712f87bf8d3361bd635d5b17e266b9e84bcc683260",
+            "d4501226bce0fa7fe9b94cda3e80033f92df680a1c46741f015a9b00b4e9f0f6",
         "out_hsp0.csv":
-            "0bd294b788921fc45c27981d1dbdff4829b83db0e48030d51e7517be45efdaa7",
+            "9f3246c4a2e5c6832c08955105c9c52dca51d2ba754db6888696544dafd5d08b",
         "out_hsp1.csv":
-            "8662502632b92c0e391155c2556b34a62400a9d4125adff6c9102ab5c562155e",
+            "c810dc090741dfdd7b13471e88226334db22ee4996cd098ae2b601d0233c8171",
     },
     "crg-walk2d-100": {
         "out.json":
-            "ab5ac9e196b148883d8cf3458b7fd1714ced0cb1759b39222f032585fcdde38b",
+            "2569cec66be4cb3feaceda765b6f51c51544d2cc5497115f687159e4722ad773",
         "out_hsp0.csv":
-            "98b7ff95a58ceba86f1256044cd7ae8111290ea7f5d7e0a23a9e0352f4687880",
+            "586ae2ef67964e533676321d463a045a54d2ab17f1db8400d75906326717499d",
         "out_hsp1.csv":
-            "bcf0d9fbc7c33c475aaffbae8201bbd279754d47901b595911385a8fdfca718d",
+            "ef27576ec18a50eee1bed3765e51c62e110dfad381d79773ca9be968544bc19f",
         "out_hsp2.csv":
-            "a50e553a2f94ae69453d243cebbc36b366ebd3c8c0df04579ee4246b86635046",
+            "68e5b14e540a079fb2ec5b76c226445dccf4a1cf3bcea657785e24c529c50b20",
         "out_hsp3.csv":
-            "be83904a04cea257b2f7dd66d2daa8d3e25b4bb30ae8fb71ee0fee33f66f78a4",
+            "ee9ffbd708ff1e5edb311bad10f399323e6a314b9076b1d011b5e77ac94f44a6",
     },
     "phase-diagram-walk1d": {
         "out.csv":
