@@ -81,7 +81,7 @@ class Option(NamedTuple):
     what: str  # what ``accepts`` takes, for its error message
     help: str
     default: object  # a constant, or a rule (command, model) -> value
-    minimum: int | None = None
+    minimum: object = None  # None, a constant, or a rule like ``default``
     echoed: bool = False
 
 
@@ -107,7 +107,9 @@ OPTIONS = {
                    lambda command, model:
                    np.pi / 2.0 if model == "walk2d" else 0.0, echoed=True),
     "grid": Option(int, _is_integer, "an integer", "grid size N",
-                   _grid_default, minimum=1),
+                   _grid_default,
+                   minimum=lambda command, model:
+                   crg.MIN_GRID if command == "crg" else 1),
     "out": Option(str, lambda v: isinstance(v, str), "a string",
                   "output path; a .csv or .json suffix is replaced",
                   lambda command, model: "topocrit_" + command, echoed=True),
@@ -161,9 +163,13 @@ def _models(command: str) -> tuple:
     return tuple(UNREAD_BY_MODEL if command == "curvature" else WALKS)
 
 
+def _rule(value, command: str, model: str):
+    """A table entry that is a constant, or a rule of (command, model)."""
+    return value(command, model) if callable(value) else value
+
+
 def _default(key: str, command: str, model: str):
-    default = OPTIONS[key].default
-    return default(command, model) if callable(default) else default
+    return _rule(OPTIONS[key].default, command, model)
 
 
 def _show(value) -> str:
@@ -259,9 +265,10 @@ def _defaults(merged: dict, command: str):
         opt = OPTIONS[key]
         if not opt.accepts(value):
             raise ValueError("%s must be %s, got %r" % (key, opt.what, value))
-        if opt.minimum is not None and value < opt.minimum:
+        least = _rule(opt.minimum, command, model)
+        if least is not None and value < least:
             raise ValueError("%s must be at least %d, got %r"
-                             % (key, opt.minimum, value))
+                             % (key, least, value))
     if command == "invariant" and len(cfg["alpha"]) > 1:
         raise ValueError("alpha must be a single angle for invariant, got %r"
                          % (cfg["alpha"],))

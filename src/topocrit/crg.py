@@ -27,6 +27,7 @@ import numpy as np
 from .models import BLOCK_POINTS
 
 DEFAULT_GRID = 128
+MIN_GRID = 64  # the smallest grid per axis of a flow field
 DEFAULT_DK = 1e-2
 DEFAULT_DM = 1e-3
 DEFAULT_RATE_THRESHOLD = 1e3
@@ -105,8 +106,8 @@ def _flow_ratio(num, den, out):
 
 def grid_axes(grid: int) -> np.ndarray:
     """The angles -pi + 2 pi i / grid of either axis of a flow field."""
-    if grid < 64:
-        raise ValueError("grid must be at least 64x64")
+    if grid < MIN_GRID:
+        raise ValueError("grid must be at least %dx%d" % (MIN_GRID, MIN_GRID))
     return np.linspace(-np.pi, np.pi, grid, endpoint=False)
 
 

@@ -438,6 +438,8 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["invariant", "--strict"], None, "strict"),
     (["correlation"], {"strict": True}, "strict"),
     (["crg", "--grid", "64", "--strict"], None, "strict"),
+    # the least crg grid is in the option table, not only in crg.grid_axes
+    (["crg", "--grid", "10"], None, "grid"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):
