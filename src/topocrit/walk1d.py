@@ -192,9 +192,11 @@ def _curvature_raw_1d(k, alpha, beta):
 def _curvature_coeffs_1d(h):
     """The parameter coefficients of the closed form, from the half angles.
 
-    ``x ** 2`` on a float64 scalar goes through libm pow and on an array
-    through a squaring loop, which may differ in the last bit; a caller that
-    needs the bits of the one-cell route evaluates these per cell.
+    ``x ** 2`` on a float64 scalar goes through libm pow and on a float64
+    array through a squaring loop, which may differ in the last bit; a
+    caller that needs the bits of the one-cell route evaluates these on
+    scalars or on object arrays of Python floats, which also square through
+    libm pow.
     """
     ka, la, kb, lb = h
     return (-ka ** 2 * lb, la * ka * kb,
