@@ -200,7 +200,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: it registers
-    every option on every command, and main parses each call with it."""
+    every option on every command, and main parses each call with it.
+    Every caller shares the one parser, so none may change it."""
     ap = _Parser(
         prog="topocrit",
         description="Curvature-function criticality toolkit for two-band "
