@@ -2,7 +2,8 @@
 
 The 1D winding number integrates the curvature function over dk/(2 pi).
 Many walks (a phase diagram, given as arrays of alpha and beta) are
-evaluated per call, as one array expression per block of cells, against a
+evaluated per call: the gap of every cell at the two momenta where it can
+be least, then one array expression per block of gapped cells, against a
 memoized table of the momentum trig terms; a single cell is a call of one.
 The parameter coefficients of every cell are evaluated in one pass over
 Python floats, which square through libm pow as numpy scalars do, so every
@@ -48,7 +49,7 @@ GAP_TOL = 1e-10
 DEFECT_LIMIT = 1e-3
 # largest number of (cell, momentum) points in one winding_numbers_1d block;
 # a block's temporaries then stay within a core's L2 cache
-WINDING_BLOCK_POINTS = 1 << 12
+WINDING_BLOCK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,10 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     Returns (raw, failed): the raw integral of every cell, NaN where it
     failed, and a dict from the index of each failed cell, in cell order, to
     the ZeroGap or QuantizationFailure that ``winding_number_1d`` raises for
-    it.  The integrals are evaluated in blocks of at most
+    it.  A cell's gap is checked at two momenta of the inner grid, and the
+    integrals of the open cells are evaluated in blocks of at most
     WINDING_BLOCK_POINTS (cell, momentum) points, so memory grows with the
-    number of cells only by the per-cell coefficients.
+    number of cells only by the per-cell coefficients and gap terms.
     """
     halves = np.array(_angle_halves(np.asarray(alpha, dtype=float),
                                     np.asarray(beta, dtype=float)))
@@ -132,21 +134,25 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     coeffs = np.array(_curvature_coeffs_1d(halves.astype(object)),
                       dtype=float)
     sin_k, cos_k, sin2_k, cos2_k = _circle_trig(n_grid)
-    cells = halves.shape[1]
-    closed = np.empty(cells, dtype=bool)
-    raw = np.full(cells, np.nan)
+    # |zeta|^2 = sin^2 E with cos E = kap_a kap_b cos k - lam_a lam_b
+    # (energy_1d) is a concave quadratic in cos k, so its minimum over the
+    # grid lies at the grid's largest or smallest cos k: k = 0 and k = pi
+    # for even n_grid, k = 0 and a point next to pi for odd n_grid.
+    # rotated_curvature_1d's rotated-frame norm, kap_a^2 sin^2 k + zeta_y^2,
+    # equals |zeta|^2 (kap_b^2 + lam_b^2 = 1), so this check also covers its
+    # GAP_FLOOR^2 bound
+    ends = [np.argmax(cos_k), np.argmin(cos_k)]
+    zx, zy, zz, _ = _zeta_terms_1d(halves[:, :, None], sin_k[ends],
+                                   cos_k[ends])
+    closed = np.min(zx * zx + zy * zy + zz * zz, axis=1) < GAP_TOL ** 2
+    opened = np.flatnonzero(~closed)
+    raw = np.full(halves.shape[1], np.nan)
     step = max(1, WINDING_BLOCK_POINTS // n_grid)
-    for start in range(0, cells, step):
-        block = slice(start, start + step)
-        zx, zy, zz, _ = _zeta_terms_1d(halves[:, block, None], sin_k, cos_k)
-        # rotated_curvature_1d's rotated-frame norm, kap_a^2 sin^2 k +
-        # zeta_y^2, equals |zeta|^2 (kap_b^2 + lam_b^2 = 1), so this check
-        # also covers its GAP_FLOOR^2 bound
-        shut = np.min(zx * zx + zy * zy + zz * zz, axis=1) < GAP_TOL ** 2
-        closed[block] = shut
-        f = _curvature_terms_1d(coeffs[:, block][:, ~shut, None], cos_k,
-                                sin2_k, cos2_k)
-        raw[block][~shut] = np.sum(f, axis=1) / n_grid
+    for start in range(0, opened.size, step):
+        cells = opened[start:start + step]
+        f = _curvature_terms_1d(coeffs[:, cells, None], cos_k, sin2_k,
+                                cos2_k)
+        raw[cells] = np.sum(f, axis=1) / n_grid
     defect = np.abs(raw - np.rint(raw))
     failed = {}
     for i in np.flatnonzero(closed | (defect >= DEFECT_LIMIT)).tolist():

@@ -9,7 +9,9 @@ evaluates the walk2d curvature numerator with tables built per call, the
 per-call route of the torus kernel.  ``chiral_axis``,
 ``gauge_rotation_matrix`` and ``rotated_zeta_1d`` derive the rotated frame
 of the 1D walk, in which its curvature function is the doubled Berry
-connection.
+connection.  ``full_grid_winding_1d`` checks the gap of a 1D walk at every
+momentum of the inner grid, the oracle of the winding kernel's check at the
+grid's two extreme cos k.
 """
 
 import itertools
@@ -17,8 +19,11 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from topocrit import invariants
+from topocrit.errors import ZeroGap
 from topocrit.walk1d import (_SX, _SY, _SZ, EffectiveHamiltonianSample,
-                             Unitary2, WalkParams, _half_angles,
+                             Unitary2, WalkParams, _curvature_coeffs_1d,
+                             _curvature_terms_1d, _half_angles,
                              _zeta_terms_1d, energy_1d)
 from topocrit.walk2d import _zeta_phi_at, energy_grid_2d
 
@@ -127,3 +132,26 @@ def rotated_zeta_1d(k, p: WalkParams):
     """Planar components of the rotated axis: (kap_a sin k, zeta_y, 0)."""
     _, zy, _, zx = _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))
     return zx, zy
+
+
+def full_grid_winding_1d(p: WalkParams, n_grid: int):
+    """(raw, failure) of one walk, as ``winding_numbers_1d`` gives them for
+    a cell, with the gap checked at every momentum of the inner grid by the
+    minimum of |zeta|^2 and the closed form's coefficients evaluated on the
+    one-cell route's numpy scalars: the route that the kernel's check at
+    two momenta replaces.  raw is NaN where failure, a ZeroGap or
+    QuantizationFailure, is not None.
+    """
+    k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+    sin_k, cos_k = np.sin(k), np.cos(k)
+    h = _half_angles(p)
+    zx, zy, zz, _ = _zeta_terms_1d(h, sin_k, cos_k)
+    if np.min(zx * zx + zy * zy + zz * zz) < invariants.GAP_TOL ** 2:
+        return np.nan, ZeroGap("gap closed on the integration grid")
+    f = _curvature_terms_1d(_curvature_coeffs_1d(h), cos_k, sin_k ** 2,
+                            cos_k ** 2)
+    raw = float(np.sum(f) / n_grid)
+    defect = abs(raw - np.rint(raw))
+    if defect >= invariants.DEFECT_LIMIT:
+        return np.nan, invariants._quantization_failure(raw, defect)
+    return raw, None

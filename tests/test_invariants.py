@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from topocrit import WalkParams, ZeroGap
+from topocrit import WalkParams, ZeroGap, invariants
 from topocrit.errors import OracleMismatch, QuantizationFailure
 from topocrit.invariants import (GAP_TOL, WINDING_BLOCK_POINTS,
                                  InvariantResult, _TorusWork, _circle_trig,
@@ -17,7 +17,7 @@ from topocrit.walk1d import (_angle_halves, _curvature_coeffs_1d,
 from topocrit.walk2d import (_curvature_raw_2d, _zeta_phi_2d,
                              curvature_grid_2d, zeta_components_2d)
 
-from oracles import phi_2d
+from oracles import full_grid_winding_1d, phi_2d
 
 
 # --- 1D winding ---
@@ -115,6 +115,71 @@ def test_winding_row_matches_one_cell_calls(n, want):
     refs = [_one_cell(WalkParams(axes[25], b), n) for b in axes.tolist()]
     assert {type(r).__name__ for r in refs} == want
     assert_cells_match_one_cell_calls(raw, failed, refs)
+
+
+def assert_winding_matches_full_grid(alpha, beta, n):
+    """winding_numbers_1d of the cells against the full-grid gap route: the
+    same raw bits, failed cells, failure kinds and messages.  Returns the
+    kinds of the outcomes."""
+    raw, failed = winding_numbers_1d(alpha, beta, n)
+    refs = [full_grid_winding_1d(WalkParams(a, b), n)
+            for a, b in zip(alpha.tolist(), beta.tolist())]
+    assert np.array_equal(_bits(raw), _bits([r for r, _ in refs]))
+    assert list(failed) == [i for i, (_, e) in enumerate(refs) if e]
+    for i, exc in failed.items():
+        assert type(exc) is type(refs[i][1])
+        assert str(exc) == str(refs[i][1])
+    return {type(e).__name__ if e else "defined" for _, e in refs}
+
+
+@pytest.mark.parametrize("grid, n", [
+    (65, 512), (40, 8), (33, 97), (17, 97), (21, 3), (30, 513), (65, 4096),
+    (101, 64), (9, 512), (17, 1), (17, 2), (17, 3),
+])
+def test_winding_gap_check_matches_full_grid_oracle(grid, n):
+    # |zeta|^2 = sin^2 E, and cos E is linear in cos k, so |zeta|^2 is
+    # concave in cos k and least at the grid's largest or smallest cos k;
+    # the kernel checks only those two momenta, the oracle every one, and
+    # both must close the same cells and leave every raw bit the same
+    axes = np.linspace(-np.pi, np.pi, grid)
+    kinds = assert_winding_matches_full_grid(np.repeat(axes, grid),
+                                             np.tile(axes, grid), n)
+    assert {"defined", "ZeroGap"} <= kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 97, 512])
+def test_winding_gap_check_matches_full_grid_oracle_on_the_gap_lines(n):
+    # cells on and within 1e-12 or 1e-9 of the gap-closing lines
+    # alpha = +-beta, where |zeta|^2 at k = 0 or pi is near GAP_TOL^2.  At
+    # 1e-9 the gap passes the check, but the expanded denominator of the
+    # closed form cancels to zero there on either route, and inf - rint(inf)
+    # in the defect is invalid
+    betas = np.append(np.linspace(-np.pi, np.pi, 17), [0.37, -2.2])
+    offsets = (0.0, 1e-12, -1e-12, 1e-9, -1e-9)
+    alpha = np.array([sign * b + d for b in betas.tolist()
+                      for sign in (1.0, -1.0) for d in offsets])
+    beta = np.repeat(betas, 2 * len(offsets))
+    with np.errstate(invalid="ignore"):
+        kinds = assert_winding_matches_full_grid(alpha, beta, n)
+    assert {"defined", "ZeroGap"} <= kinds
+
+
+def test_winding_gap_check_reads_two_momenta_per_cell(monkeypatch):
+    points = []
+    zeta_terms = invariants._zeta_terms_1d
+
+    def spy(h, sin_k, cos_k):
+        terms = zeta_terms(h, sin_k, cos_k)
+        points.append(terms[0].size)
+        return terms
+
+    monkeypatch.setattr(invariants, "_zeta_terms_1d", spy)
+    axes = np.linspace(-np.pi, np.pi, 65)
+    for n in (1, 97, 512):
+        points.clear()
+        winding_numbers_1d(np.repeat(axes, axes.size),
+                           np.tile(axes, axes.size), n)
+        assert points and sum(points) <= 2 * axes.size ** 2
 
 
 def test_winding_coefficients_keep_the_scalar_bits():
