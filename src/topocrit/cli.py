@@ -414,10 +414,12 @@ def cmd_correlation(cfg: dict, echo: dict) -> int:
 
 def _crg_blocks(model, hsp, grid: int, found):
     """The CSV row blocks of the flow field at ``hsp``: each block of alpha
-    rows is evaluated, added to the line candidates ``found`` and yielded
-    as columns, and dropped before the next is evaluated."""
+    rows is evaluated on the field's stage, built once, added to the line
+    candidates ``found`` and yielded as columns, and dropped before the
+    next is evaluated."""
+    stage = crg.flow_stage(model, hsp, grid)
     for rows in crg.row_blocks(grid):
-        field = crg.flow_field(model, hsp, grid, rows)
+        field = crg.flow_field(model, hsp, grid, rows, stage)
         found.add(field)
         # the axes of ``found``, one array for every block, so that the
         # writer encodes them once per file
@@ -434,9 +436,10 @@ def cmd_crg(cfg: dict, echo: dict) -> int:
     grid = int(cfg["grid"])
     base = cfg["out"]
     lines = []
-    # one high-symmetry point at a time, one block of rows at a time: each
-    # block is written and screened for line candidates, and the lines are
-    # detected from the candidates once the point's file is written
+    # one high-symmetry point at a time, its beta stage and closed cells
+    # built once, then one block of rows at a time: each block is written
+    # and screened for line candidates, and the lines are detected from the
+    # candidates once the point's file is written
     for idx, hsp in enumerate(model.hsps()):
         found = crg.LineCandidates(crg.grid_axes(grid), hsp,
                                    float(cfg["threshold"]))

@@ -95,12 +95,11 @@ class FlowField:
     start: int = 0
 
 
-def _flow_ratio(num, den, out):
+def _flow_ratio(num, flat, den, out):
     """num/den rescaled by DM/Dk^2 into ``out``; inf where den is below the
-    floor, 0 where num is too."""
+    floor, 0 where num is too, as the mask ``flat`` says."""
     np.multiply(np.where(np.abs(den) < DENOMINATOR_FLOOR,
-                         np.where(np.abs(num) < DENOMINATOR_FLOOR, 0.0, np.inf),
-                         num / den),
+                         np.where(flat, 0.0, np.inf), num / den),
                 DEFAULT_DM / DEFAULT_DK ** 2, out=out)
 
 
@@ -125,7 +124,43 @@ def _hsp_key(hsp) -> tuple:
     return tuple(map(float, np.ravel(hsp)))
 
 
-def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None) -> FlowField:
+@dataclass
+class FlowStage:
+    """What every block of alpha rows of one HSP's flow field reads, built
+    once by :func:`flow_stage`: the grid axes, the beta axis as a row and
+    shifted by ``DEFAULT_DM``, the model's curvature stages at (k0, beta),
+    (k0 + Dk, beta) and (k0, beta + DM), and the (alpha, beta) indices of
+    the cells where the gap closes at k0."""
+
+    axes: np.ndarray
+    k_shift: np.ndarray
+    beta: np.ndarray
+    beta_dm: np.ndarray
+    at_hsp: tuple
+    at_shift: tuple
+    at_dm: tuple
+    closed: tuple
+
+
+def flow_stage(model, hsp, grid: int = DEFAULT_GRID) -> FlowStage:
+    """The :class:`FlowStage` of the flow field of ``model`` at ``hsp`` on
+    a grid x grid angle grid."""
+    axes = grid_axes(grid)
+    k_shift = _shifted_momentum(hsp, np.eye(model.dimension)[0], DEFAULT_DK)
+    # broadcast axes: each model term is evaluated at the length its
+    # angle dependence needs, and every block comes out (rows, grid)
+    B = axes[None, :]
+    B_dm = B + DEFAULT_DM
+    with np.errstate(all="ignore"):
+        return FlowStage(axes, k_shift, B, B_dm,
+                         model.curvature_stage(hsp, B),
+                         model.curvature_stage(k_shift, B),
+                         model.curvature_stage(hsp, B_dm),
+                         _closed_cells(model, hsp, axes))
+
+
+def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None,
+               stage=None) -> FlowField:
     """Evaluate the RG flow at ``hsp`` on a uniform (alpha, beta) grid over
     [-pi, pi)^2, on the alpha rows ``rows`` (a range; default every row).
 
@@ -137,34 +172,44 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None) -> FlowField:
     an infinite peak height and are flagged diverged; no exception is
     raised per cell.
 
-    The rows are evaluated one block of :func:`row_blocks` at a time, each
-    written straight into the arrays of the returned field: a call holds
-    its field and one block.  Evaluated one block per call, the whole grid
-    is never held.
+    Everything that depends on the momentum and beta only, and the closed
+    cells, is the :func:`flow_stage` of (model, hsp, grid): ``stage``, or
+    built here when not given, so a caller that evaluates a field one block
+    per call builds it once per HSP.  The rows are evaluated one block of
+    :func:`row_blocks` at a time, each block only its alpha terms on the
+    stage, written straight into the arrays of the returned field: a call
+    holds its field, the stage and one block.  Evaluated one block per
+    call, the whole grid is never held.
     """
-    axes = grid_axes(grid)
+    if stage is None:
+        stage = flow_stage(model, hsp, grid)
+    axes = stage.axes
     rows = range(grid) if rows is None else rows
     shape = (len(rows), grid)
     field = FlowField(axes, _hsp_key(hsp),
                       *(np.empty(shape, dtype=dtype) for dtype in
                         (float, float, float, bool, float, float)),
                       start=rows.start)
-    k_shift = _shifted_momentum(hsp, np.eye(model.dimension)[0], DEFAULT_DK)
-    # broadcast axes: each model term is evaluated at the length its
-    # angle dependence needs, and every block comes out (rows, grid)
-    B = axes[None, :]
+    B = stage.beta
+    closed_i, closed_j = stage.closed
     with np.errstate(all="ignore"):
         for block in row_blocks(grid, rows):
             here = slice(block.start - rows.start, block.stop - rows.start)
             A = axes[block.start:block.stop, None]
-            f0 = model.curvature_raw(hsp, A, B)
-            num = model.curvature_raw(k_shift, A, B) - f0
+            halves = model.alpha_halves(A)
+            f0 = model.curvature_raw(hsp, A, B, stage.at_hsp, halves)
+            num = model.curvature_raw(stage.k_shift, A, B, stage.at_shift,
+                                      halves) - f0
+            # where the scaling response is below the floor, for both
+            # components
+            flat = np.abs(num) < DENOMINATOR_FLOOR
             da, db = field.dalpha[here], field.dbeta[here]
-            _flow_ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B) - f0,
-                        da)
-            _flow_ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0,
-                        db)
-            shut = _closed_cells(model, hsp, axes, block)
+            _flow_ratio(num, flat, model.curvature_raw(
+                hsp, A + DEFAULT_DM, B, stage.at_hsp) - f0, da)
+            _flow_ratio(num, flat, model.curvature_raw(
+                hsp, A, stage.beta_dm, stage.at_dm, halves) - f0, db)
+            inside = (closed_i >= block.start) & (closed_i < block.stop)
+            shut = closed_i[inside] - block.start, closed_j[inside]
             da[shut] = db[shut] = np.nan
             f0[shut] = np.inf
             rate = np.hypot(da, db)
@@ -177,14 +222,14 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None) -> FlowField:
     return field
 
 
-def _closed_cells(model, hsp, axes, rows):
-    """Index arrays (i - rows.start, j) of the cells (axes[i], axes[j]), i
-    in the range ``rows``, where the gap closes at ``hsp``.
+def _closed_cells(model, hsp, axes):
+    """Index arrays (i, j) of the cells (axes[i], axes[j]) where the gap
+    closes at ``hsp``.
 
     It closes on the line alpha = -b beta (mod 2 pi) of
     ``model.closing_slope(hsp)``, so only the three alpha cells nearest to
-    that line in each beta column are tested, by the model's own gap test,
-    and only those in ``rows``: 3 grid cells over the blocks of a field.
+    that line in each beta column are tested, by the model's own gap test:
+    3 grid cells per field, in one call.
     """
     n = len(axes)
     # the index of alpha = -b beta on the axis -pi + 2 pi i / n
@@ -192,10 +237,8 @@ def _closed_cells(model, hsp, axes, rows):
                              2.0 * np.pi) * (n / (2.0 * np.pi))).astype(int)
     i = (np.repeat(nearest, 3) + np.tile((-1, 0, 1), n)) % n
     j = np.repeat(np.arange(n), 3)
-    inside = (i >= rows.start) & (i < rows.stop)
-    i, j = i[inside], j[inside]
     closed = model.gap_closed(hsp, axes[i], axes[j])
-    return i[closed] - rows.start, j[closed]
+    return i[closed], j[closed]
 
 
 @dataclass
@@ -363,6 +406,7 @@ def walk_curvature_callback(model):
 
 
 __all__ = [
-    "rg_step", "flow_field", "detect_critical_lines", "FlowField",
+    "rg_step", "flow_field", "flow_stage", "detect_critical_lines",
+    "FlowField", "FlowStage",
     "LineCandidates", "CriticalLine", "walk_curvature_callback",
 ]

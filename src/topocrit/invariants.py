@@ -63,6 +63,8 @@ class InvariantResult:
 
 
 def _quantize(raw: float, grid: int) -> InvariantResult:
+    if not np.isfinite(raw):
+        raise _quantization_failure(raw, np.nan)
     rounded = int(np.rint(raw))
     defect = abs(raw - rounded)
     if defect >= DEFECT_LIMIT:
@@ -71,6 +73,8 @@ def _quantize(raw: float, grid: int) -> InvariantResult:
 
 
 def _quantization_failure(raw: float, defect: float) -> QuantizationFailure:
+    if not np.isfinite(raw):
+        return QuantizationFailure("integral %.6f is not finite" % raw)
     return QuantizationFailure("integral %.6f is %.2e from an integer"
                                % (raw, defect))
 
@@ -153,9 +157,14 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
         f = _curvature_terms_1d(coeffs[:, cells, None], cos_k, sin2_k,
                                 cos2_k)
         raw[cells] = np.sum(f, axis=1) / n_grid
-    defect = np.abs(raw - np.rint(raw))
+    # a cell next to a gap line passes the gap check but may integrate to
+    # +-inf or NaN, where the expanded denominator cancels to 0; its defect
+    # is NaN, which fails as a QuantizationFailure, as a closed cell's does
+    # as a ZeroGap
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(raw - np.rint(raw))
     failed = {}
-    for i in np.flatnonzero(closed | (defect >= DEFECT_LIMIT)).tolist():
+    for i in np.flatnonzero(~(defect < DEFECT_LIMIT)).tolist():
         failed[i] = (ZeroGap("gap closed on the integration grid")
                      if closed[i]
                      else _quantization_failure(raw[i], defect[i]))

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import walk1d, walk2d
-from .walk1d import LOCUS_TOL, WalkParams, _angle_halves, _reduce_angle
+from .walk1d import (LOCUS_TOL, WalkParams, _angle_halves, _halves,
+                     _reduce_angle)
 
 # (row, column) points per block where a layer evaluates a kernel over a
 # grid one block of rows at a time (the 2D correlation transform, the crg
@@ -35,6 +36,28 @@ class _Walk:
         (mod 2 pi), over b = closing_slope(h) of every h in hsps()."""
         return min(abs(_reduce_angle(p.alpha + cls.closing_slope(h) * p.beta))
                    for h in cls.hsps())
+
+    @staticmethod
+    def alpha_halves(alpha):
+        """(cos(alpha/2), sin(alpha/2)): all that ``curvature_raw`` reads of
+        alpha."""
+        return _halves(alpha)
+
+    @classmethod
+    def curvature_raw(cls, k, alpha, beta, stage=None, halves=None):
+        """Unvalidated curvature on broadcastable (alpha, beta) arrays at the
+        momentum k: ``curvature_stage(k, beta)`` evaluated at
+        ``alpha_halves(alpha)``.
+
+        A caller that evaluates one (k, beta) at many alphas passes the
+        ``stage`` it built once, and one that evaluates one alpha on many
+        stages its ``halves``; either is built here when not given.
+        """
+        if stage is None:
+            stage = cls.curvature_stage(k, beta)
+        if halves is None:
+            halves = _halves(alpha)
+        return cls.curvature_staged(stage, *halves)
 
 
 class Walk1D(_Walk):
@@ -57,9 +80,8 @@ class Walk1D(_Walk):
     def curvature(k, p: WalkParams):
         return walk1d.rotated_curvature_1d(k, p)
 
-    @staticmethod
-    def curvature_raw(k, alpha, beta):
-        return walk1d._curvature_raw_1d(k, alpha, beta)
+    curvature_stage = staticmethod(walk1d._curvature_stage_1d)
+    curvature_staged = staticmethod(walk1d._curvature_staged_1d)
 
     @staticmethod
     def peak_profile(k_c: float, deltas, p: WalkParams):
@@ -113,9 +135,11 @@ class Walk2D(_Walk):
         return walk2d.curvature_grid_2d(kx, ky, p)
 
     @staticmethod
-    def curvature_raw(k, alpha, beta):
+    def curvature_stage(k, beta):
         kx, ky = k
-        return walk2d._curvature_raw_2d(kx, ky, alpha, beta)
+        return walk2d._curvature_stage_2d(kx, ky, beta)
+
+    curvature_staged = staticmethod(walk2d._curvature_staged_2d)
 
     @staticmethod
     def peak_profile(k_c, deltas, p: WalkParams):

@@ -122,8 +122,12 @@ def _half_angles(p: WalkParams):
 
 def _angle_halves(alpha, beta):
     """(kap_a, lam_a, kap_b, lam_b) of broadcastable angle arrays."""
-    return (np.cos(alpha / 2.0), np.sin(alpha / 2.0),
-            np.cos(beta / 2.0), np.sin(beta / 2.0))
+    return _halves(alpha) + _halves(beta)
+
+
+def _halves(theta):
+    """(cos(theta/2), sin(theta/2)) of an angle array."""
+    return np.cos(theta / 2.0), np.sin(theta / 2.0)
 
 
 def energy_1d(k, p: WalkParams):
@@ -182,11 +186,26 @@ def _curvature_raw_1d(k, alpha, beta):
     one copy of the closed form
 
         F = -(kap_a^2 lam_b + lam_a kap_a kap_b cos k)
-            / (kap_a^2 sin^2 k + (lam_a kap_b + kap_a lam_b cos k)^2).
+            / (kap_a^2 sin^2 k + (lam_a kap_b + kap_a lam_b cos k)^2),
+
+    the stage of (k, beta) evaluated at the alpha half angles.
     """
-    coeffs = _curvature_coeffs_1d(_angle_halves(alpha, beta))
+    return _curvature_staged_1d(_curvature_stage_1d(k, beta), *_halves(alpha))
+
+
+def _curvature_stage_1d(k, beta):
+    """What the closed form reads of the momentum and beta, for any alpha:
+    the beta half angles and the momentum terms (cos k, sin^2 k, cos^2 k)."""
     cos_k = np.cos(k)
-    return _curvature_terms_1d(coeffs, cos_k, np.sin(k) ** 2, cos_k ** 2)
+    return _halves(beta), (cos_k, np.sin(k) ** 2, cos_k ** 2)
+
+
+def _curvature_staged_1d(stage, ka, la):
+    """The closed form at the alpha half angles (ka, la) on a stage of
+    ``_curvature_stage_1d``, which they broadcast against."""
+    (kb, lb), k_terms = stage
+    return _curvature_terms_1d(_curvature_coeffs_1d((ka, la, kb, lb)),
+                               *k_terms)
 
 
 def _curvature_coeffs_1d(h):

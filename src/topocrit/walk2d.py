@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import AtCriticality, ZeroGap
 from .geometry import GAP_FLOOR
-from .walk1d import (CRITICAL_FLOOR, Unitary2, WalkParams, _angle_halves,
-                     _half_angles, coin)
+from .walk1d import (CRITICAL_FLOOR, Unitary2, WalkParams, _half_angles,
+                     _halves, coin)
 
 PEAK_KX = np.pi / 2.0  # gap-closing momentum on the ky = -kx slice
 
@@ -120,12 +120,26 @@ def _zeta_phi_2d(trig: TrigTable2D, ka, la, kb, lb, beta: BetaTable2D):
     return zx, zy, zz, phi
 
 
+def _stage_2d(kx, ky, kb, lb):
+    """What ``_zeta_phi_2d`` reads of the momenta and the beta half angles
+    (kb, lb), for any alpha: the trig table on the momenta, (kb, lb) and the
+    beta table over both."""
+    trig = trig_table_2d(kx, ky)
+    return trig, kb, lb, beta_table_2d(trig, kb, lb)
+
+
+def _zeta_phi_staged(stage, ka, la):
+    """``_zeta_phi_2d`` at the alpha half angles (ka, la) on a stage of
+    ``_stage_2d``."""
+    trig, kb, lb, beta = stage
+    return _zeta_phi_2d(trig, ka, la, kb, lb, beta)
+
+
 def _zeta_phi_at(kx, ky, h):
     """``_zeta_phi_2d`` on broadcastable momentum arrays and half angles h,
     with both tables built on these momenta."""
     ka, la, kb, lb = h
-    trig = trig_table_2d(kx, ky)
-    return _zeta_phi_2d(trig, ka, la, kb, lb, beta_table_2d(trig, kb, lb))
+    return _zeta_phi_staged(_stage_2d(kx, ky, kb, lb), ka, la)
 
 
 def zeta_components_2d(kx, ky, p: WalkParams):
@@ -136,7 +150,13 @@ def zeta_components_2d(kx, ky, p: WalkParams):
 def _norm2_phi_2d(kx, ky, h):
     """|zeta|^2 and the curvature numerator phi on broadcastable momentum
     arrays, from the half angles h, which may be arrays too."""
-    zx, zy, zz, phi = _zeta_phi_at(kx, ky, h)
+    return _norm2_phi(_zeta_phi_at(kx, ky, h))
+
+
+def _norm2_phi(zeta_phi):
+    """|zeta|^2 and phi from the (zx, zy, zz, phi) of ``_zeta_phi_2d``.  It
+    is passed their result, so the tables they read are freed first."""
+    zx, zy, zz, phi = zeta_phi
     return zx * zx + zy * zy + zz * zz, phi
 
 
@@ -157,8 +177,21 @@ def curvature_grid_2d(kx, ky, p: WalkParams):
 
 
 def _curvature_raw_2d(kx, ky, alpha, beta):
-    """Unvalidated curvature on broadcastable (k, alpha, beta) arrays."""
-    n2, phi = _norm2_phi_2d(kx, ky, _angle_halves(alpha, beta))
+    """Unvalidated curvature on broadcastable (k, alpha, beta) arrays: the
+    stage of (kx, ky, beta) evaluated at the alpha half angles."""
+    return _curvature_staged_2d(_curvature_stage_2d(kx, ky, beta),
+                                *_halves(alpha))
+
+
+def _curvature_stage_2d(kx, ky, beta):
+    """The ``_stage_2d`` of the momenta and the angle beta."""
+    return _stage_2d(kx, ky, *_halves(beta))
+
+
+def _curvature_staged_2d(stage, ka, la):
+    """The curvature phi / |zeta|^3 at the alpha half angles (ka, la) on a
+    stage of ``_stage_2d``, which they broadcast against."""
+    n2, phi = _norm2_phi(_zeta_phi_staged(stage, ka, la))
     with np.errstate(divide="ignore", invalid="ignore"):
         return phi / n2 ** 1.5
 

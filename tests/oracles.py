@@ -151,7 +151,9 @@ def full_grid_winding_1d(p: WalkParams, n_grid: int):
     f = _curvature_terms_1d(_curvature_coeffs_1d(h), cos_k, sin_k ** 2,
                             cos_k ** 2)
     raw = float(np.sum(f) / n_grid)
-    defect = abs(raw - np.rint(raw))
-    if defect >= invariants.DEFECT_LIMIT:
+    # NaN for a raw that is not finite, which fails to quantize too
+    with np.errstate(invalid="ignore"):
+        defect = abs(raw - np.rint(raw))
+    if not defect < invariants.DEFECT_LIMIT:
         return np.nan, invariants._quantization_failure(raw, defect)
     return raw, None

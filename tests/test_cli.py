@@ -240,6 +240,17 @@ def test_invariant_walk2d(tmp_path):
     assert json.loads(out.read_text())["rounded"] == -4
 
 
+def test_invariant_integral_that_is_not_finite_exits_1(tmp_path, capsys):
+    # 1e-9 from the alpha = beta gap line the walk1d integral is inf; it
+    # ended in an OverflowError traceback
+    out = tmp_path / "inv.json"
+    rc = main(["invariant", "--model", "walk1d", "--alpha", "0.370000001",
+               "--beta", "0.37", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: integral inf is not finite\n"
+    assert not out.exists()
+
+
 # --- phase diagram ---
 
 def test_phase_diagram_grid_contract(tmp_path):
@@ -339,6 +350,36 @@ def test_phase_diagram_nan_rows_counted_by_cause(tmp_path, capsys):
     assert "51 ZeroGap" in err
     assert "4 QuantizationFailure" in err
     assert "OracleMismatch" not in err
+
+
+def test_phase_diagram_integral_that_is_not_finite_is_a_nan_row(
+        tmp_path, monkeypatch, capsys):
+    # a walk1d cell at alpha = beta + 1e-9 integrates to inf: the kernel,
+    # given that cell in place of the diagram's (0, pi/2), fails it, and
+    # the CLI writes it as a NaN row counted under QuantizationFailure
+    kernel = invariants.winding_numbers_1d
+    moved = 0.37
+
+    def with_one_cell_moved(alpha, beta, n_grid):
+        alpha, beta = np.array(alpha), np.array(beta)
+        cell = np.flatnonzero((alpha == 0.0) & (beta == np.pi / 2))[0]
+        alpha[cell], beta[cell] = moved + 1e-9, moved
+        return kernel(alpha, beta, n_grid)
+
+    monkeypatch.setattr(invariants, "winding_numbers_1d", with_one_cell_moved)
+    out = tmp_path / "pd.csv"
+    assert main(["phase-diagram", "--model", "walk1d", "--grid", "5",
+                 "--inner-grid", "4096", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "1 QuantizationFailure" in err
+    rows = [line.split(",") for line in read_lines(out)[2:]]
+    assert rows[2 * 5 + 3][2:] == ["nan", "nan"]
+    monkeypatch.setattr(invariants, "winding_numbers_1d", kernel)
+    assert main(["phase-diagram", "--model", "walk1d", "--grid", "5",
+                 "--inner-grid", "4096", "--out", str(out)]) == 2
+    assert "QuantizationFailure" not in capsys.readouterr().err
+    rows = [line.split(",") for line in read_lines(out)[2:]]
+    assert rows[2 * 5 + 3][2:] == ["-1", "-1"]
 
 
 def test_curvature_nan_rows_name_zero_gap(tmp_path, capsys):

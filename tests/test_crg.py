@@ -134,7 +134,9 @@ def test_flow_field_families_split_by_hsp():
 
 class _OnMeshgrid:
     """A model whose curvature_raw is called on full (grid, grid) angle
-    arrays, as a meshgrid evaluation of the flow field calls it."""
+    arrays, as a meshgrid evaluation of the flow field calls it: its stage
+    is built on the full beta array and evaluated at the full alpha array,
+    in place of the stage and half angles that the flow field passes."""
 
     def __init__(self, model):
         self.model = model
@@ -142,9 +144,11 @@ class _OnMeshgrid:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def curvature_raw(self, k, alpha, beta):
-        alpha, beta = np.broadcast_arrays(alpha, beta)
-        return self.model.curvature_raw(k, alpha.copy(), beta.copy())
+    def curvature_raw(self, k, alpha, beta, stage=None, halves=None):
+        alpha, beta = (a.copy() for a in np.broadcast_arrays(alpha, beta))
+        return self.model.curvature_raw(
+            k, alpha, beta, self.model.curvature_stage(k, beta),
+            self.model.alpha_halves(alpha))
 
 
 @pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
@@ -181,7 +185,7 @@ def _full_grid_field(model, hsp, grid):
         num = model.curvature_raw(k_shift, A, B) - f0
         da = ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B) - f0)
         db = ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0)
-        closed = _closed_cells(model, hsp, axes, range(grid))
+        closed = _closed_cells(model, hsp, axes)
         da[closed] = db[closed] = np.nan
         f0[closed] = np.inf
         rate = np.hypot(da, db)
@@ -400,8 +404,8 @@ def test_closing_slope_rejects_other_momenta():
 
 def test_closed_cells_test_three_cells_per_column():
     # the closed-cell search evaluates the gap at O(grid) cells, three per
-    # beta column, never the whole grid: each block of rows tests the
-    # candidates inside it, so the blocks of one field test 3 * grid cells
+    # beta column, never the whole grid: one call per field tests 3 * grid
+    # cells, which every block of its rows then reads
     calls = []
 
     class Counting:
@@ -413,15 +417,70 @@ def test_closed_cells_test_three_cells_per_column():
             return WALK_1D.gap_closed(k, alpha, beta)
 
     axes = np.linspace(-np.pi, np.pi, 512, endpoint=False)
-    blocks = row_blocks(512)
-    assert len(blocks) > 1
-    cells = [_closed_cells(Counting(), 0.0, axes, rows) for rows in blocks]
-    assert sum(calls) == 3 * 512 and len(calls) == len(blocks)
-    i = np.concatenate([i + rows.start for (i, _), rows in zip(cells, blocks)])
-    j = np.concatenate([j for _, j in cells])
+    i, j = _closed_cells(Counting(), 0.0, axes)
+    assert calls == [3 * 512]
     assert len(i) == 512 and sorted(j) == list(range(512))
     assert np.array_equal(np.sort(i * 512 + j), np.flatnonzero(
         WALK_1D.gap_closed(0.0, axes[:, None], axes[None, :])))
+
+
+@pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
+def test_curvature_stage_bit_equal_to_one_shot_curvature_raw(model):
+    # a (1, grid) stage built once and evaluated at (rows, 1) blocks of
+    # alpha gives the bits of the one-shot curvature_raw on the full
+    # (grid, grid) arrays, at every HSP and its shifted momentum, on beta
+    # and beta + DM; the axes hold the gapless corner (-pi, -pi) and both
+    # zeros
+    axes = np.concatenate([grid_axes(64), [-0.0, 0.0, 1.0]])
+    n = len(axes)
+    assert axes[0] == -np.pi and axes[32] == 0.0
+    A, B = axes[:, None], axes[None, :]
+    blocks = [slice(lo, lo + 7) for lo in range(0, n, 7)]
+    for hsp in model.hsps():
+        k_shift = crg._shifted_momentum(hsp, np.eye(model.dimension)[0],
+                                        DEFAULT_DK)
+        for k in (hsp, k_shift):
+            for beta in (B, B + DEFAULT_DM):
+                stage = model.curvature_stage(k, beta)
+                got = np.concatenate([model.curvature_raw(
+                    k, A[rows], beta, stage, model.alpha_halves(A[rows]))
+                    for rows in blocks])
+                full_a, full_b = (x.copy() for x in
+                                  np.broadcast_arrays(A, beta))
+                want = model.curvature_raw(k, full_a, full_b)
+                assert got.shape == want.shape == (n, n)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_crg_builds_each_stage_and_closed_cell_test_once_per_hsp(
+        tmp_path, monkeypatch):
+    # the stage and the gap test of the closed cells are built per HSP, not
+    # per block of rows: a streamed crg run of 4 blocks per HSP calls each
+    # once per HSP and the model's stage builder once per curvature stage
+    from topocrit.cli import main
+
+    grid = 64
+    monkeypatch.setattr(crg, "BLOCK_POINTS", 16 * grid)
+    assert len(row_blocks(grid)) == 4
+    for model in (WALK_1D, WALK_2D):
+        calls = {"flow_stage": 0, "curvature_stage": 0, "gap_closed": 0}
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        with monkeypatch.context() as patch:
+            patch.setattr(crg, "flow_stage",
+                          counted("flow_stage", crg.flow_stage))
+            for name in ("curvature_stage", "gap_closed"):
+                patch.setattr(model, name, counted(name, getattr(model, name)))
+            assert main(["crg", "--model", model.name, "--grid", str(grid),
+                         "--out", str(tmp_path / model.name)]) == 0
+        hsps = len(model.hsps())
+        assert calls == {"flow_stage": hsps, "curvature_stage": 3 * hsps,
+                         "gap_closed": hsps}
 
 
 def test_flow_direction_reverses_across_line():

@@ -152,16 +152,35 @@ def test_winding_gap_check_matches_full_grid_oracle_on_the_gap_lines(n):
     # cells on and within 1e-12 or 1e-9 of the gap-closing lines
     # alpha = +-beta, where |zeta|^2 at k = 0 or pi is near GAP_TOL^2.  At
     # 1e-9 the gap passes the check, but the expanded denominator of the
-    # closed form cancels to zero there on either route, and inf - rint(inf)
-    # in the defect is invalid
+    # closed form cancels to zero there on either route: an integral that
+    # is not finite fails to quantize, and the kernel warns of nothing
     betas = np.append(np.linspace(-np.pi, np.pi, 17), [0.37, -2.2])
     offsets = (0.0, 1e-12, -1e-12, 1e-9, -1e-9)
     alpha = np.array([sign * b + d for b in betas.tolist()
                       for sign in (1.0, -1.0) for d in offsets])
     beta = np.repeat(betas, 2 * len(offsets))
-    with np.errstate(invalid="ignore"):
-        kinds = assert_winding_matches_full_grid(alpha, beta, n)
+    kinds = assert_winding_matches_full_grid(alpha, beta, n)
     assert {"defined", "ZeroGap"} <= kinds
+
+
+@pytest.mark.parametrize("beta, offset", [
+    (0.37, 1e-9), (-1.2, -1e-9), (2.5, -1e-9),
+])
+def test_winding_integral_that_is_not_finite_fails_to_quantize(beta, offset):
+    # at these alpha = beta +- 1e-9 the k = pi denominator cancels to 0 on
+    # the even inner grid and the integral is +-inf: a NaN cell failed as a
+    # QuantizationFailure, and the one-cell call raises it
+    alpha = beta + offset
+    raw, failed = winding_numbers_1d([alpha, 0.3], [beta, 0.1], 4096)
+    assert np.isnan(raw[0]) and np.isfinite(raw[1])
+    assert list(failed) == [0]
+    assert type(failed[0]) is QuantizationFailure
+    assert str(failed[0]) in ("integral inf is not finite",
+                              "integral -inf is not finite")
+    with pytest.raises(QuantizationFailure, match="not finite"):
+        winding_number_1d(WalkParams(alpha, beta))
+    with pytest.raises(QuantizationFailure, match="not finite"):
+        invariants._quantize(float("inf"), 4096)
 
 
 def test_winding_gap_check_reads_two_momenta_per_cell(monkeypatch):
