@@ -73,17 +73,6 @@ def _zone_transform(sample, shape, r, direction) -> np.ndarray:
     return np.fft.ifft(part, axis=0)[(u_row * r) % n_rows, col_of_r]
 
 
-def fourier_series_1d(values: np.ndarray, r_max: int) -> np.ndarray:
-    """Trapezoidal Fourier coefficients integral dk/(2 pi) f(k) e^{i k R}.
-
-    ``values`` samples f on a uniform [0, 2 pi) grid (endpoint excluded);
-    R = 0 .. r_max, all from one inverse FFT.
-    """
-    values = np.asarray(values)
-    return _zone_transform(lambda rows: values[None, :], (1, len(values)),
-                           np.arange(r_max + 1), (0, 1))
-
-
 def _correlation_series(model, p: WalkParams, r_max: int, n_grid: int,
                         width_scale: float, sample,
                         direction) -> CorrelationSeries:
@@ -191,6 +180,6 @@ def fit_decay(series: CorrelationSeries):
 
 
 __all__ = [
-    "CorrelationSeries", "fourier_series_1d", "wannier_correlation_1d",
+    "CorrelationSeries", "wannier_correlation_1d",
     "wannier_correlation_2d", "envelope_indices", "fit_decay",
 ]

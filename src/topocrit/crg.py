@@ -19,7 +19,6 @@ must reject.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,39 +42,6 @@ def _shifted_momentum(k0, ks, dk: float) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     return np.asarray(k0, dtype=float) + np.reshape(
         dk * (ks / np.linalg.norm(ks)), np.shape(k0))
-
-
-def rg_step(curvature, k0, ks, M, dk: float = DEFAULT_DK,
-            dM: float = DEFAULT_DM, axis: int = 0) -> float:
-    """One scaling-flow component dM_axis/dl at parameter point M.
-
-    Args:
-        curvature: callback F(k, M) -> float; raises ZeroGap at closings.
-        k0: high-symmetry momentum (scalar in 1D, pair in 2D).
-        ks: scaling direction (+-1 in 1D, a 2-vector in 2D); it is
-            normalized, so only its direction counts.
-        M: parameter pair (alpha, beta).
-        dk: momentum step away from k0 along ks.
-        dM: parameter step along the chosen axis.
-        axis: 0 for alpha, 1 for beta.
-
-    Returns:
-        The rescaled quotient estimating (1/2) d^2_k F / d_{M_axis} F;
-        math.inf when the parameter response is below the denominator floor
-        (curvature independent of that parameter), 0.0 when the scaling
-        response vanishes (local fixed point).
-    """
-    k_shifted = _shifted_momentum(k0, ks, dk)
-    m_shifted = list(M)
-    m_shifted[axis] = m_shifted[axis] + dM
-    f0 = curvature(k0, tuple(M))
-    num = curvature(k_shifted, tuple(M)) - f0
-    den = curvature(k0, tuple(m_shifted)) - f0
-    if abs(den) < DENOMINATOR_FLOOR:
-        if abs(num) < DENOMINATOR_FLOOR:
-            return 0.0
-        return math.inf
-    return float(num / den) * (dM / dk ** 2)
 
 
 @dataclass
@@ -167,10 +133,9 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None,
     The scaling direction is the first momentum axis, +k in 1D and +kx in
     2D, with the steps ``DEFAULT_DK`` and ``DEFAULT_DM``; a cell whose rate
     passes ``DEFAULT_RATE_THRESHOLD`` is flagged diverged.  Cells where the
-    gap closes at the HSP, exactly those where
-    :func:`walk_curvature_callback` raises ZeroGap there, carry NaN flow and
-    an infinite peak height and are flagged diverged; no exception is
-    raised per cell.
+    gap closes at the HSP, exactly those where ``model.gap_closed`` holds
+    there, carry NaN flow and an infinite peak height and are flagged
+    diverged; no exception is raised per cell.
 
     Everything that depends on the momentum and beta only, and the closed
     cells, is the :func:`flow_stage` of (model, hsp, grid): ``stage``, or
@@ -393,20 +358,7 @@ def detect_critical_lines(found: LineCandidates):
     return lines
 
 
-def walk_curvature_callback(model):
-    """Adapt a walk model to the F(k, M) callback used by :func:`rg_step`."""
-
-    from .walk1d import WalkParams
-
-    def fn(k, M):
-        p = WalkParams(M[0], M[1])
-        return float(model.curvature(*np.reshape(k, (-1, 1)), p)[0])
-
-    return fn
-
-
 __all__ = [
-    "rg_step", "flow_field", "flow_stage", "detect_critical_lines",
-    "FlowField", "FlowStage",
-    "LineCandidates", "CriticalLine", "walk_curvature_callback",
+    "flow_field", "flow_stage", "detect_critical_lines", "FlowField",
+    "FlowStage", "LineCandidates", "CriticalLine",
 ]

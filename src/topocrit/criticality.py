@@ -1,7 +1,6 @@
 """Critical behavior of curvature-function peaks.
 
-Lorentzian (Ornstein-Zernike) peak fits, power-law critical exponents, and
-the sign flip of the peak across a transition.
+Lorentzian (Ornstein-Zernike) peak fits and power-law critical exponents.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AtCriticality, PoorFit, WindowTouchesCriticality, ZeroGap
+from .errors import AtCriticality, PoorFit, WindowTouchesCriticality
 from .walk1d import LOCUS_TOL, WalkParams
 
 FIT_MIN_R2 = 0.99
@@ -178,20 +177,7 @@ def _critical_alpha(model, beta: float, k_c) -> float:
     return 0.0 - model.closing_slope(k_c) * beta
 
 
-def flip_test(model, beta: float, k_c, eps: float = 1e-3) -> float:
-    """Peak-value ratio F(k_c; alpha_c - eps) / F(k_c; alpha_c + eps).
-
-    Approaches -1 as eps -> 0 across the transition whose gap closes at k_c.
-    """
-    alpha_c = _critical_alpha(model, beta, k_c)
-    f_minus = model.peak_curvature(k_c, WalkParams(alpha_c - eps, beta))
-    f_plus = model.peak_curvature(k_c, WalkParams(alpha_c + eps, beta))
-    if f_plus == 0.0:
-        raise ZeroGap("peak curvature vanished on the + side")
-    return float(f_minus / f_plus)
-
-
 __all__ = [
     "CurvatureProfile", "ExponentFit", "fit_lorentzian", "sample_peak",
-    "extract_exponents", "flip_test",
+    "extract_exponents",
 ]

@@ -13,10 +13,6 @@ class GaugeSingularity(TopocritError):
     """Requested eigenstate gauge is singular at this point."""
 
 
-class FlatDegenerate(TopocritError):
-    """Quasienergy at a band touching; the rotation axis is undefined."""
-
-
 class PoorFit(TopocritError):
     """A least-squares fit failed its quality threshold."""
 

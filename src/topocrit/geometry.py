@@ -2,9 +2,7 @@
 
 Lower-band eigenstates in a gauge the caller chooses and the quantum
 geometric tensor, on arrays, together with the Berry connection and curvature
-of the 1D (d = (M, k, 0)) and 2D (d = (kx, ky, M)) Dirac models.  Closed
-forms are paired with finite-difference routines so each quantity can be
-checked against an independent numerical route.
+of the 1D (d = (M, k, 0)) and 2D (d = (kx, ky, M)) Dirac models.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import numpy as np
 from .errors import GaugeSingularity, ZeroGap
 
 GAP_FLOOR = 1e-14
-FD_STEP = 1e-5  # central-difference step for order-1 dimensionless momenta
 # d3/|d| from which a caller takes the lower band state in the north gauge
 GAUGE_SWITCH = 0.5
 
@@ -110,57 +107,3 @@ def berry_curvature_2d_dirac(kx, ky, M):
     """
     return _off_dirac_point(M * M + kx * kx + ky * ky,
                             lambda d2: M / (2.0 * np.float_power(d2, 1.5)))
-
-
-def berry_connection_fd(state_fn, k: float, delta: float = FD_STEP) -> float:
-    """Numeric Berry connection <psi| i d_k |psi> by central differences.
-
-    ``state_fn(k)`` must return the state as a complex array in a gauge that
-    is smooth across [k - delta, k + delta].
-    """
-    p0 = np.asarray(state_fn(k), dtype=complex)
-    dp = (np.asarray(state_fn(k + delta), dtype=complex)
-          - np.asarray(state_fn(k - delta), dtype=complex)) / (2.0 * delta)
-    return float((1j * np.vdot(p0, dp)).real)
-
-
-def berry_curvature_fd(state_fn, kx: float, ky: float,
-                       delta: float = FD_STEP) -> float:
-    """Numeric Berry curvature d_x A_y - d_y A_x by nested central differences.
-
-    ``state_fn(kx, ky)`` must be smooth over the stencil; fix the gauge at the
-    stencil center before calling.
-    """
-    def ax(x, y):
-        return berry_connection_fd(lambda t: state_fn(t, y), x, delta)
-
-    def ay(x, y):
-        return berry_connection_fd(lambda t: state_fn(x, t), y, delta)
-
-    return ((ay(kx + delta, ky) - ay(kx - delta, ky))
-            - (ax(kx, ky + delta) - ax(kx, ky - delta))) / (2.0 * delta)
-
-
-def qgt_finite_difference(state_fn, point, a: int, b: int,
-                          delta: float = FD_STEP) -> complex:
-    """Numeric quantum geometric tensor entry by central differences,
-
-        T_ab = <d_a psi|d_b psi> - <d_a psi|psi><psi|d_b psi>.
-
-    Args:
-        state_fn: callable mapping a parameter tuple to a complex state array,
-            smooth over the stencil.
-        point: parameter tuple at which to evaluate.
-        a, b: parameter indices of the two derivatives.
-    """
-    point = tuple(float(x) for x in point)
-
-    def shifted(i, s):
-        q = list(point)
-        q[i] += s
-        return np.asarray(state_fn(tuple(q)), dtype=complex)
-
-    p0 = np.asarray(state_fn(point), dtype=complex)
-    da = (shifted(a, delta) - shifted(a, -delta)) / (2.0 * delta)
-    db = (shifted(b, delta) - shifted(b, -delta)) / (2.0 * delta)
-    return complex(np.vdot(da, db) - np.vdot(da, p0) * np.vdot(p0, db))

@@ -70,26 +70,12 @@ class Walk1D(_Walk):
     def hsps():
         return [0.0, np.pi]
 
-    @staticmethod
-    def zeta_norm(k, p: WalkParams):
-        """|zeta| = sin E, from the axis components; see ``Walk2D``."""
-        zx, zy, zz = walk1d.zeta_components_1d(k, p)
-        return np.sqrt(zx * zx + zy * zy + zz * zz)
-
-    @staticmethod
-    def curvature(k, p: WalkParams):
-        return walk1d.rotated_curvature_1d(k, p)
-
     curvature_stage = staticmethod(walk1d._curvature_stage_1d)
     curvature_staged = staticmethod(walk1d._curvature_staged_1d)
 
     @staticmethod
     def peak_profile(k_c: float, deltas, p: WalkParams):
         return walk1d.rotated_curvature_1d(k_c + np.asarray(deltas, dtype=float), p)
-
-    @staticmethod
-    def peak_curvature(k_c: float, p: WalkParams) -> float:
-        return float(walk1d.rotated_curvature_1d(float(k_c), p))
 
     @staticmethod
     def peak_asymptotics(p: WalkParams, k_c: float):
@@ -103,7 +89,7 @@ class Walk1D(_Walk):
 
     @staticmethod
     def gap_closed(k, alpha, beta):
-        """Where ``curvature`` at momentum k raises ZeroGap, on
+        """Where ``rotated_curvature_1d`` at momentum k raises ZeroGap, on
         broadcastable angle arrays."""
         return walk1d._gap_closed_1d(k, _angle_halves(alpha, beta))
 
@@ -120,21 +106,6 @@ class Walk2D(_Walk):
                 (np.pi / 2.0, 0.0), (0.0, np.pi / 2.0)]
 
     @staticmethod
-    def zeta_norm(kx, ky, p: WalkParams):
-        """|zeta| = sin E, from the axis components.
-
-        It vanishes where the bands touch at quasienergy 0 or pi and
-        resolves a closing down to rounding, while the arccos of the
-        quasienergy resolves the gap min(E, pi - E) only to about 1.5e-8.
-        """
-        zx, zy, zz = walk2d.zeta_components_2d(kx, ky, p)
-        return np.sqrt(zx * zx + zy * zy + zz * zz)
-
-    @staticmethod
-    def curvature(kx, ky, p: WalkParams):
-        return walk2d.curvature_grid_2d(kx, ky, p)
-
-    @staticmethod
     def curvature_stage(k, beta):
         kx, ky = k
         return walk2d._curvature_stage_2d(kx, ky, beta)
@@ -147,11 +118,6 @@ class Walk2D(_Walk):
         deltas = np.asarray(deltas, dtype=float)
         kx0, ky0 = k_c
         return walk2d.curvature_grid_2d(kx0 + deltas, ky0 - deltas, p)
-
-    @staticmethod
-    def peak_curvature(k_c, p: WalkParams) -> float:
-        kx0, ky0 = k_c
-        return float(walk2d.curvature_grid_2d(kx0, ky0, p))
 
     @staticmethod
     def peak_asymptotics(p: WalkParams, k_c=None):
@@ -180,7 +146,7 @@ class Walk2D(_Walk):
 
     @staticmethod
     def gap_closed(k, alpha, beta):
-        """Where ``curvature`` at momentum k raises ZeroGap, on
+        """Where ``curvature_grid_2d`` at momentum k raises ZeroGap, on
         broadcastable angle arrays."""
         kx, ky = k
         return walk2d._gap_closed_2d(kx, ky, _angle_halves(alpha, beta))

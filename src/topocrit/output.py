@@ -427,6 +427,19 @@ def _sources(columns, encoded):
     return sources, cells
 
 
+def _block_rows(columns) -> int:
+    """The number of rows of a block.
+
+    Raises:
+        ValueError: its columns differ in length.
+    """
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError("a block's columns differ in length: %s" % ", ".join(
+            "%s %d" % item for item in lengths.items()))
+    return next(iter(lengths.values()), 0)
+
+
 def write_csv(path, version: str, config: dict, blocks) -> None:
     """Write a table as comma-separated UTF-8 with LF, given as an iterable
     of row blocks, each a mapping from column name to a 1-D array or an
@@ -435,7 +448,8 @@ def write_csv(path, version: str, config: dict, blocks) -> None:
     indexes by the file's row, counted over all blocks.
 
     The first block is taken, and its columns checked for a CSV
-    conversion, before the file is opened.  Every chunk is
+    conversion and an equal length, before the file is opened; a later
+    block is checked before any of its rows is written.  Every chunk is
     encoded into one block of cells, allocated and zeroed once per file
     while the blocks keep its layout, so pad bytes stay NUL: each column
     fills its whole words of the block's rows, and the last column's
@@ -446,7 +460,10 @@ def write_csv(path, version: str, config: dict, blocks) -> None:
         raise ValueError("a CSV table needs at least one block")
     names = list(first)
     encoded = {}
-    _sources(first, encoded)  # TypeError before the file is opened
+    # TypeError for a column with no CSV conversion, and ValueError for
+    # columns of unequal length, before the file is opened
+    _sources(first, encoded)
+    _block_rows(first)
     layout = canvas = None
     done = 0  # rows written
     with open(path, "wb") as fh:
@@ -456,8 +473,8 @@ def write_csv(path, version: str, config: dict, blocks) -> None:
             if list(columns) != names:
                 raise ValueError("a block has the columns %s, not %s"
                                  % (list(columns), names))
+            n_rows = _block_rows(columns)
             sources, cells = _sources(columns, encoded)
-            n_rows = min(map(len, columns.values()), default=0)
             if cells != layout or len(canvas) < min(n_rows, CSV_CHUNK_ROWS):
                 layout = cells
                 edges = list(itertools.accumulate((w for w, _ in cells),

@@ -26,17 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtCriticality, FlatDegenerate, ZeroGap
+from .errors import AtCriticality, ZeroGap
 from .geometry import GAP_FLOOR
 
-# |sin E| below which the bands touch: no axis (FlatDegenerate), and no
-# closed-form peak asymptotics in either walk (AtCriticality)
+# |sin E| below which the bands touch: no closed-form peak asymptotics in
+# either walk (AtCriticality)
 CRITICAL_FLOOR = 1e-12
 LOCUS_TOL = 1e-9  # angle slack of a point on a gap-closing locus or at an HSP
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _reduce_angle(x: float) -> float:
@@ -60,60 +56,10 @@ class WalkParams:
         return WalkParams(_reduce_angle(self.alpha), _reduce_angle(self.beta))
 
 
-@dataclass(frozen=True)
-class Unitary2:
-    """A 2x2 unitary, validated on construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if np.abs(m @ m.conj().T - np.eye(2)).max() > 1e-12:
-            raise ValueError("matrix is not unitary within 1e-12")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonianSample:
-    """Upper-band quasienergy and axis n, shape (3,), at one momentum."""
-
-    quasienergy: float
-    axis: np.ndarray
-
-
 def coin(theta: float) -> np.ndarray:
     """Coin rotation exp(-i theta sigma_y / 2)."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def unitary_1d(k: float, p: WalkParams) -> Unitary2:
-    """One-period walk unitary at momentum k."""
-    s_up = np.diag([1.0, np.exp(-1j * k)])
-    s_down = np.diag([np.exp(1j * k), 1.0])
-    return Unitary2(s_up @ coin(p.alpha) @ s_down @ coin(p.beta))
-
-
-def effective_hamiltonian(U: Unitary2) -> EffectiveHamiltonianSample:
-    """Decompose U = cos(E) I - i sin(E) n.sigma on the principal branch.
-
-    E is reported in [0, pi] (upper band); n carries the sign information.
-
-    Raises:
-        FlatDegenerate: |sin E| < 1e-12, where the axis is undefined.
-    """
-    m = U.matrix
-    cos_e = float((np.trace(m) / 2.0).real)
-    cos_e = float(np.clip(cos_e, -1.0, 1.0))
-    e = float(np.arccos(cos_e))
-    sin_e = np.sin(e)
-    if abs(sin_e) < CRITICAL_FLOOR:
-        raise FlatDegenerate("band touching: quasienergy %.3e from 0 or pi" % min(e, np.pi - e))
-    n = np.array([(1j * np.trace(s @ m) / 2.0).real for s in (_SX, _SY, _SZ)])
-    n /= sin_e
-    return EffectiveHamiltonianSample(e, n)
 
 
 def _half_angles(p: WalkParams):

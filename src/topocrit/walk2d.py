@@ -30,21 +30,9 @@ import numpy as np
 
 from .errors import AtCriticality, ZeroGap
 from .geometry import GAP_FLOOR
-from .walk1d import (CRITICAL_FLOOR, Unitary2, WalkParams, _half_angles,
-                     _halves, coin)
+from .walk1d import CRITICAL_FLOOR, WalkParams, _half_angles, _halves
 
 PEAK_KX = np.pi / 2.0  # gap-closing momentum on the ky = -kx slice
-
-
-def _shift(phase: float) -> np.ndarray:
-    return np.diag([np.exp(1j * phase), np.exp(-1j * phase)])
-
-
-def unitary_2d(kx: float, ky: float, p: WalkParams) -> Unitary2:
-    """One-period walk unitary at momentum (kx, ky)."""
-    m = (_shift(kx) @ coin(p.beta) @ _shift(ky) @ coin(p.alpha)
-         @ _shift(kx + ky) @ coin(p.beta))
-    return Unitary2(m)
 
 
 def rho_2d(kx, ky, p: WalkParams):

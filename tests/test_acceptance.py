@@ -23,12 +23,10 @@ import pytest
 from topocrit import WalkParams
 from topocrit.correlation import (fit_decay, wannier_correlation_1d,
                                   wannier_correlation_2d)
-from topocrit.criticality import _linearized_fit, extract_exponents, flip_test
-from topocrit.crg import (LineCandidates, detect_critical_lines, flow_field,
-                          rg_step, walk_curvature_callback)
+from topocrit.criticality import _linearized_fit, extract_exponents
+from topocrit.crg import LineCandidates, detect_critical_lines, flow_field
 from topocrit.errors import TopocritError
-from topocrit.geometry import (berry_connection_fd, berry_curvature_fd,
-                               lower_band_states)
+from topocrit.geometry import lower_band_states
 from topocrit.invariants import (chern_number_2d, chern_plaquette,
                                  winding_number_1d)
 from topocrit.models import WALK_1D, WALK_2D
@@ -36,7 +34,8 @@ from topocrit.walk1d import peak_asymptotics_1d, rotated_curvature_1d
 from topocrit.walk2d import (PEAK_KX, curvature_grid_2d, energy_grid_2d,
                              zeta_components_2d)
 
-from oracles import rotated_zeta_1d
+from oracles import (berry_connection_fd, berry_curvature_fd, flip_test,
+                     rg_step, rotated_zeta_1d, walk_curvature_callback)
 
 RNG = np.random.default_rng(2024)
 

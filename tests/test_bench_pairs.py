@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -50,3 +52,35 @@ def test_summarize_one_pair_and_failed_check():
     assert not got["all_checks_passed"]
     assert got["metrics"]["wall_s"]["change"] == {"median": 0.3, "q1": 0.3,
                                                   "q3": 0.3}
+
+
+# --- the topocrit names the benchmark looks up ---
+
+def test_bench_names_resolve():
+    # bench/spans.py wraps its TARGETS by (module, function) string, and
+    # bench/checks.py imports from topocrit and reads attributes of the
+    # modules it imports; a deleted or renamed name fails here
+    spans, checks = (ast.parse((ROOT / "bench" / name).read_text())
+                     for name in ("spans.py", "checks.py"))
+    targets = next(node.value.elts for node in ast.walk(spans)
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    pairs = {("topocrit." + t.elts[1].value, t.elts[2].value)
+             for t in targets}
+    modules = {}  # name -> the topocrit module it was imported from
+    for node in ast.walk(checks):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith(
+                "topocrit"):
+            for alias in node.names:
+                pairs.add((node.module, alias.name))
+                modules[alias.asname or alias.name] = node.module
+    pairs |= {(modules[node.value.id] + "." + node.value.id, node.attr)
+              for node in ast.walk(checks) if isinstance(node, ast.Attribute)
+              and getattr(node.value, "id", None) in modules}
+    assert len(pairs) >= len(targets) + 5
+    for module, name in sorted(pairs):
+        # an attribute, or else a submodule, as ``from module import name``
+        mod = importlib.import_module(module)
+        sub = hasattr(mod, "__path__") and importlib.util.find_spec(
+            module + "." + name)
+        assert hasattr(mod, name) or sub, (module, name)

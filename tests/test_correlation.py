@@ -5,7 +5,7 @@ import pytest
 
 from topocrit import WalkParams, correlation
 from topocrit.correlation import (envelope_indices, fit_decay,
-                                  fourier_series_1d, wannier_correlation_1d,
+                                  wannier_correlation_1d,
                                   wannier_correlation_2d, CorrelationSeries)
 from topocrit.criticality import _linearized_fit
 from topocrit.errors import InsufficientDecade, UndersampledPeak
@@ -18,14 +18,6 @@ from topocrit.walk2d import PEAK_KX, curvature_grid_2d
 def _series(values):
     values = np.asarray(values, dtype=float)
     return CorrelationSeries(np.arange(len(values)), values)
-
-
-# --- Fourier helper ---
-
-def test_fourier_of_constant():
-    out = fourier_series_1d(np.full(512, 3.7), 8)
-    assert abs(out[0] - 3.7) < 1e-12
-    assert np.abs(out[1:]).max() < 1e-12
 
 
 # --- FFT transform against the direct trapezoidal sum ---
@@ -94,14 +86,6 @@ def test_streamed_2d_series_holds_no_full_grid():
     finally:
         tracemalloc.stop()
     assert peak < 512 * 512 * 16
-
-
-def test_fourier_series_1d_matches_direct_sum_past_the_grid():
-    values = np.random.default_rng(3).normal(size=16)
-    k = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    r = np.arange(40)
-    direct = np.exp(1j * np.outer(r, k)) @ values / 16
-    assert np.abs(fourier_series_1d(values, 39) - direct).max() < 1e-12
 
 
 # --- 1D series ---

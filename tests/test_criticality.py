@@ -5,18 +5,19 @@ import pytest
 
 from topocrit import WalkParams
 from topocrit.criticality import (extract_exponents, fit_lorentzian,
-                                  flip_test, sample_peak)
+                                  sample_peak)
 from topocrit.errors import PoorFit, WindowTouchesCriticality
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import _reduce_angle, gap_distances, peak_asymptotics_1d
 
-from oracles import find_gap_closings
+from oracles import find_gap_closings, flip_test
 
 RNG = np.random.default_rng(3)
 
 
 class PowerLawModel:
-    """Synthetic model: exact Lorentzian peak with power-law height/width."""
+    """Synthetic model: exact Lorentzian peak with power-law height/width,
+    signed as alpha."""
 
     dimension = 1
 
@@ -25,12 +26,9 @@ class PowerLawModel:
         self.nu = nu
 
     def peak_profile(self, k_c, deltas, p):
-        f0 = abs(p.alpha) ** -self.gamma
+        f0 = np.sign(p.alpha) * abs(p.alpha) ** -self.gamma
         xi2 = abs(p.alpha) ** (-2 * self.nu)
         return f0 / (1.0 + xi2 * np.asarray(deltas) ** 2)
-
-    def peak_curvature(self, k_c, p):
-        return 1.0 / p.alpha
 
     def peak_asymptotics(self, p, k_c):
         return (abs(p.alpha) ** -self.gamma, abs(p.alpha) ** (-2 * self.nu))

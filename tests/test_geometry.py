@@ -3,11 +3,13 @@ import pytest
 
 from topocrit import (
     ZeroGap, GaugeSingularity,
-    berry_connection_1d, berry_connection_fd, berry_curvature_2d_dirac,
-    lower_band_states, qgt_finite_difference, quantum_geometric_tensor,
+    berry_connection_1d, berry_curvature_2d_dirac, lower_band_states,
+    quantum_geometric_tensor,
 )
 from topocrit.geometry import GAP_FLOOR, GAUGE_SWITCH
 from topocrit.walk1d import WalkParams, rotated_curvature_1d
+
+from oracles import berry_connection_fd, qgt_finite_difference
 
 RNG = np.random.default_rng(42)
 

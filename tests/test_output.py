@@ -108,6 +108,23 @@ def test_write_csv_checks_its_blocks(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
+def test_write_csv_refuses_a_ragged_block(tmp_path):
+    # a first block whose columns differ in length is refused before the
+    # file is opened
+    with pytest.raises(ValueError, match="a 3, b 5"):
+        write_csv(tmp_path / "first.csv", "1.0", CONFIG,
+                  [{"a": np.arange(3.0), "b": np.arange(5.0)}])
+    assert not (tmp_path / "first.csv").exists()
+    # a later one before any of its rows is written
+    even = {"a": np.arange(2.0), "b": np.arange(2.0)}
+    write_csv(tmp_path / "even.csv", "1.0", CONFIG, [even])
+    with pytest.raises(ValueError, match="a 4, b 3"):
+        write_csv(tmp_path / "later.csv", "1.0", CONFIG,
+                  [even, {"a": np.arange(4.0), "b": Indexed(AXIS, 3)}])
+    assert ((tmp_path / "later.csv").read_bytes()
+            == (tmp_path / "even.csv").read_bytes())
+
+
 # --- the encoder against Python's own formatting ---
 
 def _table_bytes(path) -> bytes:

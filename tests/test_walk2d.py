@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from topocrit import (
-    AtCriticality, WalkParams, ZeroGap,
-    effective_hamiltonian, peak_asymptotics_2d, unitary_2d,
-)
-from topocrit.geometry import (berry_curvature_fd, lower_band_states,
-                               quantum_geometric_tensor)
+from topocrit import AtCriticality, WalkParams, ZeroGap, peak_asymptotics_2d
+from topocrit.geometry import lower_band_states, quantum_geometric_tensor
 from topocrit.models import WALK_2D
 from topocrit.walk2d import (PEAK_KX, curvature_grid_2d, energy_grid_2d,
                              min_gap_2d, rho_2d, zeta_components_2d)
 
-from oracles import reconstruct_unitary
+from oracles import (berry_curvature_fd, effective_hamiltonian,
+                     reconstruct_unitary, walk_unitary)
 
 RNG = np.random.default_rng(11)
 
@@ -19,45 +16,42 @@ RNG = np.random.default_rng(11)
 # --- protocol unitary ---
 
 def test_unitary_pure_shift_limit():
-    sz = np.diag([1.0, -1.0])
-    for _ in range(10):
-        kx, ky = RNG.uniform(-np.pi, np.pi, 2)
-        u = unitary_2d(kx, ky, WalkParams(0.0, 0.0)).matrix
-        expect = np.diag(np.exp(1j * np.diag(2 * (kx + ky) * sz)))
-        np.testing.assert_allclose(u, expect, atol=1e-13)
+    kx, ky = RNG.uniform(-np.pi, np.pi, (10, 2)).T
+    u = walk_unitary((kx, ky), 0.0, 0.0)
+    phase = np.exp(2j * (kx + ky))
+    expect = np.zeros_like(u)
+    expect[:, 0, 0], expect[:, 1, 1] = phase, phase.conj()
+    np.testing.assert_allclose(u, expect, atol=1e-13)
 
 
 def test_unitary_trace_identity():
-    for _ in range(60):
-        kx, ky, a, b = RNG.uniform(-2 * np.pi, 2 * np.pi, 4)
-        u = unitary_2d(kx, ky, WalkParams(a, b)).matrix
-        assert abs((np.trace(u) / 2).real - rho_2d(kx, ky, WalkParams(a, b))) < 1e-12
+    kx, ky, a, b = RNG.uniform(-2 * np.pi, 2 * np.pi, (60, 4)).T
+    u = walk_unitary((kx, ky), a, b)
+    rho = [rho_2d(x, y, WalkParams(*ab)) for x, y, *ab in zip(kx, ky, a, b)]
+    assert np.abs(np.trace(u, axis1=-2, axis2=-1).real / 2 - rho).max() < 1e-12
 
 
 def test_unitarity_and_periodicity():
-    for _ in range(30):
-        kx, ky, a, b = RNG.uniform(-5, 5, 4)
-        p = WalkParams(a, b)
-        u = unitary_2d(kx, ky, p).matrix
-        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
-        u2 = unitary_2d(kx + 2 * np.pi, ky, p).matrix
-        u3 = unitary_2d(kx, ky + 2 * np.pi, p).matrix
-        assert np.abs(u - u2).max() < 1e-12
-        assert np.abs(u - u3).max() < 1e-12
+    kx, ky, a, b = RNG.uniform(-5, 5, (30, 4)).T
+    u = walk_unitary((kx, ky), a, b)
+    assert np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(2)).max() < 1e-12
+    u2 = walk_unitary((kx + 2 * np.pi, ky), a, b)
+    u3 = walk_unitary((kx, ky + 2 * np.pi), a, b)
+    assert np.abs(u - u2).max() < 1e-12
+    assert np.abs(u - u3).max() < 1e-12
 
 
 def test_effective_hamiltonian_round_trip():
-    for _ in range(30):
-        kx, ky, a, b = RNG.uniform(-np.pi, np.pi, 4)
-        p = WalkParams(a, b)
-        u = unitary_2d(kx, ky, p)
-        z = np.array(zeta_components_2d(kx, ky, p))
-        if np.linalg.norm(z) < 1e-3:
-            continue
-        s = effective_hamiltonian(u)
-        np.testing.assert_allclose(reconstruct_unitary(s).matrix, u.matrix,
-                                   atol=1e-10)
-        np.testing.assert_allclose(z / np.linalg.norm(z), s.axis, atol=1e-8)
+    kx, ky, a, b = RNG.uniform(-np.pi, np.pi, (30, 4)).T
+    u = walk_unitary((kx, ky), a, b)
+    z = np.array([zeta_components_2d(x, y, WalkParams(*ab))
+                  for x, y, *ab in zip(kx, ky, a, b)])
+    norm = np.linalg.norm(z, axis=1, keepdims=True)
+    keep = norm[:, 0] >= 1e-3
+    e, n = effective_hamiltonian(u)
+    np.testing.assert_allclose(reconstruct_unitary(e, n)[keep], u[keep],
+                               atol=1e-10)
+    np.testing.assert_allclose((z / norm)[keep], n[keep], atol=1e-8)
 
 
 # --- bands and axis ---
@@ -169,7 +163,8 @@ def test_peak_matches_curvature_exactly():
     for a in (-2.5, -0.3, -0.1, 0.1, 0.3, 1.0, 2.9):
         for b in (0.4, np.pi / 2, 2.0):
             fp, _ = peak_asymptotics_2d(WalkParams(a, b))
-            fc = WALK_2D.peak_curvature(WALK_2D.slice_peak(), WalkParams(a, b))
+            fc = WALK_2D.peak_profile(WALK_2D.slice_peak(), [0.0],
+                                      WalkParams(a, b))[0]
             assert abs(fp - fc) < 1e-10 * max(1.0, abs(fc))
 
 
