@@ -345,10 +345,10 @@ def _curvature_columns(cfg: dict, alpha) -> dict:
         k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         with np.errstate(all="ignore"):
             if model == "walk1d":
-                return {"k": k, "F": walk1d._curvature_raw_1d(k, alpha, beta),
+                return {"k": k, "F": WALK_1D.curvature_raw(k, alpha, beta),
                         "E_upper": walk1d.energy_1d(k, p)}
             return {"kx": k, "ky": -k,
-                    "F": walk2d._curvature_raw_2d(k, -k, alpha, beta),
+                    "F": WALK_2D.curvature_raw((k, -k), alpha, beta),
                     "E_upper": walk2d.energy_grid_2d(k, -k, p)}
     mass, kmax = float(cfg["mass"]), float(cfg["kmax"])
     k = np.linspace(-kmax, kmax, n)

@@ -54,8 +54,10 @@ def _linearized_fit(momenta, values, k_c: float):
     values = np.asarray(values, dtype=float)
     if momenta.size < 7:
         raise ValueError("need at least 7 samples around the peak")
-    if np.any(values == 0.0):
-        raise ValueError("curvature samples must be nonzero for 1/F")
+    zeros = int(np.count_nonzero(values == 0.0))
+    if zeros:
+        raise PoorFit("%d of %d curvature samples are 0: no peak to fit by 1/F"
+                      % (zeros, values.size))
     dk2 = (momenta - k_c) ** 2
     if np.ptp(dk2) == 0.0:
         return float(values[0]), 0.0, 1.0
@@ -84,7 +86,8 @@ def fit_lorentzian(momenta, values, k_c: float):
         CurvatureProfile with f_peak, xi (non-negative) and the R^2 residual.
 
     Raises:
-        PoorFit: R^2 of the linearized fit below 0.99.
+        PoorFit: a sample of F is 0, or R^2 of the linearized fit is below
+            0.99.
     """
     f_peak, xi2_signed, r2 = _linearized_fit(momenta, values, k_c)
     if r2 < FIT_MIN_R2:

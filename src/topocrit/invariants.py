@@ -21,9 +21,9 @@ phi / |zeta|^3, the oracle builds lower-band states from zeta scaled by
 |zeta| and sums link-variable fluxes, and neither uses the other's result.
 Many walks (a phase diagram) are evaluated per call, cell by cell, into one
 set of torus-shaped work arrays that each cell overwrites in place; a single
-cell is a call of one.  The walks are grouped by beta, and the products of
-the zeta/phi closed forms that depend only on beta and momentum are
-evaluated once per group, so a cell evaluates only the rest.
+cell is a call of one.  The walks are grouped by beta, and each group's
+beta stage, the ``walk2d.stage_2d`` of its beta on the torus table, is
+built once, so a cell evaluates only its alpha terms on it.
 
 The memoized tables of both invariants are read-only, and the 2D work
 arrays belong to the call that allocated them, so calls from several
@@ -39,17 +39,15 @@ import numpy as np
 
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
 from .geometry import GAUGE_SWITCH
+from .models import BLOCK_POINTS
 from .walk1d import (WalkParams, _angle_halves, _curvature_coeffs_1d,
-                     _curvature_terms_1d, _zeta_terms_1d)
-from .walk2d import _zeta_phi_2d, beta_table_2d, trig_table_2d
+                     _curvature_terms_1d, _halves, _zeta_terms_1d)
+from .walk2d import _zeta_phi_2d, stage_2d, trig_table_2d
 
 DEFAULT_N_WINDING = 4096
 DEFAULT_N_CHERN = 256
 GAP_TOL = 1e-10
 DEFECT_LIMIT = 1e-3
-# largest number of (cell, momentum) points in one winding_numbers_1d block;
-# a block's temporaries then stay within a core's L2 cache
-WINDING_BLOCK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     the ZeroGap or QuantizationFailure that ``winding_number_1d`` raises for
     it.  A cell's gap is checked at two momenta of the inner grid, and the
     integrals of the open cells are evaluated in blocks of at most
-    WINDING_BLOCK_POINTS (cell, momentum) points, so memory grows with the
+    BLOCK_POINTS (cell, momentum) points, so memory grows with the
     number of cells only by the per-cell coefficients and gap terms.
     """
     halves = np.array(_angle_halves(np.asarray(alpha, dtype=float),
@@ -151,7 +149,7 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     closed = np.min(zx * zx + zy * zy + zz * zz, axis=1) < GAP_TOL ** 2
     opened = np.flatnonzero(~closed)
     raw = np.full(halves.shape[1], np.nan)
-    step = max(1, WINDING_BLOCK_POINTS // n_grid)
+    step = max(1, BLOCK_POINTS // n_grid)
     for start in range(0, opened.size, step):
         cells = opened[start:start + step]
         f = _curvature_terms_1d(coeffs[:, cells, None], cos_k, sin2_k,
@@ -221,18 +219,13 @@ class _TorusWork:
          self.uy) = (np.empty(shape, complex) for _ in range(7))
 
     def beta_stage(self, beta: float):
-        """The beta-only products of the angle ``beta`` on the torus
-        table."""
-        _, _, kb, lb = _angle_halves(0.0, beta)
-        return beta_table_2d(self.table, kb, lb)
+        """The ``stage_2d`` of the angle ``beta`` on the torus table."""
+        return stage_2d(self.table, beta)
 
-    def zeta(self, alpha: float, beta: float, stage):
-        """One zeta/phi evaluation of the walk (alpha, beta), gap-checked;
-        returns (zeta, phi).  ``stage`` is ``beta_stage`` of the bits of
-        ``beta``.
-        """
-        zx, zy, zz, phi = _zeta_phi_2d(self.table,
-                                       *_angle_halves(alpha, beta), stage)
+    def zeta(self, alpha: float, stage):
+        """One zeta/phi evaluation of the walk of angle ``alpha`` on the
+        ``beta_stage`` of its beta, gap-checked; returns (zeta, phi)."""
+        zx, zy, zz, phi = _zeta_phi_2d(stage, *_halves(alpha))
         zeta = (zx, zy, zz)
         if self.norm2(zeta) < GAP_TOL ** 2:
             raise ZeroGap("gap closed on the integration grid")
@@ -327,10 +320,11 @@ class _TorusWork:
         np.multiply(self.cdn, s, out=s)
         np.add(out, s, out=out)
 
-    def chern(self, alpha: float, beta: float, stage) -> float:
-        """The raw integral of ``chern_number_2d`` of the walk (alpha,
-        beta) on these work arrays, with the ``beta_stage`` of its beta."""
-        zeta, phi = self.zeta(alpha, beta, stage)
+    def chern(self, alpha: float, stage) -> float:
+        """The raw integral of ``chern_number_2d`` of the walk of angle
+        ``alpha`` on these work arrays, with the ``beta_stage`` of its
+        beta."""
+        zeta, phi = self.zeta(alpha, stage)
         raw = self.integral(phi)
         rounded = _quantize(raw, self.n_grid).rounded
         oracle = _quantize(self.plaquette(zeta), self.n_grid).rounded
@@ -345,7 +339,7 @@ def chern_numbers_2d(alpha, beta, n_grid: int = DEFAULT_N_CHERN):
     work arrays.
 
     The walks are grouped by the bits of beta (0.0 and -0.0 apart), and the
-    beta-only products of the closed forms are evaluated once per group.
+    beta stage of each group is built once.
     Returns (raw, failed) as ``winding_numbers_1d`` does: the raw integral
     of every cell, NaN where it failed, and a dict from the index of each
     failed cell, in cell order, to the ZeroGap, QuantizationFailure or
@@ -363,7 +357,7 @@ def chern_numbers_2d(alpha, beta, n_grid: int = DEFAULT_N_CHERN):
         stage = work.beta_stage(betas[cells[0]])
         for i in cells:
             try:
-                raw[i] = work.chern(alphas[i], betas[i], stage)
+                raw[i] = work.chern(alphas[i], stage)
             except (ZeroGap, QuantizationFailure, OracleMismatch) as exc:
                 # a kept traceback would hold the work arrays alive
                 failed[i] = exc.with_traceback(None)
@@ -392,7 +386,7 @@ def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
     through link variables, never the curvature function.
     """
     work = _TorusWork(n_grid)
-    zeta, _ = work.zeta(p.alpha, p.beta, work.beta_stage(p.beta))
+    zeta, _ = work.zeta(p.alpha, work.beta_stage(p.beta))
     return _quantize(work.plaquette(zeta), n_grid)
 
 

@@ -107,8 +107,9 @@ class Walk2D(_Walk):
 
     @staticmethod
     def curvature_stage(k, beta):
+        """The ``walk2d.stage_2d`` of beta on the momentum k = (kx, ky)."""
         kx, ky = k
-        return walk2d._curvature_stage_2d(kx, ky, beta)
+        return walk2d.stage_2d(walk2d.trig_table_2d(kx, ky), beta)
 
     curvature_staged = staticmethod(walk2d._curvature_staged_2d)
 
@@ -149,7 +150,7 @@ class Walk2D(_Walk):
         """Where ``curvature_grid_2d`` at momentum k raises ZeroGap, on
         broadcastable angle arrays."""
         kx, ky = k
-        return walk2d._gap_closed_2d(kx, ky, _angle_halves(alpha, beta))
+        return walk2d._gap_closed_2d(kx, ky, alpha, beta)
 
 
 WALK_1D = Walk1D()

@@ -111,32 +111,22 @@ def _gap_closed_1d(k, h):
     return zx * zx + zy * zy < GAP_FLOOR ** 2
 
 
-def _validate_gap(k, p: WalkParams):
-    if np.any(_gap_closed_1d(k, _half_angles(p))):
-        raise ZeroGap("gap closed on the requested momenta")
-
-
 def rotated_curvature_1d(k, p: WalkParams):
     """Curvature function F(k) = (n x d_k n) . A, the doubled rotated-frame
-    Berry connection; array-capable.
+    Berry connection; array-capable.  The closed form
+
+        F = -(kap_a^2 lam_b + lam_a kap_a kap_b cos k)
+            / (kap_a^2 sin^2 k + (lam_a kap_b + kap_a lam_b cos k)^2)
+
+    is the stage of (k, beta) evaluated at the alpha half angles.
 
     Raises:
         ZeroGap: the gap closes on the requested momenta.
     """
-    _validate_gap(k, p)
-    return _curvature_raw_1d(k, p.alpha, p.beta)
-
-
-def _curvature_raw_1d(k, alpha, beta):
-    """Unvalidated curvature on broadcastable (k, alpha, beta) arrays; the
-    one copy of the closed form
-
-        F = -(kap_a^2 lam_b + lam_a kap_a kap_b cos k)
-            / (kap_a^2 sin^2 k + (lam_a kap_b + kap_a lam_b cos k)^2),
-
-    the stage of (k, beta) evaluated at the alpha half angles.
-    """
-    return _curvature_staged_1d(_curvature_stage_1d(k, beta), *_halves(alpha))
+    if np.any(_gap_closed_1d(k, _half_angles(p))):
+        raise ZeroGap("gap closed on the requested momenta")
+    return _curvature_staged_1d(_curvature_stage_1d(k, p.beta),
+                                *_halves(p.alpha))
 
 
 def _curvature_stage_1d(k, beta):

@@ -20,6 +20,12 @@ and the axis is n = zeta/|zeta|.  The curvature function
 is the mapping-degree density of n; its integral over d^2k/(4 pi) is the
 integer invariant.  Everything is pi-periodic in both momenta, so the
 [0, 2 pi)^2 zone holds four copies of the fundamental domain.
+
+zeta and phi are evaluated in two stages.  ``stage_2d`` builds the one kind
+of beta stage: the terms that depend only on momentum and beta, over a trig
+table of any momenta (the invariants' memoized torus, a crg high-symmetry
+point, or the momenta of one call).  ``_zeta_phi_2d`` evaluates the rest at
+the alpha half angles, in the operation order of the single expressions.
 """
 
 from __future__ import annotations
@@ -77,26 +83,32 @@ def trig_table_2d(kx, ky) -> TrigTable2D:
 # stage that reads it computes the bits of the single expression.
 BetaTable2D = namedtuple("BetaTable2D", ("zx", "zz", "t2", "t3"))
 
+# What _zeta_phi_2d reads of the momenta and the angle beta, for any alpha: a
+# trig table, the beta half angles (kb, lb) and the beta table over both.
+Stage2D = namedtuple("Stage2D", ("trig", "kb", "lb", "beta"))
 
-def beta_table_2d(trig: TrigTable2D, kb, lb) -> BetaTable2D:
-    """Every beta-only product over a trig table and the beta half-angle
-    coefficients, evaluated once for the walks that share beta."""
-    return BetaTable2D(
+
+def stage_2d(trig: TrigTable2D, beta) -> Stage2D:
+    """The stage of the angle ``beta`` (an array or a scalar) on a trig
+    table, evaluated once for every alpha that shares beta: the one builder
+    of a beta stage."""
+    kb, lb = _halves(beta)
+    return Stage2D(trig, kb, lb, BetaTable2D(
         zx=-2.0 * lb * trig.sin_x,
         zz=kb ** 2 * trig.sin_2xy + lb ** 2 * trig.sin_2y,
         t2=(2.0 * kb ** 2 * trig.cos_2y * trig.cos_2x2y
             - lb ** 2 * trig.sum_2x4y),
-        t3=lb ** 2 - kb ** 2 * trig.cos_2x)
+        t3=lb ** 2 - kb ** 2 * trig.cos_2x))
 
 
-def _zeta_phi_2d(trig: TrigTable2D, ka, la, kb, lb, beta: BetaTable2D):
-    """Axis components and curvature numerator from one trig table and the
-    beta table over it and (kb, lb).
+def _zeta_phi_2d(stage: Stage2D, ka, la):
+    """Axis components and curvature numerator at the alpha half angles
+    (ka, la) on a stage of ``stage_2d``; the one copy of the algebra.
 
-    The half-angle coefficients broadcast against the momentum terms, so
-    either side may be the grid.  Returns (zx, zy, zz, phi) with
-    F = phi / |zeta|^3.
+    The half angles broadcast against the stage, so either side may be the
+    grid.  Returns (zx, zy, zz, phi) with F = phi / |zeta|^3.
     """
+    trig, kb, lb, beta = stage
     zx = beta.zx * (la * lb * trig.cos_x - ka * kb * trig.cos_x2y)
     zy = (la * kb ** 2 - la * lb ** 2 * trig.cos_2x
           + 2.0 * ka * kb * lb * trig.cos_x * trig.cos_x2y)
@@ -108,78 +120,45 @@ def _zeta_phi_2d(trig: TrigTable2D, ka, la, kb, lb, beta: BetaTable2D):
     return zx, zy, zz, phi
 
 
-def _stage_2d(kx, ky, kb, lb):
-    """What ``_zeta_phi_2d`` reads of the momenta and the beta half angles
-    (kb, lb), for any alpha: the trig table on the momenta, (kb, lb) and the
-    beta table over both."""
-    trig = trig_table_2d(kx, ky)
-    return trig, kb, lb, beta_table_2d(trig, kb, lb)
-
-
-def _zeta_phi_staged(stage, ka, la):
-    """``_zeta_phi_2d`` at the alpha half angles (ka, la) on a stage of
-    ``_stage_2d``."""
-    trig, kb, lb, beta = stage
-    return _zeta_phi_2d(trig, ka, la, kb, lb, beta)
-
-
-def _zeta_phi_at(kx, ky, h):
-    """``_zeta_phi_2d`` on broadcastable momentum arrays and half angles h,
-    with both tables built on these momenta."""
-    ka, la, kb, lb = h
-    return _zeta_phi_staged(_stage_2d(kx, ky, kb, lb), ka, la)
+def _zeta_phi_at(kx, ky, alpha, beta):
+    """``_zeta_phi_2d`` on broadcastable momentum and angle arrays, with the
+    stage built on these momenta: the one-shot route."""
+    return _zeta_phi_2d(stage_2d(trig_table_2d(kx, ky), beta),
+                        *_halves(alpha))
 
 
 def zeta_components_2d(kx, ky, p: WalkParams):
     """Unnormalized-axis components on broadcastable momentum arrays."""
-    return _zeta_phi_at(kx, ky, _half_angles(p))[:3]
-
-
-def _norm2_phi_2d(kx, ky, h):
-    """|zeta|^2 and the curvature numerator phi on broadcastable momentum
-    arrays, from the half angles h, which may be arrays too."""
-    return _norm2_phi(_zeta_phi_at(kx, ky, h))
+    return _zeta_phi_at(kx, ky, p.alpha, p.beta)[:3]
 
 
 def _norm2_phi(zeta_phi):
     """|zeta|^2 and phi from the (zx, zy, zz, phi) of ``_zeta_phi_2d``.  It
-    is passed their result, so the tables they read are freed first."""
+    is passed their result, so the stage they read is freed first."""
     zx, zy, zz, phi = zeta_phi
     return zx * zx + zy * zy + zz * zz, phi
 
 
-def _gap_closed_2d(kx, ky, h):
+def _gap_closed_2d(kx, ky, alpha, beta):
     """Where |zeta|^2 is below GAP_FLOOR^2, the test of
-    ``curvature_grid_2d``."""
-    return _norm2_phi_2d(kx, ky, h)[0] < GAP_FLOOR ** 2
+    ``curvature_grid_2d``, on broadcastable angle arrays."""
+    return _norm2_phi(_zeta_phi_at(kx, ky, alpha, beta))[0] < GAP_FLOOR ** 2
 
 
 def curvature_grid_2d(kx, ky, p: WalkParams):
     """Curvature function F = (d_kx n x d_ky n) . n = phi / |zeta|^3 on
     momentum arrays."""
-    n2, phi = _norm2_phi_2d(kx, ky, _half_angles(p))
+    n2, phi = _norm2_phi(_zeta_phi_at(kx, ky, p.alpha, p.beta))
     if np.min(n2) < GAP_FLOOR ** 2:
         raise ZeroGap("gap closed on the requested grid")
     with np.errstate(divide="ignore", invalid="ignore"):
         return phi / n2 ** 1.5
 
 
-def _curvature_raw_2d(kx, ky, alpha, beta):
-    """Unvalidated curvature on broadcastable (k, alpha, beta) arrays: the
-    stage of (kx, ky, beta) evaluated at the alpha half angles."""
-    return _curvature_staged_2d(_curvature_stage_2d(kx, ky, beta),
-                                *_halves(alpha))
-
-
-def _curvature_stage_2d(kx, ky, beta):
-    """The ``_stage_2d`` of the momenta and the angle beta."""
-    return _stage_2d(kx, ky, *_halves(beta))
-
-
-def _curvature_staged_2d(stage, ka, la):
+def _curvature_staged_2d(stage: Stage2D, ka, la):
     """The curvature phi / |zeta|^3 at the alpha half angles (ka, la) on a
-    stage of ``_stage_2d``, which they broadcast against."""
-    n2, phi = _norm2_phi(_zeta_phi_staged(stage, ka, la))
+    stage of ``stage_2d``, which they broadcast against."""
+    n2, phi = _norm2_phi(_zeta_phi_2d(stage, ka, la))
     with np.errstate(divide="ignore", invalid="ignore"):
         return phi / n2 ** 1.5
 

@@ -197,7 +197,7 @@ def _close_mod(a: float, b: float, tol: float = 1e-5) -> bool:
 
 def phi_2d(kx, ky, p: WalkParams):
     """Numerator of the walk2d curvature function; array-capable."""
-    return _zeta_phi_at(kx, ky, _half_angles(p))[3]
+    return _zeta_phi_at(kx, ky, p.alpha, p.beta)[3]
 
 
 def chiral_axis(p: WalkParams) -> np.ndarray:

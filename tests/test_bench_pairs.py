@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,3 +85,19 @@ def test_bench_names_resolve():
         sub = hasattr(mod, "__path__") and importlib.util.find_spec(
             module + "." + name)
         assert hasattr(mod, name) or sub, (module, name)
+
+
+# --- the tests the CI workflow names ---
+
+def test_workflow_names_existing_tests():
+    # the tier1-min-deps job's comment names the tests it guards as
+    # tests/<file>.py::<test>, and no job runs them by that name; a renamed
+    # or deleted test fails here
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    named = re.findall(r"tests/(\w+\.py)::(\w+)", workflow)
+    assert len(named) == 6  # "all six" of that comment
+    for file, test in named:
+        tree = ast.parse((ROOT / "tests" / file).read_text())
+        defs = {node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef)}
+        assert test in defs, (file, test)

@@ -165,6 +165,17 @@ def test_exponents_refuses_a_sweep_off_its_transition(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+def test_exponents_refuses_a_fit_on_zero_curvature(tmp_path, capsys):
+    # phi carries the factor lam_b = sin(beta/2), so walk2d's curvature is
+    # 0 at every momentum at beta = 0: the first sweep point's 30 samples
+    out = tmp_path / "exp.json"
+    assert main(["exponents", "--model", "walk2d", "--beta", "0",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: 30 of 30 curvature samples are 0: no peak to fit" in err
+    assert not out.exists()
+
+
 # --- correlation ---
 
 def test_correlation_csv(tmp_path):
@@ -785,7 +796,7 @@ def test_csv_bytes_curvature_nan_rows(tmp_path):
           "--grid", "64", "--out", str(out)])
     k = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     with np.errstate(all="ignore"):
-        f = walk1d._curvature_raw_1d(k, 0.0, 0.0)
+        f = WALK_1D.curvature_raw(k, 0.0, 0.0)
     f = np.where(np.isfinite(f), f, np.nan)
     e = walk1d.energy_1d(k, WalkParams(0.0, 0.0))
     rows = [(float(k[i]), float(f[i]), float(e[i])) for i in range(64)]

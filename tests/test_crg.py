@@ -431,7 +431,9 @@ def test_curvature_stage_bit_equal_to_one_shot_curvature_raw(model):
     # alpha gives the bits of the one-shot curvature_raw on the full
     # (grid, grid) arrays, at every HSP and its shifted momentum, on beta
     # and beta + DM; the axes hold the gapless corner (-pi, -pi) and both
-    # zeros
+    # zeros.  Both sides build the same stage, so this checks the blocks'
+    # broadcasting; the walk2d bits against independent single expressions
+    # are test_invariants.py::test_zeta_phi_bits_match_single_expressions
     axes = np.concatenate([grid_axes(64), [-0.0, 0.0, 1.0]])
     n = len(axes)
     assert axes[0] == -np.pi and axes[32] == 0.0

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from topocrit import WalkParams, ZeroGap, invariants
+from topocrit.crg import DEFAULT_DM
 from topocrit.errors import OracleMismatch, QuantizationFailure
-from topocrit.invariants import (GAP_TOL, WINDING_BLOCK_POINTS,
-                                 InvariantResult, _TorusWork, _circle_trig,
-                                 _quantize, _zone_trig, chern_number_2d,
-                                 chern_numbers_2d, chern_plaquette,
-                                 winding_number_1d, winding_numbers_1d)
+from topocrit.invariants import (GAP_TOL, InvariantResult, _TorusWork,
+                                 _circle_trig, _quantize, _zone_trig,
+                                 chern_number_2d, chern_numbers_2d,
+                                 chern_plaquette, winding_number_1d,
+                                 winding_numbers_1d)
 from topocrit.geometry import GAP_FLOOR
+from topocrit.models import BLOCK_POINTS, WALK_2D
 from topocrit.walk1d import (_angle_halves, _curvature_coeffs_1d,
-                             _half_angles, _zeta_terms_1d,
+                             _half_angles, _halves, _zeta_terms_1d,
                              rotated_curvature_1d)
-from topocrit.walk2d import (_curvature_raw_2d, _zeta_phi_2d,
-                             curvature_grid_2d, zeta_components_2d)
+from topocrit.walk2d import (_zeta_phi_2d, curvature_grid_2d,
+                             zeta_components_2d)
 
 from oracles import full_grid_winding_1d, phi_2d
 
@@ -110,7 +112,7 @@ def test_winding_row_matches_one_cell_calls(n, want):
     # partial last block
     axes = np.linspace(-np.pi, np.pi, 40)
     if n > 8:
-        assert axes.size * n > 2 * WINDING_BLOCK_POINTS
+        assert axes.size * n > 2 * BLOCK_POINTS
     raw, failed = winding_numbers_1d(np.full(axes.size, axes[25]), axes, n)
     refs = [_one_cell(WalkParams(axes[25], b), n) for b in axes.tolist()]
     assert {type(r).__name__ for r in refs} == want
@@ -514,22 +516,40 @@ def test_chern_beta_groups_keep_the_bits(n, kinds, monkeypatch):
             assert one == ref
 
 
+def assert_same_bits(got, want):
+    """Every bit of every component, signed zeros too."""
+    for g, w in zip(got, want, strict=True):
+        assert np.shape(g) == np.shape(w)
+        assert np.array_equal(_bits(g), _bits(w))
+
+
 @pytest.mark.parametrize("n", [96, 97])
 def test_zeta_phi_bits_match_single_expressions(n):
-    # the torus path (tables shared across cells) and the public entry
-    # points (tables built per call) against one expression per component,
-    # every bit of every point, signed zeros too
+    # every route into _zeta_phi_2d against one expression per component:
+    # the torus path (a stage shared across cells), the public entry points
+    # (a stage built per call) and the adapter's crg layout (a stage of
+    # scalar momenta and a (1, n) beta row, at (m, 1) blocks of alpha)
     work = _TorusWork(n)
     kx, ky = torus_momenta(n)
     for a, b in GROUPED_CELLS:
         p = WalkParams(a, b)
         want = single_expression_zeta_phi(kx, ky, *_half_angles(p))
-        staged = _zeta_phi_2d(work.table, *_half_angles(p),
-                              work.beta_stage(p.beta))
-        per_call = (*zeta_components_2d(kx, ky, p), phi_2d(kx, ky, p))
-        for w, s, r in zip(want, staged, per_call):
-            assert np.array_equal(_bits(s), _bits(w))
-            assert np.array_equal(_bits(r), _bits(w))
+        assert_same_bits(_zeta_phi_2d(work.beta_stage(p.beta),
+                                      *_halves(p.alpha)), want)
+        assert_same_bits((*zeta_components_2d(kx, ky, p), phi_2d(kx, ky, p)),
+                         want)
+    axes = np.concatenate([np.linspace(-np.pi, np.pi, n, endpoint=False),
+                           [-0.0, 0.0]])
+    B = axes[None, :]
+    for kx, ky in WALK_2D.hsps() + [(0.3, -1.1)]:
+        for beta in (B, B + DEFAULT_DM):
+            stage = WALK_2D.curvature_stage((kx, ky), beta)
+            for lo in range(0, axes.size, 40):
+                A = axes[lo:lo + 40, None]
+                want = single_expression_zeta_phi(kx, ky, *_halves(A),
+                                                  *_halves(beta))
+                assert_same_bits(_zeta_phi_2d(stage,
+                                              *WALK_2D.alpha_halves(A)), want)
 
 
 @pytest.mark.parametrize("n", [96, 97])
@@ -540,7 +560,7 @@ def test_oracle_plaquette_phases_match_normalized_states(n):
     work = _TorusWork(n)
     for a, b in GAPPED_POINTS:
         p = WalkParams(a, b)
-        zeta, _ = work.zeta(a, b, work.beta_stage(b))
+        zeta, _ = work.zeta(a, work.beta_stage(b))
         want = normalized_state_phases(zeta)
         np.testing.assert_allclose(work.plaquette_phases(zeta), want,
                                    rtol=0, atol=1e-12)
@@ -564,8 +584,8 @@ def test_curvature_raw_matches_grid_pointwise():
     alpha, beta = np.meshgrid(axis, axis, indexing="ij")
     for kx, ky in [(0.0, 0.0), (np.pi / 2, np.pi / 2), (np.pi / 2, 0.0), (0.3, -1.1)]:
         with np.errstate(all="ignore"):
-            raw = _curvature_raw_2d(kx, ky, alpha, beta)
-        ref = np.array([[_curvature_raw_2d(kx, ky, a, b) for b in axis]
+            raw = WALK_2D.curvature_raw((kx, ky), alpha, beta)
+        ref = np.array([[WALK_2D.curvature_raw((kx, ky), a, b) for b in axis]
                         for a in axis])
         finite = np.isfinite(ref)
         assert np.array_equal(np.isfinite(raw), finite)
