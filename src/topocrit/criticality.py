@@ -130,6 +130,7 @@ def extract_exponents(model, beta: float, k_c, window=DEFAULT_WINDOW,
 
     Raises:
         ValueError: k_c is no high-symmetry momentum of the model.
+        PoorFit: the gap closes on lines at beta (``closes_on_lines``).
         WindowTouchesCriticality: the window is malformed, or a sweep point
             is nearer to another locus.
     """
@@ -140,6 +141,10 @@ def extract_exponents(model, beta: float, k_c, window=DEFAULT_WINDOW,
     alpha_c = _critical_alpha(model, beta, k_c)
     if n_points < MIN_POINTS:
         raise ValueError("need at least %d window points" % MIN_POINTS)
+    if model.closes_on_lines(beta):
+        raise PoorFit("%s at beta = %r: the gap closes on lines of the "
+                      "zone at alpha_c = %r, not at a Dirac point; no "
+                      "exponent fit" % (model.name, beta, alpha_c))
     eps = np.logspace(np.log10(lo), np.log10(hi), n_points)
     f_peaks = np.empty(n_points)
     xis = np.empty(n_points)

@@ -20,10 +20,11 @@ table.  They share that input and |zeta|^2 only: the integral sums
 phi / |zeta|^3, the oracle builds lower-band states from zeta scaled by
 |zeta| and sums link-variable fluxes, and neither uses the other's result.
 Many walks (a phase diagram) are evaluated per call, cell by cell, into one
-set of torus-shaped work arrays that each cell overwrites in place; a single
-cell is a call of one.  The walks are grouped by beta, and each group's
-beta stage, the ``walk2d.stage_2d`` of its beta on the torus table, is
-built once, so a cell evaluates only its alpha terms on it.
+set of torus-shaped work arrays that each cell overwrites in place.  The
+walks are grouped by beta, and each group's beta stage, the
+``walk2d.stage_2d`` of its beta on the torus table, is built once.  As in
+1D, a cell's failure is returned as a value, not raised: only the one-cell
+functions, each a call of one, raise it.
 
 The memoized tables of both invariants are read-only, and the 2D work
 arrays belong to the call that allocated them, so calls from several
@@ -61,13 +62,10 @@ class InvariantResult:
 
 
 def _quantize(raw: float, grid: int) -> InvariantResult:
-    if not np.isfinite(raw):
-        raise _quantization_failure(raw, np.nan)
-    rounded = int(np.rint(raw))
-    defect = abs(raw - rounded)
-    if defect >= DEFECT_LIMIT:
+    defect = abs(raw - np.rint(raw)) if np.isfinite(raw) else np.nan
+    if not defect < DEFECT_LIMIT:
         raise _quantization_failure(raw, defect)
-    return InvariantResult(float(raw), rounded, float(defect), grid)
+    return InvariantResult(float(raw), int(np.rint(raw)), float(defect), grid)
 
 
 def _quantization_failure(raw: float, defect: float) -> QuantizationFailure:
@@ -222,15 +220,6 @@ class _TorusWork:
         """The ``stage_2d`` of the angle ``beta`` on the torus table."""
         return stage_2d(self.table, beta)
 
-    def zeta(self, alpha: float, stage):
-        """One zeta/phi evaluation of the walk of angle ``alpha`` on the
-        ``beta_stage`` of its beta, gap-checked; returns (zeta, phi)."""
-        zx, zy, zz, phi = _zeta_phi_2d(stage, *_halves(alpha))
-        zeta = (zx, zy, zz)
-        if self.norm2(zeta) < GAP_TOL ** 2:
-            raise ZeroGap("gap closed on the integration grid")
-        return zeta, phi
-
     def norm2(self, zeta) -> float:
         """|zeta|^2 into ``n2``, in the order of zx * zx + zy * zy + zz * zz
         so that the integral keeps the bits of that expression; returns its
@@ -320,17 +309,26 @@ class _TorusWork:
         np.multiply(self.cdn, s, out=s)
         np.add(out, s, out=out)
 
-    def chern(self, alpha: float, stage) -> float:
+    def chern(self, alpha: float, stage):
         """The raw integral of ``chern_number_2d`` of the walk of angle
-        ``alpha`` on these work arrays, with the ``beta_stage`` of its
-        beta."""
-        zeta, phi = self.zeta(alpha, stage)
+        ``alpha`` with the ``beta_stage`` of its beta, or the failure that
+        ``chern_number_2d`` raises for it; the oracle runs once the integral
+        rounds.  Past the gap check both are finite, or NaN at a NaN angle,
+        so no defect below is inf - inf."""
+        *zeta, phi = _zeta_phi_2d(stage, *_halves(alpha))
+        if self.norm2(zeta) < GAP_TOL ** 2:
+            return ZeroGap("gap closed on the integration grid")
         raw = self.integral(phi)
-        rounded = _quantize(raw, self.n_grid).rounded
-        oracle = _quantize(self.plaquette(zeta), self.n_grid).rounded
+        rounded = np.rint(raw)
+        if not abs(raw - rounded) < DEFECT_LIMIT:
+            return _quantization_failure(raw, abs(raw - rounded))
+        flux = self.plaquette(zeta)
+        oracle = np.rint(flux)
+        if not abs(flux - oracle) < DEFECT_LIMIT:
+            return _quantization_failure(flux, abs(flux - oracle))
         if oracle != rounded:
-            raise OracleMismatch("integral gives %d but plaquette oracle "
-                                 "gives %d" % (rounded, oracle))
+            return OracleMismatch("integral gives %d but plaquette oracle "
+                                  "gives %d" % (rounded, oracle))
         return raw
 
 
@@ -356,11 +354,11 @@ def chern_numbers_2d(alpha, beta, n_grid: int = DEFAULT_N_CHERN):
     for cells in groups.values():
         stage = work.beta_stage(betas[cells[0]])
         for i in cells:
-            try:
-                raw[i] = work.chern(alphas[i], stage)
-            except (ZeroGap, QuantizationFailure, OracleMismatch) as exc:
-                # a kept traceback would hold the work arrays alive
-                failed[i] = exc.with_traceback(None)
+            result = work.chern(alphas[i], stage)
+            if isinstance(result, Exception):
+                failed[i] = result
+            else:
+                raw[i] = result
     return raw, dict(sorted(failed.items()))
 
 
@@ -386,7 +384,9 @@ def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
     through link variables, never the curvature function.
     """
     work = _TorusWork(n_grid)
-    zeta, _ = work.zeta(p.alpha, work.beta_stage(p.beta))
+    zeta = _zeta_phi_2d(work.beta_stage(p.beta), *_halves(p.alpha))[:3]
+    if work.norm2(zeta) < GAP_TOL ** 2:
+        raise ZeroGap("gap closed on the integration grid")
     return _quantize(work.plaquette(zeta), n_grid)
 
 

@@ -88,6 +88,12 @@ class Walk1D(_Walk):
         return 1 if walk1d._at_zero_channel(k) else -1
 
     @staticmethod
+    def closes_on_lines(beta) -> bool:
+        """False: at every beta each walk1d transition closes the gap at a
+        single momentum, 0 or pi."""
+        return False
+
+    @staticmethod
     def gap_closed(k, alpha, beta):
         """Where ``rotated_curvature_1d`` at momentum k raises ZeroGap, on
         broadcastable angle arrays."""
@@ -144,6 +150,14 @@ class Walk2D(_Walk):
                 raise ValueError("momentum %r is not high-symmetry" % (k,))
             key.append(round(half_turns))
         return cls.SLOPES[tuple(key)]
+
+    @staticmethod
+    def closes_on_lines(beta) -> bool:
+        """Whether beta = 0 (mod pi), to LOCUS_TOL.  There the three loci
+        alpha = -2 beta, 2 beta and 0 meet at alpha = 0, where rho is
+        cos(2 kx + 2 ky) (beta = 0) or -cos(2 ky) (beta = pi): the gap
+        closes on lines of the zone, not at a Dirac point."""
+        return abs(_reduce_angle(2.0 * beta)) < LOCUS_TOL
 
     @staticmethod
     def gap_closed(k, alpha, beta):

@@ -167,12 +167,33 @@ def test_exponents_refuses_a_sweep_off_its_transition(tmp_path, capsys, argv,
 
 def test_exponents_refuses_a_fit_on_zero_curvature(tmp_path, capsys):
     # phi carries the factor lam_b = sin(beta/2), so walk2d's curvature is
-    # 0 at every momentum at beta = 0: the first sweep point's 30 samples
+    # 0 at every momentum at beta = 0; the gap also closes on lines there,
+    # which is refused before any sample is taken (the zero-sample PoorFit
+    # of the fit itself is test_criticality's)
     out = tmp_path / "exp.json"
     assert main(["exponents", "--model", "walk2d", "--beta", "0",
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "error: 30 of 30 curvature samples are 0: no peak to fit" in err
+    assert ("error: walk2d at beta = 0.0: the gap closes on lines of the "
+            "zone at alpha_c = 0.0, not at a Dirac point" in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["1e-12", "6.283185307179586",
+                                  "3.141592653589793"])
+def test_exponents_refuses_walk2d_where_the_gap_closes_on_lines(
+        tmp_path, capsys, beta):
+    # at beta = 0 (mod pi) the loci alpha = -2 beta, 2 beta and 0 meet at
+    # alpha_c = 0, and rho is cos(2 kx + 2 ky) or -cos(2 ky) there: the slice
+    # peak's width does not scale, and the fit used to exit 0 with gamma near
+    # 2 or 1 and a scaling residual of 1 to 2
+    out = tmp_path / "exp.json"
+    assert main(["exponents", "--model", "walk2d", "--beta", beta,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("error: walk2d at beta = %r: the gap closes on lines of the zone"
+            % float(beta)) in err
+    assert "not at a Dirac point; no exponent fit" in err
     assert not out.exists()
 
 

@@ -7,8 +7,10 @@ from topocrit import WalkParams
 from topocrit.criticality import (extract_exponents, fit_lorentzian,
                                   sample_peak)
 from topocrit.errors import PoorFit, WindowTouchesCriticality
+from topocrit.invariants import GAP_TOL
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import _reduce_angle, gap_distances, peak_asymptotics_1d
+from topocrit.walk2d import zeta_components_2d
 
 from oracles import find_gap_closings, flip_test
 
@@ -39,6 +41,9 @@ class PowerLawModel:
     def closing_slope(self, k):
         return 0
 
+    def closes_on_lines(self, beta):
+        return False
+
 
 # --- criticality_distance ---
 
@@ -61,6 +66,19 @@ def test_criticality_distance_walk2d_is_min_over_alpha_and_two_beta():
         want = min(abs(_reduce_angle(x)) for x in (a, a + 2 * b, a - 2 * b))
         got = WALK_2D.criticality_distance(WalkParams(a, b))
         assert got.hex() == want.hex(), (a, b)
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 1e-12,
+                                  0.3, np.pi / 2, np.pi - 1e-6, 1e-6, 2.5])
+def test_closes_on_lines_matches_the_zone_grid_closings(beta):
+    # at alpha_c = 0 the 64^2 zone grid closes on 4 lines of 64 points where
+    # beta = 0 (mod pi), and at its 8 Dirac points elsewhere
+    k = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    zeta = zeta_components_2d(kx, ky, WalkParams(0.0, beta))
+    closed = np.count_nonzero(sum(c * c for c in zeta) < GAP_TOL ** 2)
+    assert closed == (256 if WALK_2D.closes_on_lines(beta) else 8)
+    assert WALK_1D.closes_on_lines(beta) is False
 
 
 # --- find_gap_closings ---
@@ -165,6 +183,14 @@ def test_lorentzian_rejects_noise():
     vals = 1.0 + 0.5 * RNG.standard_normal(dk.shape)
     with pytest.raises(PoorFit):
         fit_lorentzian(dk, vals, 0.0)
+
+
+def test_lorentzian_refuses_zero_samples():
+    # 1/F has no value where F = 0, so a flat zero profile has no peak
+    dk = np.linspace(-0.1, 0.1, 30)
+    with pytest.raises(PoorFit, match="30 of 30 curvature samples are 0: "
+                                      "no peak to fit by 1/F"):
+        fit_lorentzian(dk, np.zeros(dk.shape), 0.0)
 
 
 def test_lorentzian_needs_samples():

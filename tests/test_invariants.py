@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,6 +473,63 @@ def test_chern_failures_leave_no_reference_cycles():
         gc.enable()
 
 
+def test_oracle_failures_reach_the_diagram_in_cell_order(monkeypatch):
+    # no diagram cell ends in the plaquette's own QuantizationFailure or in
+    # an OracleMismatch, so the plaquette is moved off the integral: by 0.3
+    # in one cell, which still rounds to the integral's integer, and by 1.0
+    # in another
+    cells = [(np.pi / 2, np.pi / 2), (0.3, np.pi / 2), (1.0, 0.3),
+             (0.5, 1.0), (-1.1, 0.4)]
+    want, failed = chern_numbers_2d(*zip(*cells), 96)
+    assert not failed
+    offsets = {want[1]: 0.3, want[3]: 1.0}
+    integral, plaquette = _TorusWork.integral, _TorusWork.plaquette
+
+    def spy_integral(self, phi):
+        self.last = integral(self, phi)
+        return self.last
+
+    def moved_plaquette(self, zeta):
+        if self.last in offsets:
+            return self.last + offsets[self.last]
+        return plaquette(self, zeta)
+
+    monkeypatch.setattr(_TorusWork, "integral", spy_integral)
+    monkeypatch.setattr(_TorusWork, "plaquette", moved_plaquette)
+    raw, failed = chern_numbers_2d(*zip(*cells), 96)
+    errors = {
+        1: QuantizationFailure("integral -3.700662 is 2.99e-01 from an "
+                               "integer"),
+        3: OracleMismatch("integral gives -4 but plaquette oracle gives -3"),
+    }
+    assert list(failed) == list(errors)
+    for i, error in errors.items():
+        assert type(failed[i]) is type(error)
+        assert str(failed[i]) == str(error)
+        with pytest.raises(type(error)) as info:
+            chern_number_2d(WalkParams(*cells[i]), 96)
+        assert str(info.value) == str(error)
+    assert np.isnan(raw[[1, 3]]).all()
+    assert np.array_equal(raw[[0, 2, 4]], want[[0, 2, 4]])
+
+
+def test_chern_diagram_holds_no_torus_array_per_cell():
+    # the 33^2 cells of the pd2d benchmark at inner grid 96 run on one set
+    # of work arrays: about 0.7 MB traced, where one torus-sized float array
+    # per cell kept alive would be 20 MB
+    axes = np.linspace(-np.pi, np.pi, 33)
+    alpha, beta = np.repeat(axes, 33), np.tile(axes, 33)
+    chern_numbers_2d(alpha[:1], beta[:1], 96)  # the memoized torus table
+    tracemalloc.start()
+    try:
+        raw, failed = chern_numbers_2d(alpha, beta, 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.size == 33 * 33 and failed
+    assert peak < 2 ** 20
+
+
 PD33_AXES = np.linspace(-np.pi, np.pi, 33).tolist()
 # generic cells with the betas interleaved, so that a reordered operation
 # changes some raw integral, then a repeated cell, beta = 0.0 next to
@@ -560,7 +618,8 @@ def test_oracle_plaquette_phases_match_normalized_states(n):
     work = _TorusWork(n)
     for a, b in GAPPED_POINTS:
         p = WalkParams(a, b)
-        zeta, _ = work.zeta(a, work.beta_stage(b))
+        zeta = _zeta_phi_2d(work.beta_stage(b), *_halves(a))[:3]
+        work.norm2(zeta)
         want = normalized_state_phases(zeta)
         np.testing.assert_allclose(work.plaquette_phases(zeta), want,
                                    rtol=0, atol=1e-12)
