@@ -5,9 +5,9 @@ Many walks (a phase diagram, given as arrays of alpha and beta) are
 evaluated per call: the gap of every cell at the two momenta where it can
 be least, then one array expression per block of gapped cells, against a
 memoized table of the momentum trig terms; a single cell is a call of one.
-The parameter coefficients of every cell are evaluated in one pass over
-Python floats, which square through libm pow as numpy scalars do, so every
-raw integral keeps the bits of the one-cell closed-form route.
+The block expression is the closed form of ``rotated_curvature_1d``, whose
+denominator is the squared norm of the rotated axis, so every raw integral
+keeps the bits of the one-cell route and stays finite next to a gap line.
 
 The 2D invariant integrates the mapping-degree density of the Bloch axis
 over d^2k/(4 pi) and is cross-checked against a gauge-invariant plaquette
@@ -41,8 +41,8 @@ import numpy as np
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
 from .geometry import GAUGE_SWITCH
 from .models import BLOCK_POINTS
-from .walk1d import (WalkParams, _angle_halves, _curvature_coeffs_1d,
-                     _curvature_terms_1d, _halves, _zeta_terms_1d)
+from .walk1d import (WalkParams, _angle_halves, _curvature_parts_1d,
+                     _halves, _zeta_terms_1d)
 from .walk2d import _zeta_phi_2d, stage_2d, trig_table_2d
 
 DEFAULT_N_WINDING = 4096
@@ -105,10 +105,9 @@ def _one_cell(raw, failed: dict, n_grid: int) -> InvariantResult:
 
 @lru_cache(maxsize=4)
 def _circle_trig(n_grid: int):
-    """Read-only (sin k, cos k, sin^2 k, cos^2 k) on the n_grid zone grid."""
+    """Read-only (sin k, cos k) on the n_grid zone grid."""
     k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    sin_k, cos_k = np.sin(k), np.cos(k)
-    table = (sin_k, cos_k, sin_k ** 2, cos_k ** 2)
+    table = (np.sin(k), np.cos(k))
     for term in table:
         term.setflags(write=False)
     return table
@@ -124,22 +123,17 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     it.  A cell's gap is checked at two momenta of the inner grid, and the
     integrals of the open cells are evaluated in blocks of at most
     BLOCK_POINTS (cell, momentum) points, so memory grows with the
-    number of cells only by the per-cell coefficients and gap terms.
+    number of cells only by the per-cell half angles and gap terms.
     """
     halves = np.array(_angle_halves(np.asarray(alpha, dtype=float),
                                     np.asarray(beta, dtype=float)))
-    # on Python floats, as on the one-cell route's numpy scalars, x ** 2
-    # goes through libm pow; a float64 array squares as x * x, which may
-    # differ in the last bit
-    coeffs = np.array(_curvature_coeffs_1d(halves.astype(object)),
-                      dtype=float)
-    sin_k, cos_k, sin2_k, cos2_k = _circle_trig(n_grid)
+    sin_k, cos_k = _circle_trig(n_grid)
     # |zeta|^2 = sin^2 E with cos E = kap_a kap_b cos k - lam_a lam_b
     # (energy_1d) is a concave quadratic in cos k, so its minimum over the
     # grid lies at the grid's largest or smallest cos k: k = 0 and k = pi
     # for even n_grid, k = 0 and a point next to pi for odd n_grid.
-    # rotated_curvature_1d's rotated-frame norm, kap_a^2 sin^2 k + zeta_y^2,
-    # equals |zeta|^2 (kap_b^2 + lam_b^2 = 1), so this check also covers its
+    # rotated_curvature_1d's denominator, zeta'_x^2 + zeta_y^2, equals
+    # |zeta|^2 (kap_b^2 + lam_b^2 = 1), so this check also covers its
     # GAP_FLOOR^2 bound
     ends = [np.argmax(cos_k), np.argmin(cos_k)]
     zx, zy, zz, _ = _zeta_terms_1d(halves[:, :, None], sin_k[ends],
@@ -150,15 +144,11 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     step = max(1, BLOCK_POINTS // n_grid)
     for start in range(0, opened.size, step):
         cells = opened[start:start + step]
-        f = _curvature_terms_1d(coeffs[:, cells, None], cos_k, sin2_k,
-                                cos2_k)
-        raw[cells] = np.sum(f, axis=1) / n_grid
-    # a cell next to a gap line passes the gap check but may integrate to
-    # +-inf or NaN, where the expanded denominator cancels to 0; its defect
-    # is NaN, which fails as a QuantizationFailure, as a closed cell's does
-    # as a ZeroGap
-    with np.errstate(invalid="ignore"):
-        defect = np.abs(raw - np.rint(raw))
+        num, den = _curvature_parts_1d(halves[:, cells, None], sin_k, cos_k)
+        raw[cells] = np.sum(num / den, axis=1) / n_grid
+    # a closed cell's raw is NaN, and so is its defect, which fails it as a
+    # ZeroGap; an open cell's is finite, as its denominator is |zeta|^2
+    defect = np.abs(raw - np.rint(raw))
     failed = {}
     for i in np.flatnonzero(~(defect < DEFECT_LIMIT)).tolist():
         failed[i] = (ZeroGap("gap closed on the integration grid")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import walk1d, walk2d
+from .geometry import GAP_FLOOR
 from .walk1d import (LOCUS_TOL, WalkParams, _angle_halves, _halves,
                      _reduce_angle)
 
@@ -97,7 +98,9 @@ class Walk1D(_Walk):
     def gap_closed(k, alpha, beta):
         """Where ``rotated_curvature_1d`` at momentum k raises ZeroGap, on
         broadcastable angle arrays."""
-        return walk1d._gap_closed_1d(k, _angle_halves(alpha, beta))
+        _, den = walk1d._curvature_parts_1d(_angle_halves(alpha, beta),
+                                            np.sin(k), np.cos(k))
+        return den < GAP_FLOOR ** 2
 
 
 class Walk2D(_Walk):

@@ -17,7 +17,13 @@ with kap_j = cos(j/2), lam_j = sin(j/2), and axis n = zeta/|zeta| where
             -kap_a kap_b sin k).
 
 The curvature function F(k) is the winding density of the chiral-projected
-axis; its Brillouin-zone integral over dk/(2 pi) is the winding number.
+axis,
+
+    F = -kap_a (kap_a lam_b + lam_a kap_b cos k) / (zeta'_x^2 + zeta_y^2),
+
+with zeta'_x = kap_a sin k the planar x component of the rotated axis
+(zeta'_x, zeta_y, 0); the denominator equals |zeta|^2 and is the gap test.
+Its Brillouin-zone integral over dk/(2 pi) is the winding number.
 """
 
 from __future__ import annotations
@@ -89,14 +95,21 @@ def energy_1d(k, p: WalkParams):
 
 def _zeta_terms_1d(h, sin_k, cos_k):
     """(zeta_x, zeta_y, zeta_z, zeta'_x) from the half angles
-    h = (kap_a, lam_a, kap_b, lam_b) and the momentum terms sin k, cos k; the
-    one copy of the zeta algebra.  zeta'_x = kap_a sin k is the planar x
-    component of the rotated axis (zeta'_x, zeta_y, 0).  The half angles may
-    be columns of per-cell values, broadcast against a row of momenta.
+    h = (kap_a, lam_a, kap_b, lam_b) and the momentum terms sin k, cos k; with
+    ``_planar_terms_1d``, the one copy of the zeta algebra.  The half angles
+    may be columns of per-cell values, broadcast against a row of momenta.
     """
+    ka, _, kb, lb = h
+    zx_rot, zy = _planar_terms_1d(h, sin_k, cos_k)
+    return ka * lb * sin_k, zy, -ka * kb * sin_k, zx_rot
+
+
+def _planar_terms_1d(h, sin_k, cos_k):
+    """(zeta'_x, zeta_y), the planar components of the rotated axis
+    (zeta'_x, zeta_y, 0), with zeta'_x = kap_a sin k; arguments as in
+    ``_zeta_terms_1d``."""
     ka, la, kb, lb = h
-    return (ka * lb * sin_k, la * kb + ka * lb * cos_k, -ka * kb * sin_k,
-            ka * sin_k)
+    return ka * sin_k, la * kb + ka * lb * cos_k
 
 
 def zeta_components_1d(k, p: WalkParams):
@@ -104,67 +117,53 @@ def zeta_components_1d(k, p: WalkParams):
     return _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))[:3]
 
 
-def _gap_closed_1d(k, h):
-    """Where the rotated axis has no gap, zeta'_x^2 + zeta_y^2 below
-    GAP_FLOOR^2, from the half angles h, which may be arrays."""
-    _, zy, _, zx = _zeta_terms_1d(h, np.sin(k), np.cos(k))
-    return zx * zx + zy * zy < GAP_FLOOR ** 2
-
-
 def rotated_curvature_1d(k, p: WalkParams):
     """Curvature function F(k) = (n x d_k n) . A, the doubled rotated-frame
     Berry connection; array-capable.  The closed form
 
-        F = -(kap_a^2 lam_b + lam_a kap_a kap_b cos k)
-            / (kap_a^2 sin^2 k + (lam_a kap_b + kap_a lam_b cos k)^2)
+        F = -kap_a (kap_a lam_b + lam_a kap_b cos k)
+            / (zeta'_x^2 + zeta_y^2)
 
-    is the stage of (k, beta) evaluated at the alpha half angles.
+    is the one of ``_curvature_parts_1d``, whose denominator is also the
+    gap test.
 
     Raises:
         ZeroGap: the gap closes on the requested momenta.
     """
-    if np.any(_gap_closed_1d(k, _half_angles(p))):
+    num, den = _curvature_parts_1d(_half_angles(p), np.sin(k), np.cos(k))
+    if np.any(den < GAP_FLOOR ** 2):
         raise ZeroGap("gap closed on the requested momenta")
-    return _curvature_staged_1d(_curvature_stage_1d(k, p.beta),
-                                *_halves(p.alpha))
+    return num / den
+
+
+def _curvature_parts_1d(h, sin_k, cos_k):
+    """(numerator, denominator) of the closed form F = num / den,
+
+        num = -kap_a (kap_a lam_b + lam_a kap_b cos k),
+        den = zeta'_x^2 + zeta_y^2,
+
+    from the half angles h and the momentum terms, which broadcast as in
+    ``_zeta_terms_1d``.  den is the squared norm of the rotated axis,
+    |zeta|^2 (kap_b^2 + lam_b^2 = 1), summed from its planar terms, so it
+    keeps the gap's precision next to a gap line; the gap closes where it is
+    below GAP_FLOOR^2.
+    """
+    ka, la, kb, lb = h
+    zx, zy = _planar_terms_1d(h, sin_k, cos_k)
+    return -ka * (ka * lb + la * kb * cos_k), zx * zx + zy * zy
 
 
 def _curvature_stage_1d(k, beta):
     """What the closed form reads of the momentum and beta, for any alpha:
-    the beta half angles and the momentum terms (cos k, sin^2 k, cos^2 k)."""
-    cos_k = np.cos(k)
-    return _halves(beta), (cos_k, np.sin(k) ** 2, cos_k ** 2)
+    the beta half angles and the momentum terms (sin k, cos k)."""
+    return _halves(beta), (np.sin(k), np.cos(k))
 
 
 def _curvature_staged_1d(stage, ka, la):
     """The closed form at the alpha half angles (ka, la) on a stage of
-    ``_curvature_stage_1d``, which they broadcast against."""
+    ``_curvature_stage_1d``, which they broadcast against; unvalidated."""
     (kb, lb), k_terms = stage
-    return _curvature_terms_1d(_curvature_coeffs_1d((ka, la, kb, lb)),
-                               *k_terms)
-
-
-def _curvature_coeffs_1d(h):
-    """The parameter coefficients of the closed form, from the half angles.
-
-    ``x ** 2`` on a float64 scalar goes through libm pow and on a float64
-    array through a squaring loop, which may differ in the last bit; a
-    caller that needs the bits of the one-cell route evaluates these on
-    scalars or on object arrays of Python floats, which also square through
-    libm pow.
-    """
-    ka, la, kb, lb = h
-    return (-ka ** 2 * lb, la * ka * kb,
-            ka ** 2, la ** 2 * kb ** 2, 2.0 * ka * kb * la * lb,
-            ka ** 2 * lb ** 2)
-
-
-def _curvature_terms_1d(c, cos_k, sin2_k, cos2_k):
-    """The closed form from its coefficients ``c`` and the momentum terms,
-    in the operation order of the expanded numerator and denominator."""
-    n0, n1, d_s2, d0, d_c, d_c2 = c
-    num = n0 - n1 * cos_k
-    den = d_s2 * sin2_k + d0 + d_c * cos_k + d_c2 * cos2_k
+    num, den = _curvature_parts_1d((ka, la, kb, lb), *k_terms)
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / den
 

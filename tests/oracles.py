@@ -36,8 +36,8 @@ from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, DENOMINATOR_FLOOR,
                           _shifted_momentum)
 from topocrit.errors import ZeroGap
 from topocrit.walk1d import (CRITICAL_FLOOR, WalkParams,
-                             _curvature_coeffs_1d, _curvature_terms_1d,
-                             _half_angles, _zeta_terms_1d, coin, energy_1d,
+                             _curvature_parts_1d, _half_angles,
+                             _zeta_terms_1d, coin, energy_1d,
                              rotated_curvature_1d, zeta_components_1d)
 from topocrit.walk2d import (_zeta_phi_at, curvature_grid_2d, energy_grid_2d,
                              zeta_components_2d)
@@ -221,10 +221,10 @@ def rotated_zeta_1d(k, p: WalkParams):
 def full_grid_winding_1d(p: WalkParams, n_grid: int):
     """(raw, failure) of one walk, as ``winding_numbers_1d`` gives them for
     a cell, with the gap checked at every momentum of the inner grid by the
-    minimum of |zeta|^2 and the closed form's coefficients evaluated on the
-    one-cell route's numpy scalars: the route that the kernel's check at
-    two momenta replaces.  raw is NaN where failure, a ZeroGap or
-    QuantizationFailure, is not None.
+    minimum of |zeta|^2 and the closed form evaluated on the one-cell
+    route's numpy scalars: the route that the kernel's check at two momenta
+    replaces.  raw is NaN where failure, a ZeroGap or QuantizationFailure,
+    is not None.
     """
     k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     sin_k, cos_k = np.sin(k), np.cos(k)
@@ -232,9 +232,8 @@ def full_grid_winding_1d(p: WalkParams, n_grid: int):
     zx, zy, zz, _ = _zeta_terms_1d(h, sin_k, cos_k)
     if np.min(zx * zx + zy * zy + zz * zz) < invariants.GAP_TOL ** 2:
         return np.nan, ZeroGap("gap closed on the integration grid")
-    f = _curvature_terms_1d(_curvature_coeffs_1d(h), cos_k, sin_k ** 2,
-                            cos_k ** 2)
-    raw = float(np.sum(f) / n_grid)
+    num, den = _curvature_parts_1d(h, sin_k, cos_k)
+    raw = float(np.sum(num / den) / n_grid)
     # NaN for a raw that is not finite, which fails to quantize too
     with np.errstate(invalid="ignore"):
         defect = abs(raw - np.rint(raw))

@@ -273,13 +273,15 @@ def test_invariant_walk2d(tmp_path):
 
 
 def test_invariant_integral_that_is_not_finite_exits_1(tmp_path, capsys):
-    # 1e-9 from the alpha = beta gap line the walk1d integral is inf; it
-    # ended in an OverflowError traceback
+    # 1e-9 from the alpha = beta gap line the walk1d integral was inf and
+    # ended in an OverflowError traceback; it is finite now, but the inner
+    # grid undersamples the peak and the integral is far from an integer
     out = tmp_path / "inv.json"
     rc = main(["invariant", "--model", "walk1d", "--alpha", "0.370000001",
                "--beta", "0.37", "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == "error: integral inf is not finite\n"
+    assert re.fullmatch(r"error: integral \d+\.\d{6} is \d\.\d\de-0\d from "
+                        r"an integer\n", capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -386,7 +388,7 @@ def test_phase_diagram_nan_rows_counted_by_cause(tmp_path, capsys):
 
 def test_phase_diagram_integral_that_is_not_finite_is_a_nan_row(
         tmp_path, monkeypatch, capsys):
-    # a walk1d cell at alpha = beta + 1e-9 integrates to inf: the kernel,
+    # a walk1d cell at alpha = beta + 1e-9 fails to quantize: the kernel,
     # given that cell in place of the diagram's (0, pi/2), fails it, and
     # the CLI writes it as a NaN row counted under QuantizationFailure
     kernel = invariants.winding_numbers_1d
@@ -779,9 +781,6 @@ def test_csv_bytes_correlation_int_column(tmp_path):
     assert _table_bytes(out) == _reference_table(("R", "F_tilde"), rows)
 
 
-# In the 40 x 40 grid a squared half angle differs in the last bit between
-# numpy's scalar pow and its array square; with inner grid 8 that changes
-# the raw integral of 19 cells if the coefficients are taken over an array.
 # winding_number_1d shares the row kernel, so each raw is also pinned to the
 # sum of the one-cell scalar route, rotated_curvature_1d.
 @pytest.mark.parametrize("flags, grid, inner", [

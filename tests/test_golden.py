@@ -67,9 +67,9 @@ CASES = [
 HASHES = {
     "curvature-walk1d": {
         "out_a0.csv":
-            "c2c6feaa118afaf3f91ada4bd7674e164f1c5ef0af33f4d5c43361ad6336ba85",
+            "7fbfacf36a7bdc726881fe039cdbdc9b5f1beca15c58f248f41cbecb29ee236d",
         "out_a1.csv":
-            "243cfb082b020f5397999199019ff90f201eaea34a01bc663c516729c4b1e5cf",
+            "fb1c0e23f69417a6b1e296b1efb549fe88401b240bb2c13c0af88f15a0093d24",
     },
     "curvature-walk2d": {
         "out.csv":
@@ -85,11 +85,11 @@ HASHES = {
     },
     "exponents-walk1d-b0": {
         "out.json":
-            "01960ecb65eea06553666241841ecef60790824616b6d12551de9a132405c5c1",
+            "3b70f3179d5397804fbc81c1c62cd7600bb199eb567b56c72de4067fcec49cda",
     },
     "exponents-walk1d-b0.3": {
         "out.json":
-            "5f7912137be3dcf4a2821e221681e5d8d10d88359707e808f9c3ddeea758caba",
+            "4cab1c3abe487292250f737185a975328012804c8e1356cbb15bbafab2f51ddd",
     },
     "exponents-walk2d": {
         "out.json":
@@ -97,7 +97,7 @@ HASHES = {
     },
     "correlation-walk1d": {
         "out.csv":
-            "8ca9bc09ef612077e05493014485c33f1b0fb3c490db5426135ec391b9f356cb",
+            "b7dfae60f2821ffc6a25028f51c06ce81baf9042ffc08c405b0b903147abcda6",
     },
     "correlation-walk2d": {
         "out.csv":
@@ -119,9 +119,9 @@ HASHES = {
         "out.json":
             "8a00b87a0f963e8d07ca6b8ba6812583092e8f6a0c6fb4a605e16a2f84c08228",
         "out_hsp0.csv":
-            "bb2af31a2ae221d383f7a19c074be64685f389e8cea39119783edc0a616c6a20",
+            "ab052acb832e640fa2d08deac9fb1b692ae9df8e20593462042cb4e5a6869df2",
         "out_hsp1.csv":
-            "6b54e32c83ebe4f6b319df9e0dd2b66e34834eeb878a8fe715fd05fbc3ddb9ff",
+            "57cdecb70074f0690380b42c058e9161eddb681d8f54658d9179f203a1d53ea5",
     },
     "crg-walk2d": {
         "out.json":
@@ -139,9 +139,9 @@ HASHES = {
         "out.json":
             "d4501226bce0fa7fe9b94cda3e80033f92df680a1c46741f015a9b00b4e9f0f6",
         "out_hsp0.csv":
-            "9f3246c4a2e5c6832c08955105c9c52dca51d2ba754db6888696544dafd5d08b",
+            "aa3301c6003eeaebacba38514546d2eb2270b9eda49cbab75f350d3a942e1550",
         "out_hsp1.csv":
-            "c810dc090741dfdd7b13471e88226334db22ee4996cd098ae2b601d0233c8171",
+            "00f8f134553a9e3b4c26eed0a6fd0310c177b3a928db52d6572c49185f17dbf5",
     },
     "crg-walk2d-100": {
         "out.json":
@@ -157,7 +157,7 @@ HASHES = {
     },
     "phase-diagram-walk1d": {
         "out.csv":
-            "59dabe0d6ea2beb19fcef0e3142e9c7dd5a23258106ad96ce1876db45e2b6879",
+            "2a4e596bcfe4c5f01dc3321f7f6af97c6fe303411b4c289308afd998b50f53b2",
     },
     "phase-diagram-walk2d": {
         "out.csv":

@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,7 @@ from topocrit.invariants import (GAP_TOL, InvariantResult, _TorusWork,
                                  winding_numbers_1d)
 from topocrit.geometry import GAP_FLOOR
 from topocrit.models import BLOCK_POINTS, WALK_2D
-from topocrit.walk1d import (_angle_halves, _curvature_coeffs_1d,
-                             _half_angles, _halves, _zeta_terms_1d,
+from topocrit.walk1d import (_half_angles, _halves, _zeta_terms_1d,
                              rotated_curvature_1d)
 from topocrit.walk2d import (_zeta_phi_2d, curvature_grid_2d,
                              zeta_components_2d)
@@ -170,17 +170,19 @@ def test_winding_gap_check_matches_full_grid_oracle_on_the_gap_lines(n):
     (0.37, 1e-9), (-1.2, -1e-9), (2.5, -1e-9),
 ])
 def test_winding_integral_that_is_not_finite_fails_to_quantize(beta, offset):
-    # at these alpha = beta +- 1e-9 the k = pi denominator cancels to 0 on
-    # the even inner grid and the integral is +-inf: a NaN cell failed as a
-    # QuantizationFailure, and the one-cell call raises it
+    # at these alpha = beta +- 1e-9 the cell is gapped, but the inner grid
+    # undersamples its k = pi peak: the integral, finite since the
+    # denominator is |zeta|^2, is far from an integer, a NaN cell failed
+    # as a QuantizationFailure, and the one-cell call raises it; a raw that
+    # is not finite fails the same way
     alpha = beta + offset
     raw, failed = winding_numbers_1d([alpha, 0.3], [beta, 0.1], 4096)
     assert np.isnan(raw[0]) and np.isfinite(raw[1])
     assert list(failed) == [0]
     assert type(failed[0]) is QuantizationFailure
-    assert str(failed[0]) in ("integral inf is not finite",
-                              "integral -inf is not finite")
-    with pytest.raises(QuantizationFailure, match="not finite"):
+    assert re.fullmatch(r"integral -?\d+\.\d{6} is \d\.\d\de-0\d from an "
+                        r"integer", str(failed[0]))
+    with pytest.raises(QuantizationFailure, match="from an integer"):
         winding_number_1d(WalkParams(alpha, beta))
     with pytest.raises(QuantizationFailure, match="not finite"):
         invariants._quantize(float("inf"), 4096)
@@ -204,23 +206,6 @@ def test_winding_gap_check_reads_two_momenta_per_cell(monkeypatch):
         assert points and sum(points) <= 2 * axes.size ** 2
 
 
-def test_winding_coefficients_keep_the_scalar_bits():
-    # the kernel evaluates the closed form's coefficients of every cell in
-    # one pass over object arrays of the half angles, which array cos/sin
-    # give with the bits of the scalar calls; each coefficient must keep
-    # the bits of the one-cell route's numpy scalars, whose squares go
-    # through libm pow (a float64 array squares as x * x and differs)
-    axes = np.linspace(-np.pi, np.pi, 129)
-    alpha, beta = np.repeat(axes, axes.size), np.tile(axes, axes.size)
-    halves = np.array(_angle_halves(alpha, beta))
-    scalar = [_half_angles(WalkParams(a, b))
-              for a, b in zip(alpha.tolist(), beta.tolist())]
-    assert np.array_equal(_bits(halves), _bits(np.array(scalar).T))
-    got = np.array(_curvature_coeffs_1d(halves.astype(object)), dtype=float)
-    want = np.array([_curvature_coeffs_1d(h) for h in scalar]).T
-    assert np.array_equal(_bits(got), _bits(want))
-
-
 def test_winding_failures_leave_no_reference_cycles():
     # a raised exception whose traceback frame still holds it is garbage
     # only the cyclic collector can free
@@ -237,12 +222,12 @@ def test_winding_failures_leave_no_reference_cycles():
 
 
 def test_rotated_norm_is_the_zeta_norm():
-    # rotated_curvature_1d validates kap_a^2 sin^2 k + zeta_y^2 against
+    # rotated_curvature_1d validates zeta'_x^2 + zeta_y^2 against
     # GAP_FLOOR^2; on the walk1d phase diagram's cells its minimum is the
     # minimum of |zeta|^2, so a cell that passes the GAP_TOL^2 check on
     # |zeta|^2 always passes it too
     axes = np.linspace(-np.pi, np.pi, 65)
-    sin_k, cos_k, _, _ = _circle_trig(512)
+    sin_k, cos_k = _circle_trig(512)
     h = np.array([_half_angles(WalkParams(a, b))
                   for a in axes for b in axes]).T[:, :, None]
     zx, zy, zz, rx = _zeta_terms_1d(h, sin_k, cos_k)

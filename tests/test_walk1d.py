@@ -225,6 +225,15 @@ def test_peak_matches_curvature_at_kc():
                 continue
             f = rotated_curvature_1d(kc, p)
             assert abs(fp - f) < 1e-12 * max(1, abs(fp))
+    # next to the gap line that closes at k_c the closed form keeps the
+    # gap's precision: alpha = -beta + eps at k_c = 0, +beta + eps at pi
+    for b in (0.37, -1.2, 2.5):
+        for eps in (1e-9, 1e-7, 1e-5):
+            for kc, sign in ((0.0, -1.0), (np.pi, 1.0)):
+                p = WalkParams(sign * b + eps, b)
+                fp, _ = peak_asymptotics_1d(p, kc)
+                f = rotated_curvature_1d(kc, p)
+                assert abs(fp - f) < 1e-6 * abs(fp), (b, eps, kc)
 
 
 def test_peak_scaling_exponents():
