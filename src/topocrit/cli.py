@@ -344,11 +344,13 @@ def _curvature_columns(cfg: dict, alpha) -> dict:
         p = WalkParams(alpha, beta)
         k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         with np.errstate(all="ignore"):
+            f, norm2 = WALKS[model].curvature_raw(
+                k if model == "walk1d" else (k, -k), alpha, beta)
+            # NaN exactly where the validated curvature raises ZeroGap
+            f[geometry.below_gap_floor(norm2)] = np.nan
             if model == "walk1d":
-                return {"k": k, "F": WALK_1D.curvature_raw(k, alpha, beta),
-                        "E_upper": walk1d.energy_1d(k, p)}
-            return {"kx": k, "ky": -k,
-                    "F": WALK_2D.curvature_raw((k, -k), alpha, beta),
+                return {"k": k, "F": f, "E_upper": walk1d.energy_1d(k, p)}
+            return {"kx": k, "ky": -k, "F": f,
                     "E_upper": walk2d.energy_grid_2d(k, -k, p)}
     mass, kmax = float(cfg["mass"]), float(cfg["kmax"])
     k = np.linspace(-kmax, kmax, n)
@@ -365,10 +367,9 @@ def cmd_curvature(cfg: dict, echo: dict) -> int:
     status = EXIT_OK
     for alpha, path, alpha_echo in _per_alpha(cfg, echo):
         columns = _curvature_columns(cfg, alpha)
-        undefined = ~np.isfinite(columns["F"])
-        columns["F"][undefined] = np.nan
-        # unary + drops a zero count
-        failures = +Counter(ZeroGap=int(undefined.sum()))
+        # every model writes NaN where its gap test closes the gap, and
+        # only there; unary + drops a zero count
+        failures = +Counter(ZeroGap=int(np.isnan(columns["F"]).sum()))
         status = max(status, _write_table(cfg, path, alpha_echo, [columns],
                                           failures))
         if status and cfg["strict"]:

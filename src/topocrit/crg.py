@@ -15,6 +15,10 @@ boundaries are the loci where the flow rate diverges because the curvature
 peak at k0 flips; a second, spurious divergence family lives where
 d_{M_i} F = 0 (a fixed-point locus, not a transition), which line detection
 must reject.
+
+Where the gap closes at k0 the flow is undefined.  Those cells are read from
+the |zeta|^2 that the model's curvature kernel returns with F(k0, M), by the
+one gap test ``geometry.below_gap_floor``, and written as singular cells.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import below_gap_floor
 from .models import BLOCK_POINTS
 
 DEFAULT_GRID = 128
@@ -94,9 +99,8 @@ def _hsp_key(hsp) -> tuple:
 class FlowStage:
     """What every block of alpha rows of one HSP's flow field reads, built
     once by :func:`flow_stage`: the grid axes, the beta axis as a row and
-    shifted by ``DEFAULT_DM``, the model's curvature stages at (k0, beta),
-    (k0 + Dk, beta) and (k0, beta + DM), and the (alpha, beta) indices of
-    the cells where the gap closes at k0."""
+    shifted by ``DEFAULT_DM``, and the model's curvature stages at
+    (k0, beta), (k0 + Dk, beta) and (k0, beta + DM)."""
 
     axes: np.ndarray
     k_shift: np.ndarray
@@ -105,7 +109,6 @@ class FlowStage:
     at_hsp: tuple
     at_shift: tuple
     at_dm: tuple
-    closed: tuple
 
 
 def flow_stage(model, hsp, grid: int = DEFAULT_GRID) -> FlowStage:
@@ -121,8 +124,7 @@ def flow_stage(model, hsp, grid: int = DEFAULT_GRID) -> FlowStage:
         return FlowStage(axes, k_shift, B, B_dm,
                          model.curvature_stage(hsp, B),
                          model.curvature_stage(k_shift, B),
-                         model.curvature_stage(hsp, B_dm),
-                         _closed_cells(model, hsp, axes))
+                         model.curvature_stage(hsp, B_dm))
 
 
 def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None,
@@ -133,18 +135,20 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None,
     The scaling direction is the first momentum axis, +k in 1D and +kx in
     2D, with the steps ``DEFAULT_DK`` and ``DEFAULT_DM``; a cell whose rate
     passes ``DEFAULT_RATE_THRESHOLD`` is flagged diverged.  Cells where the
-    gap closes at the HSP, exactly those where ``model.gap_closed`` holds
-    there, carry NaN flow and an infinite peak height and are flagged
-    diverged; no exception is raised per cell.
+    gap closes at the HSP carry NaN flow and an infinite peak height and are
+    flagged diverged; no exception is raised per cell.  They are read from
+    the |zeta|^2 that the block's own curvature evaluation at the HSP
+    returns, by ``geometry.below_gap_floor``: exactly the cells where the
+    model's validated curvature raises ZeroGap.
 
-    Everything that depends on the momentum and beta only, and the closed
-    cells, is the :func:`flow_stage` of (model, hsp, grid): ``stage``, or
-    built here when not given, so a caller that evaluates a field one block
-    per call builds it once per HSP.  The rows are evaluated one block of
-    :func:`row_blocks` at a time, each block only its alpha terms on the
-    stage, written straight into the arrays of the returned field: a call
-    holds its field, the stage and one block.  Evaluated one block per
-    call, the whole grid is never held.
+    Everything that depends on the momentum and beta only is the
+    :func:`flow_stage` of (model, hsp, grid): ``stage``, or built here when
+    not given, so a caller that evaluates a field one block per call builds
+    it once per HSP.  The rows are evaluated one block of
+    :func:`row_blocks` at a time, four ``model.curvature_raw`` calls per
+    block, each only its alpha terms on the stage, written straight into
+    the arrays of the returned field: a call holds its field, the stage and
+    one block.  Evaluated one block per call, the whole grid is never held.
     """
     if stage is None:
         stage = flow_stage(model, hsp, grid)
@@ -156,25 +160,24 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None,
                         (float, float, float, bool, float, float)),
                       start=rows.start)
     B = stage.beta
-    closed_i, closed_j = stage.closed
     with np.errstate(all="ignore"):
         for block in row_blocks(grid, rows):
             here = slice(block.start - rows.start, block.stop - rows.start)
             A = axes[block.start:block.stop, None]
             halves = model.alpha_halves(A)
-            f0 = model.curvature_raw(hsp, A, B, stage.at_hsp, halves)
+            f0, norm2 = model.curvature_raw(hsp, A, B, stage.at_hsp, halves)
+            shut = below_gap_floor(norm2)
+            del norm2
             num = model.curvature_raw(stage.k_shift, A, B, stage.at_shift,
-                                      halves) - f0
+                                      halves)[0] - f0
             # where the scaling response is below the floor, for both
             # components
             flat = np.abs(num) < DENOMINATOR_FLOOR
             da, db = field.dalpha[here], field.dbeta[here]
             _flow_ratio(num, flat, model.curvature_raw(
-                hsp, A + DEFAULT_DM, B, stage.at_hsp) - f0, da)
+                hsp, A + DEFAULT_DM, B, stage.at_hsp)[0] - f0, da)
             _flow_ratio(num, flat, model.curvature_raw(
-                hsp, A, stage.beta_dm, stage.at_dm, halves) - f0, db)
-            inside = (closed_i >= block.start) & (closed_i < block.stop)
-            shut = closed_i[inside] - block.start, closed_j[inside]
+                hsp, A, stage.beta_dm, stage.at_dm, halves)[0] - f0, db)
             da[shut] = db[shut] = np.nan
             f0[shut] = np.inf
             rate = np.hypot(da, db)
@@ -185,25 +188,6 @@ def flow_field(model, hsp, grid: int = DEFAULT_GRID, rows=None,
             np.abs(f0, out=field.peak_height[here])
             np.abs(num, out=field.scaling_response[here])
     return field
-
-
-def _closed_cells(model, hsp, axes):
-    """Index arrays (i, j) of the cells (axes[i], axes[j]) where the gap
-    closes at ``hsp``.
-
-    It closes on the line alpha = -b beta (mod 2 pi) of
-    ``model.closing_slope(hsp)``, so only the three alpha cells nearest to
-    that line in each beta column are tested, by the model's own gap test:
-    3 grid cells per field, in one call.
-    """
-    n = len(axes)
-    # the index of alpha = -b beta on the axis -pi + 2 pi i / n
-    nearest = np.rint(np.mod(np.pi - model.closing_slope(hsp) * axes,
-                             2.0 * np.pi) * (n / (2.0 * np.pi))).astype(int)
-    i = (np.repeat(nearest, 3) + np.tile((-1, 0, 1), n)) % n
-    j = np.repeat(np.arange(n), 3)
-    closed = model.gap_closed(hsp, axes[i], axes[j])
-    return i[closed], j[closed]
 
 
 @dataclass

@@ -16,6 +16,11 @@ GAP_FLOOR = 1e-14
 GAUGE_SWITCH = 0.5
 
 
+def below_gap_floor(norm2):
+    """norm2 = |d|^2 (or |zeta|^2) < GAP_FLOOR^2: each curvature's gap test."""
+    return norm2 < GAP_FLOOR ** 2
+
+
 def lower_band_states(d, south):
     """Lower eigenstates of H = d . sigma on broadcastable arrays, in the
     gauge the caller chooses.
@@ -82,11 +87,11 @@ def _off_dirac_point(d2, form):
     """``form(d2)`` where |d|^2 = ``d2`` clears the gap floor and NaN where
     it does not; a scalar ``d2`` below the floor raises ZeroGap instead."""
     if np.ndim(d2) == 0:
-        if d2 < GAP_FLOOR ** 2:
+        if below_gap_floor(d2):
             raise ZeroGap("Dirac point at M = k = 0")
         return float(form(d2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(d2 < GAP_FLOOR ** 2, np.nan, form(d2))
+        return np.where(below_gap_floor(d2), np.nan, form(d2))
 
 
 def berry_connection_1d(k, M):

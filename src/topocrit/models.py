@@ -5,6 +5,10 @@ A model object is stateless; walk parameters are passed per call.  The 2D
 walk exposes its peak structure through the ky = -kx diagonal slice, which is
 where its near-critical asymptotics live.
 
+``curvature_raw`` returns the pair (F, |zeta|^2) of a walk's one staged
+curvature kernel: every caller reads the gap from the |zeta|^2 of its own
+evaluation, by ``geometry.below_gap_floor``, never from a second one.
+
 At each high-symmetry momentum k of either walk, |zeta(k)| is
 |sin((alpha + b beta)/2)| for an integer slope b = ``closing_slope(k)``: the
 gap at k closes on the line alpha = -b beta (mod 2 pi) and nowhere else.
@@ -15,9 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import walk1d, walk2d
-from .geometry import GAP_FLOOR
-from .walk1d import (LOCUS_TOL, WalkParams, _angle_halves, _halves,
-                     _reduce_angle)
+from .walk1d import LOCUS_TOL, WalkParams, _halves, _reduce_angle
 
 # (row, column) points per block where a layer evaluates a kernel over a
 # grid one block of rows at a time (the 2D correlation transform, the crg
@@ -46,9 +48,11 @@ class _Walk:
 
     @classmethod
     def curvature_raw(cls, k, alpha, beta, stage=None, halves=None):
-        """Unvalidated curvature on broadcastable (alpha, beta) arrays at the
-        momentum k: ``curvature_stage(k, beta)`` evaluated at
-        ``alpha_halves(alpha)``.
+        """(F, |zeta|^2) on broadcastable (alpha, beta) arrays at the
+        momentum k: the staged kernel ``curvature_staged`` on
+        ``curvature_stage(k, beta)`` at ``alpha_halves(alpha)``.  F is
+        unvalidated; ``geometry.below_gap_floor`` of |zeta|^2 says where the
+        gap closes, the cells where the validated curvature raises ZeroGap.
 
         A caller that evaluates one (k, beta) at many alphas passes the
         ``stage`` it built once, and one that evaluates one alpha on many
@@ -94,14 +98,6 @@ class Walk1D(_Walk):
         single momentum, 0 or pi."""
         return False
 
-    @staticmethod
-    def gap_closed(k, alpha, beta):
-        """Where ``rotated_curvature_1d`` at momentum k raises ZeroGap, on
-        broadcastable angle arrays."""
-        _, den = walk1d._curvature_parts_1d(_angle_halves(alpha, beta),
-                                            np.sin(k), np.cos(k))
-        return den < GAP_FLOOR ** 2
-
 
 class Walk2D(_Walk):
     """Adapter for the two-dimensional walk, diagonal-slice conventions."""
@@ -114,12 +110,7 @@ class Walk2D(_Walk):
         return [(0.0, 0.0), (np.pi / 2.0, np.pi / 2.0),
                 (np.pi / 2.0, 0.0), (0.0, np.pi / 2.0)]
 
-    @staticmethod
-    def curvature_stage(k, beta):
-        """The ``walk2d.stage_2d`` of beta on the momentum k = (kx, ky)."""
-        kx, ky = k
-        return walk2d.stage_2d(walk2d.trig_table_2d(kx, ky), beta)
-
+    curvature_stage = staticmethod(walk2d._curvature_stage_2d)
     curvature_staged = staticmethod(walk2d._curvature_staged_2d)
 
     @staticmethod
@@ -161,13 +152,6 @@ class Walk2D(_Walk):
         cos(2 kx + 2 ky) (beta = 0) or -cos(2 ky) (beta = pi): the gap
         closes on lines of the zone, not at a Dirac point."""
         return abs(_reduce_angle(2.0 * beta)) < LOCUS_TOL
-
-    @staticmethod
-    def gap_closed(k, alpha, beta):
-        """Where ``curvature_grid_2d`` at momentum k raises ZeroGap, on
-        broadcastable angle arrays."""
-        kx, ky = k
-        return walk2d._gap_closed_2d(kx, ky, alpha, beta)
 
 
 WALK_1D = Walk1D()

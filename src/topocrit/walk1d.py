@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtCriticality, ZeroGap
-from .geometry import GAP_FLOOR
+from .geometry import below_gap_floor
 
 # |sin E| below which the bands touch: no closed-form peak asymptotics in
 # either walk (AtCriticality)
@@ -119,21 +119,18 @@ def zeta_components_1d(k, p: WalkParams):
 
 def rotated_curvature_1d(k, p: WalkParams):
     """Curvature function F(k) = (n x d_k n) . A, the doubled rotated-frame
-    Berry connection; array-capable.  The closed form
-
-        F = -kap_a (kap_a lam_b + lam_a kap_b cos k)
-            / (zeta'_x^2 + zeta_y^2)
-
-    is the one of ``_curvature_parts_1d``, whose denominator is also the
-    gap test.
+    Berry connection; array-capable: the staged closed form of
+    ``_curvature_staged_1d`` on the stage of (k, beta), validated by the gap
+    test of its own |zeta|^2.
 
     Raises:
         ZeroGap: the gap closes on the requested momenta.
     """
-    num, den = _curvature_parts_1d(_half_angles(p), np.sin(k), np.cos(k))
-    if np.any(den < GAP_FLOOR ** 2):
+    f, norm2 = _curvature_staged_1d(_curvature_stage_1d(k, p.beta),
+                                    *_halves(p.alpha))
+    if np.any(below_gap_floor(norm2)):
         raise ZeroGap("gap closed on the requested momenta")
-    return num / den
+    return f
 
 
 def _curvature_parts_1d(h, sin_k, cos_k):
@@ -145,8 +142,7 @@ def _curvature_parts_1d(h, sin_k, cos_k):
     from the half angles h and the momentum terms, which broadcast as in
     ``_zeta_terms_1d``.  den is the squared norm of the rotated axis,
     |zeta|^2 (kap_b^2 + lam_b^2 = 1), summed from its planar terms, so it
-    keeps the gap's precision next to a gap line; the gap closes where it is
-    below GAP_FLOOR^2.
+    keeps the gap's precision next to a gap line.
     """
     ka, la, kb, lb = h
     zx, zy = _planar_terms_1d(h, sin_k, cos_k)
@@ -160,12 +156,13 @@ def _curvature_stage_1d(k, beta):
 
 
 def _curvature_staged_1d(stage, ka, la):
-    """The closed form at the alpha half angles (ka, la) on a stage of
-    ``_curvature_stage_1d``, which they broadcast against; unvalidated."""
+    """(F, |zeta|^2) at the alpha half angles (ka, la) on a stage of
+    ``_curvature_stage_1d``, which they broadcast against: the closed form,
+    unvalidated, and its denominator, which ``below_gap_floor`` tests."""
     (kb, lb), k_terms = stage
     num, den = _curvature_parts_1d((ka, la, kb, lb), *k_terms)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den
+        return num / den, den
 
 
 def peak_asymptotics_1d(p: WalkParams, k_c: float):

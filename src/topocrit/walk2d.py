@@ -23,9 +23,12 @@ integer invariant.  Everything is pi-periodic in both momenta, so the
 
 zeta and phi are evaluated in two stages.  ``stage_2d`` builds the one kind
 of beta stage: the terms that depend only on momentum and beta, over a trig
-table of any momenta (the invariants' memoized torus, a crg high-symmetry
-point, or the momenta of one call).  ``_zeta_phi_2d`` evaluates the rest at
-the alpha half angles, in the operation order of the single expressions.
+table of any momenta (the invariants' memoized torus, or through
+``_curvature_stage_2d`` a crg high-symmetry point or the momenta of a call).
+``_zeta_phi_2d`` evaluates the rest at the alpha half angles, in the
+operation order of the single expressions.  ``_curvature_staged_2d``, the
+one staged curvature kernel, returns F with its |zeta|^2, from which every
+curvature route takes the gap test ``geometry.below_gap_floor``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import AtCriticality, ZeroGap
-from .geometry import GAP_FLOOR
+from .geometry import below_gap_floor
 from .walk1d import CRITICAL_FLOOR, WalkParams, _half_angles, _halves
 
 PEAK_KX = np.pi / 2.0  # gap-closing momentum on the ky = -kx slice
@@ -120,11 +123,17 @@ def _zeta_phi_2d(stage: Stage2D, ka, la):
     return zx, zy, zz, phi
 
 
+def _curvature_stage_2d(k, beta) -> Stage2D:
+    """The ``stage_2d`` of beta on the momentum k = (kx, ky), broadcastable
+    arrays: the stage of every route that is not given one."""
+    kx, ky = k
+    return stage_2d(trig_table_2d(kx, ky), beta)
+
+
 def _zeta_phi_at(kx, ky, alpha, beta):
     """``_zeta_phi_2d`` on broadcastable momentum and angle arrays, with the
     stage built on these momenta: the one-shot route."""
-    return _zeta_phi_2d(stage_2d(trig_table_2d(kx, ky), beta),
-                        *_halves(alpha))
+    return _zeta_phi_2d(_curvature_stage_2d((kx, ky), beta), *_halves(alpha))
 
 
 def zeta_components_2d(kx, ky, p: WalkParams):
@@ -132,35 +141,26 @@ def zeta_components_2d(kx, ky, p: WalkParams):
     return _zeta_phi_at(kx, ky, p.alpha, p.beta)[:3]
 
 
-def _norm2_phi(zeta_phi):
-    """|zeta|^2 and phi from the (zx, zy, zz, phi) of ``_zeta_phi_2d``.  It
-    is passed their result, so the stage they read is freed first."""
-    zx, zy, zz, phi = zeta_phi
-    return zx * zx + zy * zy + zz * zz, phi
-
-
-def _gap_closed_2d(kx, ky, alpha, beta):
-    """Where |zeta|^2 is below GAP_FLOOR^2, the test of
-    ``curvature_grid_2d``, on broadcastable angle arrays."""
-    return _norm2_phi(_zeta_phi_at(kx, ky, alpha, beta))[0] < GAP_FLOOR ** 2
-
-
 def curvature_grid_2d(kx, ky, p: WalkParams):
     """Curvature function F = (d_kx n x d_ky n) . n = phi / |zeta|^3 on
-    momentum arrays."""
-    n2, phi = _norm2_phi(_zeta_phi_at(kx, ky, p.alpha, p.beta))
-    if np.min(n2) < GAP_FLOOR ** 2:
+    momentum arrays, staged on them; ZeroGap where its |zeta|^2 closes the
+    gap."""
+    f, norm2 = _curvature_staged_2d(_curvature_stage_2d((kx, ky), p.beta),
+                                    *_halves(p.alpha))
+    if np.any(below_gap_floor(norm2)):
         raise ZeroGap("gap closed on the requested grid")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return phi / n2 ** 1.5
+    return f
 
 
 def _curvature_staged_2d(stage: Stage2D, ka, la):
-    """The curvature phi / |zeta|^3 at the alpha half angles (ka, la) on a
-    stage of ``stage_2d``, which they broadcast against."""
-    n2, phi = _norm2_phi(_zeta_phi_2d(stage, ka, la))
+    """(F, |zeta|^2) at the alpha half angles (ka, la) on a stage of
+    ``stage_2d``, which they broadcast against: the curvature
+    phi / |zeta|^3, unvalidated, and the squared norm that
+    ``below_gap_floor`` tests."""
+    zx, zy, zz, phi = _zeta_phi_2d(stage, ka, la)
+    norm2 = zx * zx + zy * zy + zz * zz
     with np.errstate(divide="ignore", invalid="ignore"):
-        return phi / n2 ** 1.5
+        return phi / norm2 ** 1.5, norm2
 
 
 def peak_asymptotics_2d(p: WalkParams):

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import topocrit
-from topocrit import correlation, crg, invariants, walk1d
+from topocrit import correlation, crg, invariants, walk1d, walk2d
 from topocrit.cli import (READS, WALKS, _defaults, _grid_columns,
                           _merge_config, build_parser, main)
-from topocrit.errors import TopocritError
+from topocrit.errors import TopocritError, ZeroGap
+from topocrit.geometry import below_gap_floor
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.output import Indexed, write_csv, write_json
 from topocrit.walk1d import WalkParams
@@ -423,6 +424,41 @@ def test_curvature_nan_rows_name_zero_gap(tmp_path, capsys):
     assert "ZeroGap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, alpha, beta", [
+    ("walk1d", 0.3, -0.3),  # alpha = -beta: closes at k = 0
+    ("walk1d", 0.3, 0.3),  # alpha = beta: at k = pi
+    ("walk1d", 0.0, 0.0),  # both
+    ("walk2d", -0.8, 0.4),  # alpha = -2 beta: at (0, 0) and (pi, -pi)
+    ("walk2d", 0.0, 0.4),  # alpha = 0: at kx = pi/2 and 3 pi/2
+    ("walk2d", 0.0, 0.0),  # beta = 0: on lines, at every momentum
+])
+def test_curvature_nan_rows_are_where_the_validated_curvature_raises(
+        tmp_path, capsys, model, alpha, beta):
+    # the NaN rows of a walk profile are exactly its momenta where the
+    # validated curvature raises ZeroGap, counted as ZeroGap, with exit 2
+    # (the alpha = 2 beta family of walk2d closes at (0, pi/2), off the
+    # ky = -kx slice)
+    out = tmp_path / "crit.csv"
+    assert main(["curvature", "--model", model, "--alpha", str(alpha),
+                 "--beta", str(beta), "--grid", "64", "--out", str(out)]) == 2
+    p = WalkParams(alpha, beta)
+    k = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    raises = []
+    for x in k:
+        try:
+            if model == "walk1d":
+                walk1d.rotated_curvature_1d(np.array([x]), p)
+            else:
+                walk2d.curvature_grid_2d(np.array([x]), np.array([-x]), p)
+            raises.append(False)
+        except ZeroGap:
+            raises.append(True)
+    column = 1 if model == "walk1d" else 2
+    nan = [line.split(",")[column] == "nan" for line in read_lines(out)[2:]]
+    assert nan == raises
+    assert "(%d ZeroGap)" % sum(raises) in capsys.readouterr().err
+
+
 def test_phase_diagram_rounds_a_raw_below_zero_to_0(tmp_path):
     # cells on the alpha = -pi row integrate to about -1e-32; the rounded
     # column writes the 0 of InvariantResult.rounded, never -0
@@ -816,8 +852,8 @@ def test_csv_bytes_curvature_nan_rows(tmp_path):
           "--grid", "64", "--out", str(out)])
     k = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     with np.errstate(all="ignore"):
-        f = WALK_1D.curvature_raw(k, 0.0, 0.0)
-    f = np.where(np.isfinite(f), f, np.nan)
+        f, norm2 = WALK_1D.curvature_raw(k, 0.0, 0.0)
+    f = np.where(below_gap_floor(norm2), np.nan, f)
     e = walk1d.energy_1d(k, WalkParams(0.0, 0.0))
     rows = [(float(k[i]), float(f[i]), float(e[i])) for i in range(64)]
     assert any(math.isnan(row[1]) for row in rows)

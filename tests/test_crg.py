@@ -8,10 +8,10 @@ from topocrit import WalkParams, crg
 from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, DEFAULT_RATE_THRESHOLD,
                           DENOMINATOR_FLOOR, DETECT_RATE_THRESHOLD,
                           MIN_COMPONENT_CELLS, NUMERATOR_FLOOR, PEAK_SINGULAR,
-                          FlowField, LineCandidates, _closed_cells,
-                          _periodic_label, detect_critical_lines, flow_field,
+                          FlowField, LineCandidates, _periodic_label, detect_critical_lines, flow_field,
                           grid_axes, row_blocks)
 from topocrit.errors import ZeroGap
+from topocrit.geometry import below_gap_floor
 from topocrit.models import WALK_1D, WALK_2D
 from topocrit.walk1d import rotated_curvature_1d
 
@@ -137,7 +137,9 @@ class _OnMeshgrid:
     """A model whose curvature_raw is called on full (grid, grid) angle
     arrays, as a meshgrid evaluation of the flow field calls it: its stage
     is built on the full beta array and evaluated at the full alpha array,
-    in place of the stage and half angles that the flow field passes."""
+    in place of the stage and half angles that the flow field passes.  It
+    returns the model's (F, |zeta|^2), so the closed cells, read from that
+    |zeta|^2, are compared too."""
 
     def __init__(self, model):
         self.model = model
@@ -182,11 +184,11 @@ def _full_grid_field(model, hsp, grid):
                         num / den) * (DEFAULT_DM / DEFAULT_DK ** 2)
 
     with np.errstate(all="ignore"):
-        f0 = model.curvature_raw(hsp, A, B)
-        num = model.curvature_raw(k_shift, A, B) - f0
-        da = ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B) - f0)
-        db = ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM) - f0)
-        closed = _closed_cells(model, hsp, axes)
+        f0, norm2 = model.curvature_raw(hsp, A, B)
+        closed = below_gap_floor(norm2)
+        num = model.curvature_raw(k_shift, A, B)[0] - f0
+        da = ratio(num, model.curvature_raw(hsp, A + DEFAULT_DM, B)[0] - f0)
+        db = ratio(num, model.curvature_raw(hsp, A, B + DEFAULT_DM)[0] - f0)
         da[closed] = db[closed] = np.nan
         f0[closed] = np.inf
         rate = np.hypot(da, db)
@@ -395,6 +397,29 @@ def test_gap_at_each_hsp_is_the_sine_of_its_closing_line(model):
             assert abs(norm[0] - abs(np.sin((a + b * beta) / 2))) < 1e-14
 
 
+@pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
+def test_curvature_raw_gap_test_is_the_validated_route(model):
+    # on random angles, two on the closing line of each HSP, at every HSP
+    # and at random momenta off them: curvature_raw's F is finite wherever
+    # below_gap_floor of its |zeta|^2 says the gap is open, and that mask
+    # holds exactly where the validated curvature raises ZeroGap
+    f = walk_curvature_callback(model)
+    hsps = model.hsps()
+    alpha, beta = RNG.uniform(-np.pi, np.pi, (2, 24))
+    on_line = 2 * len(hsps)
+    alpha[:on_line] = [-model.closing_slope(h) * b
+                       for h, b in zip(hsps * 2, beta)]
+    off = [np.reshape(RNG.uniform(-np.pi, np.pi, model.dimension),
+                      np.shape(hsps[0])) for _ in range(4)]
+    for k in hsps + off:
+        F, norm2 = model.curvature_raw(k, alpha, beta)
+        shut = below_gap_floor(norm2)
+        assert np.isfinite(F[~shut]).all()
+        assert shut.tolist() == [_raises_zero_gap(f, k, M)
+                                 for M in zip(alpha, beta)]
+        assert shut[:on_line].any() == any(k is h for h in hsps)
+
+
 def test_closing_slope_rejects_other_momenta():
     with pytest.raises(ValueError):
         WALK_1D.closing_slope(0.5)
@@ -403,36 +428,14 @@ def test_closing_slope_rejects_other_momenta():
     assert WALK_2D.closing_slope(WALK_2D.slice_peak()) == 0
 
 
-def test_closed_cells_test_three_cells_per_column():
-    # the closed-cell search evaluates the gap at O(grid) cells, three per
-    # beta column, never the whole grid: one call per field tests 3 * grid
-    # cells, which every block of its rows then reads
-    calls = []
-
-    class Counting:
-        def __getattr__(self, name):
-            return getattr(WALK_1D, name)
-
-        def gap_closed(self, k, alpha, beta):
-            calls.append(np.broadcast(alpha, beta).size)
-            return WALK_1D.gap_closed(k, alpha, beta)
-
-    axes = np.linspace(-np.pi, np.pi, 512, endpoint=False)
-    i, j = _closed_cells(Counting(), 0.0, axes)
-    assert calls == [3 * 512]
-    assert len(i) == 512 and sorted(j) == list(range(512))
-    assert np.array_equal(np.sort(i * 512 + j), np.flatnonzero(
-        WALK_1D.gap_closed(0.0, axes[:, None], axes[None, :])))
-
-
 @pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
 def test_curvature_stage_bit_equal_to_one_shot_curvature_raw(model):
     # a (1, grid) stage built once and evaluated at (rows, 1) blocks of
     # alpha gives the bits of the one-shot curvature_raw on the full
     # (grid, grid) arrays, at every HSP and its shifted momentum, on beta
-    # and beta + DM; the axes hold the gapless corner (-pi, -pi) and both
-    # zeros.  Both sides build the same stage, so this checks the blocks'
-    # broadcasting; the walk2d bits against independent single expressions
+    # and beta + DM, for F and |zeta|^2 alike; the axes hold the gapless
+    # corner (-pi, -pi) and both zeros.  Both sides build the same stage, so
+    # this checks the blocks' broadcasting; the walk2d bits against independent single expressions
     # are test_invariants.py::test_zeta_phi_bits_match_single_expressions
     axes = np.concatenate([grid_axes(64), [-0.0, 0.0, 1.0]])
     n = len(axes)
@@ -445,28 +448,68 @@ def test_curvature_stage_bit_equal_to_one_shot_curvature_raw(model):
         for k in (hsp, k_shift):
             for beta in (B, B + DEFAULT_DM):
                 stage = model.curvature_stage(k, beta)
-                got = np.concatenate([model.curvature_raw(
+                got = [model.curvature_raw(
                     k, A[rows], beta, stage, model.alpha_halves(A[rows]))
-                    for rows in blocks])
+                    for rows in blocks]
                 full_a, full_b = (x.copy() for x in
                                   np.broadcast_arrays(A, beta))
                 want = model.curvature_raw(k, full_a, full_b)
-                assert got.shape == want.shape == (n, n)
-                assert got.tobytes() == want.tobytes()
+                for part, whole in zip(zip(*got), want):
+                    part = np.concatenate(part)
+                    assert part.shape == whole.shape == (n, n)
+                    assert part.tobytes() == whole.tobytes()
+
+
+class _RawCalls:
+    """A model that records the arguments of each ``curvature_raw`` call and
+    passes it through."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def curvature_raw(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return self.model.curvature_raw(*args, **kwargs)
+
+
+@pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])
+def test_flow_field_calls_curvature_raw_four_times_per_block(monkeypatch,
+                                                              model):
+    # the benchmark's models.curvature_raw counter wraps the adapter method
+    # and counts the points of its positional alpha and beta: each block of
+    # rows is four calls, every one with (k, alpha, beta) positional and
+    # broadcasting to the block's (rows, grid) cells
+    grid = 64
+    monkeypatch.setattr(crg, "BLOCK_POINTS", 16 * grid)
+    blocks = row_blocks(grid)
+    assert len(blocks) == 4
+    for hsp in model.hsps():
+        spy = _RawCalls(model)
+        flow_field(spy, hsp, grid)
+        assert len(spy.calls) == 4 * len(blocks)
+        for call, (args, kwargs) in enumerate(spy.calls):
+            assert len(args) >= 3
+            assert not {"k", "alpha", "beta"} & set(kwargs)
+            rows = len(blocks[call // 4])
+            assert np.broadcast(args[1], args[2]).shape == (rows, grid)
 
 
 def test_crg_builds_each_stage_and_closed_cell_test_once_per_hsp(
         tmp_path, monkeypatch):
-    # the stage and the gap test of the closed cells are built per HSP, not
-    # per block of rows: a streamed crg run of 4 blocks per HSP calls each
-    # once per HSP and the model's stage builder once per curvature stage
+    # the stage is built per HSP, not per block of rows: a streamed crg run
+    # of 4 blocks per HSP builds it once per HSP and calls the model's stage
+    # builder once per curvature stage
     from topocrit.cli import main
 
     grid = 64
     monkeypatch.setattr(crg, "BLOCK_POINTS", 16 * grid)
     assert len(row_blocks(grid)) == 4
     for model in (WALK_1D, WALK_2D):
-        calls = {"flow_stage": 0, "curvature_stage": 0, "gap_closed": 0}
+        calls = {"flow_stage": 0, "curvature_stage": 0}
 
         def counted(name, fn):
             def spy(*args, **kwargs):
@@ -477,13 +520,12 @@ def test_crg_builds_each_stage_and_closed_cell_test_once_per_hsp(
         with monkeypatch.context() as patch:
             patch.setattr(crg, "flow_stage",
                           counted("flow_stage", crg.flow_stage))
-            for name in ("curvature_stage", "gap_closed"):
-                patch.setattr(model, name, counted(name, getattr(model, name)))
+            patch.setattr(model, "curvature_stage",
+                          counted("curvature_stage", model.curvature_stage))
             assert main(["crg", "--model", model.name, "--grid", str(grid),
                          "--out", str(tmp_path / model.name)]) == 0
         hsps = len(model.hsps())
-        assert calls == {"flow_stage": hsps, "curvature_stage": 3 * hsps,
-                         "gap_closed": hsps}
+        assert calls == {"flow_stage": hsps, "curvature_stage": 3 * hsps}
 
 
 def test_flow_direction_reverses_across_line():

@@ -69,7 +69,7 @@ HASHES = {
         "out_a0.csv":
             "7fbfacf36a7bdc726881fe039cdbdc9b5f1beca15c58f248f41cbecb29ee236d",
         "out_a1.csv":
-            "fb1c0e23f69417a6b1e296b1efb549fe88401b240bb2c13c0af88f15a0093d24",
+            "1793af837fc96195bd057abc9a8d87dbc8e73fe9c82451c60c50d4847e591b6b",
     },
     "curvature-walk2d": {
         "out.csv":

@@ -624,16 +624,19 @@ def test_curvature_raw_matches_grid_pointwise():
     # x ** 2 and x ** 1.5 on a float64 scalar through libm and on an array
     # through its SIMD loop, which differ in the last bits, so the scalar
     # reference agrees to a few ulps rather than bitwise.
+    # Both parts of the (F, |zeta|^2) pair are compared.
     axis = np.linspace(-3.0, 3.0, 41)
     alpha, beta = np.meshgrid(axis, axis, indexing="ij")
     for kx, ky in [(0.0, 0.0), (np.pi / 2, np.pi / 2), (np.pi / 2, 0.0), (0.3, -1.1)]:
         with np.errstate(all="ignore"):
             raw = WALK_2D.curvature_raw((kx, ky), alpha, beta)
-        ref = np.array([[WALK_2D.curvature_raw((kx, ky), a, b) for b in axis]
-                        for a in axis])
-        finite = np.isfinite(ref)
-        assert np.array_equal(np.isfinite(raw), finite)
-        np.testing.assert_allclose(raw[finite], ref[finite], rtol=4 * np.finfo(float).eps, atol=0)
+        ref = np.moveaxis([[WALK_2D.curvature_raw((kx, ky), a, b)
+                            for b in axis] for a in axis], -1, 0)
+        for got, want in zip(raw, ref):
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            np.testing.assert_allclose(got[finite], want[finite],
+                                       rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_plaquette_trivial_axis_field():
