@@ -17,7 +17,8 @@ GAUGE_SWITCH = 0.5
 
 
 def below_gap_floor(norm2):
-    """norm2 = |d|^2 (or |zeta|^2) < GAP_FLOOR^2: each curvature's gap test."""
+    """norm2 = |d|^2 (or |zeta|^2, or sin^2 E) < GAP_FLOOR^2: the one gap
+    test, of every curvature route, invariant and peak asymptotics."""
     return norm2 < GAP_FLOOR ** 2
 
 
@@ -45,9 +46,10 @@ def lower_band_states(d, south):
         GaugeSingularity: |d| -+ d3 of the chosen gauge below the gap floor.
     """
     d1, d2, d3 = (np.asarray(c, dtype=float) for c in d)
-    dn = np.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
-    if np.any(dn < GAP_FLOOR):
-        raise ZeroGap("gap closed: |d| = %.3e" % np.min(dn))
+    norm2 = d1 * d1 + d2 * d2 + d3 * d3
+    if np.any(below_gap_floor(norm2)):
+        raise ZeroGap("gap closed: |d| = %.3e" % np.sqrt(np.min(norm2)))
+    dn = np.sqrt(norm2)
     pole = np.where(south, dn - d3, dn + d3)
     if np.any(pole < GAP_FLOOR):
         raise GaugeSingularity("state undefined in the chosen gauge at a pole")
@@ -73,9 +75,10 @@ def quantum_geometric_tensor(d, d_a, d_b):
     parts = np.broadcast_arrays(*d, *d_a, *d_b)
     d, d_a, d_b = np.asarray(parts, dtype=float).reshape(
         (3, 3) + parts[0].shape)
-    dn = np.sqrt(np.sum(d * d, axis=0))
-    if np.any(dn < GAP_FLOOR):
-        raise ZeroGap("gap closed: |d| = %.3e" % np.min(dn))
+    norm2 = np.sum(d * d, axis=0)
+    if np.any(below_gap_floor(norm2)):
+        raise ZeroGap("gap closed: |d| = %.3e" % np.sqrt(np.min(norm2)))
+    dn = np.sqrt(norm2)
     n = d / dn
     e_a = (d_a - n * np.sum(n * d_a, axis=0)) / dn
     e_b = (d_b - n * np.sum(n * d_b, axis=0)) / dn

@@ -2,12 +2,14 @@
 
 The 1D winding number integrates the curvature function over dk/(2 pi).
 Many walks (a phase diagram, given as arrays of alpha and beta) are
-evaluated per call: the gap of every cell at the two momenta where it can
-be least, then one array expression per block of gapped cells, against a
-memoized table of the momentum trig terms; a single cell is a call of one.
-The block expression is the closed form of ``rotated_curvature_1d``, whose
-denominator is the squared norm of the rotated axis, so every raw integral
-keeps the bits of the one-cell route and stays finite next to a gap line.
+evaluated per call, one call of the staged curvature kernel
+``walk1d._curvature_staged_1d`` per block of cells, on a memoized table of
+the momentum trig terms; a single cell is a call of one.  The kernel is the
+closed form of ``rotated_curvature_1d`` with its denominator |zeta|^2, so
+every raw integral keeps the bits of the one-cell route and stays finite
+next to a gap line, and a cell's gap is the minimum of that |zeta|^2.
+Every gap test, in 1D and 2D, is the curvature routes' own,
+``geometry.below_gap_floor`` of |zeta|^2.
 
 The 2D invariant integrates the mapping-degree density of the Bloch axis
 over d^2k/(4 pi) and is cross-checked against a gauge-invariant plaquette
@@ -39,15 +41,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
-from .geometry import GAUGE_SWITCH
+from .geometry import GAUGE_SWITCH, below_gap_floor
 from .models import BLOCK_POINTS
-from .walk1d import (WalkParams, _angle_halves, _curvature_parts_1d,
-                     _halves, _zeta_terms_1d)
+from .walk1d import WalkParams, _curvature_staged_1d, _halves
 from .walk2d import _zeta_phi_2d, stage_2d, trig_table_2d
 
 DEFAULT_N_WINDING = 4096
 DEFAULT_N_CHERN = 256
-GAP_TOL = 1e-10
 DEFECT_LIMIT = 1e-3
 
 
@@ -120,34 +120,29 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     Returns (raw, failed): the raw integral of every cell, NaN where it
     failed, and a dict from the index of each failed cell, in cell order, to
     the ZeroGap or QuantizationFailure that ``winding_number_1d`` raises for
-    it.  A cell's gap is checked at two momenta of the inner grid, and the
-    integrals of the open cells are evaluated in blocks of at most
-    BLOCK_POINTS (cell, momentum) points, so memory grows with the
-    number of cells only by the per-cell half angles and gap terms.
+    it.  Each block of cells is one call of ``_curvature_staged_1d`` on the
+    memoized inner grid, of at most BLOCK_POINTS (cell, momentum) points, so
+    memory grows with the number of cells only by the per-cell half angles,
+    raw integrals and gaps.  A cell's gap is the minimum over the inner grid
+    of the |zeta|^2 that the same call returns.
     """
-    halves = np.array(_angle_halves(np.asarray(alpha, dtype=float),
-                                    np.asarray(beta, dtype=float)))
-    sin_k, cos_k = _circle_trig(n_grid)
-    # |zeta|^2 = sin^2 E with cos E = kap_a kap_b cos k - lam_a lam_b
-    # (energy_1d) is a concave quadratic in cos k, so its minimum over the
-    # grid lies at the grid's largest or smallest cos k: k = 0 and k = pi
-    # for even n_grid, k = 0 and a point next to pi for odd n_grid.
-    # rotated_curvature_1d's denominator, zeta'_x^2 + zeta_y^2, equals
-    # |zeta|^2 (kap_b^2 + lam_b^2 = 1), so this check also covers its
-    # GAP_FLOOR^2 bound
-    ends = [np.argmax(cos_k), np.argmin(cos_k)]
-    zx, zy, zz, _ = _zeta_terms_1d(halves[:, :, None], sin_k[ends],
-                                   cos_k[ends])
-    closed = np.min(zx * zx + zy * zy + zz * zz, axis=1) < GAP_TOL ** 2
-    opened = np.flatnonzero(~closed)
-    raw = np.full(halves.shape[1], np.nan)
+    ka, la = (h[:, None] for h in _halves(np.asarray(alpha, dtype=float)))
+    kb, lb = (h[:, None] for h in _halves(np.asarray(beta, dtype=float)))
+    trig = _circle_trig(n_grid)
+    raw, gap = np.empty(ka.shape[0]), np.empty(ka.shape[0])
     step = max(1, BLOCK_POINTS // n_grid)
-    for start in range(0, opened.size, step):
-        cells = opened[start:start + step]
-        num, den = _curvature_parts_1d(halves[:, cells, None], sin_k, cos_k)
-        raw[cells] = np.sum(num / den, axis=1) / n_grid
-    # a closed cell's raw is NaN, and so is its defect, which fails it as a
-    # ZeroGap; an open cell's is finite, as its denominator is |zeta|^2
+    # a closed cell's F may overflow and its sum meet inf - inf; its raw is
+    # set NaN below
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, raw.size, step):
+            cells = slice(start, start + step)
+            f, norm2 = _curvature_staged_1d(((kb[cells], lb[cells]), trig),
+                                            ka[cells], la[cells])
+            raw[cells] = np.sum(f, axis=1) / n_grid
+            gap[cells] = np.min(norm2, axis=1)
+    closed = below_gap_floor(gap)
+    # a closed cell's defect is then NaN, which fails it as a ZeroGap
+    raw[closed] = np.nan
     defect = np.abs(raw - np.rint(raw))
     failed = {}
     for i in np.flatnonzero(~(defect < DEFECT_LIMIT)).tolist():
@@ -306,7 +301,7 @@ class _TorusWork:
         rounds.  Past the gap check both are finite, or NaN at a NaN angle,
         so no defect below is inf - inf."""
         *zeta, phi = _zeta_phi_2d(stage, *_halves(alpha))
-        if self.norm2(zeta) < GAP_TOL ** 2:
+        if below_gap_floor(self.norm2(zeta)):
             return ZeroGap("gap closed on the integration grid")
         raw = self.integral(phi)
         rounded = np.rint(raw)
@@ -375,7 +370,7 @@ def chern_plaquette(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
     """
     work = _TorusWork(n_grid)
     zeta = _zeta_phi_2d(work.beta_stage(p.beta), *_halves(p.alpha))[:3]
-    if work.norm2(zeta) < GAP_TOL ** 2:
+    if below_gap_floor(work.norm2(zeta)):
         raise ZeroGap("gap closed on the integration grid")
     return _quantize(work.plaquette(zeta), n_grid)
 

@@ -35,9 +35,6 @@ import numpy as np
 from .errors import AtCriticality, ZeroGap
 from .geometry import below_gap_floor
 
-# |sin E| below which the bands touch: no closed-form peak asymptotics in
-# either walk (AtCriticality)
-CRITICAL_FLOOR = 1e-12
 LOCUS_TOL = 1e-9  # angle slack of a point on a gap-closing locus or at an HSP
 
 
@@ -69,12 +66,8 @@ def coin(theta: float) -> np.ndarray:
 
 
 def _half_angles(p: WalkParams):
-    return _angle_halves(p.alpha, p.beta)
-
-
-def _angle_halves(alpha, beta):
-    """(kap_a, lam_a, kap_b, lam_b) of broadcastable angle arrays."""
-    return _halves(alpha) + _halves(beta)
+    """(kap_a, lam_a, kap_b, lam_b) of the walk's angles."""
+    return _halves(p.alpha) + _halves(p.beta)
 
 
 def _halves(theta):
@@ -94,14 +87,14 @@ def energy_1d(k, p: WalkParams):
 
 
 def _zeta_terms_1d(h, sin_k, cos_k):
-    """(zeta_x, zeta_y, zeta_z, zeta'_x) from the half angles
+    """(zeta_x, zeta_y, zeta_z) from the half angles
     h = (kap_a, lam_a, kap_b, lam_b) and the momentum terms sin k, cos k; with
     ``_planar_terms_1d``, the one copy of the zeta algebra.  The half angles
     may be columns of per-cell values, broadcast against a row of momenta.
     """
     ka, _, kb, lb = h
-    zx_rot, zy = _planar_terms_1d(h, sin_k, cos_k)
-    return ka * lb * sin_k, zy, -ka * kb * sin_k, zx_rot
+    zy = _planar_terms_1d(h, sin_k, cos_k)[1]
+    return ka * lb * sin_k, zy, -ka * kb * sin_k
 
 
 def _planar_terms_1d(h, sin_k, cos_k):
@@ -114,7 +107,7 @@ def _planar_terms_1d(h, sin_k, cos_k):
 
 def zeta_components_1d(k, p: WalkParams):
     """Unnormalized-axis components (zeta_x, zeta_y, zeta_z); array-capable."""
-    return _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))[:3]
+    return _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))
 
 
 def rotated_curvature_1d(k, p: WalkParams):
@@ -176,13 +169,16 @@ def peak_asymptotics_1d(p: WalkParams, k_c: float):
         xi2 = (kap_b^2 + kap_a^2 kap_b^2 - kap_a kap_b lam_a lam_b)
               / (2 lam_(a+-b)^2).
 
+    lam_(a+-b) is |zeta(k_c)|, so the gap test is ``below_gap_floor`` of
+    its square.
+
     Raises:
         AtCriticality: the corresponding gap channel is closed.
     """
     ka, la, kb, lb = _half_angles(p)
     at_zero = _at_zero_channel(k_c)
     lam = np.sin((p.alpha + p.beta) / 2.0) if at_zero else np.sin((p.alpha - p.beta) / 2.0)
-    if abs(lam) < CRITICAL_FLOOR:
+    if below_gap_floor(lam * lam):
         raise AtCriticality("peak channel at k_c=%s is critical" % ("0" if at_zero else "pi"))
     f_peak = -ka / lam if at_zero else ka / lam
     xi2 = 0.5 * (kb ** 2 + ka ** 2 * kb ** 2 - ka * kb * la * lb) / lam ** 2

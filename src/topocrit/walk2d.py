@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import AtCriticality, ZeroGap
 from .geometry import below_gap_floor
-from .walk1d import CRITICAL_FLOOR, WalkParams, _half_angles, _halves
+from .walk1d import WalkParams, _half_angles, _halves
 
 PEAK_KX = np.pi / 2.0  # gap-closing momentum on the ky = -kx slice
 
@@ -171,7 +171,10 @@ def peak_asymptotics_2d(p: WalkParams):
         F_peak = 2 sgn(lam_a) (sin(a-b) - sin a - sin b) / (1 - cos a),
 
     where sgn acts on lam_a = sin(alpha/2) (the sign carries the flip of the
-    peak across alpha = 0).  The returned squared width is the asymptotic
+    peak across alpha = 0).  1 - cos a is evaluated as 2 lam_a^2, which
+    does not cancel at small alpha; |lam_a| is |zeta| at the peak, the gap
+    that ``below_gap_floor`` tests.  The returned squared width is the
+    asymptotic
 
         xi^2 ~ Xi / sqrt(1 - cos a),
         Xi = 2 sqrt(2) kap_a (2 lam_b^2 (5 + 2 cos a + cos b)
@@ -188,9 +191,9 @@ def peak_asymptotics_2d(p: WalkParams):
     a, b = p.alpha, p.beta
     ka, la = np.cos(a / 2.0), np.sin(a / 2.0)
     lb = np.sin(b / 2.0)
-    one_minus = 1.0 - np.cos(a)
-    if one_minus < CRITICAL_FLOOR or abs(la) < CRITICAL_FLOOR:
+    if below_gap_floor(la * la):
         raise AtCriticality("slice peak is critical at alpha = 0 (mod 2 pi)")
+    one_minus = 2.0 * la * la
     f_peak = 2.0 * np.sign(la) * (np.sin(a - b) - np.sin(a) - np.sin(b)) / one_minus
     xi_big = 2.0 * np.sqrt(2.0) * ka * (
         2.0 * lb ** 2 * (5.0 + 2.0 * np.cos(a) + np.cos(b))

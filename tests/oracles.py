@@ -13,8 +13,9 @@
 * ``chiral_axis``, ``gauge_rotation_matrix`` and ``rotated_zeta_1d`` derive
   the rotated frame of the 1D walk, in which its curvature function is the
   doubled Berry connection.
-* ``full_grid_winding_1d`` checks the gap of a 1D walk at every momentum of
-  the inner grid, the oracle of the winding kernel's check at two momenta.
+* ``full_grid_winding_1d`` checks the gap of a 1D walk by the minimum of
+  |zeta|^2 over the inner grid, from the three zeta components, the oracle
+  of the winding kernel's check on its staged kernel's planar |zeta|^2.
 * ``flip_test`` is the ratio of the peak curvature across a transition.
 * ``berry_connection_fd``, ``berry_curvature_fd`` and
   ``qgt_finite_difference`` (step ``FD_STEP``) are the central-difference
@@ -35,14 +36,15 @@ from topocrit.criticality import _critical_alpha
 from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, DENOMINATOR_FLOOR,
                           _shifted_momentum)
 from topocrit.errors import ZeroGap
-from topocrit.walk1d import (CRITICAL_FLOOR, WalkParams,
-                             _curvature_parts_1d, _half_angles,
-                             _zeta_terms_1d, coin, energy_1d,
-                             rotated_curvature_1d, zeta_components_1d)
+from topocrit.geometry import below_gap_floor
+from topocrit.walk1d import (WalkParams, _curvature_parts_1d, _half_angles,
+                             _planar_terms_1d, _zeta_terms_1d, coin,
+                             energy_1d, rotated_curvature_1d,
+                             zeta_components_1d)
 from topocrit.walk2d import (_zeta_phi_at, curvature_grid_2d, energy_grid_2d,
                              zeta_components_2d)
 
-GAP_TOL = 1e-8
+CLOSING_TOL = 1e-8
 REFINE_TOL = 1e-10
 FD_STEP = 1e-5  # central-difference step for order-1 dimensionless momenta
 # the upper quasienergy band, the axis components and the validated
@@ -93,8 +95,8 @@ def effective_hamiltonian(u):
     shape (..., 2, 2), on the principal branch.
 
     E is in [0, pi] (the upper band) and n, of shape (..., 3), carries the
-    sign information; n is NaN where |sin E| < CRITICAL_FLOOR, at a band
-    touching, where the axis is undefined.
+    sign information; n is NaN where ``below_gap_floor`` of sin^2 E, at a
+    band touching, where the axis is undefined.
     """
     cos_e = np.clip(np.trace(u, axis1=-2, axis2=-1).real / 2.0, -1.0, 1.0)
     e = np.arccos(cos_e)
@@ -102,7 +104,7 @@ def effective_hamiltonian(u):
     # n_s sin E = Re(i tr(sigma_s U) / 2)
     n = -np.einsum("sij,...ji->...s", PAULI, u).imag / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return e, np.where(np.abs(sin_e) < CRITICAL_FLOOR, np.nan, n / sin_e)
+        return e, np.where(below_gap_floor(sin_e * sin_e), np.nan, n / sin_e)
 
 
 def reconstruct_unitary(e, n):
@@ -154,9 +156,10 @@ def find_gap_closings(model, p: WalkParams, grid: int = 128):
 
     Scans |zeta| = sin E on a uniform grid over every momentum axis, refines
     every local minimum (no larger than any of its 3^d - 1 neighbours), and
-    keeps those below ``GAP_TOL``.  |zeta| is sin of the gap min(E, pi - E),
-    so it has the same minima; unlike the arccos quasienergy, which rounds a
-    closed gap to about 1.5e-8, it resolves a closing down to rounding.
+    keeps those below ``CLOSING_TOL``, the slack of a refined minimum.
+    |zeta| is sin of the gap min(E, pi - E), so it has the same minima;
+    unlike the arccos quasienergy, which rounds a closed gap to about
+    1.5e-8, it resolves a closing down to rounding.
     Returns a list of (k_c, zone) where k_c is a float in 1D and a pair in
     2D, and zone is 0 or pi according to which quasienergy the bands touch
     at; the list is empty for gapped parameters.
@@ -182,7 +185,7 @@ def find_gap_closings(model, p: WalkParams, grid: int = 128):
     out = []
     for idx in zip(*np.nonzero(is_min)):
         q = _coordinate_descent(gap_fn, [float(k[i]) for i in idx], h)
-        if gap_fn(q) < GAP_TOL:
+        if gap_fn(q) < CLOSING_TOL:
             q = [float(np.mod(c, 2.0 * np.pi)) for c in q]
             zone = 0.0 if at(ENERGY[dim], q) < np.pi / 2.0 else np.pi
             if not any(zone == z and all(map(_close_mod, q, kc))
@@ -214,23 +217,21 @@ def gauge_rotation_matrix(p: WalkParams) -> np.ndarray:
 
 def rotated_zeta_1d(k, p: WalkParams):
     """Planar components of the rotated axis: (kap_a sin k, zeta_y, 0)."""
-    _, zy, _, zx = _zeta_terms_1d(_half_angles(p), np.sin(k), np.cos(k))
-    return zx, zy
+    return _planar_terms_1d(_half_angles(p), np.sin(k), np.cos(k))
 
 
 def full_grid_winding_1d(p: WalkParams, n_grid: int):
     """(raw, failure) of one walk, as ``winding_numbers_1d`` gives them for
-    a cell, with the gap checked at every momentum of the inner grid by the
-    minimum of |zeta|^2 and the closed form evaluated on the one-cell
-    route's numpy scalars: the route that the kernel's check at two momenta
-    replaces.  raw is NaN where failure, a ZeroGap or QuantizationFailure,
-    is not None.
+    a cell, with the gap checked by the minimum over the inner grid of
+    |zeta|^2 summed from all three zeta components, and the closed form
+    evaluated on the one-cell route's numpy scalars.  raw is NaN where
+    failure, a ZeroGap or QuantizationFailure, is not None.
     """
     k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     sin_k, cos_k = np.sin(k), np.cos(k)
     h = _half_angles(p)
-    zx, zy, zz, _ = _zeta_terms_1d(h, sin_k, cos_k)
-    if np.min(zx * zx + zy * zy + zz * zz) < invariants.GAP_TOL ** 2:
+    zx, zy, zz = _zeta_terms_1d(h, sin_k, cos_k)
+    if below_gap_floor(np.min(zx * zx + zy * zy + zz * zz)):
         return np.nan, ZeroGap("gap closed on the integration grid")
     num, den = _curvature_parts_1d(h, sin_k, cos_k)
     raw = float(np.sum(num / den) / n_grid)

@@ -286,6 +286,35 @@ def test_invariant_integral_that_is_not_finite_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.3 + 1e-11, 0.3 - 1e-11])
+def test_curvature_and_invariant_share_one_gap(tmp_path, capsys, alpha):
+    # one gap floor for every command: the curvature profile writes a NaN
+    # row at k = pi exactly where the invariant reports a closed gap.  At
+    # 1e-11 from the alpha = beta line |zeta(pi)|^2 is about 2.5e-23, a
+    # gapped walk whose peak the invariant's grid undersamples
+    curve, inv = tmp_path / "curve.csv", tmp_path / "inv.json"
+    angles = ["--alpha=%r" % alpha, "--beta", "0.3"]
+    rc = main(["curvature", "--model", "walk1d", "--grid", "64", *angles,
+               "--out", str(curve)])
+    rows = [line.split(",") for line in read_lines(curve)[2:]]
+    k, f = (np.array([float(r[i]) for r in rows]) for i in (0, 1))
+    assert k[32] == np.pi
+    capsys.readouterr()
+    assert main(["invariant", "--model", "walk1d", *angles, "--out",
+                 str(inv)]) == 1
+    err = capsys.readouterr().err
+    if alpha == 0.3:
+        assert rc == 2
+        assert np.isnan(f[32]) and np.count_nonzero(np.isnan(f)) == 1
+        assert err == "error: gap closed on the integration grid\n"
+    else:
+        assert rc == 0
+        assert np.all(np.isfinite(f)) and abs(f[32]) > 1e10
+        assert re.fullmatch(r"error: integral -?\d+\.\d{6} is \d\.\d\de-0\d "
+                            r"from an integer\n", err)
+    assert not inv.exists()
+
+
 # --- phase diagram ---
 
 def test_phase_diagram_grid_contract(tmp_path):

@@ -7,9 +7,9 @@ from topocrit import WalkParams
 from topocrit.criticality import (extract_exponents, fit_lorentzian,
                                   sample_peak)
 from topocrit.errors import PoorFit, WindowTouchesCriticality
-from topocrit.invariants import GAP_TOL
 from topocrit.models import WALK_1D, WALK_2D
-from topocrit.walk1d import _reduce_angle, gap_distances, peak_asymptotics_1d
+from topocrit.walk1d import (LOCUS_TOL, _reduce_angle, gap_distances,
+                             peak_asymptotics_1d)
 from topocrit.walk2d import zeta_components_2d
 
 from oracles import find_gap_closings, flip_test
@@ -72,11 +72,14 @@ def test_criticality_distance_walk2d_is_min_over_alpha_and_two_beta():
                                   0.3, np.pi / 2, np.pi - 1e-6, 1e-6, 2.5])
 def test_closes_on_lines_matches_the_zone_grid_closings(beta):
     # at alpha_c = 0 the 64^2 zone grid closes on 4 lines of 64 points where
-    # beta = 0 (mod pi), and at its 8 Dirac points elsewhere
+    # beta = 0 (mod pi), and at its 8 Dirac points elsewhere.  A closing is
+    # counted to the predicate's own angle slack, |zeta| < LOCUS_TOL: at
+    # beta = 1e-12 the line points have |zeta|^2 of 1e-26 to 1e-24, closed
+    # to the predicate but gapped to the gap floor
     k = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     kx, ky = np.meshgrid(k, k, indexing="ij")
     zeta = zeta_components_2d(kx, ky, WalkParams(0.0, beta))
-    closed = np.count_nonzero(sum(c * c for c in zeta) < GAP_TOL ** 2)
+    closed = np.count_nonzero(sum(c * c for c in zeta) < LOCUS_TOL ** 2)
     assert closed == (256 if WALK_2D.closes_on_lines(beta) else 8)
     assert WALK_1D.closes_on_lines(beta) is False
 
@@ -95,7 +98,7 @@ def test_gap_closings_1d_both_zones():
 ])
 def test_gap_closings_1d_where_arccos_rounds_the_gap_away(alpha, beta, k_c):
     # at (0.3, +-0.3) the arccos quasienergy gives a gap of 1.49e-8, above
-    # GAP_TOL, at the closing; |zeta| resolves it
+    # the oracle's CLOSING_TOL, at the closing; |zeta| resolves it
     p = WalkParams(alpha, beta)
     assert min(gap_distances(p)) == 0.0
     out = find_gap_closings(WALK_1D, p)

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import topocrit
 from topocrit import (
     ZeroGap, GaugeSingularity,
     berry_connection_1d, berry_curvature_2d_dirac, lower_band_states,
@@ -330,3 +334,26 @@ def test_manifold_length_single_signed_equals_pi_times_invariant():
     a = rotated_curvature_1d(k, p) / 2.0
     L = np.sum(np.abs(a)) * (2 * np.pi / 4096)
     assert abs(L - np.pi) < 1e-10
+
+
+def test_one_gap_floor_in_the_package():
+    # every gap test in the package is geometry.below_gap_floor: the
+    # per-module floors GAP_TOL and CRITICAL_FLOOR are gone, and only
+    # geometry.py reads GAP_FLOOR, for below_gap_floor and its gauge-pole
+    # test; a second floor fails here
+    sources = sorted(Path(topocrit.__file__).parent.glob("*.py"))
+    names = {}
+    for path in sources:
+        text = path.read_text()
+        assert [gone for gone in ("GAP_TOL", "CRITICAL_FLOOR")
+                if gone in text] == [], path.name
+        names[path.name] = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            or node.name for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert [f for f in names if "GAP_FLOOR" in names[f]] == ["geometry.py"]
+    # the modules that decide a gap: the curvature routes, the peak
+    # asymptotics, the invariants, the crg closed cells and the CLI profile
+    for f in ("geometry.py", "walk1d.py", "walk2d.py", "invariants.py",
+              "crg.py", "cli.py"):
+        assert "below_gap_floor" in names[f], f

@@ -93,7 +93,7 @@ HASHES = {
     },
     "exponents-walk2d": {
         "out.json":
-            "20f5d4d1b385f37bce23a0e47e254290fcf46c1c291cca9de630e72f3800617f",
+            "aaafcc6dc67ed36e8f6d2cc2f5def8055a6899c7ecf56fd14f9c9049bbc624d8",
     },
     "correlation-walk1d": {
         "out.csv":

@@ -8,15 +8,15 @@ import pytest
 from topocrit import WalkParams, ZeroGap, invariants
 from topocrit.crg import DEFAULT_DM
 from topocrit.errors import OracleMismatch, QuantizationFailure
-from topocrit.invariants import (GAP_TOL, InvariantResult, _TorusWork,
+from topocrit.invariants import (InvariantResult, _TorusWork,
                                  _circle_trig, _quantize, _zone_trig,
                                  chern_number_2d, chern_numbers_2d,
                                  chern_plaquette, winding_number_1d,
                                  winding_numbers_1d)
-from topocrit.geometry import GAP_FLOOR
+from topocrit.geometry import below_gap_floor
 from topocrit.models import BLOCK_POINTS, WALK_2D
-from topocrit.walk1d import (_half_angles, _halves, _zeta_terms_1d,
-                             rotated_curvature_1d)
+from topocrit.walk1d import (_half_angles, _halves, _planar_terms_1d,
+                             _zeta_terms_1d, rotated_curvature_1d)
 from topocrit.walk2d import (_zeta_phi_2d, curvature_grid_2d,
                              zeta_components_2d)
 
@@ -140,10 +140,10 @@ def assert_winding_matches_full_grid(alpha, beta, n):
     (101, 64), (9, 512), (17, 1), (17, 2), (17, 3),
 ])
 def test_winding_gap_check_matches_full_grid_oracle(grid, n):
-    # |zeta|^2 = sin^2 E, and cos E is linear in cos k, so |zeta|^2 is
-    # concave in cos k and least at the grid's largest or smallest cos k;
-    # the kernel checks only those two momenta, the oracle every one, and
-    # both must close the same cells and leave every raw bit the same
+    # the kernel takes each cell's gap from its staged kernel's planar
+    # |zeta|^2 = zeta'_x^2 + zeta_y^2, the oracle from all three zeta
+    # components; both must close the same cells and leave every raw bit
+    # the same
     axes = np.linspace(-np.pi, np.pi, grid)
     kinds = assert_winding_matches_full_grid(np.repeat(axes, grid),
                                              np.tile(axes, grid), n)
@@ -153,10 +153,12 @@ def test_winding_gap_check_matches_full_grid_oracle(grid, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 97, 512])
 def test_winding_gap_check_matches_full_grid_oracle_on_the_gap_lines(n):
     # cells on and within 1e-12 or 1e-9 of the gap-closing lines
-    # alpha = +-beta, where |zeta|^2 at k = 0 or pi is near GAP_TOL^2.  At
-    # 1e-9 the gap passes the check, but the expanded denominator of the
-    # closed form cancels to zero there on either route: an integral that
-    # is not finite fails to quantize, and the kernel warns of nothing
+    # alpha = +-beta.  At 1e-12, |zeta|^2 at k = 0 or pi is about 2.5e-25,
+    # above the gap floor of 1e-28: the cell is gapped, and on either route
+    # its peak of order 1e12 does not integrate to an integer.  Only at the
+    # zone edge beta = +-pi, where kap_a is about 5e-13 and scales the peak
+    # down, and on the one-point grid, where the integral is the peak
+    # value itself, can such a cell round cleanly
     betas = np.append(np.linspace(-np.pi, np.pi, 17), [0.37, -2.2])
     offsets = (0.0, 1e-12, -1e-12, 1e-9, -1e-9)
     alpha = np.array([sign * b + d for b in betas.tolist()
@@ -164,6 +166,13 @@ def test_winding_gap_check_matches_full_grid_oracle_on_the_gap_lines(n):
     beta = np.repeat(betas, 2 * len(offsets))
     kinds = assert_winding_matches_full_grid(alpha, beta, n)
     assert {"defined", "ZeroGap"} <= kinds
+    if n > 1:
+        _, failed = winding_numbers_1d(alpha, beta, n)
+        near = np.flatnonzero((np.abs(np.tile(offsets, 2 * betas.size))
+                               == 1e-12) & (np.abs(beta) < np.pi))
+        assert near.size == 4 * (betas.size - 2)
+        assert all(type(failed.get(i)) is QuantizationFailure
+                   for i in near.tolist())
 
 
 @pytest.mark.parametrize("beta, offset", [
@@ -188,22 +197,30 @@ def test_winding_integral_that_is_not_finite_fails_to_quantize(beta, offset):
         invariants._quantize(float("inf"), 4096)
 
 
-def test_winding_gap_check_reads_two_momenta_per_cell(monkeypatch):
+def test_winding_evaluates_only_through_the_staged_kernel(monkeypatch):
+    # every (cell, momentum) point is one point of one staged-kernel call,
+    # which gives both the integrand and the gap; no other zeta evaluation
     points = []
-    zeta_terms = invariants._zeta_terms_1d
+    staged = invariants._curvature_staged_1d
 
-    def spy(h, sin_k, cos_k):
-        terms = zeta_terms(h, sin_k, cos_k)
-        points.append(terms[0].size)
-        return terms
+    def spy(stage, ka, la):
+        f, norm2 = staged(stage, ka, la)
+        points.append(f.size)
+        return f, norm2
 
-    monkeypatch.setattr(invariants, "_zeta_terms_1d", spy)
+    monkeypatch.setattr(invariants, "_curvature_staged_1d", spy)
+    assert not any(hasattr(invariants, name) for name in (
+        "_zeta_terms_1d", "_planar_terms_1d", "_curvature_parts_1d"))
     axes = np.linspace(-np.pi, np.pi, 65)
+    cells = axes.size ** 2
     for n in (1, 97, 512):
         points.clear()
-        winding_numbers_1d(np.repeat(axes, axes.size),
-                           np.tile(axes, axes.size), n)
-        assert points and sum(points) <= 2 * axes.size ** 2
+        raw, _ = winding_numbers_1d(np.repeat(axes, axes.size),
+                                    np.tile(axes, axes.size), n)
+        assert np.any(np.isfinite(raw))
+        assert sum(points) == cells * n
+        assert max(points) <= BLOCK_POINTS
+        assert len(points) <= -(-cells * n // BLOCK_POINTS)
 
 
 def test_winding_failures_leave_no_reference_cycles():
@@ -222,21 +239,20 @@ def test_winding_failures_leave_no_reference_cycles():
 
 
 def test_rotated_norm_is_the_zeta_norm():
-    # rotated_curvature_1d validates zeta'_x^2 + zeta_y^2 against
-    # GAP_FLOOR^2; on the walk1d phase diagram's cells its minimum is the
-    # minimum of |zeta|^2, so a cell that passes the GAP_TOL^2 check on
-    # |zeta|^2 always passes it too
+    # the winding kernel and rotated_curvature_1d take the gap from
+    # zeta'_x^2 + zeta_y^2; on the walk1d phase diagram's cells its minimum
+    # is the minimum of |zeta|^2, so both norms close the same cells
     axes = np.linspace(-np.pi, np.pi, 65)
     sin_k, cos_k = _circle_trig(512)
     h = np.array([_half_angles(WalkParams(a, b))
                   for a in axes for b in axes]).T[:, :, None]
-    zx, zy, zz, rx = _zeta_terms_1d(h, sin_k, cos_k)
+    zx, zy, zz = _zeta_terms_1d(h, sin_k, cos_k)
+    rx, ry = _planar_terms_1d(h, sin_k, cos_k)
     n2 = np.min(zx * zx + zy * zy + zz * zz, axis=1)
-    r2 = np.min(rx * rx + zy * zy, axis=1)
+    r2 = np.min(rx * rx + ry * ry, axis=1)
     closed = n2 == 0.0
     assert np.array_equal(r2[closed], n2[closed])
     assert np.all(np.abs(r2 - n2)[~closed] <= 1e-15 * n2[~closed])
-    assert GAP_TOL ** 2 * (1.0 - 1e-15) > GAP_FLOOR ** 2
 
 
 def test_circle_trig_memo_is_read_only():
@@ -341,7 +357,7 @@ def full_zone_reference(p, n):
     k = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     kx, ky = np.meshgrid(k, k, indexing="ij")
     zx, zy, zz = zeta_components_2d(kx, ky, p)
-    if np.min(zx * zx + zy * zy + zz * zz) < GAP_TOL ** 2:
+    if below_gap_floor(np.min(zx * zx + zy * zy + zz * zz)):
         raise ZeroGap("gap closed on the reference grid")
     integral = np.sum(curvature_grid_2d(kx, ky, p)) * (2 * np.pi / n) ** 2 / (4 * np.pi)
     return float(integral), normalized_state_plaquette((zx, zy, zz))
@@ -355,7 +371,7 @@ def torus_reference(p, n):
     zx, zy, zz, phi = single_expression_zeta_phi(*torus_momenta(n),
                                                  *_half_angles(p))
     n2 = zx * zx + zy * zy + zz * zz
-    if np.min(n2) < GAP_TOL ** 2:
+    if below_gap_floor(np.min(n2)):
         raise ZeroGap("gap closed on the reference torus")
     integral = float(weight * np.sum(phi / n2 ** 1.5) * (2.0 * np.pi / n) ** 2
                      / (4.0 * np.pi))

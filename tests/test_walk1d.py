@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from topocrit import (
-    AtCriticality, WalkParams, energy_1d, peak_asymptotics_1d,
+    AtCriticality, WalkParams, ZeroGap, energy_1d, peak_asymptotics_1d,
     rotated_curvature_1d,
 )
 from topocrit.geometry import lower_band_states, quantum_geometric_tensor
@@ -234,6 +234,27 @@ def test_peak_matches_curvature_at_kc():
                 fp, _ = peak_asymptotics_1d(p, kc)
                 f = rotated_curvature_1d(kc, p)
                 assert abs(fp - f) < 1e-6 * abs(fp), (b, eps, kc)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.37, -1.2, 2.5])
+def test_peak_gap_test_is_the_curvature_gap_test(b):
+    # lam_(a+-b) is |zeta(k_c)|, so the peak asymptotics are critical
+    # exactly where the curvature at k_c closes the gap: on the locus and
+    # within 1e-15 of it, and at neither 1e-13 nor 1e-11 from it
+    for kc, sign in ((0.0, -1.0), (np.pi, 1.0)):
+        for d in (0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-11, -1e-11):
+            p = WalkParams(sign * b + d, b)
+            try:
+                peak_asymptotics_1d(p, kc)
+                critical = False
+            except AtCriticality:
+                critical = True
+            try:
+                rotated_curvature_1d(kc, p)
+                closed = False
+            except ZeroGap:
+                closed = True
+            assert critical == closed == (abs(d) < 1e-14), (kc, d)
 
 
 def test_peak_scaling_exponents():

@@ -168,6 +168,17 @@ def test_peak_matches_curvature_exactly():
             assert abs(fp - fc) < 1e-10 * max(1.0, abs(fc))
 
 
+@pytest.mark.parametrize("alpha", [1e-4, 1e-5, 2e-6, 1e-6])
+def test_peak_keeps_its_precision_at_small_alpha(alpha):
+    # 1 - cos alpha cancels as alpha -> 0; written 2 lam_a^2 it does not,
+    # and the gap |lam_a| at the peak stays open down to the gap floor
+    p = WalkParams(alpha, np.pi / 2)
+    fp, _ = peak_asymptotics_2d(p)
+    fc = curvature_grid_2d(np.array([np.pi / 2]), np.array([-np.pi / 2]),
+                           p)[0]
+    assert abs(fp - fc) < 1e-12 * abs(fc)
+
+
 def test_peak_scaling_exponents():
     eps = np.logspace(-3, -1, 12)
     fp = [abs(peak_asymptotics_2d(WalkParams(e, np.pi / 2))[0]) for e in eps]
