@@ -22,11 +22,13 @@ table.  They share that input and |zeta|^2 only: the integral sums
 phi / |zeta|^3, the oracle builds lower-band states from zeta scaled by
 |zeta| and sums link-variable fluxes, and neither uses the other's result.
 Many walks (a phase diagram) are evaluated per call, cell by cell, into one
-set of torus-shaped work arrays that each cell overwrites in place.  The
-walks are grouped by beta, and each group's beta stage, the
-``walk2d.stage_2d`` of its beta on the torus table, is built once.  As in
-1D, a cell's failure is returned as a value, not raised: only the one-cell
-functions, each a call of one, raise it.
+set of work arrays that each cell overwrites in place: torus-sized for
+|zeta|^2, the integral and the oracle's lower-band states, and sized to a
+window of whole torus rows, at most ``models.BLOCK_POINTS`` plaquettes, for
+the oracle's link variables.  The walks are grouped by beta, and each
+group's beta stage, the ``walk2d.stage_2d`` of its beta on the torus table,
+is built once.  As in 1D, a cell's failure is returned as a value, not
+raised: only the one-cell functions, each a call of one, raise it.
 
 The memoized tables of both invariants are read-only, and the 2D work
 arrays belong to the call that allocated them, so calls from several
@@ -35,6 +37,7 @@ threads need no locking.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,7 +85,8 @@ def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> Invaria
 
     Raises:
         ZeroGap: the spectrum closes somewhere on the grid.
-        QuantizationFailure: the integral does not round cleanly.
+        QuantizationFailure: the integral does not round cleanly, or rounds
+            outside [-1, 1].
     """
     return _one_cell(*winding_numbers_1d([p.alpha], [p.beta], n_grid),
                      n_grid)
@@ -120,11 +124,13 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     Returns (raw, failed): the raw integral of every cell, NaN where it
     failed, and a dict from the index of each failed cell, in cell order, to
     the ZeroGap or QuantizationFailure that ``winding_number_1d`` raises for
-    it.  Each block of cells is one call of ``_curvature_staged_1d`` on the
-    memoized inner grid, of at most BLOCK_POINTS (cell, momentum) points, so
-    memory grows with the number of cells only by the per-cell half angles,
-    raw integrals and gaps.  A cell's gap is the minimum over the inner grid
-    of the |zeta|^2 that the same call returns.
+    it: a QuantizationFailure also where the integral rounds to an integer
+    outside [-1, 1], which no walk1d winding is.  Each block of cells is one
+    call of ``_curvature_staged_1d`` on the memoized inner grid, of at most
+    BLOCK_POINTS (cell, momentum) points, so memory grows with the number of
+    cells only by the per-cell half angles, raw integrals and gaps.  A
+    cell's gap is the minimum over the inner grid of the |zeta|^2 that the
+    same call returns.
     """
     ka, la = (h[:, None] for h in _halves(np.asarray(alpha, dtype=float)))
     kb, lb = (h[:, None] for h in _halves(np.asarray(beta, dtype=float)))
@@ -143,12 +149,23 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     closed = below_gap_floor(gap)
     # a closed cell's defect is then NaN, which fails it as a ZeroGap
     raw[closed] = np.nan
-    defect = np.abs(raw - np.rint(raw))
+    rounded = np.rint(raw)
+    defect = np.abs(raw - rounded)
+    # F is the angle derivative of the planar axis (kap_a sin k,
+    # lam_a kap_b + kap_a lam_b cos k), an ellipse, which winds about the
+    # origin at most once: a rounded integral outside [-1, 1] is a grid that
+    # undersamples a peak, however small its defect
+    bounded = np.abs(rounded) <= 1
     failed = {}
-    for i in np.flatnonzero(~(defect < DEFECT_LIMIT)).tolist():
-        failed[i] = (ZeroGap("gap closed on the integration grid")
-                     if closed[i]
-                     else _quantization_failure(raw[i], defect[i]))
+    for i in np.flatnonzero(~(defect < DEFECT_LIMIT) | ~bounded).tolist():
+        if closed[i]:
+            failed[i] = ZeroGap("gap closed on the integration grid")
+        elif not defect[i] < DEFECT_LIMIT:
+            failed[i] = _quantization_failure(raw[i], defect[i])
+        else:
+            failed[i] = QuantizationFailure(
+                "integral %.6f rounds to %d, outside the walk1d winding "
+                "range [-1, 1]" % (raw[i], rounded[i]))
     raw[list(failed)] = np.nan
     return raw, failed
 
@@ -174,32 +191,99 @@ def _zone_trig(n_grid: int):
     return table, weight
 
 
-def _roll_into(out, a, axis: int):
-    """out = np.roll(a, -1, axis) on a 2D grid, into an existing array."""
-    if axis == 0:
-        out[:-1] = a[1:]
-        out[-1] = a[0]
-    else:
-        out[:, :-1] = a[:, 1:]
-        out[:, -1] = a[:, 0]
+def _roll_into(out, a):
+    """out = np.roll(a, -1, axis=1) on a block of rows, into an existing
+    array."""
+    out[:, :-1] = a[:, 1:]
+    out[:, -1] = a[:, 0]
+
+
+# The views that one window of the plaquette oracle reads and writes, made
+# once per call: the lower-band states of the window's rows and of the next
+# row (up, dn) and of the next rows alone, the work arrays on the same rows
+# (the *_rows views without the next row), and the window's rows of the
+# phase array.  Held as views, they cost a cell no slicing.
+_Window = namedtuple("_Window", (
+    "up", "dn", "up_next", "dn_next", "cup", "cdn", "cup_rows", "cdn_rows",
+    "ux", "uy", "uy_next", "uy_rows", "s", "s_rows", "out"))
+
+
+def _window_phases(window: _Window):
+    """The plaquette phases of one window, into its rows of the phase
+    array; see ``_TorusWork.plaquette_phases``."""
+    (up, dn, up_next, dn_next, cup, cdn, cup_rows, cdn_rows, ux, uy, uy_next,
+     uy_rows, s, s_rows, out) = window
+    np.conjugate(up, out=cup)
+    np.conjugate(dn, out=cdn)
+    # x links on the window's rows: conj(up) up(next row) + conj(dn)
+    # dn(next row)
+    np.multiply(cup_rows, up_next, out=ux)
+    np.multiply(cdn_rows, dn_next, out=s_rows)
+    np.add(ux, s_rows, out=ux)
+    # y links on the window's rows and the next one: conj(up)
+    # roll(up, -1, 1) + conj(dn) roll(dn, -1, 1)
+    _roll_into(s, up)
+    np.multiply(cup, s, out=uy)
+    _roll_into(s, dn)
+    np.multiply(cdn, s, out=s)
+    np.add(uy, s, out=uy)
+    # ux uy(next row) conj(roll(ux, -1, 1)) conj(uy), into cup_rows
+    plaq = cup_rows
+    np.multiply(ux, uy_next, out=plaq)
+    _roll_into(s_rows, ux)
+    np.conjugate(s_rows, out=s_rows)
+    np.multiply(plaq, s_rows, out=plaq)
+    np.conjugate(uy_rows, out=s_rows)
+    np.multiply(plaq, s_rows, out=plaq)
+    np.arctan2(plaq.imag, plaq.real, out=out)
 
 
 class _TorusWork:
     """The work arrays of the 2D invariants on the fundamental torus.
 
     One instance serves many cells: each array is written in place with
-    ufunc ``out=``, so a cell allocates no torus-sized array outside the
-    zeta/phi kernel.  An instance is not shared between calls.
+    ufunc ``out=``, so a cell allocates no array outside the zeta/phi
+    kernel.  An instance is not shared between calls.
+
+    |zeta|^2, the integral and the plaquette phases use torus-sized arrays,
+    and so do the oracle's gauge mask and its two lower-band state arrays,
+    which hold a copy of row 0 after the last row, so that the torus closes
+    without an index.  The oracle's conjugated states, shift scratch and
+    link variables are window-sized: whole torus rows, at most
+    ``BLOCK_POINTS`` plaquettes, and the next row.  The oracle's arrays are
+    allocated by the first plaquette of the instance, once a cell's
+    integral rounds.
     """
 
     def __init__(self, n_grid: int):
         self.n_grid = n_grid
         self.table, self.weight = _zone_trig(n_grid)
         shape = self.table.cos_x.shape
-        self.n2, self.zn, self.tmp = (np.empty(shape) for _ in range(3))
-        self.south = np.empty(shape, bool)
-        (self.up, self.dn, self.cup, self.cdn, self.shifted, self.ux,
-         self.uy) = (np.empty(shape, complex) for _ in range(7))
+        self.n2, self.tmp = np.empty(shape), np.empty(shape)
+        self.windows = None  # the oracle's, from _oracle_arrays
+
+    def _oracle_arrays(self):
+        """Allocate the arrays of ``plaquette_phases``: the states on the
+        torus rows and a copy of row 0 after them, the gauge mask, and the
+        window arrays, of at most ``BLOCK_POINTS`` plaquettes in whole rows
+        and the next row; and make the views of each window."""
+        h, w = self.tmp.shape
+        rows = min(h, max(1, BLOCK_POINTS // w))
+        self.south = np.empty((h, w), bool)
+        up, dn = (np.empty((h + 1, w), complex) for _ in range(2))
+        self.states = up[:h], dn[:h]
+        # the torus closes: the row after the last is row 0
+        self.closing = (up[h], up[0]), (dn[h], dn[0])
+        cup, cdn, uy, s = (np.empty((rows + 1, w), complex) for _ in range(4))
+        ux = np.empty((rows, w), complex)
+        self.windows = []
+        for start in range(0, h, rows):
+            m = min(rows, h - start)
+            u, d = up[start:start + m + 1], dn[start:start + m + 1]
+            c, cd, y, sw = cup[:m + 1], cdn[:m + 1], uy[:m + 1], s[:m + 1]
+            self.windows.append(_Window(
+                u, d, u[1:], d[1:], c, cd, c[:m], cd[:m], ux[:m], y, y[1:],
+                y[:m], sw, sw[:m], self.tmp[start:start + m]))
 
     def beta_stage(self, beta: float):
         """The ``stage_2d`` of the angle ``beta`` on the torus table."""
@@ -252,12 +336,19 @@ class _TorusWork:
         2 pi times an integer at any resolution fine enough to keep each
         plaquette flux within (-pi, pi); ``weight`` copies of the torus make
         up the zone.
+
+        The states are built on the whole torus, and the phases one window
+        of rows at a time; every phase is the same elementwise expression
+        whatever the window, so the window size changes no bit.
         """
+        if self.windows is None:
+            self._oracle_arrays()
         zx, zy, zz = zeta
-        up, dn, south, zn = self.up, self.dn, self.south, self.zn
+        (up, dn), south, zn = self.states, self.south, self.tmp
         np.sqrt(self.n2, out=zn)
-        np.multiply(zn, GAUGE_SWITCH, out=self.tmp)
-        np.less(zz, self.tmp, out=south)
+        # GAUGE_SWITCH |zeta| into up.real, which the states overwrite
+        np.multiply(zn, GAUGE_SWITCH, out=up.real)
+        np.less(zz, up.real, out=south)
         # the north gauge everywhere, then the south gauge where it applies
         np.negative(zx, out=up.real)
         np.subtract(zz, zn, out=up.real, where=south)
@@ -267,32 +358,11 @@ class _TorusWork:
         np.copyto(dn.real, zx, where=south)
         np.copyto(dn.imag, 0.0)
         np.copyto(dn.imag, zy, where=south)
-        np.conjugate(up, out=self.cup)
-        np.conjugate(dn, out=self.cdn)
-        ux, uy, s = self.ux, self.uy, self.shifted
-        self._link(0, ux)
-        self._link(1, uy)
-        # ux roll(uy, -1, 0) conj(roll(ux, -1, 1)) conj(uy), into up
-        plaq = up
-        _roll_into(s, uy, 0)
-        np.multiply(ux, s, out=plaq)
-        _roll_into(s, ux, 1)
-        np.conjugate(s, out=s)
-        np.multiply(plaq, s, out=plaq)
-        np.conjugate(uy, out=s)
-        np.multiply(plaq, s, out=plaq)
-        phase = self.tmp
-        np.arctan2(plaq.imag, plaq.real, out=phase)
-        return phase
-
-    def _link(self, axis: int, out):
-        """out = conj(up) roll(up, -1, axis) + conj(dn) roll(dn, -1, axis)."""
-        s = self.shifted
-        _roll_into(s, self.up, axis)
-        np.multiply(self.cup, s, out=out)
-        _roll_into(s, self.dn, axis)
-        np.multiply(self.cdn, s, out=s)
-        np.add(out, s, out=out)
+        for last, first in self.closing:
+            last[...] = first
+        for window in self.windows:
+            _window_phases(window)
+        return self.tmp
 
     def chern(self, alpha: float, stage):
         """The raw integral of ``chern_number_2d`` of the walk of angle
@@ -304,6 +374,7 @@ class _TorusWork:
         if below_gap_floor(self.norm2(zeta)):
             return ZeroGap("gap closed on the integration grid")
         raw = self.integral(phi)
+        del phi  # not held while the oracle runs
         rounded = np.rint(raw)
         if not abs(raw - rounded) < DEFECT_LIMIT:
             return _quantization_failure(raw, abs(raw - rounded))

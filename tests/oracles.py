@@ -35,7 +35,7 @@ from topocrit import invariants
 from topocrit.criticality import _critical_alpha
 from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, DENOMINATOR_FLOOR,
                           _shifted_momentum)
-from topocrit.errors import ZeroGap
+from topocrit.errors import QuantizationFailure, ZeroGap
 from topocrit.geometry import below_gap_floor
 from topocrit.walk1d import (WalkParams, _curvature_parts_1d, _half_angles,
                              _planar_terms_1d, _zeta_terms_1d, coin,
@@ -240,6 +240,10 @@ def full_grid_winding_1d(p: WalkParams, n_grid: int):
         defect = abs(raw - np.rint(raw))
     if not defect < invariants.DEFECT_LIMIT:
         return np.nan, invariants._quantization_failure(raw, defect)
+    if abs(np.rint(raw)) > 1:
+        return np.nan, QuantizationFailure(
+            "integral %.6f rounds to %d, outside the walk1d winding range "
+            "[-1, 1]" % (raw, np.rint(raw)))
     return raw, None
 
 

@@ -95,7 +95,7 @@ def test_workflow_names_existing_tests():
     # or deleted test fails here
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     named = re.findall(r"tests/(\w+\.py)::(\w+)", workflow)
-    assert len(named) == 5  # "all five" of that comment
+    assert len(named) == 6  # "all six" of that comment
     for file, test in named:
         tree = ast.parse((ROOT / "tests" / file).read_text())
         defs = {node.name for node in tree.body

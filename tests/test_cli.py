@@ -286,6 +286,21 @@ def test_invariant_integral_that_is_not_finite_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_invariant_walk1d_outside_the_winding_range_exits_1(tmp_path,
+                                                             capsys):
+    # a one-point grid samples only the k = 0 peak of this gapped walk,
+    # -kap_a / lam_a = -2e12, a whole number with defect 0; a walk1d
+    # winding is -1, 0 or 1, so the cell fails to quantize
+    out = tmp_path / "inv.json"
+    rc = main(["invariant", "--model", "walk1d", "--alpha", "1e-12",
+               "--beta", "0", "--grid", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: integral -2000000000000.000000 rounds to -2000000000000, "
+        "outside the walk1d winding range [-1, 1]\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.3 + 1e-11, 0.3 - 1e-11])
 def test_curvature_and_invariant_share_one_gap(tmp_path, capsys, alpha):
     # one gap floor for every command: the curvature profile writes a NaN

@@ -626,6 +626,61 @@ def test_oracle_plaquette_phases_match_normalized_states(n):
                                    rtol=0, atol=1e-12)
 
 
+def qwz_fields(shape):
+    """The Qi-Wu-Zhang fields of ``test_plaquette_trivial_axis_field`` on
+    a torus of ``shape``, with their components cycled too."""
+    k = np.linspace(0.0, 2.0 * np.pi, shape[0], endpoint=False)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    for m in (1.0, -1.0, 0.5, 3.0):
+        zeta = (np.sin(kx), np.sin(ky), m + np.cos(kx) + np.cos(ky))
+        yield zeta
+        yield zeta[2:] + zeta[:2]
+
+
+@pytest.mark.parametrize("n", [96, 97])
+def test_windowed_plaquette_phases_are_bit_identical(n, monkeypatch):
+    # the oracle holds its links for one window of whole torus rows at a
+    # time, at most BLOCK_POINTS plaquettes; windows of one row, of 5 rows
+    # (which divide neither torus, so the last window is short) and of 16
+    # must give every phase, and the total flux, of one window
+    def phases(block_points):
+        monkeypatch.setattr(invariants, "BLOCK_POINTS", block_points)
+        work = _TorusWork(n)
+        fields = [_zeta_phi_2d(work.beta_stage(b), *_halves(a))[:3]
+                  for a, b in GAPPED_POINTS]
+        fields += list(qwz_fields(work.table.cos_x.shape))
+        got = []
+        for zeta in fields:
+            work.norm2(zeta)
+            got.append(work.plaquette_phases(zeta).copy())
+            got.append(work.plaquette(zeta))
+        return len(work.windows), got
+
+    h, w = _zone_trig(n)[0].cos_x.shape
+    windows, want = phases(h * w)
+    assert windows == 1
+    for block_points in (1, 5 * w + w - 1, 16 * w):
+        windows, got = phases(block_points)
+        assert windows == -(-h // max(1, block_points // w)) > 1
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("n, bound_mb", [(256, 3.8), (1024, 60.0)])
+def test_chern_cell_holds_its_oracle_links_per_window(n, bound_mb):
+    # one cell with its torus table: about 226 B per torus point at N = 256
+    # and 192 at N = 1024 (3.54 and 48.0 MB), where seven torus-sized
+    # complex oracle arrays made it 313 B (4.90 and 78.3 MB)
+    _zone_trig.cache_clear()
+    tracemalloc.start()
+    try:
+        result = chern_number_2d(WalkParams(np.pi / 2, np.pi / 2), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.rounded == -4
+    assert peak < bound_mb * 2 ** 20
+
+
 def test_zone_trig_memo_is_read_only():
     for n in (96, 97):
         table, _ = _zone_trig(n)
