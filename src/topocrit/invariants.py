@@ -18,16 +18,19 @@ derivative discretization error.
 
 Both 2D routes read one zeta evaluation per cell, made on the pi-periodic
 fundamental torus [0, pi)^2 of the zone grid from a memoized momentum trig
-table.  They share that input and |zeta|^2 only: the integral sums
-phi / |zeta|^3, the oracle builds lower-band states from zeta scaled by
-|zeta| and sums link-variable fluxes, and neither uses the other's result.
+table, which holds each one-momentum term as a row or a column of the torus
+and only the four terms that mix the momenta torus-sized.  They share that
+input and |zeta|^2 only: the integral sums phi / |zeta|^3, the oracle builds
+lower-band states from zeta scaled by |zeta| and sums link-variable fluxes,
+and neither uses the other's result.
 Many walks (a phase diagram) are evaluated per call, cell by cell, into one
 set of work arrays that each cell overwrites in place: torus-sized for
 |zeta|^2, the integral and the oracle's lower-band states, and sized to a
 window of whole torus rows, at most ``models.BLOCK_POINTS`` plaquettes, for
 the oracle's link variables.  The walks are grouped by beta, and each
 group's beta stage, the ``walk2d.stage_2d`` of its beta on the torus table,
-is built once.  As in 1D, a cell's failure is returned as a value, not
+is built once; its zx and t3 follow the table's rows, and only zz and t2
+are torus-sized.  As in 1D, a cell's failure is returned as a value, not
 raised: only the one-cell functions, each a call of one, raise it.
 
 The memoized tables of both invariants are read-only, and the 2D work
@@ -178,14 +181,20 @@ def _zone_trig(n_grid: int):
     covers only the fundamental torus [0, pi)^2 of the zone grid and the
     weight is 4, the number of its copies in [0, 2 pi)^2.  Odd n_grid does
     not fold onto a half-period grid and keeps the full zone, weight 1.
+
+    The table is evaluated on kx of shape (h, 1) and ky of shape (1, w),
+    so each term of one momentum holds one value per torus row (cos_x,
+    sin_x, cos_2x, sin_2x: shape (h, 1)) or per column (sin_2y, cos_2y:
+    (1, w)); only cos_x2y, sin_2xy, cos_2x2y and sum_2x4y are torus-sized.
+    Broadcast to the torus, every term has the bits of its evaluation on
+    the meshgrid.
     """
     k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     weight = 1
     if n_grid % 2 == 0:
         k = k[:n_grid // 2]
         weight = 4
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    table = trig_table_2d(kx, ky)
+    table = trig_table_2d(k[:, None], k[None, :])
     for term in table:
         term.setflags(write=False)
     return table, weight
@@ -245,8 +254,11 @@ class _TorusWork:
     ufunc ``out=``, so a cell allocates no array outside the zeta/phi
     kernel.  An instance is not shared between calls.
 
-    |zeta|^2, the integral and the plaquette phases use torus-sized arrays,
-    and so do the oracle's gauge mask and its two lower-band state arrays,
+    The torus shape is the broadcast shape of the ``_zone_trig`` table,
+    whose one-momentum terms are rows and columns; so are the zx and t3 of
+    a ``beta_stage``, whose zz and t2 are torus-sized.  |zeta|^2, the
+    integral and the plaquette phases use torus-sized arrays, and so do
+    the oracle's gauge mask and its two lower-band state arrays,
     which hold a copy of row 0 after the last row, so that the torus closes
     without an index.  The oracle's conjugated states, shift scratch and
     link variables are window-sized: whole torus rows, at most
@@ -258,7 +270,7 @@ class _TorusWork:
     def __init__(self, n_grid: int):
         self.n_grid = n_grid
         self.table, self.weight = _zone_trig(n_grid)
-        shape = self.table.cos_x.shape
+        shape = np.broadcast_shapes(*(term.shape for term in self.table))
         self.n2, self.tmp = np.empty(shape), np.empty(shape)
         self.windows = None  # the oracle's, from _oracle_arrays
 

@@ -18,7 +18,7 @@ from topocrit.models import BLOCK_POINTS, WALK_2D
 from topocrit.walk1d import (_half_angles, _halves, _planar_terms_1d,
                              _zeta_terms_1d, rotated_curvature_1d)
 from topocrit.walk2d import (_zeta_phi_2d, curvature_grid_2d,
-                             zeta_components_2d)
+                             trig_table_2d, zeta_components_2d)
 
 from oracles import full_grid_winding_1d, phi_2d
 
@@ -648,7 +648,7 @@ def test_windowed_plaquette_phases_are_bit_identical(n, monkeypatch):
         work = _TorusWork(n)
         fields = [_zeta_phi_2d(work.beta_stage(b), *_halves(a))[:3]
                   for a, b in GAPPED_POINTS]
-        fields += list(qwz_fields(work.table.cos_x.shape))
+        fields += list(qwz_fields(work.n2.shape))
         got = []
         for zeta in fields:
             work.norm2(zeta)
@@ -656,7 +656,7 @@ def test_windowed_plaquette_phases_are_bit_identical(n, monkeypatch):
             got.append(work.plaquette(zeta))
         return len(work.windows), got
 
-    h, w = _zone_trig(n)[0].cos_x.shape
+    h, w = _TorusWork(n).n2.shape
     windows, want = phases(h * w)
     assert windows == 1
     for block_points in (1, 5 * w + w - 1, 16 * w):
@@ -665,11 +665,13 @@ def test_windowed_plaquette_phases_are_bit_identical(n, monkeypatch):
         assert_same_bits(got, want)
 
 
-@pytest.mark.parametrize("n, bound_mb", [(256, 3.8), (1024, 60.0)])
-def test_chern_cell_holds_its_oracle_links_per_window(n, bound_mb):
-    # one cell with its torus table: about 226 B per torus point at N = 256
-    # and 192 at N = 1024 (3.54 and 48.0 MB), where seven torus-sized
-    # complex oracle arrays made it 313 B (4.90 and 78.3 MB)
+@pytest.mark.parametrize("n, bound_mb", [(256, 2.8), (1024, 36.0)])
+def test_chern_cell_holds_trig_rows_and_window_links(n, bound_mb):
+    # one cell with its torus table, whose six one-momentum terms are rows
+    # and columns, and whose oracle holds its links per window: about
+    # 163 B per torus point at N = 256 and 128 at N = 1024 (2.55 and
+    # 32.0 MB), where the torus-sized table made it 192 B (3.54 and 48.0 MB)
+    # and seven torus-sized complex oracle arrays 313 B (4.90 and 78.3 MB)
     _zone_trig.cache_clear()
     tracemalloc.start()
     try:
@@ -688,6 +690,45 @@ def test_zone_trig_memo_is_read_only():
             assert not term.flags.writeable
             with pytest.raises(ValueError):
                 term[0, 0] = 0.0
+
+
+ROW_TERMS = ("cos_x", "sin_x", "cos_2x", "sin_2x")
+COLUMN_TERMS = ("sin_2y", "cos_2y")
+
+
+def meshgrid_zone_trig(n):
+    """``_zone_trig`` with every term of the table evaluated on the torus
+    meshgrid."""
+    return trig_table_2d(*torus_momenta(n)), _zone_trig(n)[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 96, 97, 256])
+def test_zone_trig_is_rows_and_columns_with_meshgrid_bits(n, monkeypatch):
+    # the memo holds each one-momentum term as an (h, 1) row or a (1, w)
+    # column, and broadcast to the torus every term has the bits of the
+    # meshgrid evaluation; so the diagram's raw integrals and failures do
+    # not depend on which of the two tables the torus reads
+    table, _ = _zone_trig(n)
+    mesh, _ = meshgrid_zone_trig(n)
+    h, w = mesh.cos_x.shape
+    for name, term in table._asdict().items():
+        shape = ((h, 1) if name in ROW_TERMS else
+                 (1, w) if name in COLUMN_TERMS else (h, w))
+        assert term.shape == shape, name
+        assert_same_bits([np.broadcast_to(term, (h, w))],
+                         [getattr(mesh, name)])
+    cells = GROUPED_CELLS
+    if n == 96:
+        # the 33^2 cells of the pd2d benchmark
+        cells = [(a, b) for a in PD33_AXES for b in PD33_AXES]
+    raw, failed = chern_numbers_2d(*zip(*cells), n)
+    monkeypatch.setattr(invariants, "_zone_trig", meshgrid_zone_trig)
+    want_raw, want_failed = chern_numbers_2d(*zip(*cells), n)
+    assert np.array_equal(_bits(raw), _bits(want_raw))
+    assert list(failed) == list(want_failed)
+    for i, error in want_failed.items():
+        assert type(failed[i]) is type(error)
+        assert str(failed[i]) == str(error)
 
 
 def test_curvature_raw_matches_grid_pointwise():
@@ -717,7 +758,7 @@ def test_plaquette_trivial_axis_field():
     # cos ky) has degree -sgn(m) for 0 < |m| < 2 and 0 for |m| > 2, also
     # with its components cycled, which moves the north-gauge region
     work = _TorusWork(33)
-    shape = work.table.cos_x.shape
+    shape = work.n2.shape
     assert work.weight == 1 and shape == (33, 33)
     for const in ((0.3, -0.2, 0.9), (0.3, -0.2, -0.9), (1.0, 1.0, 0.0)):
         zeta = tuple(np.full(shape, c) for c in const)
