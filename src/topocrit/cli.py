@@ -11,7 +11,7 @@ Outputs are deterministic: fixed row ordering, 17-significant-digit floats,
 and a header comment echoing the options given and the defaults of the
 ``echoed`` options the command reads.  Rows whose value is undefined are
 written as NaN with a warning that counts them by cause (e.g. "51 ZeroGap,
-4 QuantizationFailure") and exit code 2; --strict writes no file instead.
+1 OracleMismatch") and exit code 2; --strict writes no file instead.
 Invalid options, from flags or --config, exit with code 1.  Each option is
 declared once, in ``OPTIONS``.
 """
@@ -270,6 +270,11 @@ def _defaults(merged: dict, command: str):
         if least is not None and value < least:
             raise ValueError("%s must be at least %d, got %r"
                              % (key, least, value))
+    if (command == "phase-diagram" and model == "walk2d"
+            and cfg["inner-grid"] % 4):
+        raise ValueError("inner-grid must be a multiple of 4 for walk2d, so "
+                         "that the torus holds the high-symmetry points, got "
+                         "%r" % (cfg["inner-grid"],))
     if command == "invariant" and len(cfg["alpha"]) > 1:
         raise ValueError("alpha must be a single angle for invariant, got %r"
                          % (cfg["alpha"],))
@@ -481,12 +486,15 @@ def cmd_phase_diagram(cfg: dict, echo: dict) -> int:
     kernel = {"walk1d": invariants.winding_numbers_1d,
               "walk2d": invariants.chern_numbers_2d}[cfg["model"]]
     # row-major cells: alpha = axes[i // grid], beta = axes[i % grid]
-    raw, failed = kernel(np.repeat(axes, grid), np.tile(axes, grid),
-                         int(cfg["inner-grid"]))
+    raw, rounded, failed = kernel(np.repeat(axes, grid), np.tile(axes, grid),
+                                  int(cfg["inner-grid"]))
     failures = Counter(type(exc).__name__ for exc in failed.values())
-    # + 0.0 writes the -0.0 that rint gives a raw just below zero as the 0
-    # of InvariantResult.rounded; NaN cells stay NaN
-    rounded = np.rint(raw) + 0.0
+    defects = np.abs(raw - rounded)[~np.isnan(rounded)]
+    loose = int(np.count_nonzero(~(defects < invariants.DEFECT_LIMIT)))
+    if loose:
+        print("note: %d cells' integrals lie %g or more from their integer "
+              "(largest %.3g)" % (loose, invariants.DEFECT_LIMIT,
+                                  defects.max()), file=sys.stderr)
     columns = {**_grid_columns(axes, axes), "raw": raw, "rounded": rounded}
     return _write_table(cfg, _outpath(cfg["out"], ".csv"), echo, [columns],
                         failures)

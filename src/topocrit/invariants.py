@@ -12,9 +12,21 @@ Every gap test, in 1D and 2D, is the curvature routes' own,
 ``geometry.below_gap_floor`` of |zeta|^2.
 
 The 2D invariant integrates the mapping-degree density of the Bloch axis
-over d^2k/(4 pi) and is cross-checked against a gauge-invariant plaquette
-(link-variable) computation on the same grid, an independent route free of
-derivative discretization error.
+over d^2k/(4 pi), and a gauge-invariant plaquette (link-variable)
+computation on the same grid (Fukui, Hatsugai and Suzuki, JPSJ 74, 1674
+(2005)), an independent route free of derivative discretization error,
+gives every gapped cell its integer: it is exact on a torus that holds the
+high-symmetry points, where the gap closes, while the integral fails to
+quantize one grid step from a transition, where the peak of F is narrower
+than the grid.
+
+Every integer of both kernels, the 1D rounded integral and the 2D
+plaquette, is checked against the walk's HSP mass-sign count,
+``invariant_from_masses`` of its model adapter, an exact closed form that
+reads neither F nor the links: a cell where they differ is an
+OracleMismatch, and a cell whose masses close the gap at a high-symmetry
+point that the inner grid misses is a ZeroGap.  The raw integral of F, the
+paper's route, is returned with every defined cell.
 
 Both 2D routes read one zeta evaluation per cell, made on the pi-periodic
 fundamental torus [0, pi)^2 of the zone grid from a memoized momentum trig
@@ -48,7 +60,7 @@ import numpy as np
 
 from .errors import OracleMismatch, QuantizationFailure, ZeroGap
 from .geometry import GAUGE_SWITCH, below_gap_floor
-from .models import BLOCK_POINTS
+from .models import BLOCK_POINTS, WALK_1D, WALK_2D
 from .walk1d import WalkParams, _curvature_staged_1d, _halves
 from .walk2d import _zeta_phi_2d, stage_2d, trig_table_2d
 
@@ -74,11 +86,12 @@ def _quantize(raw: float, grid: int) -> InvariantResult:
     return InvariantResult(float(raw), int(np.rint(raw)), float(defect), grid)
 
 
-def _quantization_failure(raw: float, defect: float) -> QuantizationFailure:
+def _quantization_failure(raw: float, defect: float,
+                          route: str = "integral") -> QuantizationFailure:
     if not np.isfinite(raw):
-        return QuantizationFailure("integral %.6f is not finite" % raw)
-    return QuantizationFailure("integral %.6f is %.2e from an integer"
-                               % (raw, defect))
+        return QuantizationFailure("%s %.6f is not finite" % (route, raw))
+    return QuantizationFailure("%s %.6f is %.2e from an integer"
+                               % (route, raw, defect))
 
 
 def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> InvariantResult:
@@ -87,17 +100,22 @@ def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> Invaria
     The one-cell case of ``winding_numbers_1d``.
 
     Raises:
-        ZeroGap: the spectrum closes somewhere on the grid.
+        ZeroGap: the spectrum closes somewhere on the grid, or at a
+            high-symmetry momentum.
         QuantizationFailure: the integral does not round cleanly, or rounds
             outside [-1, 1].
+        OracleMismatch: the integral rounds to another integer than the
+            HSP mass-sign count.
     """
     return _one_cell(*winding_numbers_1d([p.alpha], [p.beta], n_grid),
                      n_grid)
 
 
-def _one_cell(raw, failed: dict, n_grid: int) -> InvariantResult:
+def _one_cell(raw, rounded, failed: dict, n_grid: int) -> InvariantResult:
     """The result of a kernel's one cell: its InvariantResult, or its
-    failure raised."""
+    failure raised.  A cell that the kernel defines by another route's
+    integer (the 2D plaquette) still raises QuantizationFailure where its
+    integral does not round cleanly."""
     if not failed:
         return _quantize(float(raw[0]), n_grid)
     result, = failed.values()
@@ -108,6 +126,19 @@ def _one_cell(raw, failed: dict, n_grid: int) -> InvariantResult:
         raise result
     finally:
         del result
+
+
+def _count_mismatch(route: str, rounded: float, count: float):
+    """The OracleMismatch of a cell whose ``route`` gives the integer
+    ``rounded`` where the HSP mass-sign count gives ``count``."""
+    return OracleMismatch("%s gives %d but the HSP mass-sign count gives %d"
+                          % (route, rounded, count))
+
+
+def _closed_at_hsp() -> ZeroGap:
+    """The failure of a cell whose ``invariant_from_masses`` is NaN: some
+    HSP mass^2 is below the gap floor, on the inner grid or off it."""
+    return ZeroGap("gap closed at a high-symmetry point")
 
 
 @lru_cache(maxsize=4)
@@ -124,19 +155,25 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     """``winding_number_1d`` of the walks (alpha[i], beta[i]), evaluated
     together.
 
-    Returns (raw, failed): the raw integral of every cell, NaN where it
-    failed, and a dict from the index of each failed cell, in cell order, to
-    the ZeroGap or QuantizationFailure that ``winding_number_1d`` raises for
-    it: a QuantizationFailure also where the integral rounds to an integer
-    outside [-1, 1], which no walk1d winding is.  Each block of cells is one
-    call of ``_curvature_staged_1d`` on the memoized inner grid, of at most
-    BLOCK_POINTS (cell, momentum) points, so memory grows with the number of
-    cells only by the per-cell half angles, raw integrals and gaps.  A
-    cell's gap is the minimum over the inner grid of the |zeta|^2 that the
-    same call returns.
+    Returns (raw, rounded, failed): the raw integral of every cell and its
+    integer, both NaN where the cell failed, and a dict from the index of
+    each failed cell, in cell order, to the ZeroGap, QuantizationFailure or
+    OracleMismatch that ``winding_number_1d`` raises for it.  A cell fails
+    as a ZeroGap where its ``Walk1D.invariant_from_masses`` is NaN or the
+    inner grid closes its gap, as a QuantizationFailure where its integral
+    does not round cleanly or rounds to an integer outside [-1, 1], which
+    no walk1d winding is, and as an OracleMismatch where it rounds to
+    another integer than the count.
+    Each block of cells is one call of ``_curvature_staged_1d`` on the
+    memoized inner grid, of at most BLOCK_POINTS (cell, momentum) points,
+    so memory grows with the number of cells only by the per-cell half
+    angles, raw integrals and gaps.  A cell's gap is the minimum over the
+    inner grid of the |zeta|^2 that the same call returns.
     """
-    ka, la = (h[:, None] for h in _halves(np.asarray(alpha, dtype=float)))
-    kb, lb = (h[:, None] for h in _halves(np.asarray(beta, dtype=float)))
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    ka, la = (h[:, None] for h in _halves(alpha))
+    kb, lb = (h[:, None] for h in _halves(beta))
     trig = _circle_trig(n_grid)
     raw, gap = np.empty(ka.shape[0]), np.empty(ka.shape[0])
     step = max(1, BLOCK_POINTS // n_grid)
@@ -152,25 +189,35 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     closed = below_gap_floor(gap)
     # a closed cell's defect is then NaN, which fails it as a ZeroGap
     raw[closed] = np.nan
-    rounded = np.rint(raw)
+    # + 0.0 writes the -0.0 that rint gives a raw just below zero as the 0
+    # of InvariantResult.rounded
+    rounded = np.rint(raw) + 0.0
     defect = np.abs(raw - rounded)
+    count = WALK_1D.invariant_from_masses(alpha, beta)
     # F is the angle derivative of the planar axis (kap_a sin k,
     # lam_a kap_b + kap_a lam_b cos k), an ellipse, which winds about the
     # origin at most once: a rounded integral outside [-1, 1] is a grid that
     # undersamples a peak, however small its defect
     bounded = np.abs(rounded) <= 1
     failed = {}
-    for i in np.flatnonzero(~(defect < DEFECT_LIMIT) | ~bounded).tolist():
-        if closed[i]:
+    # a NaN count, like a NaN rounded, differs from every rounded
+    for i in np.flatnonzero(~(defect < DEFECT_LIMIT) | ~bounded
+                            | (rounded != count)).tolist():
+        if np.isnan(count[i]):
+            failed[i] = _closed_at_hsp()
+        elif closed[i]:
             failed[i] = ZeroGap("gap closed on the integration grid")
         elif not defect[i] < DEFECT_LIMIT:
             failed[i] = _quantization_failure(raw[i], defect[i])
-        else:
+        elif not bounded[i]:
             failed[i] = QuantizationFailure(
                 "integral %.6f rounds to %d, outside the walk1d winding "
                 "range [-1, 1]" % (raw[i], rounded[i]))
+        else:
+            failed[i] = _count_mismatch("integral", rounded[i], count[i])
     raw[list(failed)] = np.nan
-    return raw, failed
+    rounded[list(failed)] = np.nan
+    return raw, rounded, failed
 
 
 @lru_cache(maxsize=4)
@@ -263,8 +310,7 @@ class _TorusWork:
     without an index.  The oracle's conjugated states, shift scratch and
     link variables are window-sized: whole torus rows, at most
     ``BLOCK_POINTS`` plaquettes, and the next row.  The oracle's arrays are
-    allocated by the first plaquette of the instance, once a cell's
-    integral rounds.
+    allocated by the first plaquette of the instance.
     """
 
     def __init__(self, n_grid: int):
@@ -376,28 +422,31 @@ class _TorusWork:
             _window_phases(window)
         return self.tmp
 
-    def chern(self, alpha: float, stage):
-        """The raw integral of ``chern_number_2d`` of the walk of angle
-        ``alpha`` with the ``beta_stage`` of its beta, or the failure that
-        ``chern_number_2d`` raises for it; the oracle runs once the integral
-        rounds.  Past the gap check both are finite, or NaN at a NaN angle,
-        so no defect below is inf - inf."""
+    def chern(self, alpha: float, stage, count: float):
+        """(raw, rounded) of the walk of angle ``alpha`` with the
+        ``beta_stage`` of its beta: the integral of F and the plaquette's
+        integer, which must equal ``count``, the walk's
+        ``invariant_from_masses`` (not NaN: the masses leave the gap open);
+        or the cell's failure.  The integral's distance from the integer is
+        no failure; an integral that rounds cleanly to another integer is
+        an OracleMismatch."""
         *zeta, phi = _zeta_phi_2d(stage, *_halves(alpha))
         if below_gap_floor(self.norm2(zeta)):
             return ZeroGap("gap closed on the integration grid")
         raw = self.integral(phi)
         del phi  # not held while the oracle runs
-        rounded = np.rint(raw)
-        if not abs(raw - rounded) < DEFECT_LIMIT:
-            return _quantization_failure(raw, abs(raw - rounded))
         flux = self.plaquette(zeta)
-        oracle = np.rint(flux)
-        if not abs(flux - oracle) < DEFECT_LIMIT:
-            return _quantization_failure(flux, abs(flux - oracle))
-        if oracle != rounded:
+        rounded = np.rint(flux) + 0.0
+        if not abs(flux - rounded) < DEFECT_LIMIT:
+            return _quantization_failure(flux, abs(flux - rounded),
+                                         "plaquette flux")
+        if rounded != count:
+            return _count_mismatch("plaquette", rounded, count)
+        integral = np.rint(raw)
+        if abs(raw - integral) < DEFECT_LIMIT and integral != rounded:
             return OracleMismatch("integral gives %d but plaquette oracle "
-                                  "gives %d" % (rounded, oracle))
-        return raw
+                                  "gives %d" % (integral, rounded))
+        return raw, rounded
 
 
 def chern_numbers_2d(alpha, beta, n_grid: int = DEFAULT_N_CHERN):
@@ -406,40 +455,54 @@ def chern_numbers_2d(alpha, beta, n_grid: int = DEFAULT_N_CHERN):
 
     The walks are grouped by the bits of beta (0.0 and -0.0 apart), and the
     beta stage of each group is built once.
-    Returns (raw, failed) as ``winding_numbers_1d`` does: the raw integral
-    of every cell, NaN where it failed, and a dict from the index of each
-    failed cell, in cell order, to the ZeroGap, QuantizationFailure or
-    OracleMismatch that ``chern_number_2d`` raises for it.
+    Returns (raw, rounded, failed) as ``winding_numbers_1d`` does: the raw
+    integral of every cell and its integer, the plaquette's, both NaN where
+    the cell failed, and a dict from the index of each failed cell, in cell
+    order, to its ZeroGap, QuantizationFailure or OracleMismatch.  A cell
+    whose ``Walk2D.invariant_from_masses`` is NaN is a ZeroGap and is not
+    evaluated; every other cell is ``_TorusWork.chern``'s.  The integer of
+    every gapped cell is the plaquette's, checked against the count; the
+    integral need not round to it, and ``chern_number_2d`` raises
+    QuantizationFailure for a cell whose integral does not.
     """
     alphas = np.asarray(alpha, dtype=float).tolist()
     betas = np.asarray(beta, dtype=float).tolist()
+    counts = WALK_2D.invariant_from_masses(alphas, betas).tolist()
     groups = {}
     for i, b in enumerate(betas):
         groups.setdefault(b.hex(), []).append(i)
     work = _TorusWork(n_grid)
-    raw = np.full(len(betas), np.nan)
+    raw, rounded = np.full(len(betas), np.nan), np.full(len(betas), np.nan)
     failed = {}
     for cells in groups.values():
         stage = work.beta_stage(betas[cells[0]])
         for i in cells:
-            result = work.chern(alphas[i], stage)
+            # a cell that the masses close is not evaluated
+            if np.isnan(counts[i]):
+                result = _closed_at_hsp()
+            else:
+                result = work.chern(alphas[i], stage, counts[i])
             if isinstance(result, Exception):
                 failed[i] = result
             else:
-                raw[i] = result
-    return raw, dict(sorted(failed.items()))
+                raw[i], rounded[i] = result
+    return raw, rounded, dict(sorted(failed.items()))
 
 
 def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantResult:
     """Mapping-degree invariant C = integral F d^2k / (4 pi), with oracle.
 
     The trapezoidal integral of the curvature function must round to the
-    same integer as the plaquette link-variable computation.  Both read the
-    same zeta evaluation on the fundamental torus.  The one-cell case of
-    ``chern_numbers_2d``.
+    same integer as the plaquette link-variable computation, and that to
+    the HSP mass-sign count.  Both routes read the same zeta evaluation on
+    the fundamental torus.  The one-cell case of ``chern_numbers_2d``.
 
     Raises:
-        ZeroGap, QuantizationFailure, OracleMismatch.
+        ZeroGap: the gap closes on the torus, or at a high-symmetry point.
+        QuantizationFailure: the integral, or the plaquette flux, does not
+            round cleanly.
+        OracleMismatch: the plaquette differs from the count, or the
+            integral rounds cleanly to another integer.
     """
     return _one_cell(*chern_numbers_2d([p.alpha], [p.beta], n_grid),
                      n_grid)

@@ -12,6 +12,10 @@ evaluation, by ``geometry.below_gap_floor``, never from a second one.
 At each high-symmetry momentum k of either walk, |zeta(k)| is
 |sin((alpha + b beta)/2)| for an integer slope b = ``closing_slope(k)``: the
 gap at k closes on the line alpha = -b beta (mod 2 pi) and nowhere else.
+Every gap closing of both walks is at one of these momenta, so each walk's
+integer invariant is a function of the signs of its ``hsp_masses`` alone:
+``invariant_from_masses`` gives it in closed form, the independent integer
+that the invariants' zone routes are checked against.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import walk1d, walk2d
+from .geometry import below_gap_floor
 from .walk1d import LOCUS_TOL, WalkParams, _halves, _reduce_angle
 
 # (row, column) points per block where a layer evaluates a kernel over a
@@ -39,6 +44,32 @@ class _Walk:
         (mod 2 pi), over b = closing_slope(h) of every h in hsps()."""
         return min(abs(_reduce_angle(p.alpha + cls.closing_slope(h) * p.beta))
                    for h in cls.hsps())
+
+    @classmethod
+    def hsp_masses(cls, alpha, beta):
+        """The mass m_h = sin((alpha + b beta)/2) at each h of hsps(), in
+        that order, with b = closing_slope(h), on broadcastable angle
+        arrays: |zeta(h)| = |m_h|.  Each is formed from the unreduced alpha
+        half angles as lam_a cos(b beta/2) + kap_a sin(b beta/2), the
+        expansion whose sign the walks' sign rules read."""
+        ka, la = _halves(np.asarray(alpha, dtype=float))
+        beta = np.asarray(beta, dtype=float)
+        return [la * np.cos(b * beta / 2.0) + ka * np.sin(b * beta / 2.0)
+                for b in map(cls.closing_slope, cls.hsps())]
+
+    @classmethod
+    def invariant_from_masses(cls, alpha, beta):
+        """The walk's integer invariant on broadcastable angle arrays, from
+        the signs of its ``hsp_masses`` by the walk's ``sign_rule``, as a
+        float array: NaN where some m_h^2 is below the gap floor, the cells
+        whose gap closes (``ZeroGap``)."""
+        alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                          np.asarray(beta, dtype=float))
+        masses = cls.hsp_masses(alpha, beta)
+        closed = np.any([below_gap_floor(m * m) for m in masses], axis=0)
+        count = cls.sign_rule(masses, alpha, beta)
+        # + 0.0 writes a zero count as 0, never -0
+        return np.where(closed, np.nan, count) + 0.0
 
     @staticmethod
     def alpha_halves(alpha):
@@ -93,6 +124,16 @@ class Walk1D(_Walk):
         return 1 if walk1d._at_zero_channel(k) else -1
 
     @staticmethod
+    def sign_rule(masses, alpha, beta):
+        """The winding W from the masses (m_0, m_pi) of ``hsp_masses``:
+        W = -sgn lam_b where m_0 m_pi < 0, and 0 elsewhere.  m_0 m_pi is
+        (lam_a kap_b)^2 - (kap_a lam_b)^2, so W is nonzero where the planar
+        ellipse (kap_a sin k, lam_a kap_b + kap_a lam_b cos k) encloses the
+        origin; it winds once, in the sense of -sgn lam_b."""
+        m_0, m_pi = masses
+        return np.where(m_0 * m_pi < 0.0, -np.sign(np.sin(beta / 2.0)), 0.0)
+
+    @staticmethod
     def closes_on_lines(beta) -> bool:
         """False: at every beta each walk1d transition closes the gap at a
         single momentum, 0 or pi."""
@@ -144,6 +185,20 @@ class Walk2D(_Walk):
                 raise ValueError("momentum %r is not high-symmetry" % (k,))
             key.append(round(half_turns))
         return cls.SLOPES[tuple(key)]
+
+    @staticmethod
+    def sign_rule(masses, alpha, beta):
+        """The invariant C = 2 sgn kap_a sgn lam_a (sgn m_- - sgn m_+), in
+        the full-zone normalisation of ``invariants.chern_numbers_2d``
+        (values 0 and +-4), from the masses of ``hsp_masses``: m_+ =
+        lam_a cos beta + kap_a sin beta at (0, 0), lam_a at both kx = pi/2
+        points and m_- = lam_a cos beta - kap_a sin beta at (0, pi/2).  The
+        half angles are unreduced: alpha -> alpha + 2 pi flips every mass
+        and kap_a, and C with them."""
+        m_plus, lam_a, _, m_minus = masses
+        kap_a = np.cos(alpha / 2.0)
+        return (2.0 * np.sign(kap_a) * np.sign(lam_a)
+                * (np.sign(m_minus) - np.sign(m_plus)))
 
     @staticmethod
     def closes_on_lines(beta) -> bool:

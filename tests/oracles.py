@@ -16,6 +16,8 @@
 * ``full_grid_winding_1d`` checks the gap of a 1D walk by the minimum of
   |zeta|^2 over the inner grid, from the three zeta components, the oracle
   of the winding kernel's check on its staged kernel's planar |zeta|^2.
+* ``link_winding_1d`` sums the link phases of the 1D walk's planar axis,
+  the winding of a route that reads neither F nor the HSP masses.
 * ``flip_test`` is the ratio of the peak curvature across a transition.
 * ``berry_connection_fd``, ``berry_curvature_fd`` and
   ``qgt_finite_difference`` (step ``FD_STEP``) are the central-difference
@@ -245,6 +247,17 @@ def full_grid_winding_1d(p: WalkParams, n_grid: int):
             "integral %.6f rounds to %d, outside the walk1d winding range "
             "[-1, 1]" % (raw, np.rint(raw)))
     return raw, None
+
+
+def link_winding_1d(p: WalkParams, n_grid: int) -> int:
+    """Winding of the planar axis z = zeta'_x + i zeta_y about the origin,
+    as the sum of the link phases arg(z_{j+1} conj(z_j)) over 2 pi on the
+    closed n_grid zone grid: exact once each link turns by less than pi."""
+    k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+    zx, zy = rotated_zeta_1d(k, p)
+    z = zx + 1j * zy
+    return int(np.rint(np.angle(np.roll(z, -1) * np.conj(z)).sum()
+                       / (2.0 * np.pi)))
 
 
 def flip_test(model, beta: float, k_c, eps: float = 1e-3) -> float:

@@ -321,7 +321,8 @@ def test_curvature_and_invariant_share_one_gap(tmp_path, capsys, alpha):
     if alpha == 0.3:
         assert rc == 2
         assert np.isnan(f[32]) and np.count_nonzero(np.isnan(f)) == 1
-        assert err == "error: gap closed on the integration grid\n"
+        # k = pi is a high-symmetry point: the masses close the gap there
+        assert err == "error: gap closed at a high-symmetry point\n"
     else:
         assert rc == 0
         assert np.all(np.isfinite(f)) and abs(f[32]) > 1e10
@@ -422,13 +423,99 @@ def test_config_file_defaults_and_flag_override(tmp_path):
 # --- NaN policy: causes ---
 
 def test_phase_diagram_nan_rows_counted_by_cause(tmp_path, capsys):
+    # the 4 cells whose integral does not quantize at inner grid 96 hold
+    # the plaquette's integer, and are counted in a note, not as NaN rows
     rc = main(["phase-diagram", "--model", "walk2d", "--grid", "19",
                "--out", str(tmp_path / "pd.csv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "51 ZeroGap" in err
-    assert "4 QuantizationFailure" in err
+    assert "warning: NaN rows written (51 ZeroGap)" in err
+    assert "note: 4 cells' integrals lie 0.001 or more from their integer" \
+        in err
+    assert "QuantizationFailure" not in err
     assert "OracleMismatch" not in err
+
+
+def read_diagram(path):
+    """(alpha, beta, raw, rounded) columns of a phase-diagram CSV."""
+    return np.array([[float(x) for x in line.split(",")]
+                     for line in read_lines(path)[2:]]).T
+
+
+def test_phase_diagram_walk2d_defines_every_gapped_cell(tmp_path, capsys):
+    # the 33 x 33 benchmark diagram at inner grid 96: the plaquette gives
+    # every gapped cell its integer, equal to the HSP mass-sign count, and
+    # NaN rows are exactly the cells where some HSP mass^2 is below the gap
+    # floor; the 128 cells whose integral does not quantize are a note
+    out = tmp_path / "pd.csv"
+    assert main(["phase-diagram", "--model", "walk2d", "--grid", "33",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "warning: NaN rows written (93 ZeroGap)" in err
+    assert "note: 128 cells' integrals lie 0.001 or more" in err
+    alpha, beta, raw, rounded = read_diagram(out)
+    count = WALK_2D.invariant_from_masses(alpha, beta)
+    gapped = ~np.isnan(count)
+    assert gapped.sum() == 996
+    assert np.array_equal(np.isnan(rounded), ~gapped)
+    assert np.array_equal(np.isnan(raw), ~gapped)
+    assert np.array_equal(rounded[gapped], count[gapped])
+    loose = np.abs(raw - rounded)[gapped] >= invariants.DEFECT_LIMIT
+    assert loose.sum() == 128
+
+
+@pytest.mark.parametrize("model, grid, inner", [
+    ("walk1d", 9, "64"), ("walk2d", 9, "32"),
+])
+def test_phase_diagram_wrong_count_is_one_oracle_mismatch_row(
+        tmp_path, monkeypatch, capsys, model, grid, inner):
+    # the count moved off the right integer in one gapped cell: that cell,
+    # and only it, is an OracleMismatch NaN row, and the exit code is 2
+    walk = WALKS[model]
+    count = type(walk).invariant_from_masses
+
+    def wrong_in_one_cell(alpha, beta):
+        got = count(alpha, beta)
+        if np.size(got) == grid * grid:
+            got[cell] += 1.0
+        return got
+
+    out = tmp_path / "pd.csv"
+    main(["phase-diagram", "--model", model, "--grid", str(grid),
+          "--inner-grid", inner, "--out", str(out)])
+    capsys.readouterr()
+    want = read_diagram(out)
+    cell = np.flatnonzero(np.isfinite(want[3]))[grid]
+    monkeypatch.setattr(type(walk), "invariant_from_masses",
+                        staticmethod(wrong_in_one_cell))
+    assert main(["phase-diagram", "--model", model, "--grid", str(grid),
+                 "--inner-grid", inner, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "1 OracleMismatch" in err
+    got = read_diagram(out)
+    changed = np.flatnonzero(~np.isclose(got[2:], want[2:],
+                                         equal_nan=True).all(axis=0))
+    assert changed.tolist() == [cell]
+    assert np.isnan(got[2:, cell]).all()
+
+
+def test_phase_diagram_walk2d_inner_grid_must_hold_the_hsps(tmp_path,
+                                                            capsys):
+    # N = 2 (mod 4) puts no torus point on the kx = pi/2 high-symmetry
+    # points, where the plaquette's integer was wrong near the loci; a
+    # walk1d inner grid may be any size
+    for n in ("98", "30", "33"):
+        assert main(["phase-diagram", "--model", "walk2d", "--grid", "3",
+                     "--inner-grid", n, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: inner-grid must be a multiple of 4 for "
+                       "walk2d, so that the torus holds the high-symmetry "
+                       "points, got %s\n" % n)
+    assert not list(tmp_path.iterdir())
+    assert main(["phase-diagram", "--model", "walk2d", "--grid", "3",
+                 "--inner-grid", "16", "--out", str(tmp_path / "x")]) == 2
+    assert main(["phase-diagram", "--model", "walk1d", "--grid", "3",
+                 "--inner-grid", "97", "--out", str(tmp_path / "y")]) == 2
 
 
 def test_phase_diagram_integral_that_is_not_finite_is_a_nan_row(
@@ -595,6 +682,11 @@ def test_phase_diagram_strict_writes_nothing(tmp_path, capsys):
     (["crg", "--grid", "64", "--strict"], None, "strict"),
     # the least crg grid is in the option table, not only in crg.grid_axes
     (["crg", "--grid", "10"], None, "grid"),
+    # a walk2d torus that does not hold the high-symmetry points
+    (["phase-diagram", "--model", "walk2d", "--inner-grid", "98"], None,
+     "inner-grid"),
+    (["phase-diagram", "--model", "walk2d"], {"inner-grid": 6},
+     "inner-grid"),
 ])
 def test_invalid_input_exits_1_naming_the_key(tmp_path, capsys, argv,
                                               config, key):
