@@ -270,11 +270,11 @@ def _defaults(merged: dict, command: str):
         if least is not None and value < least:
             raise ValueError("%s must be at least %d, got %r"
                              % (key, least, value))
-    if (command == "phase-diagram" and model == "walk2d"
-            and cfg["inner-grid"] % 4):
-        raise ValueError("inner-grid must be a multiple of 4 for walk2d, so "
-                         "that the torus holds the high-symmetry points, got "
-                         "%r" % (cfg["inner-grid"],))
+    torus = {"phase-diagram": "inner-grid", "invariant": "grid"}.get(command)
+    if model == "walk2d" and torus and cfg[torus] % 4:
+        raise ValueError("%s must be a multiple of 4 for walk2d, so that the "
+                         "torus holds the high-symmetry points, got %r"
+                         % (torus, cfg[torus]))
     if command == "invariant" and len(cfg["alpha"]) > 1:
         raise ValueError("alpha must be a single angle for invariant, got %r"
                          % (cfg["alpha"],))

@@ -79,10 +79,11 @@ def _correlation_series(model, p: WalkParams, r_max: int, n_grid: int,
     """The series along ``direction`` of the curvature ``sample(k, rows)``
     (the rows of a slice of the zone grid on axis ``k``, as
     ``_zone_transform`` reads them); width_scale / distance estimates the
-    peak width for the near-critical guard."""
-    dist = model.criticality_distance(p)
-    if dist == 0.0:
+    peak width for the near-critical guard, after the gap test of the HSP
+    masses: ZeroGap where ``invariant_from_masses`` is NaN."""
+    if np.isnan(model.invariant_from_masses(p.alpha, p.beta)):
         raise ZeroGap("gap closed at these parameters")
+    dist = model.criticality_distance(p)
     _check_near_critical(dist, width_scale / max(dist, 1e-300), n_grid)
     k = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     r = np.arange(r_max + 1)

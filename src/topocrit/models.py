@@ -9,9 +9,12 @@ where its near-critical asymptotics live.
 curvature kernel: every caller reads the gap from the |zeta|^2 of its own
 evaluation, by ``geometry.below_gap_floor``, never from a second one.
 
-At each high-symmetry momentum k of either walk, |zeta(k)| is
-|sin((alpha + b beta)/2)| for an integer slope b = ``closing_slope(k)``: the
-gap at k closes on the line alpha = -b beta (mod 2 pi) and nowhere else.
+Each walk states its transitions once, as a table of (momentum h, slope b)
+pairs in HSP order, ``walk1d.TRANSITIONS_1D`` and ``walk2d.TRANSITIONS_2D``
+(Chen et al., PRB 95, 075116 (2017)).  At each h, |zeta(h)| is |m_h| for the
+mass m_h = sin((alpha + b beta)/2): the gap at h closes on the line
+alpha = -b beta (mod 2 pi) and nowhere else.  ``hsps``, ``closing_slope``,
+``hsp_masses`` and ``criticality_distance`` read the table and nothing else.
 Every gap closing of both walks is at one of these momenta, so each walk's
 integer invariant is a function of the signs of its ``hsp_masses`` alone:
 ``invariant_from_masses`` gives it in closed form, the independent integer
@@ -24,7 +27,8 @@ import numpy as np
 
 from . import walk1d, walk2d
 from .geometry import below_gap_floor
-from .walk1d import LOCUS_TOL, WalkParams, _halves, _reduce_angle
+from .walk1d import (LOCUS_TOL, WalkParams, _halves, _reduce_angle,
+                     table_slope)
 
 # (row, column) points per block where a layer evaluates a kernel over a
 # grid one block of rows at a time (the 2D correlation transform, the crg
@@ -36,26 +40,35 @@ BLOCK_POINTS = 1 << 13
 
 
 class _Walk:
-    """The transitions of a walk, from its ``hsps`` and ``closing_slope``."""
+    """The transitions of a walk, from its table ``transitions`` of
+    (momentum, slope b) pairs, in HSP order, and its momentum ``period``."""
+
+    @classmethod
+    def hsps(cls):
+        """The high-symmetry momenta, in table order."""
+        return [h for h, _ in cls.transitions]
+
+    @classmethod
+    def closing_slope(cls, k) -> int:
+        """b of the table pair whose momentum is k, each coordinate modulo
+        the period: the gap at k closes on alpha = -b beta.  ValueError at
+        any other momentum."""
+        return table_slope(cls.transitions, cls.period, k)
 
     @classmethod
     def criticality_distance(cls, p: WalkParams) -> float:
         """Angle distance to the nearest gap-closing locus alpha = -b beta
-        (mod 2 pi), over b = closing_slope(h) of every h in hsps()."""
-        return min(abs(_reduce_angle(p.alpha + cls.closing_slope(h) * p.beta))
-                   for h in cls.hsps())
+        (mod 2 pi), over the slopes b of the table."""
+        return min(abs(_reduce_angle(p.alpha + b * p.beta))
+                   for _, b in cls.transitions)
 
     @classmethod
     def hsp_masses(cls, alpha, beta):
-        """The mass m_h = sin((alpha + b beta)/2) at each h of hsps(), in
-        that order, with b = closing_slope(h), on broadcastable angle
-        arrays: |zeta(h)| = |m_h|.  Each is formed from the unreduced alpha
-        half angles as lam_a cos(b beta/2) + kap_a sin(b beta/2), the
-        expansion whose sign the walks' sign rules read."""
-        ka, la = _halves(np.asarray(alpha, dtype=float))
-        beta = np.asarray(beta, dtype=float)
-        return [la * np.cos(b * beta / 2.0) + ka * np.sin(b * beta / 2.0)
-                for b in map(cls.closing_slope, cls.hsps())]
+        """The mass m_h = sin((alpha + b beta)/2) of each (h, b) of the
+        table, in HSP order, on broadcastable angle arrays: |zeta(h)| =
+        |m_h|.  The angles are unreduced, so alpha -> alpha + 2 pi flips
+        every mass; the walks' sign rules read that flip."""
+        return [np.sin((alpha + b * beta) / 2.0) for _, b in cls.transitions]
 
     @classmethod
     def invariant_from_masses(cls, alpha, beta):
@@ -102,10 +115,7 @@ class Walk1D(_Walk):
     name = "walk1d"
     dimension = 1
 
-    @staticmethod
-    def hsps():
-        return [0.0, np.pi]
-
+    transitions, period = walk1d.TRANSITIONS_1D, walk1d.PERIOD_1D
     curvature_stage = staticmethod(walk1d._curvature_stage_1d)
     curvature_staged = staticmethod(walk1d._curvature_staged_1d)
 
@@ -116,12 +126,6 @@ class Walk1D(_Walk):
     @staticmethod
     def peak_asymptotics(p: WalkParams, k_c: float):
         return walk1d.peak_asymptotics_1d(p, k_c)
-
-    @staticmethod
-    def closing_slope(k) -> int:
-        """b = 1 at k = 0 and -1 at k = pi, from zeta(k) = (0, sin((alpha
-        +- beta)/2), 0); ValueError at any other momentum."""
-        return 1 if walk1d._at_zero_channel(k) else -1
 
     @staticmethod
     def sign_rule(masses, alpha, beta):
@@ -146,11 +150,7 @@ class Walk2D(_Walk):
     name = "walk2d"
     dimension = 2
 
-    @staticmethod
-    def hsps():
-        return [(0.0, 0.0), (np.pi / 2.0, np.pi / 2.0),
-                (np.pi / 2.0, 0.0), (0.0, np.pi / 2.0)]
-
+    transitions, period = walk2d.TRANSITIONS_2D, walk2d.PERIOD_2D
     curvature_stage = staticmethod(walk2d._curvature_stage_2d)
     curvature_staged = staticmethod(walk2d._curvature_staged_2d)
 
@@ -170,31 +170,15 @@ class Walk2D(_Walk):
         """Default peak momentum of the diagonal-slice configuration."""
         return (walk2d.PEAK_KX, -walk2d.PEAK_KX)
 
-    # alpha = -b beta closes the gap at (0, 0) for b = 2, at (0, pi/2) for
-    # b = -2 and at kx = pi/2 for b = 0, keyed by (2 kx, 2 ky) / pi mod 2
-    SLOPES = {(0, 0): 2, (0, 1): -2, (1, 0): 0, (1, 1): 0}
-
-    @classmethod
-    def closing_slope(cls, k) -> int:
-        """b at a high-symmetry momentum (kx, ky), each a multiple of pi/2;
-        ValueError at any other momentum."""
-        key = []
-        for c in k:
-            half_turns = abs(_reduce_angle(2.0 * c)) / np.pi
-            if min(half_turns, 1.0 - half_turns) > LOCUS_TOL:
-                raise ValueError("momentum %r is not high-symmetry" % (k,))
-            key.append(round(half_turns))
-        return cls.SLOPES[tuple(key)]
-
     @staticmethod
     def sign_rule(masses, alpha, beta):
         """The invariant C = 2 sgn kap_a sgn lam_a (sgn m_- - sgn m_+), in
         the full-zone normalisation of ``invariants.chern_numbers_2d``
         (values 0 and +-4), from the masses of ``hsp_masses``: m_+ =
-        lam_a cos beta + kap_a sin beta at (0, 0), lam_a at both kx = pi/2
-        points and m_- = lam_a cos beta - kap_a sin beta at (0, pi/2).  The
-        half angles are unreduced: alpha -> alpha + 2 pi flips every mass
-        and kap_a, and C with them."""
+        sin((alpha + 2 beta)/2) at (0, 0), lam_a = sin(alpha/2) at both
+        kx = pi/2 points and m_- = sin((alpha - 2 beta)/2) at (0, pi/2).
+        The half angles are unreduced: alpha -> alpha + 2 pi flips every
+        mass and kap_a, and C with them."""
         m_plus, lam_a, _, m_minus = masses
         kap_a = np.cos(alpha / 2.0)
         return (2.0 * np.sign(kap_a) * np.sign(lam_a)

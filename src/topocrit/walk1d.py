@@ -37,11 +37,35 @@ from .geometry import below_gap_floor
 
 LOCUS_TOL = 1e-9  # angle slack of a point on a gap-closing locus or at an HSP
 
+# The (momentum, slope b) pair of each high-symmetry point, in HSP order,
+# and the momentum period: zeta(k) = (0, sin((alpha + b beta)/2), 0) there,
+# so the gap at k closes on alpha = -b beta (mod 2 pi) and nowhere else
+TRANSITIONS_1D = ((0.0, 1), (np.pi, -1))
+PERIOD_1D = 2.0 * np.pi
+
 
 def _reduce_angle(x: float) -> float:
     """Map an angle to (-pi, pi]."""
     y = float(np.mod(x + np.pi, 2.0 * np.pi) - np.pi)
     return np.pi if y == -np.pi else y
+
+
+def table_slope(table, period, k) -> int:
+    """The slope b of the pair (h, b) of a walk's transition table whose
+    momentum h is k, of h's shape, each coordinate modulo ``period``, to
+    LOCUS_TOL; ValueError when k is none of the table's momenta."""
+    for h, b in table:
+        off = np.mod(np.subtract(k, h) + period / 2.0, period) - period / 2.0
+        if np.shape(k) == np.shape(h) and np.all(np.abs(off) < LOCUS_TOL):
+            return b
+    raise ValueError("momentum %r is not high-symmetry: k_c must be %s"
+                     % (k, " or ".join(_pi_text(h) for h, _ in table)))
+
+
+def _pi_text(h) -> str:
+    """A table momentum, a coordinate or a tuple of them, in units of pi."""
+    return ("(%s)" % ", ".join(map(_pi_text, h)) if np.ndim(h)
+            else {0.0: "0", np.pi / 2.0: "pi/2", np.pi: "pi"}[h])
 
 
 @dataclass(frozen=True)
@@ -161,50 +185,33 @@ def _curvature_staged_1d(stage, ka, la):
 def peak_asymptotics_1d(p: WalkParams, k_c: float):
     """Closed-form peak height and squared width at a high-symmetry point.
 
-    At k_c = 0 the relevant half-angle is lam_(a+b); at k_c = pi it is
-    lam_(a-b).  Returns (F_peak, xi2) with
+    With b the slope of k_c in TRANSITIONS_1D (1 at k_c = 0, -1 at
+    k_c = pi), the mass m = sin((alpha + b beta)/2) is |zeta(k_c)| up to
+    sign.  Returns (F_peak, xi2) with
 
-        F_peak(0)  = -kap_a / lam_(a+b),
-        F_peak(pi) = +kap_a / lam_(a-b),
+        F_peak = -b kap_a / m,
         xi2 = (kap_b^2 + kap_a^2 kap_b^2 - kap_a kap_b lam_a lam_b)
-              / (2 lam_(a+-b)^2).
+              / (2 m^2),
 
-    lam_(a+-b) is |zeta(k_c)|, so the gap test is ``below_gap_floor`` of
-    its square.
+    and the gap test is ``below_gap_floor`` of m^2.
 
     Raises:
+        ValueError: k_c is neither 0 nor pi.
         AtCriticality: the corresponding gap channel is closed.
     """
     ka, la, kb, lb = _half_angles(p)
-    at_zero = _at_zero_channel(k_c)
-    lam = np.sin((p.alpha + p.beta) / 2.0) if at_zero else np.sin((p.alpha - p.beta) / 2.0)
-    if below_gap_floor(lam * lam):
-        raise AtCriticality("peak channel at k_c=%s is critical" % ("0" if at_zero else "pi"))
-    f_peak = -ka / lam if at_zero else ka / lam
-    xi2 = 0.5 * (kb ** 2 + ka ** 2 * kb ** 2 - ka * kb * la * lb) / lam ** 2
+    b = table_slope(TRANSITIONS_1D, PERIOD_1D, k_c)
+    m = np.sin((p.alpha + b * p.beta) / 2.0)
+    if below_gap_floor(m * m):
+        raise AtCriticality("peak channel at k_c=%r is critical" % (k_c,))
+    f_peak = -b * ka / m
+    xi2 = 0.5 * (kb ** 2 + ka ** 2 * kb ** 2 - ka * kb * la * lb) / m ** 2
     return float(f_peak), float(xi2)
 
 
-def _at_zero_channel(k_c: float) -> bool:
-    """True at k_c = 0 and False at k_c = pi (mod 2 pi, to LOCUS_TOL).
-
-    Raises:
-        ValueError: any other momentum.
-    """
-    k = abs(_reduce_angle(k_c))
-    if k < LOCUS_TOL:
-        return True
-    if abs(k - np.pi) < LOCUS_TOL:
-        return False
-    raise ValueError("k_c must be 0 or pi, got %r" % (k_c,))
-
-
 def gap_distances(p: WalkParams):
-    """Angle distances of (alpha, beta) to the two gap-closing families.
-
-    Returns (|alpha+beta| mod 2 pi, |alpha-beta| mod 2 pi), wrapped to
-    [0, pi]; the k=0 channel closes when the first vanishes, the k=pi
-    channel when the second does.
-    """
-    return (abs(_reduce_angle(p.alpha + p.beta)),
-            abs(_reduce_angle(p.alpha - p.beta)))
+    """(|alpha+beta|, |alpha-beta|) mod 2 pi, wrapped to [0, pi]: the angle
+    distances to the gap-closing lines alpha = -b beta of TRANSITIONS_1D,
+    in HSP order; the k=0 channel closes where the first vanishes."""
+    return tuple(abs(_reduce_angle(p.alpha + b * p.beta))
+                 for _, b in TRANSITIONS_1D)

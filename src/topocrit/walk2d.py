@@ -43,6 +43,12 @@ from .walk1d import WalkParams, _half_angles, _halves
 
 PEAK_KX = np.pi / 2.0  # gap-closing momentum on the ky = -kx slice
 
+# The (momentum, slope b) pair of each high-symmetry point, in HSP order,
+# and the momentum period: the gap at the momentum closes on alpha = -b beta
+TRANSITIONS_2D = (((0.0, 0.0), 2), ((np.pi / 2.0, np.pi / 2.0), 0),
+                  ((np.pi / 2.0, 0.0), 0), ((0.0, np.pi / 2.0), -2))
+PERIOD_2D = np.pi
+
 
 def rho_2d(kx, ky, p: WalkParams):
     """cos E on broadcastable momentum arrays."""

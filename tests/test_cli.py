@@ -518,6 +518,24 @@ def test_phase_diagram_walk2d_inner_grid_must_hold_the_hsps(tmp_path,
                  "--inner-grid", "97", "--out", str(tmp_path / "y")]) == 2
 
 
+def test_invariant_walk2d_grid_must_hold_the_hsps(tmp_path, capsys):
+    # the rule of the walk2d phase diagram's inner grid: a torus of N = 2 or
+    # 3 misses the kx = pi/2 high-symmetry points, and its plaquette integer
+    # disagreed with the HSP mass-sign count; a walk1d grid may be any size
+    for n in ("2", "3", "6", "30"):
+        assert main(["invariant", "--model", "walk2d", "--grid", n,
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: grid must be a multiple of 4 for walk2d, so "
+                       "that the torus holds the high-symmetry points, got "
+                       "%s\n" % n)
+    assert not list(tmp_path.iterdir())
+    for model, n in (("walk2d", "64"), ("walk1d", "63")):
+        assert main(["invariant", "--model", model, "--alpha", "1.5707963",
+                     "--beta", "0.3", "--grid", n,
+                     "--out", str(tmp_path / model)]) == 0
+
+
 def test_phase_diagram_integral_that_is_not_finite_is_a_nan_row(
         tmp_path, monkeypatch, capsys):
     # a walk1d cell at alpha = beta + 1e-9 fails to quantize: the kernel,

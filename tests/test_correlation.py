@@ -8,7 +8,7 @@ from topocrit.correlation import (envelope_indices, fit_decay,
                                   wannier_correlation_1d,
                                   wannier_correlation_2d, CorrelationSeries)
 from topocrit.criticality import _linearized_fit
-from topocrit.errors import InsufficientDecade, UndersampledPeak
+from topocrit.errors import InsufficientDecade, UndersampledPeak, ZeroGap
 from topocrit.invariants import winding_number_1d
 from topocrit.walk1d import peak_asymptotics_1d, rotated_curvature_1d
 from topocrit.models import WALK_2D
@@ -186,6 +186,18 @@ def test_series_2d_envelope_flips_across_critical_point():
 def test_series_2d_near_critical_guard():
     with pytest.raises(UndersampledPeak):
         wannier_correlation_2d(WalkParams(5e-4, np.pi / 2), 10)
+
+
+@pytest.mark.parametrize("transform, p", [
+    (wannier_correlation_1d, WalkParams(1e-15, 0.0)),
+    (wannier_correlation_2d, WalkParams(1e-15, np.pi / 2)),
+], ids=["walk1d", "walk2d"])
+def test_series_within_the_gap_floor_is_zero_gap(transform, p):
+    # a mass of 5e-16 at an HSP is below the gap floor, where the curvature
+    # raises ZeroGap; the series says so too, before the near-critical guard
+    # can call the peak undersampled
+    with pytest.raises(ZeroGap):
+        transform(p, 10)
 
 
 # --- fit_decay ---

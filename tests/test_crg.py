@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -13,7 +14,7 @@ from topocrit.crg import (DEFAULT_DK, DEFAULT_DM, DEFAULT_RATE_THRESHOLD,
 from topocrit.errors import ZeroGap
 from topocrit.geometry import below_gap_floor
 from topocrit.models import WALK_1D, WALK_2D
-from topocrit.walk1d import rotated_curvature_1d
+from topocrit.walk1d import LOCUS_TOL, rotated_curvature_1d
 
 from oracles import rg_step, walk_curvature_callback, zeta_norm
 
@@ -421,11 +422,28 @@ def test_curvature_raw_gap_test_is_the_validated_route(model):
 
 
 def test_closing_slope_rejects_other_momenta():
-    with pytest.raises(ValueError):
-        WALK_1D.closing_slope(0.5)
-    with pytest.raises(ValueError):
-        WALK_2D.closing_slope((np.pi / 2, 0.3))
-    assert WALK_2D.closing_slope(WALK_2D.slice_peak()) == 0
+    # the table is the slope oracle: each (h, b) in HSP order gives b, also
+    # with each coordinate of h shifted by whole periods, as (pi/2, -pi/2)
+    # and (0, -pi/2) are for walk2d, and within LOCUS_TOL of it; a momentum
+    # off the table, or of another shape, raises ValueError
+    cases = [
+        (WALK_1D, [(0.0, 1), (np.pi, -1)], 2.0 * np.pi,
+         [0.5, np.pi / 2, 1e-6, (0.0, 0.0)], "k_c must be 0 or pi"),
+        (WALK_2D, [((0.0, 0.0), 2), ((np.pi / 2, np.pi / 2), 0),
+                   ((np.pi / 2, 0.0), 0), ((0.0, np.pi / 2), -2)], np.pi,
+         [(np.pi / 2, 0.3), (0.4, -np.pi), (np.pi / 4, 0.0), 0.0],
+         "not high-symmetry"),
+    ]
+    for model, table, shift, off, message in cases:
+        assert model.hsps() == [h for h, _ in table]
+        for h, b in table:
+            for turns in itertools.product((0, 1, -1, 3), repeat=np.size(h)):
+                k = np.add(h, np.reshape(turns, np.shape(h)) * shift)
+                assert model.closing_slope(k) == b
+                assert model.closing_slope(k + 0.5 * LOCUS_TOL) == b
+        for k in off:
+            with pytest.raises(ValueError, match=message):
+                model.closing_slope(k)
 
 
 @pytest.mark.parametrize("model", [WALK_1D, WALK_2D], ids=["walk1d", "walk2d"])

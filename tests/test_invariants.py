@@ -16,7 +16,8 @@ from topocrit.invariants import (InvariantResult, _TorusWork,
 from topocrit.geometry import below_gap_floor
 from topocrit.models import BLOCK_POINTS, WALK_1D, WALK_2D
 from topocrit.walk1d import (_half_angles, _halves, _planar_terms_1d,
-                             _zeta_terms_1d, rotated_curvature_1d)
+                             _zeta_terms_1d, peak_asymptotics_1d,
+                             rotated_curvature_1d)
 from topocrit.walk2d import (_zeta_phi_2d, curvature_grid_2d,
                              trig_table_2d, zeta_components_2d)
 
@@ -311,6 +312,28 @@ def test_hsp_masses_are_the_zeta_norms_at_the_hsps(model):
         np.testing.assert_allclose(
             np.abs(m), np.abs(np.sin((alpha + model.closing_slope(h) * beta)
                                      / 2.0)), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("model, slopes", [(WALK_1D, (1, -1)),
+                                           (WALK_2D, (2, 0, 0, -2))],
+                         ids=["walk1d", "walk2d"])
+def test_one_mass_formula(model, slopes):
+    # every HSP mass, and walk1d's peak height at each HSP, is the one
+    # expression m_h = sin((alpha + b_h beta)/2), bit for bit, with b_h the
+    # slope of h in HSP order
+    alpha, beta = random_cells(13, 400)
+    gapped = ~np.isnan(model.invariant_from_masses(alpha, beta))
+    alpha, beta = alpha[gapped], beta[gapped]
+    masses = model.hsp_masses(alpha, beta)
+    assert len(masses) == len(slopes)
+    for m, b in zip(masses, slopes):
+        assert np.array_equal(m, np.sin((alpha + b * beta) / 2.0))
+    if model is WALK_1D:
+        for h, b in zip(model.hsps(), slopes):
+            for a, bt in zip(alpha[:50], beta[:50]):
+                f_peak, _ = peak_asymptotics_1d(WalkParams(a, bt), h)
+                m_h = np.sin((a + b * bt) / 2.0)
+                assert f_peak == -b * np.cos(a / 2.0) / m_h
 
 
 def test_count_equals_both_walk1d_routes_on_random_cells():
