@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -51,10 +52,12 @@ def _parse_alphas(text: str):
 
 
 def _parse_window(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected 'lo,hi'")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected two comma-separated numbers 'lo,hi'")
+    return lo, hi
 
 
 def _is_number(value) -> bool:
@@ -110,7 +113,9 @@ OPTIONS = {
                    _grid_default,
                    minimum=lambda command, model:
                    crg.MIN_GRID if command == "crg" else 1),
-    "out": Option(str, lambda v: isinstance(v, str), "a string",
+    "out": Option(str, lambda v: isinstance(v, str)
+                  and os.path.basename(v) not in ("", ".", ".."),
+                  "a path whose last part names a file",
                   "output path; a .csv or .json suffix is replaced",
                   lambda command, model: "topocrit_" + command, echoed=True),
     "strict": Option(None, lambda v: isinstance(v, bool), "true or false",

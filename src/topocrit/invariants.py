@@ -20,13 +20,12 @@ high-symmetry points, where the gap closes, while the integral fails to
 quantize one grid step from a transition, where the peak of F is narrower
 than the grid.
 
-Every integer of both kernels, the 1D rounded integral and the 2D
-plaquette, is checked against the walk's HSP mass-sign count,
+Both kernels end in one verdict, ``_verdicts``, which states the order in
+which a cell fails: it checks each cell's integer, the 1D rounded integral
+or the 2D plaquette flux, against the walk's HSP mass-sign count,
 ``invariant_from_masses`` of its model adapter, an exact closed form that
-reads neither F nor the links: a cell where they differ is an
-OracleMismatch, and a cell whose masses close the gap at a high-symmetry
-point that the inner grid misses is a ZeroGap.  The raw integral of F, the
-paper's route, is returned with every defined cell.
+reads neither F nor the links.  The raw integral of F, the paper's route,
+is returned with every defined cell.
 
 Both 2D routes read one zeta evaluation per cell, made on the pi-periodic
 fundamental torus [0, pi)^2 of the zone grid from a memoized momentum trig
@@ -100,12 +99,8 @@ def winding_number_1d(p: WalkParams, n_grid: int = DEFAULT_N_WINDING) -> Invaria
     The one-cell case of ``winding_numbers_1d``.
 
     Raises:
-        ZeroGap: the spectrum closes somewhere on the grid, or at a
-            high-symmetry momentum.
-        QuantizationFailure: the integral does not round cleanly, or rounds
-            outside [-1, 1].
-        OracleMismatch: the integral rounds to another integer than the
-            HSP mass-sign count.
+        ZeroGap, QuantizationFailure, OracleMismatch: the cell's failure,
+            the first in the order that ``_verdicts`` states.
     """
     return _one_cell(*winding_numbers_1d([p.alpha], [p.beta], n_grid),
                      n_grid)
@@ -128,17 +123,62 @@ def _one_cell(raw, rounded, failed: dict, n_grid: int) -> InvariantResult:
         del result
 
 
-def _count_mismatch(route: str, rounded: float, count: float):
-    """The OracleMismatch of a cell whose ``route`` gives the integer
-    ``rounded`` where the HSP mass-sign count gives ``count``."""
-    return OracleMismatch("%s gives %d but the HSP mass-sign count gives %d"
-                          % (route, rounded, count))
+def _verdicts(raw, integer, count, closed, names=("integral", "integral"),
+              bound=np.inf):
+    """(raw, rounded, failed) of a diagram kernel's cells, from their raw
+    integrals of F, the values of the kernel's integer route (the integral
+    itself in 1D, the plaquette flux in 2D), their HSP mass-sign counts and
+    whether the inner grid closes their gap.  ``names`` are the route's
+    names in a QuantizationFailure and in an OracleMismatch, and ``bound``
+    is the largest |integer| of the walk1d winding; no other route has one.
 
-
-def _closed_at_hsp() -> ZeroGap:
-    """The failure of a cell whose ``invariant_from_masses`` is NaN: some
-    HSP mass^2 is below the gap floor, on the inner grid or off it."""
-    return ZeroGap("gap closed at a high-symmetry point")
+    A cell fails by the first of:
+      1. ZeroGap: its count is NaN: some HSP mass^2 is below the gap floor,
+         on the inner grid or off it;
+      2. ZeroGap: the inner grid closes its gap;
+      3. QuantizationFailure: the route does not round cleanly;
+      4. QuantizationFailure: the route rounds to an integer beyond
+         ``bound``;
+      5. OracleMismatch: the route rounds to another integer than the count;
+      6. OracleMismatch: the integral rounds cleanly to another integer
+         than the route.
+    The integral's distance from the integer is no failure.  Returns the
+    raw integral of every cell and its integer, both NaN where the cell
+    failed, and a dict from the index of each failed cell, in cell order,
+    to its failure; ``raw`` is written in place.
+    """
+    # + 0.0 writes the -0.0 that rint gives a value just below zero as the
+    # 0 of InvariantResult.rounded
+    rounded = np.rint(integer) + 0.0
+    defect = np.abs(integer - rounded)
+    integral = np.rint(raw)
+    stray = (np.abs(raw - integral) < DEFECT_LIMIT) & (integral != rounded)
+    # a NaN count, like a NaN rounded, differs from every rounded
+    suspect = (closed | ~(defect < DEFECT_LIMIT) | (np.abs(rounded) > bound)
+               | (rounded != count) | stray)
+    failed = {}
+    for i in np.flatnonzero(suspect).tolist():
+        if np.isnan(count[i]):
+            failed[i] = ZeroGap("gap closed at a high-symmetry point")
+        elif closed[i]:
+            failed[i] = ZeroGap("gap closed on the integration grid")
+        elif not defect[i] < DEFECT_LIMIT:
+            failed[i] = _quantization_failure(integer[i], defect[i], names[0])
+        elif abs(rounded[i]) > bound:
+            failed[i] = QuantizationFailure(
+                "%s %.6f rounds to %d, outside the walk1d winding range "
+                "[-%d, %d]" % (names[0], integer[i], rounded[i], bound, bound))
+        elif rounded[i] != count[i]:
+            failed[i] = OracleMismatch(
+                "%s gives %d but the HSP mass-sign count gives %d"
+                % (names[1], rounded[i], count[i]))
+        else:
+            failed[i] = OracleMismatch("integral gives %d but %s oracle gives "
+                                       "%d" % (integral[i], names[1],
+                                               rounded[i]))
+    raw[list(failed)] = np.nan
+    rounded[list(failed)] = np.nan
+    return raw, rounded, failed
 
 
 @lru_cache(maxsize=4)
@@ -155,15 +195,8 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
     """``winding_number_1d`` of the walks (alpha[i], beta[i]), evaluated
     together.
 
-    Returns (raw, rounded, failed): the raw integral of every cell and its
-    integer, both NaN where the cell failed, and a dict from the index of
-    each failed cell, in cell order, to the ZeroGap, QuantizationFailure or
-    OracleMismatch that ``winding_number_1d`` raises for it.  A cell fails
-    as a ZeroGap where its ``Walk1D.invariant_from_masses`` is NaN or the
-    inner grid closes its gap, as a QuantizationFailure where its integral
-    does not round cleanly or rounds to an integer outside [-1, 1], which
-    no walk1d winding is, and as an OracleMismatch where it rounds to
-    another integer than the count.
+    Returns (raw, rounded, failed), the ``_verdicts`` of the cells, whose
+    integer route is the integral itself.
     Each block of cells is one call of ``_curvature_staged_1d`` on the
     memoized inner grid, of at most BLOCK_POINTS (cell, momentum) points,
     so memory grows with the number of cells only by the per-cell half
@@ -187,37 +220,14 @@ def winding_numbers_1d(alpha, beta, n_grid: int = DEFAULT_N_WINDING):
             raw[cells] = np.sum(f, axis=1) / n_grid
             gap[cells] = np.min(norm2, axis=1)
     closed = below_gap_floor(gap)
-    # a closed cell's defect is then NaN, which fails it as a ZeroGap
+    # an infinite raw would make the verdict's defect warn
     raw[closed] = np.nan
-    # + 0.0 writes the -0.0 that rint gives a raw just below zero as the 0
-    # of InvariantResult.rounded
-    rounded = np.rint(raw) + 0.0
-    defect = np.abs(raw - rounded)
-    count = WALK_1D.invariant_from_masses(alpha, beta)
     # F is the angle derivative of the planar axis (kap_a sin k,
     # lam_a kap_b + kap_a lam_b cos k), an ellipse, which winds about the
     # origin at most once: a rounded integral outside [-1, 1] is a grid that
     # undersamples a peak, however small its defect
-    bounded = np.abs(rounded) <= 1
-    failed = {}
-    # a NaN count, like a NaN rounded, differs from every rounded
-    for i in np.flatnonzero(~(defect < DEFECT_LIMIT) | ~bounded
-                            | (rounded != count)).tolist():
-        if np.isnan(count[i]):
-            failed[i] = _closed_at_hsp()
-        elif closed[i]:
-            failed[i] = ZeroGap("gap closed on the integration grid")
-        elif not defect[i] < DEFECT_LIMIT:
-            failed[i] = _quantization_failure(raw[i], defect[i])
-        elif not bounded[i]:
-            failed[i] = QuantizationFailure(
-                "integral %.6f rounds to %d, outside the walk1d winding "
-                "range [-1, 1]" % (raw[i], rounded[i]))
-        else:
-            failed[i] = _count_mismatch("integral", rounded[i], count[i])
-    raw[list(failed)] = np.nan
-    rounded[list(failed)] = np.nan
-    return raw, rounded, failed
+    return _verdicts(raw, raw, WALK_1D.invariant_from_masses(alpha, beta),
+                     closed, bound=1)
 
 
 @lru_cache(maxsize=4)
@@ -422,31 +432,16 @@ class _TorusWork:
             _window_phases(window)
         return self.tmp
 
-    def chern(self, alpha: float, stage, count: float):
-        """(raw, rounded) of the walk of angle ``alpha`` with the
-        ``beta_stage`` of its beta: the integral of F and the plaquette's
-        integer, which must equal ``count``, the walk's
-        ``invariant_from_masses`` (not NaN: the masses leave the gap open);
-        or the cell's failure.  The integral's distance from the integer is
-        no failure; an integral that rounds cleanly to another integer is
-        an OracleMismatch."""
+    def chern(self, alpha: float, stage):
+        """(integral of F, plaquette flux) of the walk of angle ``alpha``
+        with the ``beta_stage`` of its beta, or None where the torus closes
+        the gap."""
         *zeta, phi = _zeta_phi_2d(stage, *_halves(alpha))
         if below_gap_floor(self.norm2(zeta)):
-            return ZeroGap("gap closed on the integration grid")
+            return None
         raw = self.integral(phi)
         del phi  # not held while the oracle runs
-        flux = self.plaquette(zeta)
-        rounded = np.rint(flux) + 0.0
-        if not abs(flux - rounded) < DEFECT_LIMIT:
-            return _quantization_failure(flux, abs(flux - rounded),
-                                         "plaquette flux")
-        if rounded != count:
-            return _count_mismatch("plaquette", rounded, count)
-        integral = np.rint(raw)
-        if abs(raw - integral) < DEFECT_LIMIT and integral != rounded:
-            return OracleMismatch("integral gives %d but plaquette oracle "
-                                  "gives %d" % (integral, rounded))
-        return raw, rounded
+        return raw, self.plaquette(zeta)
 
 
 def chern_numbers_2d(alpha, beta, n_grid: int = DEFAULT_N_CHERN):
@@ -454,39 +449,32 @@ def chern_numbers_2d(alpha, beta, n_grid: int = DEFAULT_N_CHERN):
     work arrays.
 
     The walks are grouped by the bits of beta (0.0 and -0.0 apart), and the
-    beta stage of each group is built once.
-    Returns (raw, rounded, failed) as ``winding_numbers_1d`` does: the raw
-    integral of every cell and its integer, the plaquette's, both NaN where
-    the cell failed, and a dict from the index of each failed cell, in cell
-    order, to its ZeroGap, QuantizationFailure or OracleMismatch.  A cell
-    whose ``Walk2D.invariant_from_masses`` is NaN is a ZeroGap and is not
-    evaluated; every other cell is ``_TorusWork.chern``'s.  The integer of
-    every gapped cell is the plaquette's, checked against the count; the
-    integral need not round to it, and ``chern_number_2d`` raises
-    QuantizationFailure for a cell whose integral does not.
+    beta stage of each group is built once.  Returns (raw, rounded,
+    failed), the ``_verdicts`` of the cells, whose integer route is the
+    plaquette flux; a cell whose ``Walk2D.invariant_from_masses`` is NaN is
+    not evaluated.  The integral need not round to the plaquette's integer,
+    and ``chern_number_2d`` raises QuantizationFailure for a cell whose
+    integral does not.
     """
     alphas = np.asarray(alpha, dtype=float).tolist()
     betas = np.asarray(beta, dtype=float).tolist()
-    counts = WALK_2D.invariant_from_masses(alphas, betas).tolist()
+    count = WALK_2D.invariant_from_masses(alphas, betas)
+    evaluated = (~np.isnan(count)).tolist()
     groups = {}
     for i, b in enumerate(betas):
         groups.setdefault(b.hex(), []).append(i)
     work = _TorusWork(n_grid)
-    raw, rounded = np.full(len(betas), np.nan), np.full(len(betas), np.nan)
-    failed = {}
+    raw, flux = np.full(len(betas), np.nan), np.full(len(betas), np.nan)
+    closed = np.zeros(len(betas), bool)
     for cells in groups.values():
         stage = work.beta_stage(betas[cells[0]])
-        for i in cells:
-            # a cell that the masses close is not evaluated
-            if np.isnan(counts[i]):
-                result = _closed_at_hsp()
-            else:
-                result = work.chern(alphas[i], stage, counts[i])
-            if isinstance(result, Exception):
-                failed[i] = result
-            else:
-                raw[i], rounded[i] = result
-    return raw, rounded, dict(sorted(failed.items()))
+        # a cell that the masses close is not evaluated
+        for i in filter(evaluated.__getitem__, cells):
+            values = work.chern(alphas[i], stage)
+            closed[i] = values is None
+            if values:
+                raw[i], flux[i] = values
+    return _verdicts(raw, flux, count, closed, ("plaquette flux", "plaquette"))
 
 
 def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantResult:
@@ -498,11 +486,9 @@ def chern_number_2d(p: WalkParams, n_grid: int = DEFAULT_N_CHERN) -> InvariantRe
     the fundamental torus.  The one-cell case of ``chern_numbers_2d``.
 
     Raises:
-        ZeroGap: the gap closes on the torus, or at a high-symmetry point.
-        QuantizationFailure: the integral, or the plaquette flux, does not
-            round cleanly.
-        OracleMismatch: the plaquette differs from the count, or the
-            integral rounds cleanly to another integer.
+        ZeroGap, QuantizationFailure, OracleMismatch: the cell's failure,
+            the first in the order that ``_verdicts`` states; or
+        QuantizationFailure: the integral does not round cleanly.
     """
     return _one_cell(*chern_numbers_2d([p.alpha], [p.beta], n_grid),
                      n_grid)

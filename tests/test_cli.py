@@ -125,6 +125,21 @@ def test_exponents_malformed_window(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["1e-3,abc", "1e-3", "1e-3,0.1,1"])
+def test_exponents_window_that_is_no_pair_of_numbers(tmp_path, capsys,
+                                                     window):
+    # argparse names the type function of a flag that raises ValueError;
+    # the window parser raises its own error, which names the rule
+    rc = main(["exponents", "--window", window,
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("error: argument --window: expected two comma-separated "
+                   "numbers 'lo,hi'\n")
+    assert "_parse_window" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_exponents_window_flag_and_config_write_the_same_bytes(tmp_path):
     # --window parses to a tuple and a config file gives a list; the echo
     # writes both as the same JSON list
@@ -403,6 +418,32 @@ def test_out_names_with_a_dot_keep_the_dot(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "corr.csv", "ex_0.3.json", "run_b0.1.csv", "run_b0.5.csv"]
     assert "beta\":0.5" in read_lines(tmp_path / "run_b0.5.csv")[0]
+
+
+@pytest.mark.parametrize("out", [".", "", "sub/", "sub/.", ".."])
+def test_out_that_names_no_file_exits_1(tmp_path, capsys, monkeypatch, out):
+    # '.' and '' had no name to put the suffix on, and 'sub/' wrote
+    # sub.json beside the directory; a flag and a config key are refused
+    # alike, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": out}))
+    want = ("error: out must be a path whose last part names a file, got %r\n"
+            % out)
+    for argv in (["--out", out], ["--config", str(cfg)]):
+        assert main(["exponents", "--points", "10"] + argv) == 1
+        assert capsys.readouterr().err == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+def test_out_with_a_suffix_after_other_dots(tmp_path, capsys):
+    # the .csv of a.b.csv is replaced, and the dot of a.b stays
+    assert main(["exponents", "--points", "10",
+                 "--out", str(tmp_path / "a.b.csv")]) == 0
+    assert capsys.readouterr().out == str(tmp_path / "a.b.json") + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.b.json"]
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

@@ -1,6 +1,8 @@
+import ast
 import gc
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from topocrit import WalkParams, ZeroGap, invariants
 from topocrit.crg import DEFAULT_DM
 from topocrit.errors import OracleMismatch, QuantizationFailure
-from topocrit.invariants import (InvariantResult, _TorusWork,
+from topocrit.invariants import (InvariantResult, _TorusWork, _verdicts,
                                  _circle_trig, _quantize, _zone_trig,
                                  chern_number_2d, chern_numbers_2d,
                                  chern_plaquette, winding_number_1d,
@@ -934,6 +936,98 @@ def test_plaquette_trivial_axis_field():
         for cycled in (zeta, zeta[2:] + zeta[:2]):
             work.norm2(cycled)
             assert abs(work.plaquette(cycled) - degree) < 1e-12
+
+
+# --- the cell verdict of both diagram kernels ---
+
+NAN = np.nan
+GRID = "gap closed on the integration grid"
+HSP = "gap closed at a high-symmetry point"
+# (raw, integer route, count, closed) and the cell's failure, or its
+# (raw, rounded).  Every failing cell also meets each later check that its
+# route has, so that two checks taken in another order fail another way
+WINDING_CELLS = [
+    ((2.3, 2.3, NAN, True), (ZeroGap, HSP)),
+    ((2.3, 2.3, 0.0, True), (ZeroGap, GRID)),
+    ((2.3, 2.3, 0.0, False),
+     (QuantizationFailure, "integral 2.300000 is 3.00e-01 from an integer")),
+    ((NAN, NAN, 0.0, False),
+     (QuantizationFailure, "integral nan is not finite")),
+    ((2.0, 2.0, 0.0, False),
+     (QuantizationFailure, "integral 2.000000 rounds to 2, outside the "
+                           "walk1d winding range [-1, 1]")),
+    ((1.0, 1.0, -1.0, False),
+     (OracleMismatch, "integral gives 1 but the HSP mass-sign count "
+                      "gives -1")),
+    ((-1.0004, -1.0004, -1.0, False), (-1.0004, -1.0)),
+    ((-1e-9, -1e-9, 0.0, False), (-1e-9, 0.0)),
+]
+CHERN_CELLS = [
+    ((NAN, NAN, NAN, True), (ZeroGap, HSP)),
+    ((NAN, NAN, -4.0, True), (ZeroGap, GRID)),
+    ((-3.0, -3.7, 0.0, False),
+     (QuantizationFailure, "plaquette flux -3.700000 is 3.00e-01 from an "
+                           "integer")),
+    ((3.0, 5.0, 0.0, False),
+     (OracleMismatch, "plaquette gives 5 but the HSP mass-sign count "
+                      "gives 0")),
+    ((-3.0, -4.0, -4.0, False),
+     (OracleMismatch, "integral gives -3 but plaquette oracle gives -4")),
+    ((-4.2, -4.0000001, -4.0, False), (-4.2, -4.0)),
+    ((0.3, -1e-9, 0.0, False), (0.3, 0.0)),
+]
+
+
+@pytest.mark.parametrize("cells, route", [
+    (WINDING_CELLS, {"bound": 1}),
+    (CHERN_CELLS, {"names": ("plaquette flux", "plaquette")}),
+], ids=["walk1d", "walk2d"])
+def test_verdicts_fail_each_cell_by_its_first_check(cells, route):
+    # the kernels' calls: walk1d's route is the integral, bounded to its
+    # winding range, and walk2d's the unbounded plaquette flux
+    raw, integer, count, closed = (np.array(column) for column in
+                                   zip(*(cell for cell, _ in cells)))
+    if "bound" in route:
+        integer = raw
+    got_raw, rounded, failed = _verdicts(raw, integer, count, closed, **route)
+    want = {i: w for i, (_, w) in enumerate(cells) if isinstance(w[0], type)}
+    assert list(failed) == list(want)
+    for i, (kind, message) in want.items():
+        assert type(failed[i]) is kind
+        assert str(failed[i]) == message
+        assert np.isnan(got_raw[i]) and np.isnan(rounded[i])
+    for i, (_, w) in enumerate(cells):
+        if i not in want:
+            # rounded is +0.0, not rint's -0.0
+            assert _bits(got_raw[i]) == _bits(w[0])
+            assert _bits(rounded[i]) == _bits(w[1])
+
+
+def test_only_the_verdict_builds_the_kernels_failures():
+    # the diagram kernels' ZeroGap, QuantizationFailure and OracleMismatch
+    # are all made by _verdicts; the one-cell _quantize path and
+    # chern_plaquette, which no kernel calls, make their own
+    makers = {"ZeroGap", "QuantizationFailure", "OracleMismatch",
+              "_quantization_failure"}
+    tree = ast.parse(Path(invariants.__file__).read_text())
+    # every statement of the module once: a function, a method, or the
+    # module or class body around them
+    units = []
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        units += [(getattr(part, "name", "<body>"), part) for part in body]
+    made = {}
+    for name, unit in units:
+        for call in ast.walk(unit):
+            if (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) in makers):
+                made.setdefault(call.func.id, set()).add(name)
+    assert made == {
+        "ZeroGap": {"_verdicts", "chern_plaquette"},
+        "QuantizationFailure": {"_verdicts", "_quantization_failure"},
+        "OracleMismatch": {"_verdicts"},
+        "_quantization_failure": {"_verdicts", "_quantize"},
+    }
 
 
 # --- consistency with manifold geometry: the length L = int |A| dk and the
